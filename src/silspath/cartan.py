@@ -307,10 +307,9 @@ class CartanDatum:
             return -sum(a * b for a, b in zip(self.theta_coroot, mu.fw))
         return mu.fw[j - 1]
 
-
-def sigma_involution(datum: CartanDatum) -> Vec:
-    """The map with w_0(alpha_j) = -alpha_{sigma(j)}, as a tuple over 1..n."""
-    return datum.sigma
+    def sigma_dual(self, lam: Vec) -> Vec:
+        """-w_0(lambda) in fundamental-weight coordinates: lambda permuted by sigma."""
+        return tuple(lam[s - 1] for s in self.sigma)
 
 
 @functools.lru_cache(maxsize=None)

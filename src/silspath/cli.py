@@ -1,7 +1,8 @@
 """Command-line front end: enumeration, characters, verification, graphs.
 
 Exit codes: 0 success (and all verified identities holding), 1 verification
-mismatch, 2 usage errors, 3 node-budget exhaustion.
+mismatch, 2 usage errors, 3 node-budget exhaustion, 4 internal error (an
+unexpected exception, reported without a traceback).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .weyl import (
 
 USAGE_ERROR = 2
 BUDGET_ERROR = 3
+INTERNAL_ERROR = 4
 
 
 def _parse_lambda(datum: CartanDatum, text: str) -> tuple[int, ...]:
@@ -33,6 +35,21 @@ def _parse_lambda(datum: CartanDatum, text: str) -> tuple[int, ...]:
     if len(parts) != datum.rank or any(p < 0 for p in parts):
         raise ValueError(f"lambda {text!r} is not dominant of rank {datum.rank}")
     return parts
+
+
+def _check_depth(depth: int) -> None:
+    if depth < 0:
+        raise ValueError(f"depth {depth} must be nonnegative")
+
+
+def _parse_level(text: str) -> Fraction:
+    try:
+        a = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"level {text!r} is not a rational number p/q") from None
+    if not 0 < a <= 1:
+        raise ValueError(f"level {text!r} must lie in (0, 1]")
+    return a
 
 
 def _parse_finite_word(datum: CartanDatum, text: str) -> FiniteWeylElt:
@@ -100,7 +117,7 @@ def _cmd_si_graph(args) -> int:
     datum = build(args.type, args.rank)
     lam = _parse_lambda(datum, getattr(args, "lambda"))
     quotient = ParabolicQuotient.for_weight(datum, lam)
-    a = Fraction(args.a) if args.a else None
+    a = _parse_level(args.a) if args.a is not None else None
     ball = [
         x
         for x in quotient.si_ball(args.radius)
@@ -131,6 +148,7 @@ def _cmd_si_graph(args) -> int:
 def _cmd_sils(args) -> int:
     datum = build(args.type, args.rank)
     lam = _parse_lambda(datum, getattr(args, "lambda"))
+    _check_depth(args.depth)
     crystal = SiLSCrystal(datum, lam)
     x = _parse_x(datum, args.x) if args.x else affine_identity(datum)
     # the truncated set only depends on the coset of x, so normalize it
@@ -182,6 +200,7 @@ def _diff_report(name: str, lhs: ch.GradedCharacter, rhs: ch.GradedCharacter) ->
 def _cmd_char(args) -> int:
     datum = build(args.type, args.rank)
     lam = _parse_lambda(datum, getattr(args, "lambda"))
+    _check_depth(args.depth)
     meta = {
         "type": datum.type_label,
         "rank": datum.rank,
@@ -211,8 +230,7 @@ def _cmd_char(args) -> int:
               f"{len(closed.terms)} terms")
     elif mode == "verify-grch2":
         plus = ch.gch_demazure_plus_w0(datum, lam, args.depth)
-        dual_lam = tuple(lam[datum.sigma[i] - 1] for i in range(datum.rank))
-        minus = ch.gch_demazure_minus_e(datum, dual_lam, args.depth)
+        minus = ch.gch_demazure_minus_e(datum, datum.sigma_dual(lam), args.depth)
         flipped = minus.invert_q().invert_x()
         if plus != flipped:
             _diff_report("plus/minus Demazure duality", plus, flipped)
@@ -293,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc} (partial results discarded)", file=sys.stderr)
         return BUDGET_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ including its rational-level subgraphs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -70,6 +71,7 @@ class ParabolicQuotient:
     lam: Vec | None = None
     _si_leq_cache: dict = field(default_factory=dict, repr=False)
     _cover_cache: dict = field(default_factory=dict, repr=False)
+    _adjust_cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def for_weight(cls, datum: CartanDatum, lam: Vec) -> "ParabolicQuotient":
@@ -99,35 +101,30 @@ class ParabolicQuotient:
     def w_j0(self) -> FiniteWeylElt:
         return self._tables[2]
 
-    @property
+    @functools.cached_property
     def _tables(self):
-        cached = self.__dict__.get("_tables_value")
-        if cached is None:
-            datum = self.datum
-            jset = set(self.j_nodes)
-            dj = tuple(
+        datum = self.datum
+        jset = set(self.j_nodes)
+        dj = tuple(
+            u
+            for u in datum.pos_roots
+            if all(u[i] == 0 for i in range(datum.rank) if (i + 1) not in jset)
+        )
+        gens: list[tuple[AffineRealRoot, AffineWeylElt]] = []
+        for i in self.j_nodes:
+            beta = AffineRealRoot(datum.simple_root(i), 0)
+            gens.append((beta, from_finite(simple_reflection(datum, i))))
+        for comp in _component_split(datum, self.j_nodes):
+            sub_roots = [
                 u
-                for u in datum.pos_roots
-                if all(u[i] == 0 for i in range(datum.rank) if (i + 1) not in jset)
-            )
-            gens: list[tuple[AffineRealRoot, AffineWeylElt]] = []
-            for i in self.j_nodes:
-                beta = AffineRealRoot(datum.simple_root(i), 0)
-                gens.append((beta, from_finite(simple_reflection(datum, i))))
-            for comp in _component_split(datum, self.j_nodes):
-                sub_roots = [
-                    u
-                    for u in dj
-                    if all(u[i - 1] == 0 for i in jset if i not in comp)
-                ]
-                theta_c = max(sub_roots, key=lambda u: (sum(u), u))
-                beta = AffineRealRoot(vec_neg(theta_c), 1)
-                gens.append((beta, affine_reflection(datum, beta)))
-            wj0 = longest_element(datum, self.j_nodes)
-            value = (dj, tuple(gens), wj0)
-            self.__dict__["_tables_value"] = value
-            cached = value
-        return cached
+                for u in dj
+                if all(u[i - 1] == 0 for i in jset if i not in comp)
+            ]
+            theta_c = max(sub_roots, key=lambda u: (sum(u), u))
+            beta = AffineRealRoot(vec_neg(theta_c), 1)
+            gens.append((beta, affine_reflection(datum, beta)))
+        wj0 = longest_element(datum, self.j_nodes)
+        return dj, tuple(gens), wj0
 
     # -- membership and projection ------------------------------------------
 
@@ -154,8 +151,12 @@ class ParabolicQuotient:
 
     def j_adjust(self, xi: Vec) -> tuple[Vec, FiniteWeylElt]:
         """(phi_J(xi), z_xi) with Pi^J(t_xi) = z_xi t_{xi + phi_J(xi)}."""
-        p = self.project(translation(self.datum, xi))
-        return vec_sub(p.xi, xi), p.w
+        cached = self._adjust_cache.get(xi)
+        if cached is None:
+            p = self.project(translation(self.datum, xi))
+            cached = (vec_sub(p.xi, xi), p.w)
+            self._adjust_cache[xi] = cached
+        return cached
 
     def is_adjusted(self, xi: Vec) -> bool:
         return all(
@@ -199,10 +200,7 @@ class ParabolicQuotient:
     def dual_quotient(self) -> "ParabolicQuotient":
         if self.lam is None:
             return ParabolicQuotient.for_subset(self.datum, self.sigma_nodes)
-        dual_lam = tuple(
-            self.lam[self.datum.sigma[i] - 1] for i in range(self.datum.rank)
-        )
-        return ParabolicQuotient.for_weight(self.datum, dual_lam)
+        return ParabolicQuotient.for_weight(self.datum, self.datum.sigma_dual(self.lam))
 
     def vee(self, x: AffineWeylElt) -> AffineWeylElt:
         """x^vee = x * w_0 * w_{sigma(J),0}, a representative for sigma(J)."""

@@ -1,11 +1,23 @@
 """Quantum LS paths as projections of the semi-infinite crystal.
 
 The finite crystal of shape lambda is generated from the straight-line path
-by root operators applied through recorded lifts in the component of the
+by root operators, recording one lift per element in the component of the
 unit path; the projection cl forgets the translation data of each direction
 and merges equal neighbours.  The distinguished lifts with final (resp.
 initial) direction inside the finite quotient W^J supply the tail degree
 used by the graded characters.
+
+A distinguished lift is read off the recorded lift by right translation:
+if the recorded lift ends in w z_xi t_xi, mapping every direction by
+x -> Pi^J(x t_{-xi}) and keeping the cuts gives the lift ending in w.  The
+map is a bijection of the Peterson representatives (its inverse translates
+by t_xi) and changes each direction's weight x(lambda) only by a multiple of
+delta, because (W_J)_af fixes lambda.  Root operators act on the left
+(x -> r_j x) and read only the finite part of those weights, while the
+translation acts on the right, so heights, cut points and the operators
+themselves commute with the map (the translation symmetry of
+Ishii-Naito-Sagaki's semi-infinite LS path model).  The image therefore
+lies in the unit component and has the same projection.
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cartan import CartanDatum, LevelZeroWeight, Vec
+from .cartan import CartanDatum, LevelZeroWeight, Vec, vec_neg
 from .weyl import (
     BudgetExceeded,
     FiniteWeylElt,
@@ -57,7 +69,6 @@ class QLSPath:
 class LiftRecord(NamedTuple):
     path: QLSPath
     lift: SiLSPath
-    ops: tuple[tuple[str, int], ...]
 
 
 class QLSCrystal:
@@ -94,13 +105,13 @@ class QLSCrystal:
         """Generate the full finite crystal with one lift per element."""
         budget = 200_000
         start_lift = self.sils.unit_path()
-        start = LiftRecord(self.cl(start_lift), start_lift, ())
+        start = LiftRecord(self.cl(start_lift), start_lift)
         table = {start.path: start}
         queue = [start]
         while queue:
             rec = queue.pop()
             for j in range(self.datum.rank + 1):
-                for tag, op in (("e", self.sils.root_e), ("f", self.sils.root_f)):
+                for op in (self.sils.root_e, self.sils.root_f):
                     lift2 = op(rec.lift, j)
                     if lift2 is None:
                         continue
@@ -108,7 +119,7 @@ class QLSCrystal:
                     if psi2 not in table:
                         if len(table) >= budget:
                             raise BudgetExceeded("QLS generation exceeded budget")
-                        rec2 = LiftRecord(psi2, lift2, rec.ops + ((tag, j),))
+                        rec2 = LiftRecord(psi2, lift2)
                         table[psi2] = rec2
                         queue.append(rec2)
         return table
@@ -120,16 +131,22 @@ class QLSCrystal:
 
     @functools.lru_cache(maxsize=None)
     def eta_kappa(self, psi: QLSPath) -> SiLSPath:
-        """The unique lift in the unit component with final direction in W^J."""
-        rec = self.table[psi]
-        xi = self.sils.quotient.decompose(rec.lift.kappa).xi
-        start = SiLSPath(
-            (self.sils.quotient.project(translation(self.datum, tuple(-c for c in xi))),),
-            (Fraction(0), Fraction(1)),
+        """The unique lift in the unit component with final direction in W^J.
+
+        The recorded lift ends in w z_xi t_xi; translating each direction on
+        the right by t_{-xi} and projecting back to the Peterson
+        representatives keeps the cuts and commutes with the root operators,
+        so the image lies in the same component and ends in w.
+        """
+        lift = self.table[psi].lift
+        quotient = self.sils.quotient
+        shift = translation(self.datum, vec_neg(lift.kappa.xi))
+        lift = SiLSPath(
+            tuple(quotient.project(x.mul(shift)) for x in lift.directions),
+            lift.cuts,
         )
-        lift = self.sils.apply(start, rec.ops)
         kappa = lift.kappa
-        assert not any(kappa.xi) and self.sils.quotient.is_min_rep(kappa.w)
+        assert not any(kappa.xi) and quotient.is_min_rep(kappa.w)
         assert self.cl(lift) == psi
         return lift
 

@@ -284,10 +284,7 @@ class SiLSCrystal:
 
     @functools.cached_property
     def dual(self) -> "SiLSCrystal":
-        dual_lam = tuple(
-            self.lam[self.datum.sigma[i] - 1] for i in range(self.datum.rank)
-        )
-        return SiLSCrystal(self.datum, dual_lam)
+        return SiLSCrystal(self.datum, self.datum.sigma_dual(self.lam))
 
     def dual_path(self, eta: SiLSPath) -> SiLSPath:
         dirs = tuple(self.quotient.vee(x) for x in reversed(eta.directions))

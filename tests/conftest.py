@@ -28,6 +28,33 @@ ORDER_CASES = [
 ]
 
 
+def replay_words(q):
+    """Root-operator words reaching each element of q.table from the unit path.
+
+    The search visits nodes and operators in the order `QLSCrystal.table`
+    does, so each word, applied to the unit path with `sils.apply`, rebuilds
+    the recorded lift; the words serve as the operator-replay oracle.
+    """
+    sils = q.sils
+    start = sils.unit_path()
+    words = {q.cl(start): ()}
+    queue = [(start, ())]
+    while queue:
+        lift, word = queue.pop()
+        for j in range(q.datum.rank + 1):
+            for tag, op in (("e", sils.root_e), ("f", sils.root_f)):
+                lift2 = op(lift, j)
+                if lift2 is None:
+                    continue
+                psi2 = q.cl(lift2)
+                if psi2 not in words:
+                    assert q.table[psi2].lift == lift2
+                    words[psi2] = word + ((tag, j),)
+                    queue.append((lift2, words[psi2]))
+    assert words.keys() == q.table.keys()
+    return words
+
+
 def order_quotients():
     return [
         (ParabolicQuotient.for_weight(build(*fam), lam), lam)

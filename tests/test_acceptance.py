@@ -8,6 +8,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from conftest import replay_words
 
 from silspath import characters as ch
 from silspath.cartan import build
@@ -270,9 +271,9 @@ def test_criterion_9_lift_uniqueness():
         jset = set(quotient.j_nodes)
         free = [i for i in range(1, datum.rank + 1) if i not in jset]
         boxes = list(itertools.product(range(-2, 3), repeat=len(free)))
+        words = replay_words(q)
         for psi in q.paths():
             assert q.deg_tail(psi) <= 0
-            rec = q.table[psi]
             kappa_hits = []
             iota_hits = []
             for box in boxes:
@@ -283,7 +284,7 @@ def test_criterion_9_lift_uniqueness():
                     (quotient.project(translation(datum, tuple(xi))),),
                     (Fraction(0), Fraction(1)),
                 )
-                lift = q.sils.apply(start, rec.ops)
+                lift = q.sils.apply(start, words[psi])
                 if not any(lift.kappa.xi) and quotient.is_min_rep(lift.kappa.w):
                     kappa_hits.append(lift)
                 if not any(lift.iota.xi) and quotient.is_min_rep(lift.iota.w):

@@ -103,6 +103,13 @@ def test_sigma_is_involution(fam):
     assert all(sigma[sigma[i] - 1] == i + 1 for i in range(len(sigma)))
 
 
+@pytest.mark.parametrize("fam", [("A", 3), ("C", 3), ("D", 5), ("E", 6)])
+def test_sigma_dual_is_minus_w0(fam):
+    datum = build(*fam)
+    lam = tuple(range(1, datum.rank + 1))
+    assert datum.sigma_dual(lam) == vec_neg(longest_element(datum).act_fw(lam))
+
+
 @pytest.mark.parametrize("fam", [("A", 1), ("A", 2), ("A", 3), ("B", 3), ("C", 3)])
 def test_w0_maps_parabolic_roots(fam):
     datum = build(*fam)

@@ -148,3 +148,53 @@ def test_budget_exhaustion_exits_3(capsys):
     )
     assert code == 3
     assert "budget" in err
+
+
+def test_sils_negative_depth_exits_2(capsys):
+    code, out, err = run(
+        capsys, "sils", "enumerate", "--type", "A", "--rank", "1",
+        "--lambda", "1", "--depth", "-1",
+    )
+    assert code == 2 and out == ""
+    assert "depth" in err and "Traceback" not in err
+
+
+def test_char_negative_depth_exits_2(capsys):
+    code, out, err = run(
+        capsys, "char", "demazure-minus", "--type", "A", "--rank", "1",
+        "--lambda", "1", "--depth", "-2",
+    )
+    assert code == 2 and out == ""
+    assert "depth" in err
+
+
+def test_si_graph_zero_denominator_level_exits_2(capsys):
+    code, out, err = run(
+        capsys, "si-graph", "--type", "A", "--rank", "1", "--lambda", "1",
+        "--a", "1/0",
+    )
+    assert code == 2 and out == ""
+    assert "level" in err and "Traceback" not in err
+
+
+def test_si_graph_zero_level_exits_2(capsys):
+    code, out, err = run(
+        capsys, "si-graph", "--type", "A", "--rank", "1", "--lambda", "1",
+        "--a", "0",
+    )
+    assert code == 2 and out == ""
+    assert "level" in err
+
+
+def test_unexpected_exception_exits_4(capsys, monkeypatch):
+    import silspath.cli as cli
+
+    def boom(*_args, **_kwargs):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setattr(cli.ch, "macdonald_t0", boom)
+    code, out, err = run(
+        capsys, "char", "macdonald", "--type", "A", "--rank", "1", "--lambda", "1"
+    )
+    assert code == 4 and out == ""
+    assert "internal error" in err and "invariant broken" in err

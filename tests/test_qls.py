@@ -2,8 +2,9 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from conftest import replay_words
 
-from silspath.cartan import build
+from silspath.cartan import build, vec_neg, vec_sub
 from silspath.qls import QLSCrystal, QLSPath
 from silspath.sils import SiLSPath
 from silspath.weyl import (
@@ -90,8 +91,8 @@ def test_lift_kappa_unique_in_window(fam, lam):
     jset = set(q.sils.quotient.j_nodes)
     free = [i for i in range(1, datum.rank + 1) if i not in jset]
     boxes = list(itertools.product(range(-2, 3), repeat=len(free)))
+    words = replay_words(q)
     for psi in q.paths():
-        rec = q.table[psi]
         hits = []
         for box in boxes:
             xi = [0] * datum.rank
@@ -101,7 +102,7 @@ def test_lift_kappa_unique_in_window(fam, lam):
                 (q.sils.quotient.project(translation(datum, tuple(xi))),),
                 (F(0), F(1)),
             )
-            lift = q.sils.apply(start, rec.ops)
+            lift = q.sils.apply(start, words[psi])
             if not any(lift.kappa.xi) and q.sils.quotient.is_min_rep(lift.kappa.w):
                 hits.append(lift)
         assert hits == [q.eta_kappa(psi)]
@@ -213,6 +214,7 @@ def test_fiber_structure(fam, lam):
             c if (i + 1) not in jset else 0 for i, c in enumerate(xi)
         )
 
+    words = replay_words(q)
     for eta in enum:
         psi = q.cl(eta)
         rec = q.table[psi]
@@ -224,7 +226,7 @@ def test_fiber_structure(fam, lam):
             a - b for a, b in zip(proj(eta.kappa.xi), proj(rec.lift.kappa.xi))
         )
         start = q.sils.weyl_action(translation(datum, zeta), base)
-        assert q.sils.apply(start, rec.ops) == eta
+        assert q.sils.apply(start, words[psi]) == eta
 
 
 @pytest.mark.parametrize("fam,lam", QLS_CASES)
@@ -240,3 +242,43 @@ def test_distinguished_lift_families_closed_under_finite_ops(fam, lam):
                     img = op(lift, j)
                     if img is not None:
                         assert img in family
+
+
+TRANSLATION_CASES = QLS_CASES + [
+    (("A", 3), (1, 0, 1)),
+    (("B", 3), (1, 0, 1)),
+    (("C", 2), (1, 1)),
+    (("G", 2), (1, 1)),
+    (("D", 4), (0, 1, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("fam,lam", TRANSLATION_CASES)
+def test_translation_lift_matches_replay(fam, lam):
+    # replaying each element's operator word from Pi^J(t_{-xi}) gives the
+    # same lift as translating the recorded lift on the right
+    q = qls(fam, lam)
+    quotient = q.sils.quotient
+    unit = q.sils.unit_path()
+    for psi, word in replay_words(q).items():
+        rec = q.table[psi]
+        assert q.sils.apply(unit, word) == rec.lift
+        xi = quotient.decompose(rec.lift.kappa).xi
+        start = SiLSPath(
+            (quotient.project(translation(q.datum, vec_neg(xi))),), (F(0), F(1))
+        )
+        assert q.sils.apply(start, word) == q.eta_kappa(psi), psi
+
+
+def test_j_adjust_memo_matches_fresh_projection():
+    q = qls(("A", 3), (1, 0, 1))
+    quotient = q.sils.quotient
+    assert quotient.j_nodes
+    directions = {x for rec in q.table.values() for x in rec.lift.directions}
+    for psi in q.paths():
+        directions.update(q.eta_kappa(psi).directions)
+    cache = quotient._adjust_cache
+    assert {x.xi for x in directions} <= cache.keys()
+    for xi, memo in cache.items():
+        p = quotient.project(translation(q.datum, xi))
+        assert memo == (vec_sub(p.xi, xi), p.w)
