@@ -4,8 +4,10 @@ A :class:`CartanDatum` holds the finite Cartan matrix in the convention
 ``cartan[i][j] = <alpha_i^vee, alpha_j>`` together with every derived table
 the rest of the library reads: positive roots (generated by reflection
 closure, not hard-coded), the highest root, marks and comarks of the
-affinization at the distinguished node 0, the symmetrizer, and the diagram
-involution induced by the longest Weyl element.
+affinization at the distinguished node 0, the symmetrizer, the diagram
+involution induced by the longest Weyl element, and (built on first use) an
+indexed table of all roots and their coroots on which Weyl elements act as
+permutations.
 
 Coordinate conventions used throughout the package:
 
@@ -19,6 +21,7 @@ Coordinate conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -62,37 +65,16 @@ class LevelZeroWeight(NamedTuple):
         return LevelZeroWeight(tuple(-a for a in self.fw), -self.delta)
 
 
-def mat_id(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt) for ra in a
-    )
-
-
-def mat_vec(a: Mat, v: Vec) -> Vec:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
-
-
-def vec_mat(v: Vec, a: Mat) -> Vec:
-    n = len(v)
-    return tuple(sum(v[i] * a[i][j] for i in range(n)) for j in range(n))
-
-
 def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(operator.add, u, v))
 
 
 def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(operator.sub, u, v))
 
 
 def vec_neg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
+    return tuple(map(operator.neg, u))
 
 
 def _cartan_matrix(type_label: str, rank: int) -> Mat:
@@ -179,27 +161,38 @@ def _positive_roots(cartan: Mat) -> tuple[Vec, ...]:
     return tuple(pos)
 
 
-def _longest_root_matrix(cartan: Mat, pos_roots: tuple[Vec, ...]) -> Mat:
-    """Root-coordinate action matrix of the longest element w_0."""
+def _sigma(cartan: Mat) -> Vec:
+    """The diagram involution i -> sigma(i) with w_0(alpha_i) = -alpha_sigma(i).
+
+    Walks w from the identity to w_0 by w -> w r_k while some simple image
+    w(alpha_k) is positive, updating the simple images as vectors:
+    (w r_k)(alpha_j) = w(alpha_j) - a_kj w(alpha_k).
+    """
     n = len(cartan)
-    m = mat_id(n)
-    # multiply simple reflections on the right while some simple image stays
-    # positive; w_0 is the unique element with no such index left
+    imgs = [tuple(1 if r == i else 0 for r in range(n)) for i in range(n)]
     while True:
-        img_cols = tuple(zip(*m))
-        for i in range(n):
-            if all(c >= 0 for c in img_cols[i]) and any(img_cols[i]):
-                refl = tuple(
-                    tuple(
-                        (1 if r == k else 0) - (cartan[i][k] if r == i else 0)
-                        for k in range(n)
-                    )
-                    for r in range(n)
-                )
-                m = mat_mul(m, refl)
-                break
-        else:
-            return m
+        k = next((k for k in range(n) if all(c >= 0 for c in imgs[k])), None)
+        if k is None:
+            break
+        wk = imgs[k]
+        imgs = [
+            tuple(a - cartan[k][j] * b for a, b in zip(imgs[j], wk)) for j in range(n)
+        ]
+    sigma = []
+    for img in imgs:
+        assert sorted(img) == [-1] + [0] * (n - 1)
+        sigma.append(img.index(-1) + 1)
+    return tuple(sigma)
+
+
+class RootTable(NamedTuple):
+    """All 2N roots, indexed: the positive roots in ``pos_roots`` order, then
+    their negatives in the same order, so root ``k + N`` is ``-root k``."""
+
+    roots: tuple[Vec, ...]
+    index: dict[Vec, int]
+    coroots: tuple[Vec, ...]  # coweight coordinates of each root's coroot
+    simple: tuple[int, ...]  # simple[i - 1] is the index of alpha_i
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +207,6 @@ class CartanDatum:
     marks: Vec
     comarks: Vec
     sigma: Vec  # sigma[i-1] is the node label paired with node i by -w_0
-    w0_root_mat: Mat
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -239,6 +231,16 @@ class CartanDatum:
     def pos_root_set(self) -> frozenset[Vec]:
         return frozenset(self.pos_roots)
 
+    @functools.cached_property
+    def root_table(self) -> RootTable:
+        """Built on first use by the Weyl group arithmetic, not by ``build``."""
+        roots = self.pos_roots + tuple(vec_neg(u) for u in self.pos_roots)
+        index = {u: k for k, u in enumerate(roots)}
+        simple = tuple(index[self.simple_root(i)] for i in range(1, self.rank + 1))
+        pos_coroots = tuple(_coroot(self, u) for u in self.pos_roots)
+        coroots = pos_coroots + tuple(vec_neg(c) for c in pos_coroots)
+        return RootTable(roots, index, coroots, simple)
+
     @property
     def rho(self) -> Vec:
         """rho in fundamental-weight coordinates: the all-ones vector."""
@@ -256,8 +258,9 @@ class CartanDatum:
 
     def pair_coweight_root(self, c: Vec, u: Vec) -> int:
         """<xi, alpha> for a coweight xi and an element alpha of Q."""
-        n = self.rank
-        return sum(c[i] * self.cartan[i][j] * u[j] for i in range(n) for j in range(n))
+        return sum(
+            ci * sum(a * b for a, b in zip(row, u)) for ci, row in zip(c, self.cartan) if ci
+        )
 
     def pair_coweight_weight(self, c: Vec, mu: LevelZeroWeight) -> int:
         """<xi, mu>; the delta part of mu pairs to zero with Q^vee."""
@@ -274,11 +277,9 @@ class CartanDatum:
         return Fraction(s, 2)
 
     def coroot(self, u: Vec) -> Vec:
-        """Coweight coordinates of the dual root alpha^vee."""
-        du = self.root_norm_half(u)
-        out = tuple(Fraction(u[j] * self.sym[j]) / du for j in range(self.rank))
-        assert all(x.denominator == 1 for x in out), u
-        return tuple(int(x) for x in out)
+        """Coweight coordinates of the dual root alpha^vee (a root-table lookup)."""
+        table = self.root_table
+        return table.coroots[table.index[u]]
 
     def root_to_fw(self, u: Vec) -> Vec:
         """Fundamental-weight coordinates of an element of Q."""
@@ -312,6 +313,14 @@ class CartanDatum:
         return tuple(lam[s - 1] for s in self.sigma)
 
 
+def _coroot(datum: CartanDatum, u: Vec) -> Vec:
+    """Coweight coordinates of alpha^vee = alpha / ((alpha, alpha)/2), exactly."""
+    du = datum.root_norm_half(u)
+    out = tuple(Fraction(u[j] * datum.sym[j]) / du for j in range(datum.rank))
+    assert all(x.denominator == 1 for x in out), u
+    return tuple(int(x) for x in out)
+
+
 @functools.lru_cache(maxsize=None)
 def build(type_label: str, rank: int) -> CartanDatum:
     """Construct (and cache) the full datum for one untwisted family member."""
@@ -324,20 +333,10 @@ def build(type_label: str, rank: int) -> CartanDatum:
     assert all(all(t >= u for t, u in zip(theta, v)) for v in pos)
 
     # temporary datum to reuse coroot machinery for theta
-    tmp = CartanDatum(
-        type_label, rank, cartan, sym, pos, theta, (), (), (), (), ()
-    )
-    theta_coroot = tmp.coroot(theta)
+    tmp = CartanDatum(type_label, rank, cartan, sym, pos, theta, (), (), (), ())
+    theta_coroot = _coroot(tmp, theta)
     marks = theta
     comarks = theta_coroot
-
-    w0_mat = _longest_root_matrix(cartan, pos)
-    sigma = []
-    for i in range(rank):
-        col = tuple(w0_mat[r][i] for r in range(rank))
-        neg = vec_neg(col)
-        assert sum(neg) == 1 and all(c in (0, 1) for c in neg)
-        sigma.append(neg.index(1) + 1)
 
     datum = CartanDatum(
         type_label=type_label,
@@ -349,8 +348,7 @@ def build(type_label: str, rank: int) -> CartanDatum:
         theta_coroot=theta_coroot,
         marks=marks,
         comarks=comarks,
-        sigma=tuple(sigma),
-        w0_root_mat=w0_mat,
+        sigma=_sigma(cartan),
     )
     _check_affinization(datum)
     return datum

@@ -11,6 +11,8 @@ supplies an independent q=0 oracle.
 from __future__ import annotations
 
 import functools
+import heapq
+import math
 from fractions import Fraction
 
 from .cartan import CartanDatum, Vec, vec_add, vec_neg, vec_sub
@@ -210,8 +212,12 @@ def gch_quotient_plus(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> GradedC
 
 
 @functools.lru_cache(maxsize=None)
-def _height_vector(datum: CartanDatum) -> tuple[Fraction, ...]:
-    """h with h . mu = sum of the root coordinates of mu (exact)."""
+def _height_vector(datum: CartanDatum) -> Vec:
+    """Integer h with h . mu a positive multiple of the height of mu.
+
+    The height (sum of root coordinates) is solved for exactly and then
+    scaled by the lcm of its denominators; a positive scale keeps the order.
+    """
     n = datum.rank
     # solve A^T h = (1,...,1) by Gaussian elimination over Q
     a = [[Fraction(datum.cartan[j][i]) for j in range(n)] + [Fraction(1)] for i in range(n)]
@@ -224,25 +230,36 @@ def _height_vector(datum: CartanDatum) -> tuple[Fraction, ...]:
             if r != col and a[r][col] != 0:
                 factor = a[r][col]
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return tuple(a[i][n] for i in range(n))
+    h = [a[i][n] for i in range(n)]
+    scale = math.lcm(*(x.denominator for x in h))
+    return tuple(int(x * scale) for x in h)
 
 
 def _laurent_divide(num: dict[Vec, int], den: dict[Vec, int], datum: CartanDatum) -> dict[Vec, int]:
-    """Exact division of Laurent polynomials known to divide evenly."""
+    """Exact division of Laurent polynomials known to divide evenly.
+
+    The order (h . mu, mu) is translation invariant, so every term a step
+    adds lies below the leading term it cancels; a max-heap of the keys of
+    the remainder (entries of cancelled keys skipped) yields the leads.
+    """
     h = _height_vector(datum)
 
-    def order_key(mu: Vec):
-        return (sum(x * c for x, c in zip(h, mu)), mu)
+    def neg_key(mu: Vec):
+        return (-sum(x * c for x, c in zip(h, mu)), vec_neg(mu))
 
-    lead_den = max(den, key=order_key)
+    lead_den = min(den, key=neg_key)
     quot: dict[Vec, int] = {}
     work = dict(num)
+    heap = [(neg_key(mu), mu) for mu in work]
+    heapq.heapify(heap)
     guard = 0
-    while work:
+    while heap:
+        lead = heapq.heappop(heap)[1]
+        coeff = work.get(lead)
+        if coeff is None:
+            continue
         guard += 1
         assert guard < 1_000_000, "division does not terminate"
-        lead = max(work, key=order_key)
-        coeff = work[lead]
         assert coeff % den[lead_den] == 0
         c = coeff // den[lead_den]
         shift = vec_sub(lead, lead_den)
@@ -250,10 +267,12 @@ def _laurent_divide(num: dict[Vec, int], den: dict[Vec, int], datum: CartanDatum
         for mu, d in den.items():
             key = vec_add(mu, shift)
             val = work.get(key, 0) - c * d
-            if val:
-                work[key] = val
+            if not val:
+                del work[key]
             else:
-                work.pop(key, None)
+                if key not in work:
+                    heapq.heappush(heap, (neg_key(key), key))
+                work[key] = val
     return quot
 
 

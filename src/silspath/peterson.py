@@ -329,7 +329,7 @@ class ParabolicQuotient:
                         nxt.add(z)
             seen |= nxt
             frontier = nxt
-        return tuple(sorted(seen, key=lambda v: (v.si_length, v.xi, v.w.root_mat)))
+        return tuple(sorted(seen, key=lambda v: (v.si_length, v.xi, v.w.sort_key)))
 
     def pairing_values(self) -> tuple[int, ...]:
         """The positive pairings <gamma^vee, lambda> over gamma outside Delta_J."""

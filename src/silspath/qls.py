@@ -62,7 +62,7 @@ class QLSPath:
         return (
             len(self.directions),
             self.cuts,
-            tuple(w.root_mat for w in self.directions),
+            tuple(w.sort_key for w in self.directions),
         )
 
 

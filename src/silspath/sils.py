@@ -11,7 +11,6 @@ splice the result back with the two standard drop rules.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,7 +58,7 @@ class SiLSPath:
         return (
             len(self.directions),
             self.cuts,
-            tuple((x.xi, x.w.root_mat) for x in self.directions),
+            tuple((x.xi, x.w.sort_key) for x in self.directions),
         )
 
 
@@ -449,39 +448,8 @@ class SiLSCrystal:
                     chain.pop()
                     cuts_desc.pop()
 
-        for kappa in sorted(pool, key=lambda z: (z.si_length, z.xi, z.w.root_mat)):
+        for kappa in sorted(pool, key=lambda z: (z.si_length, z.xi, z.w.sort_key)):
             settle([kappa], [], Fraction(0))
         results.sort(key=SiLSPath.sort_key)
         return tuple(results)
-
-
-def multipartitions(lam: Vec, max_total: int, strict: bool) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Tuples of partitions, one per node, of total size <= max_total.
-
-    With ``strict`` the partition at node i has length < lam[i], otherwise
-    length <= lam[i].
-    """
-
-    def partitions_bounded(max_len: int, total: int):
-        if max_len <= 0:
-            yield ()
-            return
-        def gen(remaining, max_part, slots):
-            yield ()
-            if not slots or not remaining:
-                return
-            for first in range(min(remaining, max_part), 0, -1):
-                for rest in gen(remaining - first, first, slots - 1):
-                    yield (first,) + rest
-        yield from gen(total, total, max_len)
-
-    per_node = []
-    for m in lam:
-        bound = (m - 1) if strict else m
-        per_node.append(list(partitions_bounded(bound, max_total)))
-    out = []
-    for combo in itertools.product(*per_node):
-        if sum(sum(p) for p in combo) <= max_total:
-            out.append(tuple(combo))
-    return tuple(out)
 

@@ -1,25 +1,24 @@
-"""Finite and affine Weyl group arithmetic over exact integer matrices.
+"""Finite and affine Weyl group arithmetic as permutations of the root system.
 
-A finite element is stored as its action matrix on the root lattice plus the
-matching action on fundamental-weight coordinates (and the inverses of both,
-maintained under composition), so equality, hashing, and group operations
-are exact without reduced words.  An affine element is the pair ``w · t_xi``.
+A finite element is stored as the permutation it induces on the 2N roots
+(indexed by the datum's :class:`~silspath.cartan.RootTable`: positive roots
+first), so multiplication is index composition, the length counts positive
+roots sent negative, and equality and hashing compare one tuple.  Actions on
+weights and coweights are read off the coroots of the images of the simple
+roots.  An affine element is the pair ``w · t_xi``.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 from .cartan import (
     AffineRealRoot,
     CartanDatum,
     LevelZeroWeight,
-    Mat,
     Vec,
-    mat_id,
-    mat_mul,
-    mat_vec,
     vec_add,
     vec_neg,
 )
@@ -29,113 +28,135 @@ class BudgetExceeded(Exception):
     """An enumeration outgrew its configured node budget."""
 
 
+def _combine(coeffs: Vec, vecs: list[Vec]) -> Vec:
+    """sum_i coeffs[i] * vecs[i] for vectors of length len(coeffs)."""
+    out = [0] * len(coeffs)
+    for c, v in zip(coeffs, vecs):
+        if c:
+            for k, x in enumerate(v):
+                out[k] += c * x
+    return tuple(out)
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteWeylElt:
+    """perm[k] is the index of w(root k) in ``datum.root_table``."""
+
     datum: CartanDatum
-    root_mat: Mat
-    root_inv: Mat
-    fw_mat: Mat
-    fw_inv: Mat
+    perm: tuple[int, ...]
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FiniteWeylElt)
+            and self.perm == other.perm
             and self.datum == other.datum
-            and self.root_mat == other.root_mat
         )
 
     def __hash__(self) -> int:
-        return hash(self.root_mat)
+        return hash(self.perm)
 
     def __repr__(self) -> str:
         word = self.reduced_word()
         return "W[e]" if not word else "W[" + "".join(map(str, word)) + "]"
 
     def mul(self, other: "FiniteWeylElt") -> "FiniteWeylElt":
-        return FiniteWeylElt(
-            self.datum,
-            mat_mul(self.root_mat, other.root_mat),
-            mat_mul(other.root_inv, self.root_inv),
-            mat_mul(self.fw_mat, other.fw_mat),
-            mat_mul(other.fw_inv, self.fw_inv),
-        )
+        # (self other)(root k) = self(root other.perm[k]); a root system has
+        # at least two roots, so the itemgetter returns a tuple
+        return FiniteWeylElt(self.datum, operator.itemgetter(*other.perm)(self.perm))
 
     def inverse(self) -> "FiniteWeylElt":
-        return FiniteWeylElt(
-            self.datum, self.root_inv, self.root_mat, self.fw_inv, self.fw_mat
-        )
+        inv = [0] * len(self.perm)
+        for k, p in enumerate(self.perm):
+            inv[p] = k
+        return FiniteWeylElt(self.datum, tuple(inv))
 
     @property
     def is_identity(self) -> bool:
-        return self.root_mat == mat_id(self.datum.rank)
+        return self.perm == finite_identity(self.datum).perm
+
+    def _simple_images(self) -> tuple[int, ...]:
+        """Indices of w(alpha_1), ..., w(alpha_n)."""
+        return tuple(self.perm[s] for s in self.datum.root_table.simple)
+
+    def _simple_preimages(self) -> tuple[int, ...]:
+        """Indices of w^{-1}(alpha_1), ..., w^{-1}(alpha_n)."""
+        return tuple(map(self.perm.index, self.datum.root_table.simple))
 
     def act_root(self, u: Vec) -> Vec:
-        return mat_vec(self.root_mat, u)
+        table = self.datum.root_table
+        k = table.index.get(u)
+        if k is not None:
+            return table.roots[self.perm[k]]
+        return _combine(u, [table.roots[p] for p in self._simple_images()])
 
     def inv_act_root(self, u: Vec) -> Vec:
-        return mat_vec(self.root_inv, u)
+        table = self.datum.root_table
+        k = table.index.get(u)
+        if k is not None:
+            return table.roots[self.perm.index(k)]
+        return _combine(u, [table.roots[p] for p in self._simple_preimages()])
 
     def act_fw(self, m: Vec) -> Vec:
-        return mat_vec(self.fw_mat, m)
+        # <alpha_j^vee, w m> = <(w^{-1} alpha_j)^vee, m>
+        coroots = self.datum.root_table.coroots
+        return tuple(sum(map(operator.mul, coroots[p], m)) for p in self._simple_preimages())
 
     def inv_act_fw(self, m: Vec) -> Vec:
-        return mat_vec(self.fw_inv, m)
+        coroots = self.datum.root_table.coroots
+        return tuple(sum(map(operator.mul, coroots[p], m)) for p in self._simple_images())
 
     def act_coweight(self, c: Vec) -> Vec:
-        # <w xi, varpi_j> = <xi, w^{-1} varpi_j>
-        n = self.datum.rank
-        return tuple(
-            sum(c[i] * self.fw_inv[i][j] for i in range(n)) for j in range(n)
-        )
+        # w(sum_i c_i alpha_i^vee) = sum_i c_i (w alpha_i)^vee
+        coroots = self.datum.root_table.coroots
+        return _combine(c, [coroots[p] for p in self._simple_images()])
 
     def inv_act_coweight(self, c: Vec) -> Vec:
-        n = self.datum.rank
-        return tuple(
-            sum(c[i] * self.fw_mat[i][j] for i in range(n)) for j in range(n)
-        )
+        coroots = self.datum.root_table.coroots
+        return _combine(c, [coroots[p] for p in self._simple_preimages()])
 
     @functools.cached_property
     def length(self) -> int:
-        neg = 0
-        for u in self.datum.pos_roots:
-            if not self.datum.is_positive_root(self.act_root(u)):
-                neg += 1
-        return neg
+        n_pos = len(self.datum.pos_roots)
+        return sum(p >= n_pos for p in self.perm[:n_pos])
+
+    @functools.cached_property
+    def sort_key(self) -> tuple[Vec, ...]:
+        """Root-coordinate action matrix (column i is w(alpha_i)): a fixed total order."""
+        roots = self.datum.root_table.roots
+        return tuple(zip(*(roots[p] for p in self._simple_images())))
 
     def reduced_word(self) -> tuple[int, ...]:
         """Node labels i_1..i_k with self = r_{i_1} ... r_{i_k}."""
+        n_pos = len(self.datum.pos_roots)
         w = self
         rev: list[int] = []
         while not w.is_identity:
-            for i in range(1, self.datum.rank + 1):
-                if not self.datum.is_positive_root(
-                    w.act_root(self.datum.simple_root(i))
-                ):
-                    rev.append(i)
-                    w = w.mul(simple_reflection(self.datum, i))
-                    break
+            i = next(i for i, p in enumerate(w._simple_images(), 1) if p >= n_pos)
+            rev.append(i)
+            w = w.mul(simple_reflection(self.datum, i))
         return tuple(reversed(rev))
 
 
+@functools.lru_cache(maxsize=None)
 def finite_identity(datum: CartanDatum) -> FiniteWeylElt:
-    m = mat_id(datum.rank)
-    return FiniteWeylElt(datum, m, m, m, m)
+    return FiniteWeylElt(datum, tuple(range(len(datum.root_table.roots))))
+
+
+def _reflection_perm(datum: CartanDatum, u: Vec) -> tuple[int, ...]:
+    # r_u(v) = v - <u^vee, v> u
+    table = datum.root_table
+    c = datum.coroot(u)
+    perm = []
+    for v in table.roots:
+        k = datum.pair_coweight_root(c, v)
+        perm.append(table.index[tuple(a - k * b for a, b in zip(v, u))])
+    return tuple(perm)
 
 
 @functools.lru_cache(maxsize=None)
 def simple_reflection(datum: CartanDatum, i: int) -> FiniteWeylElt:
     """The finite simple reflection r_i, i in 1..n."""
-    n = datum.rank
-    k = i - 1
-    root = tuple(
-        tuple((1 if r == c else 0) - (datum.cartan[k][c] if r == k else 0) for c in range(n))
-        for r in range(n)
-    )
-    fw = tuple(
-        tuple((1 if r == c else 0) - (datum.cartan[r][k] if c == k else 0) for c in range(n))
-        for r in range(n)
-    )
-    return FiniteWeylElt(datum, root, root, fw, fw)
+    return FiniteWeylElt(datum, _reflection_perm(datum, datum.simple_root(i)))
 
 
 def finite_from_word(datum: CartanDatum, word: tuple[int, ...] | list[int]) -> FiniteWeylElt:
@@ -145,22 +166,11 @@ def finite_from_word(datum: CartanDatum, word: tuple[int, ...] | list[int]) -> F
     return w
 
 
+@functools.lru_cache(maxsize=None)
 def finite_reflection(datum: CartanDatum, u: Vec) -> FiniteWeylElt:
     """The reflection r_alpha for a finite root alpha given in root coords."""
     assert datum.is_root(u)
-    n = datum.rank
-    c = datum.coroot(u)
-    pair_with_simple = [datum.pair_coweight_root(c, datum.simple_root(j + 1)) for j in range(n)]
-    root = tuple(
-        tuple((1 if r == col else 0) - pair_with_simple[col] * u[r] for col in range(n))
-        for r in range(n)
-    )
-    fwu = datum.root_to_fw(u)
-    fw = tuple(
-        tuple((1 if r == col else 0) - c[col] * fwu[r] for col in range(n))
-        for r in range(n)
-    )
-    return FiniteWeylElt(datum, root, root, fw, fw)
+    return FiniteWeylElt(datum, _reflection_perm(datum, u))
 
 
 @functools.lru_cache(maxsize=None)
@@ -168,14 +178,14 @@ def longest_element(datum: CartanDatum, nodes: tuple[int, ...] | None = None) ->
     """Longest element of W (or of the parabolic W_K for the given nodes)."""
     if nodes is None:
         nodes = tuple(range(1, datum.rank + 1))
+    n_pos = len(datum.pos_roots)
     w = finite_identity(datum)
     while True:
-        for i in nodes:
-            if datum.is_positive_root(w.act_root(datum.simple_root(i))):
-                w = w.mul(simple_reflection(datum, i))
-                break
-        else:
+        imgs = w._simple_images()
+        i = next((i for i in nodes if imgs[i - 1] < n_pos), None)
+        if i is None:
             return w
+        w = w.mul(simple_reflection(datum, i))
 
 
 @functools.lru_cache(maxsize=None)
@@ -198,7 +208,7 @@ def weyl_group(datum: CartanDatum, budget: int = 100_000) -> tuple[FiniteWeylElt
                     raise BudgetExceeded(f"|W| exceeds budget {budget}")
                 seen.add(v)
                 frontier.append(v)
-    return tuple(sorted(seen, key=lambda w: (w.length, w.root_mat)))
+    return tuple(sorted(seen, key=lambda w: (w.length, w.sort_key)))
 
 
 def bruhat_leq(u: FiniteWeylElt, v: FiniteWeylElt) -> bool:
@@ -242,7 +252,7 @@ class AffineWeylElt:
         )
 
     def __hash__(self) -> int:
-        return hash((self.w.root_mat, self.xi))
+        return hash((self.w.perm, self.xi))
 
     def __repr__(self) -> str:
         return f"{self.w!r}t{list(self.xi)}"

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from silspath.cartan import build
@@ -60,3 +62,34 @@ def order_quotients():
         (ParabolicQuotient.for_weight(build(*fam), lam), lam)
         for fam, lam in ORDER_CASES
     ]
+
+
+def multipartitions(lam, max_total, strict):
+    """Tuples of partitions, one per node, of total size <= max_total.
+
+    With ``strict`` the partition at node i has length < lam[i], otherwise
+    length <= lam[i].
+    """
+
+    def partitions_bounded(max_len: int, total: int):
+        if max_len <= 0:
+            yield ()
+            return
+        def gen(remaining, max_part, slots):
+            yield ()
+            if not slots or not remaining:
+                return
+            for first in range(min(remaining, max_part), 0, -1):
+                for rest in gen(remaining - first, first, slots - 1):
+                    yield (first,) + rest
+        yield from gen(total, total, max_len)
+
+    per_node = []
+    for m in lam:
+        bound = (m - 1) if strict else m
+        per_node.append(list(partitions_bounded(bound, max_total)))
+    out = []
+    for combo in itertools.product(*per_node):
+        if sum(sum(p) for p in combo) <= max_total:
+            out.append(tuple(combo))
+    return tuple(out)

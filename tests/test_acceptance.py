@@ -110,7 +110,7 @@ def test_criterion_4_symmetry():
 def test_criterion_5_duality():
     for fam, lam, depth in GRCH1_CASES:
         datum = build(*fam)
-        dual_lam = tuple(lam[datum.sigma[i] - 1] for i in range(datum.rank))
+        dual_lam = datum.sigma_dual(lam)
         plus = ch.gch_demazure_plus_w0(datum, lam, depth)
         minus = ch.gch_demazure_minus_e(datum, dual_lam, depth)
         assert plus == minus.invert_q().invert_x(), (fam, lam)

@@ -158,3 +158,18 @@ def test_affine_matrix_annihilates_marks(a2, c2):
 def test_unsupported_types_raise(fam):
     with pytest.raises(ValueError):
         build(*fam)
+
+
+def test_root_table_is_built_on_first_use():
+    datum = build.__wrapped__("E", 6)  # a fresh datum, outside build's cache
+    assert "root_table" not in vars(datum)
+    table = datum.root_table
+    n_pos = len(datum.pos_roots)
+    assert table.roots[:n_pos] == datum.pos_roots
+    assert table.roots[n_pos:] == tuple(vec_neg(u) for u in datum.pos_roots)
+    assert all(table.index[u] == k for k, u in enumerate(table.roots))
+    assert table.simple == tuple(
+        table.index[datum.simple_root(i)] for i in range(1, datum.rank + 1)
+    )
+    for u, c in zip(table.roots, table.coroots):
+        assert datum.pair_coweight_root(c, u) == 2

@@ -1,10 +1,10 @@
 import pytest
+from conftest import multipartitions
 
 from silspath import characters as ch
 from silspath.cartan import build
 from silspath.characters import GradedCharacter
 from silspath.qls import QLSCrystal
-from silspath.sils import multipartitions
 from silspath.weyl import finite_from_word, simple_reflection
 
 TEST_WEIGHTS = [
@@ -157,7 +157,7 @@ def test_gch_plus_examples(a1):
 def test_plus_minus_duality(fam, lam):
     datum = build(*fam)
     depth = 2
-    dual_lam = tuple(lam[datum.sigma[i] - 1] for i in range(datum.rank))
+    dual_lam = datum.sigma_dual(lam)
     plus = ch.gch_demazure_plus_w0(datum, lam, depth)
     minus = ch.gch_demazure_minus_e(datum, dual_lam, depth)
     assert plus == minus.invert_q().invert_x()
@@ -272,3 +272,49 @@ def test_character_ring_ops(a1):
     assert x.invert_x().terms == {((-1,), 0): 1}
     assert y.invert_q().terms == {((-1,), 2): 3}
     assert (x + y).truncate(q_min=-1) == x
+
+
+# -- exact sweep: closed form vs brute force, q = 0 slice vs Weyl character ----------
+
+CLOSED_FORM_SWEEP = [
+    (("G", 2), (1, 1), 1),
+    (("G", 2), (0, 1), 2),
+    (("B", 2), (1, 1), 2),
+    (("B", 3), (1, 0, 0), 2),
+    (("B", 3), (0, 1, 0), 1),
+    (("C", 3), (0, 1, 0), 1),
+    (("C", 3), (0, 0, 1), 1),
+    (("D", 4), (0, 1, 0, 0), 1),
+    (("A", 3), (1, 0, 1), 2),
+    (("A", 3), (1, 1, 0), 2),
+]
+
+
+@pytest.mark.parametrize("fam,lam,depth", CLOSED_FORM_SWEEP)
+def test_closed_form_matches_brute_force_sweep(fam, lam, depth):
+    datum = build(*fam)
+    assert ch.gch_demazure_minus_e(datum, lam, depth) == ch.brute_force_gch_minus_e(
+        datum, lam, depth
+    )
+
+
+def _fundamental_weights(families):
+    out = []
+    for fam in families:
+        rank = fam[1]
+        out += [(fam, tuple(int(k == i) for k in range(rank))) for i in range(rank)]
+    return out
+
+
+# F4 varpi_2 and varpi_3 take 1-6 s each and are left out of this sweep
+Q0_SWEEP = _fundamental_weights(
+    [("A", 3), ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("D", 4), ("G", 2)]
+) + [(("F", 4), (1, 0, 0, 0)), (("F", 4), (0, 0, 0, 1))]
+
+
+@pytest.mark.parametrize("fam,lam", Q0_SWEEP)
+def test_q0_slice_is_weyl_character_sweep(fam, lam):
+    datum = build(*fam)
+    mac = ch.macdonald_t0(datum, lam)
+    zero = GradedCharacter({(fw, 0): c for fw, c in mac.q_slice(0).items()})
+    assert zero == ch.weyl_character(datum, lam)

@@ -2,10 +2,11 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from conftest import multipartitions
 
 from silspath.cartan import LevelZeroWeight, build
 from silspath.peterson import ParabolicQuotient
-from silspath.sils import SiLSCrystal, SiLSPath, multipartitions
+from silspath.sils import SiLSCrystal, SiLSPath
 from silspath.weyl import (
     AffineWeylElt,
     affine_identity,

@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from silspath.cartan import AffineRealRoot, LevelZeroWeight, build
+from silspath.cli import main
 from silspath.peterson import ParabolicQuotient
 from silspath.weyl import (
     AffineWeylElt,
@@ -11,6 +14,7 @@ from silspath.weyl import (
     affine_simple,
     bruhat_leq,
     finite_from_word,
+    finite_identity,
     from_finite,
     longest_element,
     simple_reflection,
@@ -189,3 +193,109 @@ def test_longest_element(a2, c2):
     assert longest_element(c2).length == 4
     w0 = longest_element(a2)
     assert w0.mul(w0).is_identity
+
+
+# -- permutation representation against matrix oracles ---------------------------
+
+
+def _mat_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def _mat_vec(m, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+
+
+def _reflection_matrices(datum, i):
+    """r_i on root, fundamental-weight and simple-coroot coordinates."""
+    a, n, k = datum.cartan, datum.rank, i - 1
+
+    def mat(entry):
+        return tuple(tuple((r == c) - entry(r, c) for c in range(n)) for r in range(n))
+
+    # r_k(alpha_c) = alpha_c - a_kc alpha_k; r_k(m) = m - m_k alpha_k with
+    # (alpha_k)_r = a_rk; r_k(c) = c - <c, alpha_k> alpha_k^vee
+    return (
+        mat(lambda r, c: a[k][c] if r == k else 0),
+        mat(lambda r, c: a[r][k] if c == k else 0),
+        mat(lambda r, c: a[c][k] if r == k else 0),
+    )
+
+
+def _word_matrices(datum, word):
+    """The three action matrices of r_{i_1} ... r_{i_k} for the given word."""
+    n = datum.rank
+    eye = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+    mats = [eye, eye, eye]
+    for i in word:
+        mats = [_mat_mul(m, r) for m, r in zip(mats, _reflection_matrices(datum, i))]
+    return mats
+
+
+def _oracle_elements(fam):
+    ws = weyl_group(build(*fam))
+    return ws[::37] if fam == ("F", 4) else ws
+
+
+ORACLE_FAMILIES = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
+
+
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES)
+def test_actions_match_matrix_oracle(fam):
+    datum = build(*fam)
+    n = datum.rank
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    ramp = tuple(range(-1, n - 1))
+    # all roots, then lattice vectors that are not roots
+    roots = sorted(datum.root_set) + [tuple(2 * x for x in datum.theta), ramp]
+    weights = units + [datum.rho, ramp]
+    coweights = units + [datum.theta_coroot, ramp]
+    for w in _oracle_elements(fam):
+        word = w.reduced_word()
+        root, fw, cow = _word_matrices(datum, word)
+        root_inv, fw_inv, cow_inv = _word_matrices(datum, word[::-1])
+        assert w.sort_key == root
+        for u in roots:
+            assert w.act_root(u) == _mat_vec(root, u)
+            assert w.inv_act_root(u) == _mat_vec(root_inv, u)
+        for m in weights:
+            assert w.act_fw(m) == _mat_vec(fw, m)
+            assert w.inv_act_fw(m) == _mat_vec(fw_inv, m)
+        for c in coweights:
+            assert w.act_coweight(c) == _mat_vec(cow, c)
+            assert w.inv_act_coweight(c) == _mat_vec(cow_inv, c)
+
+
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES)
+def test_length_is_reduced_word_length(fam):
+    for w in _oracle_elements(fam):
+        assert w.length == len(w.reduced_word())
+        assert w.inverse().length == w.length
+        assert w.mul(w.inverse()).is_identity
+
+
+def test_group_orders():
+    assert len(weyl_group(build("F", 4))) == 1152
+    assert longest_element(build("E", 6)).length == 36
+
+
+def test_equal_permutations_in_different_types_differ():
+    # B3 and C3 both have 18 roots, so their identities share one permutation
+    e_b, e_c = finite_identity(build("B", 3)), finite_identity(build("C", 3))
+    assert e_b.perm == e_c.perm and e_b != e_c
+
+
+# SHA-256 digests recorded with the earlier matrix representation, whose
+# root-coordinate matrix `sort_key` reproduces; the orders must not move.
+C3_WEYL_ORDER = "ba54265b0febac23cef39c87e72fd58507142e04198b6bba4d87a3b41e87d0fd"
+C2_SILS_STDOUT = "db779db0d5aad8c4c59a3a273cee9dfb113035141a274c9ff6d9ab29c1d027d0"
+
+
+def test_golden_orders(capsys):
+    words = [w.reduced_word() for w in weyl_group(build("C", 3))]
+    assert hashlib.sha256(repr(words).encode()).hexdigest() == C3_WEYL_ORDER
+    argv = "sils enumerate --type C --rank 2 --lambda 1,1 --depth 2".split()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 108
+    assert hashlib.sha256(out.encode()).hexdigest() == C2_SILS_STDOUT
