@@ -35,7 +35,7 @@ from .weyl import (
     simple_reflection,
     translation,
 )
-from .sils import SiLSCrystal, SiLSPath
+from .sils import SiLSCrystal, SiLSPath, merge_segments, root_splice
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,16 +79,10 @@ class QLSCrystal:
 
     def cl(self, eta: SiLSPath) -> QLSPath:
         """Project directions to W^J and merge equal neighbours."""
-        dirs: list[FiniteWeylElt] = []
-        cuts: list[Fraction] = [Fraction(0)]
-        for u, x in enumerate(eta.directions):
-            w = self.sils.quotient.cl_direction(x)
-            if dirs and dirs[-1] == w:
-                cuts[-1] = eta.cuts[u + 1]
-            else:
-                dirs.append(w)
-                cuts.append(eta.cuts[u + 1])
-        return QLSPath(tuple(dirs), tuple(cuts))
+        cl_direction = self.sils.quotient.cl_direction
+        return QLSPath(
+            *merge_segments(tuple(map(cl_direction, eta.directions)), eta.cuts)
+        )
 
     def weight(self, psi: QLSPath) -> Vec:
         fw = [Fraction(0)] * self.datum.rank
@@ -194,67 +188,18 @@ class QLSCrystal:
         return self.sils.quotient.min_rep(refl.mul(w))
 
     def qls_op(self, psi: QLSPath, tag: str, j: int) -> QLSPath | None:
-        """Root operator computed on the projected path itself."""
+        """Root operator computed on the projected path itself.
+
+        It runs the semi-infinite kernel `root_splice` with the slopes
+        <alpha_j^vee, w(lambda)> and the reflect map w -> min_rep(r_j w), so
+        comparing it with cl of the semi-infinite operators checks those two
+        inputs, while the crystal axioms on the QLS side check the splice.
+        """
         slopes = [
             self.datum.acoroot_pairing(j, LevelZeroWeight(w.act_fw(self.lam), 0))
             for w in psi.directions
         ]
-        h = [Fraction(0)]
-        for u, slope in enumerate(slopes):
-            h.append(h[-1] + (psi.cuts[u + 1] - psi.cuts[u]) * slope)
-        m = min(h)
-        cuts, dirs = psi.cuts, psi.directions
-        s = len(dirs)
-        segments: list[tuple[FiniteWeylElt, Fraction, Fraction]] = []
-        if tag == "e":
-            if m == 0:
-                return None
-            qq = next(u for u in range(s + 1) if h[u] == m)
-            t0 = None
-            for u in range(qq, 0, -1):
-                lo, hi = min(h[u - 1], h[u]), max(h[u - 1], h[u])
-                if lo <= m + 1 <= hi:
-                    if slopes[u - 1] == 0:
-                        t0 = cuts[u]
-                    else:
-                        t0 = cuts[u - 1] + (m + 1 - h[u - 1]) / slopes[u - 1]
-                    break
-            p = next(u for u in range(1, s + 1) if cuts[u - 1] <= t0 < cuts[u])
-            for u in range(1, p):
-                segments.append((dirs[u - 1], cuts[u - 1], cuts[u]))
-            segments.append((dirs[p - 1], cuts[p - 1], t0))
-            segments.append((self._cl_reflect(j, dirs[p - 1]), t0, cuts[p]))
-            for u in range(p + 1, qq + 1):
-                segments.append((self._cl_reflect(j, dirs[u - 1]), cuts[u - 1], cuts[u]))
-            for u in range(qq + 1, s + 1):
-                segments.append((dirs[u - 1], cuts[u - 1], cuts[u]))
-        else:
-            if h[-1] - m == 0:
-                return None
-            p = max(u for u in range(s + 1) if h[u] == m)
-            t1 = None
-            qq = None
-            for u in range(p + 1, s + 1):
-                if h[u] >= m + 1:
-                    t1 = cuts[u - 1] + (m + 1 - h[u - 1]) / slopes[u - 1]
-                    qq = u - 1
-                    break
-            for u in range(1, p + 1):
-                segments.append((dirs[u - 1], cuts[u - 1], cuts[u]))
-            for u in range(p + 1, qq + 1):
-                segments.append((self._cl_reflect(j, dirs[u - 1]), cuts[u - 1], cuts[u]))
-            segments.append((self._cl_reflect(j, dirs[qq]), cuts[qq], t1))
-            segments.append((dirs[qq], t1, cuts[qq + 1]))
-            for u in range(qq + 2, s + 1):
-                segments.append((dirs[u - 1], cuts[u - 1], cuts[u]))
-        out_dirs: list[FiniteWeylElt] = []
-        out_cuts: list[Fraction] = [Fraction(0)]
-        for w, left, right in segments:
-            if left == right:
-                continue
-            if out_dirs and out_dirs[-1] == w:
-                out_cuts[-1] = right
-            else:
-                out_dirs.append(w)
-                out_cuts.append(right)
-        return QLSPath(tuple(out_dirs), tuple(out_cuts))
+        out = root_splice(
+            psi.directions, psi.cuts, slopes, tag, functools.partial(self._cl_reflect, j)
+        )
+        return None if out is None else QLSPath(*out)

@@ -3,9 +3,16 @@
 A path is a strictly decreasing chain of Peterson representatives together
 with rational cut points; consecutive directions must be connected inside
 the level-`a` subgraph of the semi-infinite Bruhat graph, where `a` is the
-cut between them.  The root operators reflect the portion of the path
-between the times t0 and t1 read off the height function of the node, and
-splice the result back with the two standard drop rules.
+cut between them.
+
+The root operators are Littelmann's path operators, written once as the
+kernel `root_splice`: it reads the height function of node j off the slopes
+of the segments, picks the interval [t0, t1] (the only step that depends on
+e versus f), reflects the directions inside it and merges equal neighbours
+with `merge_segments`.  The semi-infinite operators pass x -> r_j x as the
+reflection; the quantum LS operators in `silspath.qls` run the same kernel
+on projected paths with w -> min_rep(r_j w), and `QLSCrystal.cl` uses the
+same merge.
 """
 
 from __future__ import annotations
@@ -62,22 +69,65 @@ class SiLSPath:
         )
 
 
-def _normalize_segments(
-    segments: list[tuple[AffineWeylElt, Fraction, Fraction]]
-) -> SiLSPath:
+def heights(slopes: list[int], cuts: tuple[Fraction, ...]) -> list[Fraction]:
+    """The height function at each cut: h(0) = 0, then piecewise linear."""
+    h = [Fraction(0)]
+    for u, slope in enumerate(slopes):
+        h.append(h[-1] + (cuts[u + 1] - cuts[u]) * slope)
+    return h
+
+
+def merge_segments(directions: tuple, cuts: tuple[Fraction, ...]) -> tuple[tuple, tuple]:
     """Drop empty segments and merge adjacent equal directions."""
-    dirs: list[AffineWeylElt] = []
-    cuts: list[Fraction] = [Fraction(0)]
-    for x, left, right in segments:
+    dirs: list = []
+    out: list[Fraction] = [cuts[0]]
+    for x, left, right in zip(directions, cuts, cuts[1:]):
         if left == right:
             continue
         if dirs and dirs[-1] == x:
-            cuts[-1] = right
+            out[-1] = right
             continue
         dirs.append(x)
-        cuts.append(right)
-    assert cuts[0] == 0 and cuts[-1] == 1
-    return SiLSPath(tuple(dirs), tuple(cuts))
+        out.append(right)
+    assert out[0] == 0 and out[-1] == 1
+    return tuple(dirs), tuple(out)
+
+
+def root_splice(
+    directions: tuple, cuts: tuple[Fraction, ...], slopes: list[int], tag: str, reflect
+) -> tuple[tuple, tuple] | None:
+    """Littelmann's root operator on a path given by its segment slopes.
+
+    With m the minimum of the height function h, the operator reflects the
+    directions on [t0, t1] by `reflect`: for "f", t0 is the last time h = m
+    and t1 the first later time h = m + 1; for "e", t1 is the first time
+    h = m and t0 the last earlier time h = m + 1.  Segments lo..hi contain
+    the interval; they are split at t0 and t1 and the result is merged.
+    The time at h = m + 1 lies where h crosses from one side of m + 1 to the
+    other, so the slope divided by there is nonzero.  Returns None when the
+    operator vanishes.
+    """
+    h = heights(slopes, cuts)
+    m = min(h)
+    if m == (0 if tag == "e" else h[-1]):
+        return None
+    assert m.denominator == 1
+    s, m1 = len(directions), m + 1
+    if tag == "f":
+        lo = next(u for u in range(s, -1, -1) if h[u] == m)
+        hi = next(u for u in range(lo, s) if h[u + 1] >= m1)
+        t0, t1 = cuts[lo], cuts[hi] + (m1 - h[hi]) / slopes[hi]
+    else:
+        b = next(u for u in range(s + 1) if h[u] == m)
+        lo, hi = next(u for u in range(b - 1, -1, -1) if h[u] >= m1), b - 1
+        t0, t1 = cuts[lo] + (m1 - h[lo]) / slopes[lo], cuts[b]
+    assert t0 < t1
+    return merge_segments(
+        directions[: lo + 1]
+        + tuple(map(reflect, directions[lo : hi + 1]))
+        + directions[hi:],
+        cuts[: lo + 1] + (t0,) + cuts[lo + 1 : hi + 1] + (t1,) + cuts[hi + 1 :],
+    )
 
 
 class SiLSCrystal:
@@ -135,90 +185,38 @@ class SiLSCrystal:
 
     # -- height functions and root operators -----------------------------------
 
-    def _heights(self, eta: SiLSPath, j: int) -> tuple[list[int], list[Fraction]]:
-        slopes = [
+    def _slopes(self, eta: SiLSPath, j: int) -> list[int]:
+        return [
             self.datum.acoroot_pairing(j, self.direction_weight(x))
             for x in eta.directions
         ]
-        h = [Fraction(0)]
-        for u, slope in enumerate(slopes):
-            h.append(h[-1] + (eta.cuts[u + 1] - eta.cuts[u]) * slope)
-        return slopes, h
 
     def string_eps(self, eta: SiLSPath, j: int) -> int:
-        _, h = self._heights(eta, j)
-        m = min(h)
+        m = min(heights(self._slopes(eta, j), eta.cuts))
         assert m.denominator == 1
         return -int(m)
 
     def string_phi(self, eta: SiLSPath, j: int) -> int:
-        _, h = self._heights(eta, j)
+        h = heights(self._slopes(eta, j), eta.cuts)
         m = min(h)
         assert (h[-1] - m).denominator == 1
         return int(h[-1] - m)
 
+    def _root_op(self, eta: SiLSPath, j: int, tag: str) -> SiLSPath | None:
+        out = root_splice(
+            eta.directions,
+            eta.cuts,
+            self._slopes(eta, j),
+            tag,
+            affine_simple(self.datum, j).mul,
+        )
+        return None if out is None else SiLSPath(*out)
+
     def root_e(self, eta: SiLSPath, j: int) -> SiLSPath | None:
-        slopes, h = self._heights(eta, j)
-        m = min(h)
-        if m == 0:
-            return None
-        assert m.denominator == 1
-        cuts, dirs = eta.cuts, eta.directions
-        s = len(dirs)
-        q = next(u for u in range(s + 1) if h[u] == m)
-        t1 = cuts[q]
-        t0 = None
-        for u in range(q, 0, -1):
-            lo, hi = min(h[u - 1], h[u]), max(h[u - 1], h[u])
-            if lo <= m + 1 <= hi:
-                if slopes[u - 1] == 0:
-                    t0 = cuts[u]
-                else:
-                    t0 = cuts[u - 1] + (m + 1 - h[u - 1]) / slopes[u - 1]
-                break
-        assert t0 is not None and t0 < t1
-        p = next(u for u in range(1, s + 1) if cuts[u - 1] <= t0 < cuts[u])
-        rj = affine_simple(self.datum, j)
-        segments: list[tuple[AffineWeylElt, Fraction, Fraction]] = []
-        for u in range(1, p):
-            segments.append((dirs[u - 1], cuts[u - 1], cuts[u]))
-        segments.append((dirs[p - 1], cuts[p - 1], t0))
-        segments.append((rj.mul(dirs[p - 1]), t0, cuts[p]))
-        for u in range(p + 1, q + 1):
-            segments.append((rj.mul(dirs[u - 1]), cuts[u - 1], cuts[u]))
-        for u in range(q + 1, s + 1):
-            segments.append((dirs[u - 1], cuts[u - 1], cuts[u]))
-        return _normalize_segments(segments)
+        return self._root_op(eta, j, "e")
 
     def root_f(self, eta: SiLSPath, j: int) -> SiLSPath | None:
-        slopes, h = self._heights(eta, j)
-        m = min(h)
-        if h[-1] - m == 0:
-            return None
-        assert m.denominator == 1
-        cuts, dirs = eta.cuts, eta.directions
-        s = len(dirs)
-        p = max(u for u in range(s + 1) if h[u] == m)
-        t0 = cuts[p]
-        t1 = None
-        q = None
-        for u in range(p + 1, s + 1):
-            if h[u] >= m + 1:
-                t1 = cuts[u - 1] + (m + 1 - h[u - 1]) / slopes[u - 1]
-                q = u - 1
-                break
-        assert t1 is not None and q is not None and t0 < t1
-        rj = affine_simple(self.datum, j)
-        segments: list[tuple[AffineWeylElt, Fraction, Fraction]] = []
-        for u in range(1, p + 1):
-            segments.append((dirs[u - 1], cuts[u - 1], cuts[u]))
-        for u in range(p + 1, q + 1):
-            segments.append((rj.mul(dirs[u - 1]), cuts[u - 1], cuts[u]))
-        segments.append((rj.mul(dirs[q]), cuts[q], t1))
-        segments.append((dirs[q], t1, cuts[q + 1]))
-        for u in range(q + 2, s + 1):
-            segments.append((dirs[u - 1], cuts[u - 1], cuts[u]))
-        return _normalize_segments(segments)
+        return self._root_op(eta, j, "f")
 
     def apply(self, eta: SiLSPath, ops: tuple[tuple[str, int], ...]) -> SiLSPath:
         """Replay a monomial of root operators given as (tag, node) pairs."""
@@ -229,22 +227,18 @@ class SiLSCrystal:
         return eta
 
     def f_max(self, eta: SiLSPath, j: int) -> tuple[SiLSPath, int]:
-        count = 0
-        while True:
-            nxt = self.root_f(eta, j)
-            if nxt is None:
-                return eta, count
-            eta = nxt
-            count += 1
+        return self._string_end(self.root_f, eta, j)
 
     def e_max(self, eta: SiLSPath, j: int) -> tuple[SiLSPath, int]:
+        return self._string_end(self.root_e, eta, j)
+
+    @staticmethod
+    def _string_end(op, eta: SiLSPath, j: int) -> tuple[SiLSPath, int]:
         count = 0
-        while True:
-            nxt = self.root_e(eta, j)
-            if nxt is None:
-                return eta, count
+        while (nxt := op(eta, j)) is not None:
             eta = nxt
             count += 1
+        return eta, count
 
     # -- Weyl group action ------------------------------------------------------
 
@@ -267,16 +261,10 @@ class SiLSCrystal:
 
     def _s_simple(self, j: int, eta: SiLSPath) -> SiLSPath:
         n = self.datum.acoroot_pairing(j, self.weight(eta))
-        if n >= 0:
-            for _ in range(n):
-                nxt = self.root_f(eta, j)
-                assert nxt is not None
-                eta = nxt
-        else:
-            for _ in range(-n):
-                nxt = self.root_e(eta, j)
-                assert nxt is not None
-                eta = nxt
+        op = self.root_f if n >= 0 else self.root_e
+        for _ in range(abs(n)):
+            eta = op(eta, j)
+            assert eta is not None
         return eta
 
     # -- duality ---------------------------------------------------------------

@@ -1,0 +1,40 @@
+"""Smoke test of the benchmark harness: one quick pass of every workload.
+
+The quick run hashes the first op of each workload (Macdonald on B3 (1,1,0),
+grch1 on A1, quotient characters on G2 (1,1)) and compares the digests with
+`bench/expected.json`, so a change to any of those results fails here.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_quick_benchmark_run_is_correct():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "bench" / "run.py"),
+            "--workload", "all",
+            "--seed", "1",
+            "--seconds", "1",
+            "--trace", "0",
+            "--quick",
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert line["correct"] is True
+    assert line["failed"] == 0
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    expected = {
+        f"{w['name']}.{m['name']}" for w in spec["workloads"] for m in spec["end_to_end"]
+    }
+    assert set(line["metrics"]) == expected

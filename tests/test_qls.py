@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from conftest import replay_words
 
-from silspath.cartan import build, vec_neg, vec_sub
+from silspath.cartan import LevelZeroWeight, build, vec_neg, vec_sub
 from silspath.qls import QLSCrystal, QLSPath
 from silspath.sils import SiLSPath
 from silspath.weyl import (
@@ -198,6 +198,45 @@ def test_cl_commutes_with_operators(fam, lam):
                     assert intrinsic is None
                 else:
                     assert intrinsic == q.cl(img)
+
+
+def _string_length(q, psi, tag, j):
+    count = 0
+    while (psi := q.qls_op(psi, tag, j)) is not None:
+        count += 1
+    return count
+
+
+AXIOM_CASES = QLS_CASES + [
+    (("C", 2), (1, 1)),
+    (("A", 3), (1, 0, 1)),
+    (("D", 4), (0, 1, 0, 0)),
+    (("G", 2), (1, 1)),
+    (("B", 3), (1, 1, 0)),
+]
+
+
+@pytest.mark.parametrize("fam,lam", AXIOM_CASES)
+def test_qls_operators_satisfy_crystal_axioms(fam, lam):
+    # checked on projected paths alone, without the semi-infinite lifts
+    q = qls(fam, lam)
+    datum = q.datum
+    for psi in q.table:
+        wt = q.weight(psi)
+        for j in range(datum.rank + 1):
+            alpha_fw = datum.root_to_fw(datum.affine_simple_root(j).finite)
+            f = q.qls_op(psi, "f", j)
+            if f is not None:
+                assert f in q.table
+                assert q.qls_op(f, "e", j) == psi
+                assert q.weight(f) == vec_sub(wt, alpha_fw)
+            e = q.qls_op(psi, "e", j)
+            if e is not None:
+                assert e in q.table
+                assert q.qls_op(e, "f", j) == psi
+            phi = _string_length(q, psi, "f", j)
+            eps = _string_length(q, psi, "e", j)
+            assert phi - eps == datum.acoroot_pairing(j, LevelZeroWeight(wt, 0))
 
 
 @pytest.mark.parametrize("fam,lam", [(("A", 1), (2,)), (("A", 2), (1, 1)), (("C", 2), (1, 0))])
