@@ -7,17 +7,19 @@ and merges equal neighbours.  The distinguished lifts with final (resp.
 initial) direction inside the finite quotient W^J supply the tail degree
 used by the graded characters.
 
-A distinguished lift is read off the recorded lift by right translation:
-if the recorded lift ends in w z_xi t_xi, mapping every direction by
-x -> Pi^J(x t_{-xi}) and keeping the cuts gives the lift ending in w.  The
-map is a bijection of the Peterson representatives (its inverse translates
-by t_xi) and changes each direction's weight x(lambda) only by a multiple of
+Both distinguished lifts are read off the recorded lift by one right
+translation: if the recorded lift's final (resp. initial) direction is
+w z_xi t_xi, mapping every direction by x -> Pi^J(x t_{-xi}) and keeping the
+cuts gives the lift whose final (resp. initial) direction is w.  The map is
+a bijection of the Peterson representatives (its inverse translates by
+t_xi) and changes each direction's weight x(lambda) only by a multiple of
 delta, because (W_J)_af fixes lambda.  Root operators act on the left
 (x -> r_j x) and read only the finite part of those weights, while the
 translation acts on the right, so heights, cut points and the operators
 themselves commute with the map (the translation symmetry of
 Ishii-Naito-Sagaki's semi-infinite LS path model).  The image therefore
-lies in the unit component and has the same projection.
+lies in the unit component and has the same projection, whichever end xi
+is read from.
 """
 
 from __future__ import annotations
@@ -123,26 +125,34 @@ class QLSCrystal:
 
     # -- distinguished lifts ----------------------------------------------------
 
-    @functools.lru_cache(maxsize=None)
-    def eta_kappa(self, psi: QLSPath) -> SiLSPath:
-        """The unique lift in the unit component with final direction in W^J.
-
-        The recorded lift ends in w z_xi t_xi; translating each direction on
-        the right by t_{-xi} and projecting back to the Peterson
-        representatives keeps the cuts and commutes with the root operators,
-        so the image lies in the same component and ends in w.
-        """
+    def _translated_lift(self, psi: QLSPath, end: str) -> SiLSPath:
+        """The recorded lift translated on the right so that its `end`
+        direction ("kappa" or "iota") lies in W^J; see the module docstring."""
         lift = self.table[psi].lift
         quotient = self.sils.quotient
-        shift = translation(self.datum, vec_neg(lift.kappa.xi))
+        shift = translation(self.datum, vec_neg(getattr(lift, end).xi))
         lift = SiLSPath(
             tuple(quotient.project(x.mul(shift)) for x in lift.directions),
             lift.cuts,
         )
-        kappa = lift.kappa
-        assert not any(kappa.xi) and quotient.is_min_rep(kappa.w)
+        x = getattr(lift, end)
+        assert not any(x.xi) and quotient.is_min_rep(x.w)
         assert self.cl(lift) == psi
         return lift
+
+    @functools.lru_cache(maxsize=None)
+    def eta_kappa(self, psi: QLSPath) -> SiLSPath:
+        """The unique lift in the unit component with final direction in W^J."""
+        return self._translated_lift(psi, "kappa")
+
+    @functools.lru_cache(maxsize=None)
+    def eta_iota(self, psi: QLSPath) -> SiLSPath:
+        """The unique lift in the unit component with initial direction in W^J.
+
+        It is the recorded lift translated by the initial direction's xi, as
+        `eta_kappa` is by the final one's.
+        """
+        return self._translated_lift(psi, "iota")
 
     def deg_tail(self, psi: QLSPath) -> int:
         """The delta coefficient of the distinguished lift's weight."""
@@ -152,7 +162,7 @@ class QLSCrystal:
 
     @functools.cached_property
     def dual(self) -> "QLSCrystal":
-        return QLSCrystal(self.datum, self.sils.dual.lam)
+        return QLSCrystal(self.datum, self.datum.sigma_dual(self.lam))
 
     @functools.lru_cache(maxsize=None)
     def star_dual(self, psi: QLSPath) -> QLSPath:
@@ -161,16 +171,6 @@ class QLSCrystal:
         image = self.dual.cl(self.sils.dual_path(rec.lift))
         assert image in self.dual.table
         return image
-
-    @functools.lru_cache(maxsize=None)
-    def eta_iota(self, psi: QLSPath) -> SiLSPath:
-        """The unique lift in the unit component with initial direction in W^J."""
-        star = self.star_dual(psi)
-        lift = self.dual.sils.dual_path(self.dual.eta_kappa(star))
-        iota = lift.iota
-        assert not any(iota.xi) and self.sils.quotient.is_min_rep(iota.w)
-        assert self.cl(lift) == psi
-        return lift
 
     def kappa_direction(self, psi: QLSPath) -> FiniteWeylElt:
         return self.eta_kappa(psi).kappa.w

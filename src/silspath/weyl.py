@@ -211,13 +211,9 @@ def weyl_group(datum: CartanDatum, budget: int = 100_000) -> tuple[FiniteWeylElt
     return tuple(sorted(seen, key=lambda w: (w.length, w.sort_key)))
 
 
+@functools.lru_cache(maxsize=None)
 def bruhat_leq(u: FiniteWeylElt, v: FiniteWeylElt) -> bool:
     """Ordinary Bruhat order, decided by upward BFS over reflection covers."""
-    return _bruhat_leq_cached(u, v)
-
-
-@functools.lru_cache(maxsize=None)
-def _bruhat_leq_cached(u: FiniteWeylElt, v: FiniteWeylElt) -> bool:
     if u.length > v.length:
         return False
     if u.length == v.length:

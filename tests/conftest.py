@@ -57,6 +57,17 @@ def replay_words(q):
     return words
 
 
+def dual_route_iota(q, psi):
+    """The lift of psi with initial direction in W^J, via the sigma-dual shape.
+
+    `star_dual` sends psi to the dual crystal, the dual's `eta_kappa` lifts
+    it there, and `dual_path` reverses that lift back to shape lambda; the
+    route serves as the oracle for `QLSCrystal.eta_iota`.
+    """
+    dual = q.dual
+    return dual.sils.dual_path(dual.eta_kappa(q.star_dual(psi)))
+
+
 def order_quotients():
     return [
         (ParabolicQuotient.for_weight(build(*fam), lam), lam)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -77,6 +78,25 @@ def test_qls_enumerate(capsys):
     rows = [json.loads(line) for line in out.splitlines()]
     assert len(rows) == 4
     assert sorted(r["deg_tail"] for r in rows) == [-1, 0, 0, 0]
+
+
+# SHA-256 of `qls enumerate` stdout, recorded while eta_iota still went
+# through the sigma-dual crystal; A2 (2,1) is not self-dual.
+QLS_STDOUT = {
+    ("A", "2,1"): ("ddd91d2a07d7d824700f9f1bd29eb47355116c5b75ff00fb05890494421341a1", 27),
+    ("G", "1,1"): ("fd2ff7b13ff7c2fae25f6e9519cb54264e7d1b33b2c35be81af38f675502cf7a", 105),
+}
+
+
+@pytest.mark.parametrize("typ,lam", sorted(QLS_STDOUT))
+def test_qls_enumerate_golden(capsys, typ, lam):
+    code, out, _ = run(
+        capsys, "qls", "enumerate", "--type", typ, "--rank", "2", "--lambda", lam
+    )
+    assert code == 0
+    digest, lines = QLS_STDOUT[typ, lam]
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_char_verify_commands(capsys):

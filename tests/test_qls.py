@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from conftest import replay_words
+from conftest import dual_route_iota, replay_words
 
 from silspath.cartan import LevelZeroWeight, build, vec_neg, vec_sub
 from silspath.qls import QLSCrystal, QLSPath
@@ -180,6 +180,24 @@ def test_lift_iota_properties(fam, lam):
         assert q.sils.quotient.is_min_rep(iota.w)
         # the delta coefficient of the initial lift is nonnegative
         assert q.sils.weight(lift).delta >= 0
+
+
+IOTA_CASES = QLS_CASES + [
+    (("A", 2), (2, 1)),
+    (("A", 3), (1, 1, 0)),
+    (("D", 5), (0, 0, 0, 1, 0)),
+    (("E", 6), (1, 0, 0, 0, 0, 0)),
+    (("G", 2), (2, 0)),
+]
+
+
+@pytest.mark.parametrize("fam,lam", IOTA_CASES)
+def test_iota_translation_matches_dual_route(fam, lam):
+    # translating the recorded lift at its initial direction gives the same
+    # lift as the star-dual route through the sigma-dual crystal
+    q = qls(fam, lam)
+    for psi in q.paths():
+        assert q.eta_iota(psi) == dual_route_iota(q, psi), psi
 
 
 @pytest.mark.parametrize("fam,lam", QLS_CASES)
