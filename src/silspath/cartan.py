@@ -288,9 +288,6 @@ class CartanDatum:
             for i in range(self.rank)
         )
 
-    def root_weight(self, u: Vec, delta: int = 0) -> LevelZeroWeight:
-        return LevelZeroWeight(self.root_to_fw(u), delta)
-
     def is_positive_affine(self, beta: AffineRealRoot) -> bool:
         if beta.n != 0:
             return beta.n > 0

@@ -110,7 +110,7 @@ def qls_degree_sum(datum: CartanDatum, lam: Vec) -> GradedCharacter:
     """Sum of q^(tail degree) x^(weight) over the finite path crystal."""
     crystal = _qls(datum, tuple(lam))
     terms: dict[Term, int] = {}
-    for psi in crystal.paths():
+    for psi in crystal.table:
         key = (crystal.weight(psi), crystal.deg_tail(psi))
         terms[key] = terms.get(key, 0) + 1
     return GradedCharacter(terms)
@@ -187,7 +187,7 @@ def gch_quotient_minus(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> Graded
     _check_min_rep(datum, lam, w)
     crystal = _qls(datum, tuple(lam))
     terms: dict[Term, int] = {}
-    for psi in crystal.paths():
+    for psi in crystal.table:
         if bruhat_leq(w, crystal.kappa_direction(psi)):
             key = (crystal.weight(psi), crystal.deg_tail(psi))
             terms[key] = terms.get(key, 0) + 1
@@ -199,7 +199,7 @@ def gch_quotient_plus(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> GradedC
     _check_min_rep(datum, lam, w)
     crystal = _qls(datum, tuple(lam))
     terms: dict[Term, int] = {}
-    for psi in crystal.paths():
+    for psi in crystal.table:
         if bruhat_leq(crystal.iota_direction(psi), w):
             lift = crystal.eta_iota(psi)
             wt = crystal.sils.weight(lift)

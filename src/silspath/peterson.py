@@ -11,7 +11,6 @@ including its rational-level subgraphs.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -97,10 +96,6 @@ class ParabolicQuotient:
     def reduction_gens(self) -> tuple[tuple[AffineRealRoot, AffineWeylElt], ...]:
         return self._tables[1]
 
-    @property
-    def w_j0(self) -> FiniteWeylElt:
-        return self._tables[2]
-
     @functools.cached_property
     def _tables(self):
         datum = self.datum
@@ -123,8 +118,7 @@ class ParabolicQuotient:
             theta_c = max(sub_roots, key=lambda u: (sum(u), u))
             beta = AffineRealRoot(vec_neg(theta_c), 1)
             gens.append((beta, affine_reflection(datum, beta)))
-        wj0 = longest_element(datum, self.j_nodes)
-        return dj, tuple(gens), wj0
+        return dj, tuple(gens)
 
     # -- membership and projection ------------------------------------------
 
@@ -344,12 +338,7 @@ class ParabolicQuotient:
         return tuple(sorted(vals))
 
     def cut_grid(self) -> tuple[Fraction, ...]:
-        """All rationals in (0,1) that can occur as cut points of a valid path."""
-        vals = self.pairing_values()
-        lcm = 1
-        for v in vals:
-            lcm = lcm * v // math.gcd(lcm, v)
-        out = sorted(
-            {Fraction(p, q) for q in range(2, lcm + 1) if any(v % q == 0 for v in vals) for p in range(1, q)}
-        )
-        return tuple(out)
+        """All rationals in (0,1) that can occur as cut points of a valid path:
+        those whose denominator divides one of the pairing values."""
+        dens = {q for v in self.pairing_values() for q in range(2, v + 1) if v % q == 0}
+        return tuple(sorted({Fraction(p, q) for q in dens for p in range(1, q)}))

@@ -25,47 +25,26 @@ is read from.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
-from .cartan import CartanDatum, LevelZeroWeight, Vec, vec_neg
+from .cartan import CartanDatum, Vec, vec_neg
 from .weyl import (
     BudgetExceeded,
     FiniteWeylElt,
     finite_reflection,
+    from_finite,
     simple_reflection,
     translation,
 )
-from .sils import SiLSCrystal, SiLSPath, merge_segments, root_splice
+from .sils import CutPath, SiLSCrystal, SiLSPath, merge_segments, root_splice
 
 
-@dataclass(frozen=True, eq=False)
-class QLSPath:
-    directions: tuple[FiniteWeylElt, ...]
-    cuts: tuple[Fraction, ...]
+class QLSPath(CutPath):
+    __slots__ = ()
+    _label = "QLS"
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, QLSPath)
-            and self.cuts == other.cuts
-            and self.directions == other.directions
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.directions, self.cuts))
-
-    def __repr__(self) -> str:
-        dirs = ",".join(repr(w) for w in self.directions)
-        cuts = ",".join(str(a) for a in self.cuts)
-        return f"QLS({dirs}; {cuts})"
-
-    def sort_key(self):
-        return (
-            len(self.directions),
-            self.cuts,
-            tuple(w.sort_key for w in self.directions),
-        )
+    def sort_key(self, n: int):
+        return (len(self.directions), self.ticks_over(n), tuple(w.sort_key for w in self.directions))
 
 
 class LiftRecord(NamedTuple):
@@ -79,22 +58,19 @@ class QLSCrystal:
         self.lam = tuple(lam)
         self.sils = SiLSCrystal(datum, self.lam)
 
+    def _affine(self, psi: QLSPath) -> SiLSPath:
+        """psi with each w read as w t_0, whose weight is w(lambda): its
+        weight and slopes come from the semi-infinite crystal's direction data."""
+        return SiLSPath.from_ticks(tuple(map(from_finite, psi.directions)), psi.ticks, psi.den)
+
     def cl(self, eta: SiLSPath) -> QLSPath:
         """Project directions to W^J and merge equal neighbours."""
         cl_direction = self.sils.quotient.cl_direction
-        return QLSPath(
-            *merge_segments(tuple(map(cl_direction, eta.directions)), eta.cuts)
-        )
+        dirs = tuple(map(cl_direction, eta.directions))
+        return QLSPath.from_ticks(*merge_segments(dirs, eta.ticks, eta.den), eta.den)
 
     def weight(self, psi: QLSPath) -> Vec:
-        fw = [Fraction(0)] * self.datum.rank
-        for u, w in enumerate(psi.directions):
-            span = psi.cuts[u + 1] - psi.cuts[u]
-            img = w.act_fw(self.lam)
-            for k in range(self.datum.rank):
-                fw[k] += span * img[k]
-        assert all(c.denominator == 1 for c in fw)
-        return tuple(int(c) for c in fw)
+        return self.sils.weight(self._affine(psi)).fw
 
     @functools.cached_property
     def table(self) -> dict[QLSPath, LiftRecord]:
@@ -121,7 +97,7 @@ class QLSCrystal:
         return table
 
     def paths(self) -> tuple[QLSPath, ...]:
-        return tuple(sorted(self.table, key=QLSPath.sort_key))
+        return tuple(sorted(self.table, key=lambda psi: psi.sort_key(self.sils.n)))
 
     # -- distinguished lifts ----------------------------------------------------
 
@@ -131,10 +107,8 @@ class QLSCrystal:
         lift = self.table[psi].lift
         quotient = self.sils.quotient
         shift = translation(self.datum, vec_neg(getattr(lift, end).xi))
-        lift = SiLSPath(
-            tuple(quotient.project(x.mul(shift)) for x in lift.directions),
-            lift.cuts,
-        )
+        dirs = tuple(quotient.project(x.mul(shift)) for x in lift.directions)
+        lift = SiLSPath.from_ticks(dirs, lift.ticks, lift.den)
         x = getattr(lift, end)
         assert not any(x.xi) and quotient.is_min_rep(x.w)
         assert self.cl(lift) == psi
@@ -195,11 +169,8 @@ class QLSCrystal:
         comparing it with cl of the semi-infinite operators checks those two
         inputs, while the crystal axioms on the QLS side check the splice.
         """
-        slopes = [
-            self.datum.acoroot_pairing(j, LevelZeroWeight(w.act_fw(self.lam), 0))
-            for w in psi.directions
-        ]
-        out = root_splice(
-            psi.directions, psi.cuts, slopes, tag, functools.partial(self._cl_reflect, j)
-        )
-        return None if out is None else QLSPath(*out)
+        n = self.sils.n
+        slopes = self.sils._slopes(self._affine(psi), j)
+        reflect = functools.partial(self._cl_reflect, j)
+        out = root_splice(psi.directions, psi.ticks_over(n), n, slopes, tag, reflect)
+        return None if out is None else QLSPath.from_ticks(*out, n)

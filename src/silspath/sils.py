@@ -3,7 +3,12 @@
 A path is a strictly decreasing chain of Peterson representatives together
 with rational cut points; consecutive directions must be connected inside
 the level-`a` subgraph of the semi-infinite Bruhat graph, where `a` is the
-cut between them.
+cut between them.  Every cut of a path of shape lambda lies on the
+quotient's `cut_grid()`, so N times it is an integer for N the lcm of the
+positive pairings <gamma^vee, lambda>.  A path stores its cuts as integer ticks over
+its least denominator, which divides N, and the kernels below do integer
+arithmetic on them; `Fraction` appears only at the boundary (`cuts`,
+printing, the level argument of the semi-infinite order).
 
 The root operators are Littelmann's path operators, written once as the
 kernel `root_splice`: it reads the height function of node j off the slopes
@@ -18,7 +23,7 @@ same merge.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 
 from .cartan import CartanDatum, LevelZeroWeight, Vec
@@ -33,25 +38,56 @@ from .weyl import (
 from .peterson import ParabolicQuotient
 
 
-@dataclass(frozen=True, eq=False)
-class SiLSPath:
-    directions: tuple[AffineWeylElt, ...]
-    cuts: tuple[Fraction, ...]
+class CutPath:
+    """Directions on [0, 1] split at cut u = ticks[u] / den, with den least.
+
+    `CutPath(directions, cuts)` takes Fraction cuts; `from_ticks` takes
+    integer ticks over any denominator and reduces them.
+    """
+
+    __slots__ = ("directions", "ticks", "den")
+    _label = ""
+
+    def __init__(self, directions: tuple, cuts: tuple[Fraction, ...]):
+        den = math.lcm(*(Fraction(a).denominator for a in cuts))
+        self.directions, self.den = tuple(directions), den
+        self.ticks = tuple(int(a * den) for a in cuts)
+
+    @classmethod
+    def from_ticks(cls, directions: tuple, ticks: tuple[int, ...], den: int):
+        g = math.gcd(den, *ticks)
+        path = cls.__new__(cls)
+        path.directions, path.den = directions, den // g
+        path.ticks = ticks if g == 1 else tuple(t // g for t in ticks)
+        return path
+
+    @property
+    def cuts(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(t, self.den) for t in self.ticks)
+
+    def ticks_over(self, n: int) -> tuple[int, ...]:
+        """The cuts times n, which must be a multiple of `den`."""
+        k, rem = divmod(n, self.den)
+        assert rem == 0, f"cut denominator {self.den} does not divide {n}"
+        return self.ticks if k == 1 else tuple(t * k for t in self.ticks)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SiLSPath)
-            and self.cuts == other.cuts
-            and self.directions == other.directions
+        return type(other) is type(self) and (
+            (self.den, self.ticks, self.directions) == (other.den, other.ticks, other.directions)
         )
 
     def __hash__(self) -> int:
-        return hash((self.directions, self.cuts))
+        return hash((self.directions, self.ticks, self.den))
 
     def __repr__(self) -> str:
         dirs = ",".join(repr(x) for x in self.directions)
         cuts = ",".join(str(a) for a in self.cuts)
-        return f"Path({dirs}; {cuts})"
+        return f"{self._label}({dirs}; {cuts})"
+
+
+class SiLSPath(CutPath):
+    __slots__ = ()
+    _label = "Path"
 
     @property
     def iota(self) -> AffineWeylElt:
@@ -61,27 +97,25 @@ class SiLSPath:
     def kappa(self) -> AffineWeylElt:
         return self.directions[-1]
 
-    def sort_key(self):
-        return (
-            len(self.directions),
-            self.cuts,
-            tuple((x.xi, x.w.sort_key) for x in self.directions),
-        )
+    def sort_key(self, n: int):
+        """The output order; n is a common multiple of the sorted paths' denominators."""
+        dirs = tuple((x.xi, x.w.sort_key) for x in self.directions)
+        return (len(self.directions), self.ticks_over(n), dirs)
 
 
-def heights(slopes: list[int], cuts: tuple[Fraction, ...]) -> list[Fraction]:
-    """The height function at each cut: h(0) = 0, then piecewise linear."""
-    h = [Fraction(0)]
+def heights(slopes: list[int], ticks: tuple[int, ...]) -> list[int]:
+    """The height function at each cut, times the cuts' denominator."""
+    h = [0]
     for u, slope in enumerate(slopes):
-        h.append(h[-1] + (cuts[u + 1] - cuts[u]) * slope)
+        h.append(h[-1] + (ticks[u + 1] - ticks[u]) * slope)
     return h
 
 
-def merge_segments(directions: tuple, cuts: tuple[Fraction, ...]) -> tuple[tuple, tuple]:
+def merge_segments(directions: tuple, ticks: tuple, den: int) -> tuple[tuple, tuple]:
     """Drop empty segments and merge adjacent equal directions."""
     dirs: list = []
-    out: list[Fraction] = [cuts[0]]
-    for x, left, right in zip(directions, cuts, cuts[1:]):
+    out = [ticks[0]]
+    for x, left, right in zip(directions, ticks, ticks[1:]):
         if left == right:
             continue
         if dirs and dirs[-1] == x:
@@ -89,44 +123,50 @@ def merge_segments(directions: tuple, cuts: tuple[Fraction, ...]) -> tuple[tuple
             continue
         dirs.append(x)
         out.append(right)
-    assert out[0] == 0 and out[-1] == 1
+    assert out[0] == 0 and out[-1] == den
     return tuple(dirs), tuple(out)
 
 
 def root_splice(
-    directions: tuple, cuts: tuple[Fraction, ...], slopes: list[int], tag: str, reflect
+    directions: tuple, ticks: tuple, n: int, slopes: list[int], tag: str, reflect
 ) -> tuple[tuple, tuple] | None:
     """Littelmann's root operator on a path given by its segment slopes.
 
-    With m the minimum of the height function h, the operator reflects the
-    directions on [t0, t1] by `reflect`: for "f", t0 is the last time h = m
-    and t1 the first later time h = m + 1; for "e", t1 is the first time
-    h = m and t0 the last earlier time h = m + 1.  Segments lo..hi contain
-    the interval; they are split at t0 and t1 and the result is merged.
-    The time at h = m + 1 lies where h crosses from one side of m + 1 to the
-    other, so the slope divided by there is nonzero.  Returns None when the
-    operator vanishes.
+    The cuts come as ticks over n, a multiple of every cut's denominator in
+    the result too, so heights are integers in units of 1/n.  With m the
+    minimum of the height function h, the operator reflects the directions
+    on [t0, t1] by `reflect`: for "f", t0 is the last time h = m and t1 the
+    first later time h = m + 1; for "e", t1 is the first time h = m and t0
+    the last earlier time h = m + 1.  Segments lo..hi contain the interval;
+    they are split at t0 and t1 and the result is merged.  The time at
+    h = m + 1 lies where h crosses from one side of m + 1 to the other, so
+    the slope divided by there is nonzero.  Returns None when the operator
+    vanishes.
     """
-    h = heights(slopes, cuts)
+    h = heights(slopes, ticks)
     m = min(h)
     if m == (0 if tag == "e" else h[-1]):
         return None
-    assert m.denominator == 1
-    s, m1 = len(directions), m + 1
+    assert m % n == 0
+    s, m1 = len(directions), m + n
     if tag == "f":
         lo = next(u for u in range(s, -1, -1) if h[u] == m)
-        hi = next(u for u in range(lo, s) if h[u + 1] >= m1)
-        t0, t1 = cuts[lo], cuts[hi] + (m1 - h[hi]) / slopes[hi]
+        hi = cross = next(u for u in range(lo, s) if h[u + 1] >= m1)
     else:
         b = next(u for u in range(s + 1) if h[u] == m)
         lo, hi = next(u for u in range(b - 1, -1, -1) if h[u] >= m1), b - 1
-        t0, t1 = cuts[lo] + (m1 - h[lo]) / slopes[lo], cuts[b]
+        cross = lo
+    step, rem = divmod(m1 - h[cross], slopes[cross])
+    assert rem == 0, "the crossing time is off the grid"
+    t = ticks[cross] + step
+    t0, t1 = (ticks[lo], t) if tag == "f" else (t, ticks[b])
     assert t0 < t1
     return merge_segments(
         directions[: lo + 1]
         + tuple(map(reflect, directions[lo : hi + 1]))
         + directions[hi:],
-        cuts[: lo + 1] + (t0,) + cuts[lo + 1 : hi + 1] + (t1,) + cuts[hi + 1 :],
+        ticks[: lo + 1] + (t0,) + ticks[lo + 1 : hi + 1] + (t1,) + ticks[hi + 1 :],
+        n,
     )
 
 
@@ -138,18 +178,21 @@ class SiLSCrystal:
         self.lam = tuple(lam)
         self.quotient = ParabolicQuotient.for_weight(datum, self.lam)
         self.lam_weight = LevelZeroWeight(self.lam, 0)
+        # N: every cut of a path of this shape is an integer over it
+        self.n = math.lcm(*self.quotient.pairing_values())
+        self._directions: dict = {}
 
     # -- basic paths ----------------------------------------------------------
 
     def unit_path(self) -> SiLSPath:
-        return SiLSPath((affine_identity(self.datum),), (Fraction(0), Fraction(1)))
+        return SiLSPath.from_ticks((affine_identity(self.datum),), (0, 1), 1)
 
     def invalid_reason(self, eta: SiLSPath) -> str | None:
-        if not eta.directions or len(eta.cuts) != len(eta.directions) + 1:
+        if not eta.directions or len(eta.ticks) != len(eta.directions) + 1:
             return "mismatched direction/cut lengths"
-        if eta.cuts[0] != 0 or eta.cuts[-1] != 1:
+        if eta.ticks[0] != 0 or eta.ticks[-1] != eta.den:
             return "cuts must start at 0 and end at 1"
-        if any(b <= a for a, b in zip(eta.cuts, eta.cuts[1:])):
+        if any(b <= a for a, b in zip(eta.ticks, eta.ticks[1:])):
             return "cuts must strictly increase"
         for x in eta.directions:
             if not self.quotient.is_rep(x):
@@ -168,49 +211,44 @@ class SiLSCrystal:
     def validate(self, eta: SiLSPath) -> bool:
         return self.invalid_reason(eta) is None
 
-    def direction_weight(self, x: AffineWeylElt) -> LevelZeroWeight:
-        return x.act_weight(self.lam_weight)
+    def _direction(self, x: AffineWeylElt) -> tuple[LevelZeroWeight, tuple[int, ...]]:
+        """x(lambda) and its slopes <alpha_j^vee, x(lambda)>, j in I_af, computed once."""
+        data = self._directions.get(x)
+        if data is None:
+            wt = x.act_weight(self.lam_weight)
+            pairs = tuple(self.datum.acoroot_pairing(j, wt) for j in range(self.datum.rank + 1))
+            data = self._directions[x] = (wt, pairs)
+        return data
 
     def weight(self, eta: SiLSPath) -> LevelZeroWeight:
-        fw = [Fraction(0)] * self.datum.rank
-        delta = Fraction(0)
-        for u, x in enumerate(eta.directions):
-            span = eta.cuts[u + 1] - eta.cuts[u]
-            xl = self.direction_weight(x)
-            for k in range(self.datum.rank):
-                fw[k] += span * xl.fw[k]
-            delta += span * xl.delta
-        assert all(c.denominator == 1 for c in fw) and delta.denominator == 1
-        return LevelZeroWeight(tuple(int(c) for c in fw), int(delta))
+        total = [0] * (self.datum.rank + 1)  # fw coordinates, then delta
+        for x, left, right in zip(eta.directions, eta.ticks, eta.ticks[1:]):
+            wt = self._direction(x)[0]
+            total = [c + (right - left) * v for c, v in zip(total, wt.fw + (wt.delta,))]
+        den = eta.den  # a divisor of N
+        assert all(c % den == 0 for c in total)
+        return LevelZeroWeight(tuple(c // den for c in total[:-1]), total[-1] // den)
 
     # -- height functions and root operators -----------------------------------
 
     def _slopes(self, eta: SiLSPath, j: int) -> list[int]:
-        return [
-            self.datum.acoroot_pairing(j, self.direction_weight(x))
-            for x in eta.directions
-        ]
+        return [self._direction(x)[1][j] for x in eta.directions]
 
     def string_eps(self, eta: SiLSPath, j: int) -> int:
-        m = min(heights(self._slopes(eta, j), eta.cuts))
-        assert m.denominator == 1
-        return -int(m)
+        m = min(heights(self._slopes(eta, j), eta.ticks))
+        assert m % eta.den == 0
+        return -m // eta.den
 
     def string_phi(self, eta: SiLSPath, j: int) -> int:
-        h = heights(self._slopes(eta, j), eta.cuts)
-        m = min(h)
-        assert (h[-1] - m).denominator == 1
-        return int(h[-1] - m)
+        h = heights(self._slopes(eta, j), eta.ticks)
+        rise, rem = divmod(h[-1] - min(h), eta.den)
+        assert rem == 0
+        return rise
 
     def _root_op(self, eta: SiLSPath, j: int, tag: str) -> SiLSPath | None:
-        out = root_splice(
-            eta.directions,
-            eta.cuts,
-            self._slopes(eta, j),
-            tag,
-            affine_simple(self.datum, j).mul,
-        )
-        return None if out is None else SiLSPath(*out)
+        n, reflect = self.n, affine_simple(self.datum, j).mul
+        out = root_splice(eta.directions, eta.ticks_over(n), n, self._slopes(eta, j), tag, reflect)
+        return None if out is None else SiLSPath.from_ticks(*out, n)
 
     def root_e(self, eta: SiLSPath, j: int) -> SiLSPath | None:
         return self._root_op(eta, j, "e")
@@ -249,7 +287,7 @@ class SiLSCrystal:
 
     def _s_translation_form(self, x: AffineWeylElt, eta: SiLSPath) -> SiLSPath:
         dirs = tuple(self.quotient.project(x.mul(y)) for y in eta.directions)
-        return SiLSPath(dirs, eta.cuts)
+        return SiLSPath.from_ticks(dirs, eta.ticks, eta.den)
 
     def weyl_action(self, x: AffineWeylElt, eta: SiLSPath) -> SiLSPath:
         """S_x eta via a reduced word, or the projection form on translates."""
@@ -275,8 +313,8 @@ class SiLSCrystal:
 
     def dual_path(self, eta: SiLSPath) -> SiLSPath:
         dirs = tuple(self.quotient.vee(x) for x in reversed(eta.directions))
-        cuts = tuple(1 - a for a in reversed(eta.cuts))
-        return SiLSPath(dirs, cuts)
+        ticks = tuple(eta.den - a for a in reversed(eta.ticks))
+        return SiLSPath.from_ticks(dirs, ticks, eta.den)
 
     # -- Demazure subsets --------------------------------------------------------
 
@@ -378,9 +416,15 @@ class SiLSCrystal:
         lam = self.lam_weight
         p_of = lambda z: self.datum.pair_coweight_weight(z.xi, lam)
         grid = quotient.cut_grid()
-        lcm = max((f.denominator for f in grid), default=1)
+        # the grid's largest denominator, so 1/max_den is its smallest cut;
+        # the pool bound rests on it, not on N
+        max_den = max((a.denominator for a in grid), default=1)
         p_x = p_of(x)
-        bound = lcm * (depth + max(0, -p_x)) + max(0, p_x)
+        bound = max_den * (depth + max(0, -p_x)) + max(0, p_x)
+        # cuts and sums below are ticks over N; `levels` maps a grid cut's
+        # ticks to the cut itself, the level argument of si_covers
+        n, limit = self.n, depth * self.n
+        levels = {a.numerator * (n // a.denominator): a for a in grid}
 
         # reachable direction pool: everything >= x with bounded pairing
         pool: set[AffineWeylElt] = {x}
@@ -395,12 +439,12 @@ class SiLSCrystal:
                     frontier.append(y)
 
         @functools.lru_cache(maxsize=None)
-        def upward(z: AffineWeylElt, a: Fraction) -> tuple[AffineWeylElt, ...]:
+        def upward(z: AffineWeylElt, a: int) -> tuple[AffineWeylElt, ...]:
             seen = {z}
             queue = [z]
             while queue:
                 cur = queue.pop()
-                for _beta, y in quotient.si_covers(cur, a):
+                for _beta, y in quotient.si_covers(cur, levels[a]):
                     if y not in seen and p_of(y) <= bound:
                         seen.add(y)
                         queue.append(y)
@@ -409,26 +453,25 @@ class SiLSCrystal:
 
         results: list[SiLSPath] = []
 
-        def settle(chain: list[AffineWeylElt], cuts_desc: list[Fraction], settled: Fraction):
+        def settle(chain: list[AffineWeylElt], cuts_desc: list[int], settled: int):
             top = chain[-1]
-            right = cuts_desc[-1] if cuts_desc else Fraction(1)
+            right = cuts_desc[-1] if cuts_desc else n
             # closing now puts `top` on [0, right]
-            total = settled + right * p_of(top)
-            if -total >= -depth:
+            if settled + right * p_of(top) <= limit:
                 dirs = tuple(reversed(chain))
-                cuts = (Fraction(0),) + tuple(reversed(cuts_desc)) + (Fraction(1),)
-                results.append(SiLSPath(dirs, cuts))
+                ticks = (0,) + tuple(reversed(cuts_desc)) + (n,)
+                results.append(SiLSPath.from_ticks(dirs, ticks, n))
             if len(results) > budget:
                 raise BudgetExceeded("path enumeration exceeded budget")
-            for a in grid:
+            for a in levels:
                 if a >= right:
                     continue
                 new_settled = settled + (right - a) * p_of(top)
                 # every remaining direction pairs at least as high as `top`
-                if new_settled + a * p_of(top) > depth:
+                if new_settled + a * p_of(top) > limit:
                     continue
                 for y in upward(top, a):
-                    if new_settled + a * p_of(y) > depth:
+                    if new_settled + a * p_of(y) > limit:
                         continue
                     chain.append(y)
                     cuts_desc.append(a)
@@ -437,7 +480,7 @@ class SiLSCrystal:
                     cuts_desc.pop()
 
         for kappa in sorted(pool, key=lambda z: (z.si_length, z.xi, z.w.sort_key)):
-            settle([kappa], [], Fraction(0))
-        results.sort(key=SiLSPath.sort_key)
+            settle([kappa], [], 0)
+        results.sort(key=lambda eta: eta.sort_key(n))
         return tuple(results)
 

@@ -99,6 +99,28 @@ def test_qls_enumerate_golden(capsys, typ, lam):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 and line count of stdout, recorded while cut points were still
+# stored as Fractions: the G2 enumeration prints fractional cuts, and G2 (1,1)
+# has cut denominator N = 60.
+CUT_STDOUT = {
+    "sils enumerate --type G --rank 2 --lambda 0,1 --depth 2": (
+        "fa9d2d61506b65e4570ae6d6882647e46afa8f1507c7a7fdf1f7ed9090e87d3b", 44),
+    "char macdonald --type G --rank 2 --lambda 1,1": (
+        "90535fae57cdcc25677d9847339a76e0b2e1a20a37e1b7b69a0af9279ae789da", 1),
+    "char macdonald --type B --rank 3 --lambda 1,1,0": (
+        "6c80d5637f8d0a566215aaf3029a10ae53c11c8b17c5327c351ddd2eb7cbdacf", 1),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CUT_STDOUT))
+def test_cut_stdout_golden(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    digest, lines = CUT_STDOUT[argv]
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_char_verify_commands(capsys):
     code, out, _ = run(
         capsys, "char", "verify-grch1", "--type", "A", "--rank", "1",

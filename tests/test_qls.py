@@ -327,6 +327,16 @@ def test_translation_lift_matches_replay(fam, lam):
         assert q.sils.apply(start, word) == q.eta_kappa(psi), psi
 
 
+@pytest.mark.parametrize("fam,lam", QLS_CASES + [(("G", 2), (1, 1)), (("C", 2), (2, 1))])
+def test_lift_cuts_lie_on_grid(fam, lam):
+    # the integer cut form rests on this: N times any cut is an integer
+    q = qls(fam, lam)
+    allowed = {F(0), F(1)} | set(q.sils.quotient.cut_grid())
+    for psi, rec in q.table.items():
+        for lift in (rec.lift, q.eta_kappa(psi), q.eta_iota(psi)):
+            assert set(lift.cuts) <= allowed, (psi, lift)
+
+
 def test_j_adjust_memo_matches_fresh_projection():
     q = qls(("A", 3), (1, 0, 1))
     quotient = q.sils.quotient

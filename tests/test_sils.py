@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -409,6 +411,29 @@ def test_enumeration_closed_under_operators_within_window(fam, lam, depth):
                     continue
                 if c.in_demazure_final(img, e) and c.weight(img).delta >= -depth:
                     assert img in paths
+
+
+def test_enumerated_cuts_lie_on_grid():
+    datum = build("G", 2)
+    c = SiLSCrystal(datum, (0, 1))
+    allowed = {F(0), F(1)} | set(c.quotient.cut_grid())
+    paths = c.enumerate_demazure(affine_identity(datum), 2)
+    assert any(len(eta.directions) > 1 for eta in paths)
+    for eta in paths:
+        assert set(eta.cuts) <= allowed, eta
+
+
+def test_dropped_crystal_is_collected(a2):
+    # the per-direction data lives on the crystal and goes with it
+    c = SiLSCrystal(a2, (1, 1))
+    unit = c.unit_path()
+    assert c.root_e(c.root_f(unit, 1), 1) == unit
+    assert c.enumerate_demazure(affine_identity(a2), 1)
+    assert c._directions
+    ref = weakref.ref(c)
+    del c
+    gc.collect()
+    assert ref() is None
 
 
 def test_enumeration_at_translated_base(a2):
