@@ -4,24 +4,22 @@ A graded character is a finite integer combination of terms x^mu q^k with
 mu recorded in fundamental-weight coordinates.  The closed-form Demazure
 characters multiply the degree-weighted QLS sum by the expanded inverse
 product over the columns of lambda; the brute-force route sums the weights
-of a truncated path enumeration instead, and the Weyl character formula
-supplies an independent q=0 oracle.
+of a truncated path enumeration instead, and Demazure's character formula
+supplies an independent q=0 oracle without enumerating the Weyl group.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
-import math
-from fractions import Fraction
 
-from .cartan import CartanDatum, Vec, vec_add, vec_neg, vec_sub
+from .cartan import CartanDatum, Vec, vec_add, vec_neg
 from .weyl import (
     FiniteWeylElt,
     affine_identity,
     bruhat_leq,
+    finite_identity,
     longest_element,
-    weyl_group,
+    simple_reflection,
 )
 from .peterson import ParabolicQuotient
 from .qls import QLSCrystal
@@ -211,92 +209,52 @@ def gch_quotient_plus(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> GradedC
 # -- Weyl character oracle -----------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _height_vector(datum: CartanDatum) -> Vec:
-    """Integer h with h . mu a positive multiple of the height of mu.
-
-    The height (sum of root coordinates) is solved for exactly and then
-    scaled by the lcm of its denominators; a positive scale keeps the order.
-    """
-    n = datum.rank
-    # solve A^T h = (1,...,1) by Gaussian elimination over Q
-    a = [[Fraction(datum.cartan[j][i]) for j in range(n)] + [Fraction(1)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    h = [a[i][n] for i in range(n)]
-    scale = math.lcm(*(x.denominator for x in h))
-    return tuple(int(x * scale) for x in h)
-
-
-def _laurent_divide(num: dict[Vec, int], den: dict[Vec, int], datum: CartanDatum) -> dict[Vec, int]:
-    """Exact division of Laurent polynomials known to divide evenly.
-
-    The order (h . mu, mu) is translation invariant, so every term a step
-    adds lies below the leading term it cancels; a max-heap of the keys of
-    the remainder (entries of cancelled keys skipped) yields the leads.
-    """
-    h = _height_vector(datum)
-
-    def neg_key(mu: Vec):
-        return (-sum(x * c for x, c in zip(h, mu)), vec_neg(mu))
-
-    lead_den = min(den, key=neg_key)
-    quot: dict[Vec, int] = {}
-    work = dict(num)
-    heap = [(neg_key(mu), mu) for mu in work]
-    heapq.heapify(heap)
-    guard = 0
-    while heap:
-        lead = heapq.heappop(heap)[1]
-        coeff = work.get(lead)
-        if coeff is None:
-            continue
-        guard += 1
-        assert guard < 1_000_000, "division does not terminate"
-        assert coeff % den[lead_den] == 0
-        c = coeff // den[lead_den]
-        shift = vec_sub(lead, lead_den)
-        quot[shift] = quot.get(shift, 0) + c
-        for mu, d in den.items():
-            key = vec_add(mu, shift)
-            val = work.get(key, 0) - c * d
-            if not val:
-                del work[key]
-            else:
-                if key not in work:
-                    heapq.heappush(heap, (neg_key(key), key))
-                work[key] = val
-    return quot
-
-
 def weyl_character(datum: CartanDatum, lam: Vec) -> GradedCharacter:
-    """chi_lambda by the alternating sum over W, with exact Laurent division."""
-    rho = datum.rho
-    num: dict[Vec, int] = {}
-    den: dict[Vec, int] = {}
-    lam_rho = vec_add(tuple(lam), rho)
-    for w in weyl_group(datum):
-        sgn = -1 if w.length % 2 else 1
-        for target, vec in ((num, lam_rho), (den, rho)):
-            key = w.act_fw(vec)
-            target[key] = target.get(key, 0) + sgn
-    quot = _laurent_divide(num, den, datum)
-    return GradedCharacter({(mu, 0): c for mu, c in quot.items()})
+    """chi_lambda by Demazure's character formula, pi_{w0} e^lambda.
+
+    pi_i(e^mu) = (e^mu - e^(r_i mu - alpha_i)) / (1 - e^(-alpha_i)) sums one
+    alpha_i-string: for n = <alpha_i^vee, mu> it is e^mu + ... + e^(r_i mu)
+    if n >= 0, 0 if n = -1, and -(e^(mu + alpha_i) + ... + e^(r_i mu - alpha_i))
+    if n <= -2.  The operators run along a reduced word of w0.
+    """
+    alphas = [datum.root_to_fw(datum.simple_root(i)) for i in range(1, datum.rank + 1)]
+    poly = {tuple(lam): 1}
+    for i in longest_element(datum).reduced_word():
+        alpha = alphas[i - 1]
+        out: dict[Vec, int] = {}
+        for mu, c in poly.items():
+            n = mu[i - 1]
+            # the string is mu - k alpha_i over these k
+            ks, sign = (range(n + 1), c) if n >= 0 else (range(-1, n, -1), -c)
+            for k in ks:
+                key = tuple(m - k * a for m, a in zip(mu, alpha))
+                out[key] = out.get(key, 0) + sign
+        poly = {mu: c for mu, c in out.items() if c}
+    return GradedCharacter({(mu, 0): c for mu, c in poly.items()})
 
 
 def minus_quotient_reps(datum: CartanDatum, lam: Vec) -> tuple[FiniteWeylElt, ...]:
-    """All minimal coset representatives for the stabilizer of lambda."""
-    quotient = ParabolicQuotient.for_weight(datum, tuple(lam))
-    return tuple(
-        w for w in weyl_group(datum) if quotient.is_min_rep(w)
-    )
+    """All minimal coset representatives for the stabilizer of lambda.
+
+    w -> w lambda maps W^J onto the orbit W lambda.  A search of the orbit
+    steps from w to r_i w whenever (w lambda)_i > 0, which lengthens w by one
+    and stays in W^J; every element of W^J is reached, and W is never built.
+    Sorted by (length, sort_key).
+    """
+    lam = tuple(lam)
+    ParabolicQuotient.for_weight(datum, lam)  # rejects a non-dominant lambda
+    alphas = [datum.root_to_fw(datum.simple_root(i)) for i in range(1, datum.rank + 1)]
+    reps = {lam: finite_identity(datum)}
+    frontier = [lam]
+    while frontier:
+        mu = frontier.pop()
+        for i, n in enumerate(mu, 1):
+            if n > 0:
+                nu = tuple(m - n * a for m, a in zip(mu, alphas[i - 1]))
+                if nu not in reps:
+                    reps[nu] = simple_reflection(datum, i).mul(reps[mu])
+                    frontier.append(nu)
+    return tuple(sorted(reps.values(), key=lambda w: (w.length, w.sort_key)))
 
 
 def floor_w0(datum: CartanDatum, lam: Vec) -> FiniteWeylElt:

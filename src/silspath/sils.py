@@ -451,9 +451,14 @@ class SiLSCrystal:
             seen.discard(z)
             return tuple(seen)
 
+        # depth-first over (chain, cuts_desc, settled), children pushed in
+        # reverse so they pop in order; no recursive closure keeps `self`
+        # alive in a reference cycle
         results: list[SiLSPath] = []
-
-        def settle(chain: list[AffineWeylElt], cuts_desc: list[int], settled: int):
+        kappas = sorted(pool, key=lambda z: (z.si_length, z.xi, z.w.sort_key))
+        stack = [((kappa,), (), 0) for kappa in reversed(kappas)]
+        while stack:
+            chain, cuts_desc, settled = stack.pop()
             top = chain[-1]
             right = cuts_desc[-1] if cuts_desc else n
             # closing now puts `top` on [0, right]
@@ -463,6 +468,7 @@ class SiLSCrystal:
                 results.append(SiLSPath.from_ticks(dirs, ticks, n))
             if len(results) > budget:
                 raise BudgetExceeded("path enumeration exceeded budget")
+            children = []
             for a in levels:
                 if a >= right:
                     continue
@@ -471,16 +477,10 @@ class SiLSCrystal:
                 if new_settled + a * p_of(top) > limit:
                     continue
                 for y in upward(top, a):
-                    if new_settled + a * p_of(y) > limit:
-                        continue
-                    chain.append(y)
-                    cuts_desc.append(a)
-                    settle(chain, cuts_desc, new_settled)
-                    chain.pop()
-                    cuts_desc.pop()
+                    if new_settled + a * p_of(y) <= limit:
+                        children.append((chain + (y,), cuts_desc + (a,), new_settled))
+            stack.extend(reversed(children))
 
-        for kappa in sorted(pool, key=lambda z: (z.si_length, z.xi, z.w.sort_key)):
-            settle([kappa], [], 0)
         results.sort(key=lambda eta: eta.sort_key(n))
         return tuple(results)
 

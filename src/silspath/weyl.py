@@ -189,11 +189,6 @@ def longest_element(datum: CartanDatum, nodes: tuple[int, ...] | None = None) ->
 
 
 @functools.lru_cache(maxsize=None)
-def all_reflections(datum: CartanDatum) -> tuple[FiniteWeylElt, ...]:
-    return tuple(finite_reflection(datum, u) for u in datum.pos_roots)
-
-
-@functools.lru_cache(maxsize=None)
 def weyl_group(datum: CartanDatum, budget: int = 100_000) -> tuple[FiniteWeylElt, ...]:
     """All of W by closure under the simple reflections."""
     gens = [simple_reflection(datum, i) for i in range(1, datum.rank + 1)]
@@ -213,24 +208,24 @@ def weyl_group(datum: CartanDatum, budget: int = 100_000) -> tuple[FiniteWeylElt
 
 @functools.lru_cache(maxsize=None)
 def bruhat_leq(u: FiniteWeylElt, v: FiniteWeylElt) -> bool:
-    """Ordinary Bruhat order, decided by upward BFS over reflection covers."""
-    if u.length > v.length:
-        return False
-    if u.length == v.length:
-        return u == v
+    """Ordinary Bruhat order, decided by the lifting property.
+
+    For a descent s of v (here a right descent, vs < v; Bjorner-Brenti,
+    Prop. 2.2.7, read through w -> w^{-1}): if us < u then u <= v iff
+    us <= vs, otherwise u <= v iff u <= vs.  Descents are peeled off v until
+    l(u) >= l(v), where u <= v iff u = v; no other element of W is visited.
+    """
     datum = u.datum
-    frontier = {u}
-    level = u.length
-    while frontier and level < v.length:
-        nxt = set()
-        for w in frontier:
-            for r in all_reflections(datum):
-                w2 = w.mul(r)
-                if w2.length == level + 1:
-                    nxt.add(w2)
-        frontier = nxt
-        level += 1
-    return v in frontier
+    n_pos = len(datum.pos_roots)
+    simple = datum.root_table.simple
+    up, vp, lu, lv = u.perm, v.perm, u.length, v.length
+    while lu < lv:
+        i = next(i for i, s in enumerate(simple) if vp[s] >= n_pos)
+        r = operator.itemgetter(*simple_reflection(datum, i + 1).perm)
+        vp, lv = r(vp), lv - 1
+        if up[simple[i]] >= n_pos:
+            up, lu = r(up), lu - 1
+    return lu == lv and up == vp
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 
-from silspath.cartan import build
+from silspath.cartan import build, vec_add
+from silspath.characters import GradedCharacter
 from silspath.peterson import ParabolicQuotient
+from silspath.weyl import finite_reflection, weyl_group
 
 
 @pytest.fixture(scope="session")
@@ -104,3 +106,44 @@ def multipartitions(lam, max_total, strict):
         if sum(sum(p) for p in combo) <= max_total:
             out.append(tuple(combo))
     return tuple(out)
+
+
+# -- oracles over all of W, for the routines that never build it ---------------------
+
+
+def _alternant(datum, mu):
+    """sum_w sgn(w) e^(w mu) over all of W, at q = 0."""
+    terms = {}
+    for w in weyl_group(datum):
+        key = (w.act_fw(mu), 0)
+        terms[key] = terms.get(key, 0) + (-1) ** w.length
+    return GradedCharacter(terms)
+
+
+def weyl_identity_holds(datum, lam, chi):
+    """Weyl's identity chi * A_rho == A_(lambda+rho), checked by multiplication.
+
+    A_rho is a nonzero element of an integral domain, so the identity pins
+    chi down without a Laurent division.
+    """
+    rho = datum.rho
+    return chi * _alternant(datum, rho) == _alternant(datum, vec_add(tuple(lam), rho))
+
+
+def bruhat_leq_bfs(u, v):
+    """Bruhat order by upward BFS over reflection covers through all of W."""
+    if u.length >= v.length:
+        return u == v
+    reflections = [finite_reflection(u.datum, r) for r in u.datum.pos_roots]
+    frontier = {u}
+    for level in range(u.length, v.length):
+        frontier = {
+            w2 for w in frontier for r in reflections if (w2 := w.mul(r)).length == level + 1
+        }
+    return v in frontier
+
+
+def quotient_reps_by_filter(datum, lam):
+    """The minimal coset representatives, filtered out of all of W."""
+    quotient = ParabolicQuotient.for_weight(datum, tuple(lam))
+    return tuple(w for w in weyl_group(datum) if quotient.is_min_rep(w))

@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from conftest import multipartitions
+from conftest import multipartitions, quotient_reps_by_filter, weyl_identity_holds
 
 from silspath import characters as ch
 from silspath.cartan import build
@@ -192,7 +194,14 @@ def test_quotient_minus_rejects_non_reps(a2):
         ch.gch_quotient_minus(a2, (1, 0), simple_reflection(a2, 2))
 
 
-@pytest.mark.parametrize("fam,lam", TEST_WEIGHTS)
+# minuscule E-type weights: 27 and 56 representatives, all pairs compared
+NESTING_WEIGHTS = TEST_WEIGHTS + [
+    (("E", 6), (1, 0, 0, 0, 0, 0)),
+    (("E", 7), (0, 0, 0, 0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("fam,lam", NESTING_WEIGHTS)
 def test_quotient_minus_nesting(fam, lam):
     datum = build(*fam)
     from silspath.weyl import bruhat_leq
@@ -217,7 +226,7 @@ def test_quotient_plus_examples(a1):
     assert ch.gch_quotient_plus(a1, (0,), e) == GradedCharacter.unit(1)
 
 
-@pytest.mark.parametrize("fam,lam", TEST_WEIGHTS)
+@pytest.mark.parametrize("fam,lam", NESTING_WEIGHTS)
 def test_quotient_plus_nesting_and_extremes(fam, lam):
     datum = build(*fam)
     from silspath.weyl import bruhat_leq
@@ -306,10 +315,18 @@ def _fundamental_weights(families):
     return out
 
 
-# F4 varpi_2 and varpi_3 take 1-6 s each and are left out of this sweep
 Q0_SWEEP = _fundamental_weights(
     [("A", 3), ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("D", 4), ("G", 2)]
-) + [(("F", 4), (1, 0, 0, 0)), (("F", 4), (0, 0, 0, 1))]
+) + [
+    (("F", 4), (1, 0, 0, 0)),
+    (("F", 4), (0, 0, 0, 1)),
+    (("F", 4), (0, 1, 0, 0)),
+    (("F", 4), (0, 0, 1, 0)),
+    (("E", 6), (0, 1, 0, 0, 0, 0)),
+    (("E", 7), (1, 0, 0, 0, 0, 0, 0)),
+    (("E", 7), (0, 0, 0, 0, 0, 0, 1)),
+    (("E", 8), (0, 0, 0, 0, 0, 0, 0, 1)),
+]
 
 
 @pytest.mark.parametrize("fam,lam", Q0_SWEEP)
@@ -318,3 +335,31 @@ def test_q0_slice_is_weyl_character_sweep(fam, lam):
     mac = ch.macdonald_t0(datum, lam)
     zero = GradedCharacter({(fw, 0): c for fw, c in mac.q_slice(0).items()})
     assert zero == ch.weyl_character(datum, lam)
+
+
+# -- Demazure's formula and the orbit search against oracles over all of W ------------
+
+SMALL_FAMILIES = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("G", 2),
+]
+
+WEYL_IDENTITY_CASES = (
+    _fundamental_weights(SMALL_FAMILIES)
+    + [(fam, build(*fam).rho) for fam in SMALL_FAMILIES]
+    + [(("F", 4), (1, 0, 0, 0)), (("F", 4), (0, 0, 0, 1))]
+)
+
+
+@pytest.mark.parametrize("fam,lam", WEYL_IDENTITY_CASES)
+def test_weyl_character_satisfies_weyl_identity(fam, lam):
+    datum = build(*fam)
+    assert weyl_identity_holds(datum, lam, ch.weyl_character(datum, lam))
+
+
+@pytest.mark.parametrize("fam", SMALL_FAMILIES + [("F", 4)])
+def test_minus_quotient_reps_match_filter_oracle(fam):
+    # every subset J occurs as the zero set of a 0/1 weight; the order counts
+    datum = build(*fam)
+    for lam in itertools.product((0, 1), repeat=datum.rank):
+        assert ch.minus_quotient_reps(datum, lam) == quotient_reps_by_filter(datum, lam)

@@ -176,6 +176,18 @@ def test_char_quotient_minus(capsys):
     ]
 
 
+def test_char_quotient_minus_e7_at_floor_w0(capsys):
+    # a reduced word of floor(w0), the longest of the 56 representatives
+    # for W(E7)/W(E6); its character is the single lowest weight -varpi_7
+    word = "7,6,5,4,3,2,4,5,6,7,1,3,4,5,6,2,4,5,3,4,1,3,2,4,5,6,7"
+    code, out, _ = run(
+        capsys, "char", "quotient-minus", "--type", "E", "--rank", "7",
+        "--lambda", "0,0,0,0,0,0,1", "--w", word,
+    )
+    assert code == 0
+    assert json.loads(out)["terms"] == [{"fw": [0, 0, 0, 0, 0, 0, -1], "q": 0, "coeff": 1}]
+
+
 def test_deterministic_output(capsys):
     args = ("char", "macdonald", "--type", "A", "--rank", "2", "--lambda", "1,1")
     _, out1, _ = run(capsys, *args)

@@ -436,6 +436,22 @@ def test_dropped_crystal_is_collected(a2):
     assert ref() is None
 
 
+def test_enumerating_crystal_is_freed_without_cyclic_gc(a2):
+    # the enumeration leaves no reference cycle through the crystal, so
+    # dropping the last reference frees it with the cyclic collector off
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        c = SiLSCrystal(a2, (1, 1))
+        assert c.enumerate_demazure(affine_identity(a2), 2)
+        ref = weakref.ref(c)
+        del c
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_enumeration_at_translated_base(a2):
     # bounding below by an element with a nontrivial translation part
     c = SiLSCrystal(a2, (1, 1))

@@ -1,6 +1,9 @@
 import hashlib
+import itertools
+import random
 
 import pytest
+from conftest import bruhat_leq_bfs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -174,7 +177,7 @@ def test_bruhat_examples(a2):
 
 def test_bruhat_against_subword_oracle(a2, c2):
     # u <= v iff some reduced word of v contains a reduced word of u as a
-    # subword; checked against the cover-BFS implementation
+    # subword; checked against the lifting-property implementation
     import itertools
 
     for datum in (a2, c2):
@@ -186,6 +189,28 @@ def test_bruhat_against_subword_oracle(a2, c2):
                     subwords.add(finite_from_word(datum, [vword[i] for i in idx]))
             for u in weyl_group(datum):
                 assert bruhat_leq(u, v) == (u in subwords)
+
+
+@pytest.mark.parametrize(
+    "fam", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("G", 2)]
+)
+def test_bruhat_matches_bfs_oracle_on_all_pairs(fam):
+    ws = weyl_group(build(*fam))
+    for u, v in itertools.product(ws, repeat=2):
+        assert bruhat_leq(u, v) == bruhat_leq_bfs(u, v), (u, v)
+
+
+@pytest.mark.parametrize("fam,size", [(("D", 4), 400), (("F", 4), 200)])
+def test_bruhat_matches_bfs_oracle_on_sampled_pairs(fam, size):
+    ws = weyl_group(build(*fam))
+    rng = random.Random(20140409)
+    pairs = [(rng.choice(ws), rng.choice(ws)) for _ in range(size)]
+    # pairs drawn uniformly are rarely comparable; add u below v by a prefix
+    pairs += [(finite_from_word(v.datum, v.reduced_word()[: rng.randrange(v.length + 1)]), v)
+              for _u, v in pairs[: size // 4]]
+    results = [bruhat_leq(u, v) for u, v in pairs]
+    assert results == [bruhat_leq_bfs(u, v) for u, v in pairs]
+    assert any(results) and not all(results)
 
 
 def test_longest_element(a2, c2):
