@@ -11,6 +11,7 @@ supplies an independent q=0 oracle without enumerating the Weyl group.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 
 from .cartan import CartanDatum, Vec, vec_add, vec_neg
 from .weyl import (
@@ -106,12 +107,8 @@ class GradedCharacter:
 
 def qls_degree_sum(datum: CartanDatum, lam: Vec) -> GradedCharacter:
     """Sum of q^(tail degree) x^(weight) over the finite path crystal."""
-    crystal = _qls(datum, tuple(lam))
-    terms: dict[Term, int] = {}
-    for psi in crystal.table:
-        key = (crystal.weight(psi), crystal.deg_tail(psi))
-        terms[key] = terms.get(key, 0) + 1
-    return GradedCharacter(terms)
+    rows = _qls(datum, tuple(lam)).table.values()
+    return GradedCharacter(Counter((rec.weight, rec.deg_kappa) for rec in rows))
 
 
 def macdonald_t0(datum: CartanDatum, lam: Vec) -> GradedCharacter:
@@ -183,27 +180,19 @@ def _check_min_rep(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> ParabolicQ
 def gch_quotient_minus(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> GradedCharacter:
     """Sum over paths whose distinguished final direction dominates w."""
     _check_min_rep(datum, lam, w)
-    crystal = _qls(datum, tuple(lam))
-    terms: dict[Term, int] = {}
-    for psi in crystal.table:
-        if bruhat_leq(w, crystal.kappa_direction(psi)):
-            key = (crystal.weight(psi), crystal.deg_tail(psi))
-            terms[key] = terms.get(key, 0) + 1
-    return GradedCharacter(terms)
+    rows = _qls(datum, tuple(lam)).table.items()
+    return GradedCharacter(
+        Counter((r.weight, r.deg_kappa) for psi, r in rows if bruhat_leq(w, psi.directions[-1]))
+    )
 
 
 def gch_quotient_plus(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> GradedCharacter:
     """Sum over paths whose distinguished initial direction is below w."""
     _check_min_rep(datum, lam, w)
-    crystal = _qls(datum, tuple(lam))
-    terms: dict[Term, int] = {}
-    for psi in crystal.table:
-        if bruhat_leq(crystal.iota_direction(psi), w):
-            lift = crystal.eta_iota(psi)
-            wt = crystal.sils.weight(lift)
-            key = (wt.fw, wt.delta)
-            terms[key] = terms.get(key, 0) + 1
-    return GradedCharacter(terms)
+    rows = _qls(datum, tuple(lam)).table.items()
+    return GradedCharacter(
+        Counter((r.weight, r.deg_iota) for psi, r in rows if bruhat_leq(psi.directions[0], w))
+    )
 
 
 # -- Weyl character oracle -----------------------------------------------------------

@@ -37,9 +37,11 @@ def _parse_lambda(datum: CartanDatum, text: str) -> tuple[int, ...]:
     return parts
 
 
-def _check_depth(depth: int) -> None:
-    if depth < 0:
-        raise ValueError(f"depth {depth} must be nonnegative")
+def _check_nonnegative(args, *options: str) -> None:
+    for name in options:
+        value = getattr(args, name)
+        if value < 0:
+            raise ValueError(f"--{name} {value} must be nonnegative")
 
 
 def _parse_level(text: str) -> Fraction:
@@ -116,6 +118,7 @@ def _cmd_root_system(args) -> int:
 def _cmd_si_graph(args) -> int:
     datum = build(args.type, args.rank)
     lam = _parse_lambda(datum, getattr(args, "lambda"))
+    _check_nonnegative(args, "radius")
     quotient = ParabolicQuotient.for_weight(datum, lam)
     a = _parse_level(args.a) if args.a is not None else None
     ball = [
@@ -148,7 +151,7 @@ def _cmd_si_graph(args) -> int:
 def _cmd_sils(args) -> int:
     datum = build(args.type, args.rank)
     lam = _parse_lambda(datum, getattr(args, "lambda"))
-    _check_depth(args.depth)
+    _check_nonnegative(args, "depth", "budget")
     crystal = SiLSCrystal(datum, lam)
     x = _parse_x(datum, args.x) if args.x else affine_identity(datum)
     # the truncated set only depends on the coset of x, so normalize it
@@ -182,8 +185,8 @@ def _cmd_qls(args) -> int:
                 "cuts": [str(a) for a in psi.cuts],
                 "weight": list(crystal.weight(psi)),
                 "deg_tail": crystal.deg_tail(psi),
-                "kappa_of_lift": list(crystal.kappa_direction(psi).reduced_word()),
-                "iota_of_tilde_lift": list(crystal.iota_direction(psi).reduced_word()),
+                "kappa_of_lift": list(psi.directions[-1].reduced_word()),
+                "iota_of_tilde_lift": list(psi.directions[0].reduced_word()),
             }
         )
     return 0
@@ -200,7 +203,7 @@ def _diff_report(name: str, lhs: ch.GradedCharacter, rhs: ch.GradedCharacter) ->
 def _cmd_char(args) -> int:
     datum = build(args.type, args.rank)
     lam = _parse_lambda(datum, getattr(args, "lambda"))
-    _check_depth(args.depth)
+    _check_nonnegative(args, "depth", "budget")
     meta = {
         "type": datum.type_label,
         "rank": datum.rank,

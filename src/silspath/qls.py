@@ -4,8 +4,8 @@ The finite crystal of shape lambda is generated from the straight-line path
 by root operators, recording one lift per element in the component of the
 unit path; the projection cl forgets the translation data of each direction
 and merges equal neighbours.  The distinguished lifts with final (resp.
-initial) direction inside the finite quotient W^J supply the tail degree
-used by the graded characters.
+initial) direction inside the finite quotient W^J supply the tail degrees
+used by the graded characters; the table keeps them in one row per element.
 
 Both distinguished lifts are read off the recorded lift by one right
 translation: if the recorded lift's final (resp. initial) direction is
@@ -20,6 +20,12 @@ themselves commute with the map (the translation symmetry of
 Ishii-Naito-Sagaki's semi-infinite LS path model).  The image therefore
 lies in the unit component and has the same projection, whichever end xi
 is read from.
+
+The table rows rest on two identities that follow.  Pi^J(x t_{-xi}) has
+weight x(lambda) + <xi, lambda> delta, so each tail degree is
+wt(recorded lift).delta + <xi_end, lambda>, and no lift is built for it.
+The translated lift's end direction lies in W^J, so it is psi's own end
+direction: psi.directions[-1] for kappa, psi.directions[0] for iota.
 """
 
 from __future__ import annotations
@@ -48,8 +54,13 @@ class QLSPath(CutPath):
 
 
 class LiftRecord(NamedTuple):
-    path: QLSPath
+    """A table row: a lift, the element's weight and the delta coefficients
+    of `eta_kappa` and `eta_iota` of the element."""
+
     lift: SiLSPath
+    weight: Vec
+    deg_kappa: int
+    deg_iota: int
 
 
 class QLSCrystal:
@@ -58,11 +69,6 @@ class QLSCrystal:
         self.lam = tuple(lam)
         self.sils = SiLSCrystal(datum, self.lam)
 
-    def _affine(self, psi: QLSPath) -> SiLSPath:
-        """psi with each w read as w t_0, whose weight is w(lambda): its
-        weight and slopes come from the semi-infinite crystal's direction data."""
-        return SiLSPath.from_ticks(tuple(map(from_finite, psi.directions)), psi.ticks, psi.den)
-
     def cl(self, eta: SiLSPath) -> QLSPath:
         """Project directions to W^J and merge equal neighbours."""
         cl_direction = self.sils.quotient.cl_direction
@@ -70,30 +76,34 @@ class QLSCrystal:
         return QLSPath.from_ticks(*merge_segments(dirs, eta.ticks, eta.den), eta.den)
 
     def weight(self, psi: QLSPath) -> Vec:
-        return self.sils.weight(self._affine(psi)).fw
+        return self.table[psi].weight
+
+    def _record(self, lift: SiLSPath) -> LiftRecord:
+        """The row of cl(lift), its degrees by the identity in the module docstring."""
+        wt = self.sils.weight(lift)
+        deg = lambda x: wt.delta + self.datum.pair_coweight_weight(x.xi, self.sils.lam_weight)
+        return LiftRecord(lift, wt.fw, deg(lift.kappa), deg(lift.iota))
 
     @functools.cached_property
     def table(self) -> dict[QLSPath, LiftRecord]:
-        """Generate the full finite crystal with one lift per element."""
+        """Generate the full finite crystal with one row per element."""
         budget = 200_000
-        start_lift = self.sils.unit_path()
-        start = LiftRecord(self.cl(start_lift), start_lift)
-        table = {start.path: start}
+        start = self.sils.unit_path()
+        table = {self.cl(start): self._record(start)}
         queue = [start]
         while queue:
-            rec = queue.pop()
+            lift = queue.pop()
             for j in range(self.datum.rank + 1):
                 for op in (self.sils.root_e, self.sils.root_f):
-                    lift2 = op(rec.lift, j)
+                    lift2 = op(lift, j)
                     if lift2 is None:
                         continue
                     psi2 = self.cl(lift2)
                     if psi2 not in table:
                         if len(table) >= budget:
                             raise BudgetExceeded("QLS generation exceeded budget")
-                        rec2 = LiftRecord(psi2, lift2)
-                        table[psi2] = rec2
-                        queue.append(rec2)
+                        table[psi2] = self._record(lift2)
+                        queue.append(lift2)
         return table
 
     def paths(self) -> tuple[QLSPath, ...]:
@@ -114,12 +124,10 @@ class QLSCrystal:
         assert self.cl(lift) == psi
         return lift
 
-    @functools.lru_cache(maxsize=None)
     def eta_kappa(self, psi: QLSPath) -> SiLSPath:
         """The unique lift in the unit component with final direction in W^J."""
         return self._translated_lift(psi, "kappa")
 
-    @functools.lru_cache(maxsize=None)
     def eta_iota(self, psi: QLSPath) -> SiLSPath:
         """The unique lift in the unit component with initial direction in W^J.
 
@@ -129,28 +137,19 @@ class QLSCrystal:
         return self._translated_lift(psi, "iota")
 
     def deg_tail(self, psi: QLSPath) -> int:
-        """The delta coefficient of the distinguished lift's weight."""
-        k = self.sils.weight(self.eta_kappa(psi)).delta
-        assert k <= 0
-        return k
+        """The delta coefficient of the weight of `eta_kappa(psi)`."""
+        return self.table[psi].deg_kappa
 
     @functools.cached_property
     def dual(self) -> "QLSCrystal":
         return QLSCrystal(self.datum, self.datum.sigma_dual(self.lam))
 
-    @functools.lru_cache(maxsize=None)
     def star_dual(self, psi: QLSPath) -> QLSPath:
         """The image of psi under the weight-negating bijection to the dual shape."""
         rec = self.table[psi]
         image = self.dual.cl(self.sils.dual_path(rec.lift))
         assert image in self.dual.table
         return image
-
-    def kappa_direction(self, psi: QLSPath) -> FiniteWeylElt:
-        return self.eta_kappa(psi).kappa.w
-
-    def iota_direction(self, psi: QLSPath) -> FiniteWeylElt:
-        return self.eta_iota(psi).iota.w
 
     # -- intrinsic root operators -------------------------------------------------
 
@@ -169,8 +168,9 @@ class QLSCrystal:
         comparing it with cl of the semi-infinite operators checks those two
         inputs, while the crystal axioms on the QLS side check the splice.
         """
-        n = self.sils.n
-        slopes = self.sils._slopes(self._affine(psi), j)
+        n, direction = self.sils.n, self.sils._direction
+        # w read as w t_0, whose weight is w(lambda)
+        slopes = [direction(from_finite(w))[1][j] for w in psi.directions]
         reflect = functools.partial(self._cl_reflect, j)
         out = root_splice(psi.directions, psi.ticks_over(n), n, slopes, tag, reflect)
         return None if out is None else QLSPath.from_ticks(*out, n)

@@ -222,6 +222,22 @@ def test_char_negative_depth_exits_2(capsys):
     assert "depth" in err
 
 
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (("sils", "enumerate", "--lambda", "1", "--budget", "-1"), "--budget"),
+        (("char", "verify-grch1", "--lambda", "1", "--budget", "-5"), "--budget"),
+        (("char", "macdonald", "--lambda", "1", "--budget", "-1"), "--budget"),
+        (("si-graph", "--lambda", "1", "--radius", "-1"), "--radius"),
+    ],
+)
+def test_negative_budget_or_radius_exits_2(capsys, argv, option):
+    # a usage error, not a budget exhaustion (exit 3) or an empty graph (exit 0)
+    code, out, err = run(capsys, *argv, "--type", "A", "--rank", "1")
+    assert code == 2 and out == ""
+    assert option in err and "nonnegative" in err and "Traceback" not in err
+
+
 def test_si_graph_zero_denominator_level_exits_2(capsys):
     code, out, err = run(
         capsys, "si-graph", "--type", "A", "--rank", "1", "--lambda", "1",

@@ -138,6 +138,29 @@ def test_lift_weight_is_maximal_in_fiber(fam, lam):
             assert finite_dirs == [target]
 
 
+ROW_CASES = QLS_CASES + [
+    (("F", 4), (0, 1, 0, 0)),
+    (("E", 6), (0, 1, 0, 0, 0, 0)),
+    (("E", 7), (0, 0, 0, 0, 0, 0, 1)),
+    (("E", 8), (0, 0, 0, 0, 0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("fam,lam", ROW_CASES)
+def test_table_rows_match_distinguished_lifts(fam, lam):
+    # each row's weight and degrees, read off the recorded lift, agree with
+    # the lifts themselves, and psi's end directions are the lifts' ends
+    q = qls(fam, lam)
+    for psi, rec in q.table.items():
+        kappa_lift, iota_lift = q.eta_kappa(psi), q.eta_iota(psi)
+        wt_kappa, wt_iota = q.sils.weight(kappa_lift), q.sils.weight(iota_lift)
+        assert rec.deg_kappa == wt_kappa.delta, psi
+        assert rec.deg_iota == wt_iota.delta, psi
+        assert rec.weight == wt_kappa.fw == wt_iota.fw
+        assert psi.directions[-1] == kappa_lift.kappa.w
+        assert psi.directions[0] == iota_lift.iota.w
+
+
 def test_star_dual_examples(a1):
     q = qls(("A", 1), (1,))
     top = q.cl(q.sils.unit_path())

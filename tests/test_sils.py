@@ -8,6 +8,7 @@ from conftest import multipartitions
 
 from silspath.cartan import LevelZeroWeight, build
 from silspath.peterson import ParabolicQuotient
+from silspath.qls import QLSCrystal
 from silspath.sils import SiLSCrystal, SiLSPath
 from silspath.weyl import (
     AffineWeylElt,
@@ -432,6 +433,19 @@ def test_dropped_crystal_is_collected(a2):
     assert c._directions
     ref = weakref.ref(c)
     del c
+    gc.collect()
+    assert ref() is None
+
+
+def test_dropped_qls_crystal_is_collected(a2):
+    # no method cache outlives the crystal: its rows, lifts and dual images
+    # are freed with it
+    q = QLSCrystal(a2, (1, 1))
+    for psi in q.table:
+        assert q.deg_tail(psi) <= 0
+        assert q.eta_kappa(psi) and q.eta_iota(psi) and q.star_dual(psi)
+    ref = weakref.ref(q)
+    del q, psi
     gc.collect()
     assert ref() is None
 
