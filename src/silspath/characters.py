@@ -170,17 +170,17 @@ def brute_force_gch_minus_e(
 # -- quotient characters -----------------------------------------------------------
 
 
-def _check_min_rep(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> ParabolicQuotient:
-    quotient = ParabolicQuotient.for_weight(datum, tuple(lam))
-    if not quotient.is_min_rep(w):
+def _qls_rows(datum: CartanDatum, lam: Vec, w: FiniteWeylElt):
+    """The table rows of lambda, once w is checked to lie in W^J."""
+    crystal = _qls(datum, tuple(lam))
+    if not crystal.sils.quotient.is_min_rep(w):
         raise ValueError(f"{w!r} is not a minimal coset representative for J")
-    return quotient
+    return crystal.table.items()
 
 
 def gch_quotient_minus(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> GradedCharacter:
     """Sum over paths whose distinguished final direction dominates w."""
-    _check_min_rep(datum, lam, w)
-    rows = _qls(datum, tuple(lam)).table.items()
+    rows = _qls_rows(datum, lam, w)
     return GradedCharacter(
         Counter((r.weight, r.deg_kappa) for psi, r in rows if bruhat_leq(w, psi.directions[-1]))
     )
@@ -188,8 +188,7 @@ def gch_quotient_minus(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> Graded
 
 def gch_quotient_plus(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> GradedCharacter:
     """Sum over paths whose distinguished initial direction is below w."""
-    _check_min_rep(datum, lam, w)
-    rows = _qls(datum, tuple(lam)).table.items()
+    rows = _qls_rows(datum, lam, w)
     return GradedCharacter(
         Counter((r.weight, r.deg_iota) for psi, r in rows if bruhat_leq(psi.directions[0], w))
     )

@@ -6,6 +6,10 @@ the right and every coset has a unique representative sending all of
 representatives, the J-adjustment of coweights, the duality x -> x^vee, and
 the cover/order structure of the parabolic semi-infinite Bruhat graph,
 including its rational-level subgraphs.
+
+The decomposition x = w z_xi t_xi is kept per representative x.  A level a
+enters only through its reduced denominator d (a <beta^vee, x lambda> is an
+integer iff d divides the pairing): covers are kept per (x, d), order per (x, y, d).
 """
 
 from __future__ import annotations
@@ -71,6 +75,7 @@ class ParabolicQuotient:
     _si_leq_cache: dict = field(default_factory=dict, repr=False)
     _cover_cache: dict = field(default_factory=dict, repr=False)
     _adjust_cache: dict = field(default_factory=dict, repr=False)
+    _decompose_cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def for_weight(cls, datum: CartanDatum, lam: Vec) -> "ParabolicQuotient":
@@ -175,11 +180,15 @@ class ParabolicQuotient:
                 return w
 
     def decompose(self, x: AffineWeylElt) -> Decomposition:
-        phi, z = self.j_adjust(x.xi)
-        assert not any(phi), f"{x} is not a Peterson representative"
-        w = x.w.mul(z.inverse())
-        assert self.is_min_rep(w)
-        return Decomposition(w, z, x.xi)
+        """Computed, and its assertions checked, once per representative x."""
+        cached = self._decompose_cache.get(x)
+        if cached is None:
+            phi, z = self.j_adjust(x.xi)
+            assert not any(phi), f"{x} is not a Peterson representative"
+            w = x.w.mul(z.inverse())
+            assert self.is_min_rep(w)
+            cached = self._decompose_cache[x] = Decomposition(w, z, x.xi)
+        return cached
 
     def cl_direction(self, x: AffineWeylElt) -> FiniteWeylElt:
         """cl(x) = w for x = w z_xi t_xi."""
@@ -209,14 +218,13 @@ class ParabolicQuotient:
         c = self.datum.coroot(beta.finite)
         return self.datum.pair_coweight_weight(c, x.act_weight(self.lam_weight))
 
-    def _admits(self, a: Fraction | None, beta: AffineRealRoot, x: AffineWeylElt) -> bool:
-        if a is None:
-            return True
-        return (a * self.edge_pairing(beta, x)).denominator == 1
+    def _admits(self, d: int, beta: AffineRealRoot, x: AffineWeylElt) -> bool:
+        """The edge lies in the subgraph of every level with reduced denominator d."""
+        return d == 1 or self.edge_pairing(beta, x) % d == 0
 
     def _cover_candidates(self, w: FiniteWeylElt) -> list[AffineRealRoot]:
         # labels are w(u) or w(u) + delta for u in Delta^+ \ Delta_J^+,
-        # with the delta shift exactly when w(u) is negative
+        # with the delta shift exactly when w(u) is negative, so all positive
         datum = self.datum
         jset = set(self.j_nodes)
         out = []
@@ -233,22 +241,23 @@ class ParabolicQuotient:
     def si_covers(
         self, x: AffineWeylElt, a: Fraction | None = None
     ) -> tuple[tuple[AffineRealRoot, AffineWeylElt], ...]:
-        """All edges x -> r_beta x of the graph (restricted to level a if given)."""
-        cached = self._cover_cache.get(x)
+        """All edges x -> r_beta x of the graph (restricted to level a if given).
+
+        Only a's reduced denominator d matters: kept per (x, d), with a = None as d = 1."""
+        d = 1 if a is None else a.denominator
+        cached = self._cover_cache.get((x, d))
         if cached is None:
-            out = []
-            target = x.si_length + 1
-            for beta in self._cover_candidates(self.decompose(x).w):
-                if not self.datum.is_positive_affine(beta):
-                    continue
-                y = affine_reflection(self.datum, beta).mul(x)
-                if y.si_length == target and self.is_rep(y):
-                    out.append((beta, y))
-            cached = tuple(out)
-            self._cover_cache[x] = cached
-        if a is None:
-            return cached
-        return tuple((beta, y) for beta, y in cached if self._admits(a, beta, x))
+            full = self._cover_cache.get((x, 1))
+            if full is None:
+                out = []
+                for beta in self._cover_candidates(self.decompose(x).w):
+                    y = affine_reflection(self.datum, beta).mul(x)
+                    if y.si_length == x.si_length + 1 and self.is_rep(y):
+                        out.append((beta, y))
+                full = self._cover_cache[x, 1] = tuple(out)
+            cached = full if d == 1 else tuple(e for e in full if self._admits(d, e[0], x))
+            self._cover_cache[x, d] = cached
+        return cached
 
     def si_lower_covers(
         self, x: AffineWeylElt, a: Fraction | None = None
@@ -256,11 +265,12 @@ class ParabolicQuotient:
         """All edges z -> x, listed as (beta, z)."""
         out = []
         datum = self.datum
+        d = 1 if a is None else a.denominator
         for u in datum.pos_roots:
             for beta in (AffineRealRoot(u, 0), AffineRealRoot(vec_neg(u), 1)):
                 z = affine_reflection(datum, beta).mul(x)
                 if z.si_length == x.si_length - 1 and self.is_rep(z):
-                    if self._admits(a, beta, z):
+                    if self._admits(d, beta, z):
                         out.append((beta, z))
         return tuple(out)
 
@@ -273,7 +283,7 @@ class ParabolicQuotient:
         """True iff a directed path from x to y exists in the (sub)graph."""
         if x == y:
             return True
-        key = (x, y, a)
+        key = (x, y, 1 if a is None else a.denominator)
         cached = self._si_leq_cache.get(key)
         if cached is not None:
             return cached

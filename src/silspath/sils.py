@@ -197,14 +197,14 @@ class SiLSCrystal:
         for x in eta.directions:
             if not self.quotient.is_rep(x):
                 return f"direction {x!r} is not a Peterson representative"
-        for u in range(len(eta.directions) - 1):
+        for u, cut in enumerate(eta.cuts[1:-1]):
             lower, upper = eta.directions[u + 1], eta.directions[u]
             if lower == upper:
                 return f"adjacent equal directions at segment {u + 1}"
-            if not self.quotient.si_leq(lower, upper, eta.cuts[u + 1]):
+            if not self.quotient.si_leq(lower, upper, cut):
                 return (
                     f"no directed path from {lower!r} to {upper!r} "
-                    f"at level {eta.cuts[u + 1]}"
+                    f"at level {cut}"
                 )
         return None
 

@@ -194,6 +194,11 @@ def test_quotient_minus_rejects_non_reps(a2):
         ch.gch_quotient_minus(a2, (1, 0), simple_reflection(a2, 2))
 
 
+def test_quotient_plus_rejects_non_reps(a2):
+    with pytest.raises(ValueError, match="not a minimal coset representative for J"):
+        ch.gch_quotient_plus(a2, (1, 0), simple_reflection(a2, 2))
+
+
 # minuscule E-type weights: 27 and 56 representatives, all pairs compared
 NESTING_WEIGHTS = TEST_WEIGHTS + [
     (("E", 6), (1, 0, 0, 0, 0, 0)),

@@ -121,6 +121,26 @@ def test_cut_stdout_golden(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 and line count of stdout, recorded while a level still filtered
+# the cover edges by a Fraction product rather than by its denominator.
+SI_GRAPH_STDOUT = {
+    "1/2": ("29cbfe52ab63ff03283a5f595700d101aac45842d2fdcbc55bfcd81f68982e38", 35),
+    "1/3": ("60cebf3c771e9dc723b9a8355dbde07bd2d47ea6b7df9fe134694634717c7e06", 31),
+}
+
+
+@pytest.mark.parametrize("a", sorted(SI_GRAPH_STDOUT))
+def test_si_graph_level_golden(capsys, a):
+    code, out, _ = run(
+        capsys, "si-graph", "--type", "G", "--rank", "2", "--lambda", "1,1",
+        "--radius", "2", "--a", a,
+    )
+    assert code == 0
+    digest, lines = SI_GRAPH_STDOUT[a]
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_char_verify_commands(capsys):
     code, out, _ = run(
         capsys, "char", "verify-grch1", "--type", "A", "--rank", "1",

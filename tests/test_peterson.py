@@ -1,6 +1,8 @@
 from fractions import Fraction
 
-from silspath.cartan import AffineRealRoot, vec_sub
+import pytest
+
+from silspath.cartan import AffineRealRoot, build, vec_sub
 from silspath.peterson import ParabolicQuotient
 from silspath.weyl import (
     AffineWeylElt,
@@ -329,6 +331,46 @@ def test_lower_covers_mirror_covers():
                 for beta, y in quotient.si_covers(x, a):
                     if y in in_ball:
                         assert (beta, x) in quotient.si_lower_covers(y, a)
+
+
+LEVEL_CASES = [(("G", 2), (1, 1)), (("C", 2), (2, 1)), (("A", 2), (2, 1))]
+
+
+@pytest.mark.parametrize("fam,lam", LEVEL_CASES)
+def test_level_covers_match_fraction_rule(fam, lam):
+    # the integer test on the denominator keeps exactly the edges with
+    # a <beta^vee, x lambda> integral, in the same order
+    quotient = ParabolicQuotient.for_weight(build(*fam), lam)
+    levels = quotient.cut_grid() + (Fraction(1),)
+    assert len({a.denominator for a in levels}) > 2
+    for x in quotient.si_ball(2):
+        full = quotient.si_covers(x)
+        assert quotient.si_covers(x, Fraction(1)) is full
+        for a in levels:
+            kept = tuple(
+                (beta, y) for beta, y in full
+                if (a * quotient.edge_pairing(beta, x)).denominator == 1
+            )
+            assert quotient.si_covers(x, a) == kept, (x, a)
+
+
+@pytest.mark.parametrize("fam,lam", LEVEL_CASES)
+def test_si_leq_depends_on_level_denominator(fam, lam):
+    # each level runs its own search on a fresh quotient, so equal answers
+    # for one denominator are not read from a shared cache entry; one quotient
+    # asked at every level in turn must agree with the fresh searches
+    datum = build(*fam)
+    shared = ParabolicQuotient.for_weight(datum, lam)
+    ball = shared.si_ball(2)
+    by_den: dict[int, list] = {}
+    for a in shared.cut_grid():
+        fresh = ParabolicQuotient.for_weight(datum, lam)
+        answers = [fresh.si_leq(x, y, a) for x in ball for y in ball]
+        assert answers == [shared.si_leq(x, y, a) for x in ball for y in ball], a
+        by_den.setdefault(a.denominator, []).append(answers)
+    assert any(len(runs) > 1 for runs in by_den.values())
+    for runs in by_den.values():
+        assert all(run == runs[0] for run in runs)
 
 
 def test_cut_grid(a1):

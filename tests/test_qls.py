@@ -1,10 +1,13 @@
+import gc
 import itertools
+import weakref
 from fractions import Fraction as F
 
 import pytest
 from conftest import dual_route_iota, replay_words
 
 from silspath.cartan import LevelZeroWeight, build, vec_neg, vec_sub
+from silspath.peterson import ParabolicQuotient
 from silspath.qls import QLSCrystal, QLSPath
 from silspath.sils import SiLSPath
 from silspath.weyl import (
@@ -360,6 +363,19 @@ def test_lift_cuts_lie_on_grid(fam, lam):
             assert set(lift.cuts) <= allowed, (psi, lift)
 
 
+@pytest.mark.parametrize("fam,lam", QLS_CASES + [(("F", 4), (0, 1, 0, 0))])
+def test_decompose_memo_matches_fresh_quotient(fam, lam):
+    # the table build reads every direction's decomposition from the memo,
+    # whose assertions ran once; a fresh quotient recomputes each one
+    q = qls(fam, lam)
+    memo = q.sils.quotient._decompose_cache
+    directions = {x for rec in q.table.values() for x in rec.lift.directions}
+    assert directions <= memo.keys()
+    fresh = ParabolicQuotient.for_weight(q.datum, q.lam)
+    for x, dec in memo.items():
+        assert dec == fresh.decompose(x), x
+
+
 def test_j_adjust_memo_matches_fresh_projection():
     q = qls(("A", 3), (1, 0, 1))
     quotient = q.sils.quotient
@@ -372,3 +388,23 @@ def test_j_adjust_memo_matches_fresh_projection():
     for xi, memo in cache.items():
         p = quotient.project(translation(q.datum, xi))
         assert memo == (vec_sub(p.xi, xi), p.w)
+
+
+def test_quotient_memos_are_freed_with_crystal():
+    # the quotient and its memos belong to the crystal: nothing else keeps
+    # them, and no reference cycle needs the cyclic collector
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        q = qls(("G", 2), (0, 1))
+        assert q.table
+        paths = q.sils.enumerate_demazure(affine_identity(q.datum), 2)
+        assert all(q.sils.validate(eta) for eta in paths)
+        quotient = q.sils.quotient
+        assert quotient._decompose_cache and quotient._cover_cache and quotient._si_leq_cache
+        ref = weakref.ref(quotient)
+        del q, quotient
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -466,6 +466,19 @@ def test_enumerating_crystal_is_freed_without_cyclic_gc(a2):
             gc.enable()
 
 
+@pytest.mark.parametrize("fam,lam", [(("C", 2), (1, 1)), (("G", 2), (0, 1))])
+def test_decompose_memo_matches_fresh_on_enumeration_pool(fam, lam):
+    # every pool direction had its covers computed, which decomposes it
+    c = crystal(fam, lam)
+    paths = c.enumerate_demazure(affine_identity(c.datum), 2)
+    memo = c.quotient._decompose_cache
+    pool = {x for x, _d in c.quotient._cover_cache}
+    assert {x for eta in paths for x in eta.directions} <= pool <= memo.keys()
+    fresh = ParabolicQuotient.for_weight(c.datum, lam)
+    for x, dec in memo.items():
+        assert dec == fresh.decompose(x), x
+
+
 def test_enumeration_at_translated_base(a2):
     # bounding below by an element with a nontrivial translation part
     c = SiLSCrystal(a2, (1, 1))
