@@ -197,6 +197,13 @@ class RootTable(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class CartanDatum:
+    """The root data of one (type, rank).
+
+    :func:`build` returns the only datum per (type, rank), so data compare
+    and hash by identity: the Weyl elements and caches keyed by a datum never
+    look past its address.
+    """
+
     type_label: str
     rank: int
     cartan: Mat
@@ -207,16 +214,6 @@ class CartanDatum:
     marks: Vec
     comarks: Vec
     sigma: Vec  # sigma[i-1] is the node label paired with node i by -w_0
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, CartanDatum)
-            and self.type_label == other.type_label
-            and self.rank == other.rank
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.type_label, self.rank))
 
     def __repr__(self) -> str:
         return f"CartanDatum({self.type_label}{self.rank})"
@@ -237,7 +234,7 @@ class CartanDatum:
         roots = self.pos_roots + tuple(vec_neg(u) for u in self.pos_roots)
         index = {u: k for k, u in enumerate(roots)}
         simple = tuple(index[self.simple_root(i)] for i in range(1, self.rank + 1))
-        pos_coroots = tuple(_coroot(self, u) for u in self.pos_roots)
+        pos_coroots = tuple(_coroot(self.cartan, self.sym, u) for u in self.pos_roots)
         coroots = pos_coroots + tuple(vec_neg(c) for c in pos_coroots)
         return RootTable(roots, index, coroots, simple)
 
@@ -268,13 +265,7 @@ class CartanDatum:
 
     def root_norm_half(self, u: Vec) -> Fraction:
         """(alpha, alpha)/2 in the normalization (alpha_i, alpha_j) = d_i a_ij."""
-        n = self.rank
-        s = sum(
-            u[i] * u[j] * self.sym[i] * self.cartan[i][j]
-            for i in range(n)
-            for j in range(n)
-        )
-        return Fraction(s, 2)
+        return Fraction(_root_norm(self.cartan, self.sym, u), 2)
 
     def coroot(self, u: Vec) -> Vec:
         """Coweight coordinates of the dual root alpha^vee (a root-table lookup)."""
@@ -310,17 +301,26 @@ class CartanDatum:
         return tuple(lam[s - 1] for s in self.sigma)
 
 
-def _coroot(datum: CartanDatum, u: Vec) -> Vec:
-    """Coweight coordinates of alpha^vee = alpha / ((alpha, alpha)/2), exactly."""
-    du = datum.root_norm_half(u)
-    out = tuple(Fraction(u[j] * datum.sym[j]) / du for j in range(datum.rank))
-    assert all(x.denominator == 1 for x in out), u
-    return tuple(int(x) for x in out)
+def _root_norm(cartan: Mat, sym: Vec, u: Vec) -> int:
+    """(alpha, alpha) = sum_ij u_i u_j d_i a_ij."""
+    return sum(ui * uj * d * a for ui, d, row in zip(u, sym, cartan) for uj, a in zip(u, row))
+
+
+def _coroot(cartan: Mat, sym: Vec, u: Vec) -> Vec:
+    """Coweight coordinates of alpha^vee = 2 alpha / (alpha, alpha), exactly:
+    coordinate j is 2 u_j d_j / (alpha, alpha)."""
+    norm = _root_norm(cartan, sym, u)
+    out = [divmod(2 * uj * d, norm) for uj, d in zip(u, sym)]
+    assert not any(r for _, r in out), u
+    return tuple(c for c, _ in out)
 
 
 @functools.lru_cache(maxsize=None)
-def build(type_label: str, rank: int) -> CartanDatum:
-    """Construct (and cache) the full datum for one untwisted family member."""
+def build(type_label: str, rank: int, /) -> CartanDatum:
+    """The full datum for one untwisted family member, built once per (type, rank).
+
+    The arguments are positional-only, so the cache has one key, and so one
+    datum, per (type, rank)."""
     if type_label not in _RANK_RANGE or rank not in _RANK_RANGE[type_label]:
         raise ValueError(f"unsupported type/rank combination {type_label}{rank}")
     cartan = _cartan_matrix(type_label, rank)
@@ -328,13 +328,7 @@ def build(type_label: str, rank: int) -> CartanDatum:
     pos = _positive_roots(cartan)
     theta = pos[-1]
     assert all(all(t >= u for t, u in zip(theta, v)) for v in pos)
-
-    # temporary datum to reuse coroot machinery for theta
-    tmp = CartanDatum(type_label, rank, cartan, sym, pos, theta, (), (), (), ())
-    theta_coroot = _coroot(tmp, theta)
-    marks = theta
-    comarks = theta_coroot
-
+    theta_coroot = _coroot(cartan, sym, theta)
     datum = CartanDatum(
         type_label=type_label,
         rank=rank,
@@ -343,8 +337,8 @@ def build(type_label: str, rank: int) -> CartanDatum:
         pos_roots=pos,
         theta=theta,
         theta_coroot=theta_coroot,
-        marks=marks,
-        comarks=comarks,
+        marks=theta,
+        comarks=theta_coroot,
         sigma=_sigma(cartan),
     )
     _check_affinization(datum)

@@ -159,12 +159,8 @@ def brute_force_gch_minus_e(
 ) -> GradedCharacter:
     """Independent route: sum x^wt over the truncated path enumeration."""
     crystal = SiLSCrystal(datum, tuple(lam))
-    terms: dict[Term, int] = {}
-    for eta in crystal.enumerate_demazure(affine_identity(datum), depth, budget):
-        wt = crystal.weight(eta)
-        key = (wt.fw, wt.delta)
-        terms[key] = terms.get(key, 0) + 1
-    return GradedCharacter(terms)
+    paths = crystal.enumerate_demazure(affine_identity(datum), depth, budget)
+    return GradedCharacter(Counter((wt.fw, wt.delta) for wt in map(crystal.weight, paths)))
 
 
 # -- quotient characters -----------------------------------------------------------

@@ -128,15 +128,10 @@ class ParabolicQuotient:
     # -- membership and projection ------------------------------------------
 
     def is_rep(self, x: AffineWeylElt) -> bool:
-        """Peterson membership, reduced to the finitely many critical roots."""
-        for u in self.delta_j_plus:
-            if not self.datum.is_positive_affine(x.act_root(AffineRealRoot(u, 0))):
-                return False
-            if not self.datum.is_positive_affine(
-                x.act_root(AffineRealRoot(vec_neg(u), 1))
-            ):
-                return False
-        return True
+        """Peterson membership: x sends the simple roots of (W_J)_af to positive
+        roots, hence all of (Delta_J)_af^+, their nonnegative combinations."""
+        positive = self.datum.is_positive_affine
+        return all(positive(x.act_root(beta)) for beta, _ in self.reduction_gens)
 
     def project(self, x: AffineWeylElt) -> AffineWeylElt:
         """Pi^J(x): right-descent reduction by the simple generators of (W_J)_af."""

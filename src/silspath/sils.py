@@ -422,21 +422,10 @@ class SiLSCrystal:
         p_x = p_of(x)
         bound = max_den * (depth + max(0, -p_x)) + max(0, p_x)
         # cuts and sums below are ticks over N; `levels` maps a grid cut's
-        # ticks to the cut itself, the level argument of si_covers
+        # ticks to the cut itself, the level argument of si_covers (level 1,
+        # n ticks, is absent and so admits every cover)
         n, limit = self.n, depth * self.n
         levels = {a.numerator * (n // a.denominator): a for a in grid}
-
-        # reachable direction pool: everything >= x with bounded pairing
-        pool: set[AffineWeylElt] = {x}
-        frontier = [x]
-        while frontier:
-            z = frontier.pop()
-            for _beta, y in quotient.si_covers(z):
-                if y not in pool and p_of(y) <= bound:
-                    if len(pool) >= budget:
-                        raise BudgetExceeded("direction pool exceeded budget")
-                    pool.add(y)
-                    frontier.append(y)
 
         @functools.lru_cache(maxsize=None)
         def upward(z: AffineWeylElt, a: int) -> tuple[AffineWeylElt, ...]:
@@ -444,12 +433,17 @@ class SiLSCrystal:
             queue = [z]
             while queue:
                 cur = queue.pop()
-                for _beta, y in quotient.si_covers(cur, levels[a]):
+                for _beta, y in quotient.si_covers(cur, levels.get(a)):
                     if y not in seen and p_of(y) <= bound:
+                        if len(seen) >= budget:
+                            raise BudgetExceeded("direction pool exceeded budget")
                         seen.add(y)
                         queue.append(y)
             seen.discard(z)
             return tuple(seen)
+
+        # reachable direction pool: everything >= x with bounded pairing
+        pool = (x,) + upward(x, n)
 
         # depth-first over (chain, cuts_desc, settled), children pushed in
         # reverse so they pop in order; no recursive closure keeps `self`

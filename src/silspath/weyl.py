@@ -2,10 +2,16 @@
 
 A finite element is stored as the permutation it induces on the 2N roots
 (indexed by the datum's :class:`~silspath.cartan.RootTable`: positive roots
-first), so multiplication is index composition, the length counts positive
-roots sent negative, and equality and hashing compare one tuple.  Actions on
-weights and coweights are read off the coroots of the images of the simple
-roots.  An affine element is the pair ``w · t_xi``.
+first), so multiplication is index composition and the length counts positive
+roots sent negative.  Actions on weights and coweights are read off the
+coroots of the images of the simple roots.  An affine element is the pair
+``w · t_xi``.
+
+Equality is the generated dataclass one: it compares the tuple (and ``xi``)
+and the datum, which is compared by identity, since ``build`` makes one datum
+per (type, rank).  Hashes read only ``perm`` (and ``xi``), never an address,
+so hash values and the iteration order of sets of elements are the same in
+every process.
 """
 
 from __future__ import annotations
@@ -38,19 +44,12 @@ def _combine(coeffs: Vec, vecs: list[Vec]) -> Vec:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FiniteWeylElt:
     """perm[k] is the index of w(root k) in ``datum.root_table``."""
 
     datum: CartanDatum
     perm: tuple[int, ...]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FiniteWeylElt)
-            and self.perm == other.perm
-            and self.datum == other.datum
-        )
 
     def __hash__(self) -> int:
         return hash(self.perm)
@@ -228,19 +227,12 @@ def bruhat_leq(u: FiniteWeylElt, v: FiniteWeylElt) -> bool:
     return lu == lv and up == vp
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AffineWeylElt:
     """The element w * t_xi of W_af = W x Q^vee."""
 
     w: FiniteWeylElt
     xi: Vec
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, AffineWeylElt)
-            and self.xi == other.xi
-            and self.w == other.w
-        )
 
     def __hash__(self) -> int:
         return hash((self.w.perm, self.xi))

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from silspath.cartan import build, vec_add
+from silspath.cartan import AffineRealRoot, build, vec_add, vec_neg
 from silspath.characters import GradedCharacter
 from silspath.peterson import ParabolicQuotient
 from silspath.weyl import finite_reflection, weyl_group
@@ -141,6 +141,17 @@ def bruhat_leq_bfs(u, v):
             w2 for w in frontier for r in reflections if (w2 := w.mul(r)).length == level + 1
         }
     return v in frontier
+
+
+def is_rep_critical(quotient, x):
+    """Peterson membership by the critical roots: x(u) and x(-u + delta) positive
+    for every u in Delta_J^+."""
+    positive = quotient.datum.is_positive_affine
+    return all(
+        positive(x.act_root(AffineRealRoot(u, 0)))
+        and positive(x.act_root(AffineRealRoot(vec_neg(u), 1)))
+        for u in quotient.delta_j_plus
+    )
 
 
 def quotient_reps_by_filter(datum, lam):

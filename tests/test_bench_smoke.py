@@ -2,7 +2,9 @@
 
 The quick run hashes the first op of each workload (Macdonald on B3 (1,1,0),
 grch1 on A1, quotient characters on G2 (1,1)) and compares the digests with
-`bench/expected.json`, so a change to any of those results fails here.
+`bench/expected.json`, so a change to any of those results fails here.  The
+traced run also wraps every name in `bench/spans.py` TARGETS, so deleting or
+renaming one of them fails here too.
 """
 
 import json
@@ -13,7 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_quick_benchmark_run_is_correct():
+def quick_run(trace: str) -> dict:
     proc = subprocess.run(
         [
             sys.executable,
@@ -21,7 +23,7 @@ def test_quick_benchmark_run_is_correct():
             "--workload", "all",
             "--seed", "1",
             "--seconds", "1",
-            "--trace", "0",
+            "--trace", trace,
             "--quick",
         ],
         cwd=ROOT,
@@ -33,8 +35,25 @@ def test_quick_benchmark_run_is_correct():
     line = json.loads(proc.stdout.strip().splitlines()[-1])
     assert line["correct"] is True
     assert line["failed"] == 0
+    return line
+
+
+def test_quick_benchmark_run_is_correct():
+    line = quick_run("0")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     expected = {
         f"{w['name']}.{m['name']}" for w in spec["workloads"] for m in spec["end_to_end"]
     }
     assert set(line["metrics"]) == expected
+
+
+def test_quick_traced_benchmark_run_is_correct():
+    line = quick_run("1")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    expected = {
+        f"{w['name']}.{m['name']}" for w in spec["workloads"] for m in spec["per_layer"]
+    }
+    assert set(line["metrics"]) == expected
+    for workload in spec["workloads"]:
+        path = ROOT / "bench" / "out" / f"run_{workload['name']}_seed1_trace1.json"
+        assert json.loads(path.read_text())["traced_digests_match"] is True

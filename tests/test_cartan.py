@@ -1,6 +1,6 @@
 import pytest
 
-from silspath.cartan import AffineRealRoot, LevelZeroWeight, build, vec_neg
+from silspath.cartan import _RANK_RANGE, AffineRealRoot, LevelZeroWeight, build, vec_neg
 from silspath.weyl import longest_element
 
 # closed-form positive root counts, used as an oracle for the closure
@@ -19,6 +19,15 @@ EXPECTED_POS_COUNTS = {
     ("F", 4): 24,
     ("G", 2): 6,
 }
+
+
+def test_build_returns_one_datum_per_type_and_rank():
+    # data compare by identity, so build must never make a second datum
+    supported = [(t, r) for t, ranks in _RANK_RANGE.items() for r in ranks]
+    data = [build(t, r) for t, r in supported]
+    assert all(build(t, r) is datum for (t, r), datum in zip(supported, data))
+    assert len({id(datum) for datum in data}) == len(supported)
+    assert all(datum != other for datum, other in zip(data, data[1:]))
 
 
 def test_build_a1(a1):

@@ -17,7 +17,7 @@ from silspath.weyl import (
     weyl_group,
 )
 
-from conftest import order_quotients
+from conftest import is_rep_critical, order_quotients
 
 
 def test_is_rep_examples(a2):
@@ -58,6 +58,34 @@ def test_is_rep_against_bruteforce(a2, c2):
                     if not datum.is_positive_affine(x.act_root(AffineRealRoot(u, n))):
                         brute = False
             assert quotient.is_rep(x) == brute
+
+
+@pytest.mark.parametrize(
+    "fam, lam",
+    [
+        (("A", 2), (1, 1)),  # J empty
+        (("A", 3), (1, 0, 1)),  # J = {2}, one component
+        (("B", 3), (0, 1, 0)),  # J = {1, 3}, two components
+        (("C", 3), (0, 1, 0)),
+    ],
+)
+def test_is_rep_by_simple_roots_matches_critical_roots(fam, lam):
+    # is_rep tests only the simple roots of (W_J)_af; the oracle tests every
+    # critical root, on the ball and on all cover candidates r_beta x from it
+    datum = build(*fam)
+    quotient = ParabolicQuotient.for_weight(datum, lam)
+    ball = quotient.si_ball(3)
+    candidates = [
+        affine_reflection(datum, beta).mul(x)
+        for x in ball
+        for beta in quotient._cover_candidates(quotient.decompose(x).w)
+    ]
+    sample = ball + tuple(candidates)
+    verdicts = [quotient.is_rep(y) for y in sample]
+    assert verdicts == [is_rep_critical(quotient, y) for y in sample]
+    assert all(verdicts[: len(ball)])
+    # some candidates are not representatives unless J is empty
+    assert all(verdicts[len(ball):]) == (not quotient.j_nodes)
 
 
 def test_project_examples(a2):

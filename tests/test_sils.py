@@ -12,6 +12,7 @@ from silspath.qls import QLSCrystal
 from silspath.sils import SiLSCrystal, SiLSPath
 from silspath.weyl import (
     AffineWeylElt,
+    BudgetExceeded,
     affine_identity,
     affine_simple,
     bruhat_leq,
@@ -422,6 +423,24 @@ def test_enumerated_cuts_lie_on_grid():
     assert any(len(eta.directions) > 1 for eta in paths)
     for eta in paths:
         assert set(eta.cuts) <= allowed, eta
+
+
+def test_budget_exhaustion_names_its_stage(a1):
+    # the pool is every direction whose covers were computed; A1 lambda=2 at
+    # depth 2 pools fewer directions than it emits paths
+    c = SiLSCrystal(a1, (2,))
+    e = affine_identity(a1)
+    paths = c.enumerate_demazure(e, 2)
+    pool = {x for x, _d in c.quotient._cover_cache}
+    assert len(pool) < len(paths)
+    for budget, stage in [
+        (len(pool) - 1, "direction pool"),
+        (len(pool), "path enumeration"),
+        (len(paths) - 1, "path enumeration"),
+    ]:
+        with pytest.raises(BudgetExceeded, match=stage):
+            SiLSCrystal(a1, (2,)).enumerate_demazure(e, 2, budget)
+    assert SiLSCrystal(a1, (2,)).enumerate_demazure(e, 2, len(paths)) == paths
 
 
 def test_dropped_crystal_is_collected(a2):

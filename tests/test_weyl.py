@@ -1,6 +1,10 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import bruhat_leq_bfs
@@ -308,6 +312,31 @@ def test_equal_permutations_in_different_types_differ():
     # B3 and C3 both have 18 roots, so their identities share one permutation
     e_b, e_c = finite_identity(build("B", 3)), finite_identity(build("C", 3))
     assert e_b.perm == e_c.perm and e_b != e_c
+
+
+HASH_PROBE = """
+from silspath.cartan import build
+from silspath.weyl import AffineWeylElt, longest_element, weyl_group
+e6 = build("E", 6)
+print(hash(longest_element(e6)), hash(AffineWeylElt(longest_element(e6), (1, 0, -1, 2, 0, 1))))
+print([w.reduced_word() for w in set(weyl_group(build("B", 3)))])
+"""
+
+
+def test_hashes_and_set_order_do_not_depend_on_the_process():
+    # hashes read only the permutation and the translation, never an object
+    # address or a seeded string hash, so every process agrees
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_PROBE], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
 
 
 # SHA-256 digests recorded with the earlier matrix representation, whose
