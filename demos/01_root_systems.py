@@ -15,7 +15,7 @@ for label, rank in [("A", 2), ("C", 2), ("G", 2)]:
     for u in datum.pos_roots:
         print("   ", u, " coroot:", datum.coroot(u))
     print("highest root theta:", datum.theta, " theta^vee:", datum.theta_coroot)
-    print("affinization marks:", (1,) + datum.marks, " comarks:", (1,) + datum.comarks)
+    print("affinization marks:", (1,) + datum.theta, " comarks:", (1,) + datum.theta_coroot)
     print("diagram involution sigma:", datum.sigma)
 
     # pairings are exact integers; rho pairs to 1 with every simple coroot

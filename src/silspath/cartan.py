@@ -3,11 +3,11 @@
 A :class:`CartanDatum` holds the finite Cartan matrix in the convention
 ``cartan[i][j] = <alpha_i^vee, alpha_j>`` together with every derived table
 the rest of the library reads: positive roots (generated by reflection
-closure, not hard-coded), the highest root, marks and comarks of the
-affinization at the distinguished node 0, the symmetrizer, the diagram
-involution induced by the longest Weyl element, and (built on first use) an
-indexed table of all roots and their coroots on which Weyl elements act as
-permutations.
+closure, not hard-coded), the highest root and its coroot (the marks and
+comarks of the affinization at the distinguished node 0), the symmetrizer,
+the diagram involution induced by the longest Weyl element, and (built on
+first use) an indexed table of all roots and their coroots on which Weyl
+elements act as permutations.
 
 Coordinate conventions used throughout the package:
 
@@ -211,8 +211,6 @@ class CartanDatum:
     pos_roots: tuple[Vec, ...]
     theta: Vec
     theta_coroot: Vec
-    marks: Vec
-    comarks: Vec
     sigma: Vec  # sigma[i-1] is the node label paired with node i by -w_0
 
     def __repr__(self) -> str:
@@ -337,8 +335,6 @@ def build(type_label: str, rank: int, /) -> CartanDatum:
         pos_roots=pos,
         theta=theta,
         theta_coroot=theta_coroot,
-        marks=theta,
-        comarks=theta_coroot,
         sigma=_sigma(cartan),
     )
     _check_affinization(datum)
@@ -348,7 +344,7 @@ def build(type_label: str, rank: int, /) -> CartanDatum:
 def _check_affinization(datum: CartanDatum) -> None:
     """The (n+1) x (n+1) affine matrix must kill the mark vector."""
     n = datum.rank
-    marks_aff = (1,) + datum.marks
+    marks_aff = (1,) + datum.theta
     # row 0: <alpha_0^vee, alpha_j> = 2*delta_{j0} - <theta^vee, alpha_j>
     row0 = [2] + [
         -datum.pair_coweight_root(datum.theta_coroot, datum.simple_root(j))

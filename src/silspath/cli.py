@@ -107,8 +107,8 @@ def _cmd_root_system(args) -> int:
             "symmetrizer": list(datum.sym),
             "positive_roots": [list(u) for u in datum.pos_roots],
             "theta": list(datum.theta),
-            "marks": [1] + list(datum.marks),
-            "comarks": [1] + list(datum.comarks),
+            "marks": [1] + list(datum.theta),
+            "comarks": [1] + list(datum.theta_coroot),
             "sigma": list(datum.sigma),
         }
     )

@@ -7,9 +7,12 @@ representatives, the J-adjustment of coweights, the duality x -> x^vee, and
 the cover/order structure of the parabolic semi-infinite Bruhat graph,
 including its rational-level subgraphs.
 
-The decomposition x = w z_xi t_xi is kept per representative x.  A level a
-enters only through its reduced denominator d (a <beta^vee, x lambda> is an
-integer iff d divides the pairing): covers are kept per (x, d), order per (x, y, d).
+The decomposition x = w z_xi t_xi is kept per representative x.  The graph
+lifts the parabolic quantum Bruhat graph QB(W^J) (Ishii-Naito-Sagaki): edge
+labels beta depend only on w = cl(x), and xi only moves the endpoints
+r_beta x, so the labels (the edge set of QB(W^J)) are found once per w.  A
+level a enters only through its reduced denominator d, which must divide the
+label's p = |<beta^vee, x lambda>|: covers are kept per (x, d), order per (x, y, d).
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ class ParabolicQuotient:
     lam: Vec | None = None
     _si_leq_cache: dict = field(default_factory=dict, repr=False)
     _cover_cache: dict = field(default_factory=dict, repr=False)
+    _label_cache: dict = field(default_factory=dict, repr=False)
     _adjust_cache: dict = field(default_factory=dict, repr=False)
     _decompose_cache: dict = field(default_factory=dict, repr=False)
 
@@ -208,30 +212,43 @@ class ParabolicQuotient:
 
     # -- semi-infinite covers and order ----------------------------------------
 
-    def edge_pairing(self, beta: AffineRealRoot, x: AffineWeylElt) -> int:
-        """<beta^vee, x lambda>, the level used by the subgraph condition."""
-        c = self.datum.coroot(beta.finite)
-        return self.datum.pair_coweight_weight(c, x.act_weight(self.lam_weight))
+    @functools.cached_property
+    def _outside(self) -> tuple[tuple[Vec, int | None], ...]:
+        """(u, <u^vee, lambda>) for u in Delta^+ \\ Delta_J^+ in pos_roots order;
+        the pairing is None without a weight."""
+        pair, dj = self.datum.pair_coweight_weight, set(self.delta_j_plus)
+        return tuple(
+            (u, None if self.lam is None else pair(self.datum.coroot(u), self.lam_weight))
+            for u in self.datum.pos_roots
+            if u not in dj
+        )
 
-    def _admits(self, d: int, beta: AffineRealRoot, x: AffineWeylElt) -> bool:
-        """The edge lies in the subgraph of every level with reduced denominator d."""
-        return d == 1 or self.edge_pairing(beta, x) % d == 0
+    def _edge_labels(
+        self, w: FiniteWeylElt, step: int
+    ) -> tuple[tuple[AffineRealRoot, int | None], ...]:
+        """(beta, p) for the edges out of (step 1) or into (step -1) every x over w:
+        beta = step w(u) + chi delta, chi = 1 iff step w(u) < 0, tested once at
+        the lift w t_0, and p = <u^vee, lambda> = |<beta^vee, x lambda>|."""
+        labels = self._label_cache.get((w, step))
+        if labels is None:
+            x, out = from_finite(w), []
+            for u, p in self._outside:
+                alpha = w.act_root(u if step == 1 else vec_neg(u))
+                beta = AffineRealRoot(alpha, 0 if self.datum.is_positive_root(alpha) else 1)
+                y = affine_reflection(self.datum, beta).mul(x)
+                if y.si_length == x.si_length + step and self.is_rep(y):
+                    out.append((beta, p))
+            labels = self._label_cache[w, step] = tuple(out)
+        return labels
 
-    def _cover_candidates(self, w: FiniteWeylElt) -> list[AffineRealRoot]:
-        # labels are w(u) or w(u) + delta for u in Delta^+ \ Delta_J^+,
-        # with the delta shift exactly when w(u) is negative, so all positive
-        datum = self.datum
-        jset = set(self.j_nodes)
-        out = []
-        for u in datum.pos_roots:
-            if all(u[i - 1] == 0 for i in range(1, datum.rank + 1) if i not in jset):
-                continue
-            wu = w.act_root(u)
-            if datum.is_positive_root(wu):
-                out.append(AffineRealRoot(wu, 0))
-            else:
-                out.append(AffineRealRoot(wu, 1))
-        return out
+    def _lift(self, x: AffineWeylElt, a: Fraction | None, step: int):
+        """The labels of cl(x) kept at level a, each with its endpoint r_beta x."""
+        d = 1 if a is None else a.denominator
+        return tuple(
+            (beta, affine_reflection(self.datum, beta).mul(x))
+            for beta, p in self._edge_labels(self.decompose(x).w, step)
+            if d == 1 or p is not None and p % d == 0
+        )
 
     def si_covers(
         self, x: AffineWeylElt, a: Fraction | None = None
@@ -239,35 +256,17 @@ class ParabolicQuotient:
         """All edges x -> r_beta x of the graph (restricted to level a if given).
 
         Only a's reduced denominator d matters: kept per (x, d), with a = None as d = 1."""
-        d = 1 if a is None else a.denominator
-        cached = self._cover_cache.get((x, d))
+        key = (x, 1 if a is None else a.denominator)
+        cached = self._cover_cache.get(key)
         if cached is None:
-            full = self._cover_cache.get((x, 1))
-            if full is None:
-                out = []
-                for beta in self._cover_candidates(self.decompose(x).w):
-                    y = affine_reflection(self.datum, beta).mul(x)
-                    if y.si_length == x.si_length + 1 and self.is_rep(y):
-                        out.append((beta, y))
-                full = self._cover_cache[x, 1] = tuple(out)
-            cached = full if d == 1 else tuple(e for e in full if self._admits(d, e[0], x))
-            self._cover_cache[x, d] = cached
+            cached = self._cover_cache[key] = self._lift(x, a, 1)
         return cached
 
     def si_lower_covers(
         self, x: AffineWeylElt, a: Fraction | None = None
     ) -> tuple[tuple[AffineRealRoot, AffineWeylElt], ...]:
         """All edges z -> x, listed as (beta, z)."""
-        out = []
-        datum = self.datum
-        d = 1 if a is None else a.denominator
-        for u in datum.pos_roots:
-            for beta in (AffineRealRoot(u, 0), AffineRealRoot(vec_neg(u), 1)):
-                z = affine_reflection(datum, beta).mul(x)
-                if z.si_length == x.si_length - 1 and self.is_rep(z):
-                    if self._admits(d, beta, z):
-                        out.append((beta, z))
-        return tuple(out)
+        return self._lift(x, a, -1)
 
     def si_leq(
         self,
@@ -332,15 +331,7 @@ class ParabolicQuotient:
 
     def pairing_values(self) -> tuple[int, ...]:
         """The positive pairings <gamma^vee, lambda> over gamma outside Delta_J."""
-        vals = set()
-        jset = set(self.j_nodes)
-        for u in self.datum.pos_roots:
-            if all(u[i - 1] == 0 for i in range(1, self.datum.rank + 1) if i not in jset):
-                continue
-            vals.add(
-                self.datum.pair_coweight_weight(self.datum.coroot(u), self.lam_weight)
-            )
-        return tuple(sorted(vals))
+        return tuple(sorted({p for _u, p in self._outside}))
 
     def cut_grid(self) -> tuple[Fraction, ...]:
         """All rationals in (0,1) that can occur as cut points of a valid path:

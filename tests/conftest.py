@@ -5,7 +5,7 @@ import pytest
 from silspath.cartan import AffineRealRoot, build, vec_add, vec_neg
 from silspath.characters import GradedCharacter
 from silspath.peterson import ParabolicQuotient
-from silspath.weyl import finite_reflection, weyl_group
+from silspath.weyl import affine_reflection, finite_reflection, weyl_group
 
 
 @pytest.fixture(scope="session")
@@ -158,3 +158,47 @@ def quotient_reps_by_filter(datum, lam):
     """The minimal coset representatives, filtered out of all of W."""
     quotient = ParabolicQuotient.for_weight(datum, tuple(lam))
     return tuple(w for w in weyl_group(datum) if quotient.is_min_rep(w))
+
+
+def edge_pairing(quotient, beta, x):
+    """<beta^vee, x lambda>, the pairing a level's subgraph condition reads."""
+    datum = quotient.datum
+    c = datum.coroot(beta.finite)
+    return datum.pair_coweight_weight(c, x.act_weight(quotient.lam_weight))
+
+
+def cover_candidates(quotient, w):
+    """The up-cover candidates at every x over w: w(u) + chi delta for u in
+    Delta^+ \\ Delta_J^+, with chi = 1 exactly when w(u) is negative."""
+    datum = quotient.datum
+    dj = set(quotient.delta_j_plus)
+    out = []
+    for u in datum.pos_roots:
+        if u not in dj:
+            wu = w.act_root(u)
+            out.append(AffineRealRoot(wu, 0 if datum.is_positive_root(wu) else 1))
+    return out
+
+
+def covers_by_scan(quotient, x, a=None, step=1):
+    """The edges out of x (step 1, as (beta, r_beta x)) or into x (step -1, as
+    (beta, z)) at level a, by testing every candidate: si_length must change by
+    step and r_beta x must be a representative.  Up, the candidates are
+    `cover_candidates`; down, all 2|Delta^+| roots u and -u + delta."""
+    datum = quotient.datum
+    if step == 1:
+        candidates = cover_candidates(quotient, quotient.decompose(x).w)
+    else:
+        candidates = [
+            beta
+            for u in datum.pos_roots
+            for beta in (AffineRealRoot(u, 0), AffineRealRoot(vec_neg(u), 1))
+        ]
+    d = 1 if a is None else a.denominator
+    out = []
+    for beta in candidates:
+        y = affine_reflection(datum, beta).mul(x)
+        if y.si_length == x.si_length + step and quotient.is_rep(y):
+            if d == 1 or edge_pairing(quotient, beta, x if step == 1 else y) % d == 0:
+                out.append((beta, y))
+    return tuple(out)

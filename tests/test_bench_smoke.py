@@ -4,15 +4,32 @@ The quick run hashes the first op of each workload (Macdonald on B3 (1,1,0),
 grch1 on A1, quotient characters on G2 (1,1)) and compares the digests with
 `bench/expected.json`, so a change to any of those results fails here.  The
 traced run also wraps every name in `bench/spans.py` TARGETS, so deleting or
-renaming one of them fails here too.
+renaming one of them fails here too.  Every other op of every workload runs
+in-process against the same digests.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import silspath
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _bench_workloads()
+EXPECTED = json.loads((ROOT / "bench" / "expected.json").read_text())
 
 
 def quick_run(trace: str) -> dict:
@@ -57,3 +74,14 @@ def test_quick_traced_benchmark_run_is_correct():
     for workload in spec["workloads"]:
         path = ROOT / "bench" / "out" / f"run_{workload['name']}_seed1_trace1.json"
         assert json.loads(path.read_text())["traced_digests_match"] is True
+
+
+@pytest.mark.parametrize(
+    "case",
+    [case for name in WORKLOADS.WORKLOADS for case in WORKLOADS.cases(name)],
+    ids=lambda case: case.op_id,
+)
+def test_every_benchmark_op_gives_its_expected_digest(case):
+    payload, identity = WORKLOADS.run_op(silspath, case)
+    assert identity
+    assert WORKLOADS.digest(payload) == EXPECTED[case.op_id]

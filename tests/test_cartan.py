@@ -32,8 +32,7 @@ def test_build_returns_one_datum_per_type_and_rank():
 
 def test_build_a1(a1):
     assert a1.pos_roots == ((1,),)
-    assert a1.theta == (1,)
-    assert a1.marks == (1,) and a1.comarks == (1,)
+    assert a1.theta == (1,) and a1.theta_coroot == (1,)
 
 
 def test_build_a2(a2):
@@ -146,7 +145,7 @@ def test_affine_matrix_annihilates_marks(a2, c2):
     # alpha_0^vee = c - theta^vee; its mark vector must be a null vector
     for datum in (a2, c2):
         n = datum.rank
-        marks_aff = (1,) + datum.marks
+        marks_aff = (1,) + datum.theta
         row0 = [2] + [
             -datum.pair_coweight_root(datum.theta_coroot, datum.simple_root(j))
             for j in range(1, n + 1)

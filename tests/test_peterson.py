@@ -1,9 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from silspath.cartan import AffineRealRoot, build, vec_sub
 from silspath.peterson import ParabolicQuotient
+from silspath.sils import SiLSCrystal
 from silspath.weyl import (
     AffineWeylElt,
     affine_identity,
@@ -17,7 +19,14 @@ from silspath.weyl import (
     weyl_group,
 )
 
-from conftest import is_rep_critical, order_quotients
+from conftest import (
+    ORDER_CASES,
+    cover_candidates,
+    covers_by_scan,
+    edge_pairing,
+    is_rep_critical,
+    order_quotients,
+)
 
 
 def test_is_rep_examples(a2):
@@ -78,7 +87,7 @@ def test_is_rep_by_simple_roots_matches_critical_roots(fam, lam):
     candidates = [
         affine_reflection(datum, beta).mul(x)
         for x in ball
-        for beta in quotient._cover_candidates(quotient.decompose(x).w)
+        for beta in cover_candidates(quotient, quotient.decompose(x).w)
     ]
     sample = ball + tuple(candidates)
     verdicts = [quotient.is_rep(y) for y in sample]
@@ -221,6 +230,82 @@ def test_si_covers_examples(a1):
     assert two.si_covers(e, Fraction(1, 2)) == ((AffineRealRoot((1,), 0), s1),)
     one_half = quotient.si_covers(e, Fraction(1, 2))
     assert one_half == ()  # (1/2) * 1 is not an integer
+
+
+SCAN_CASES = ORDER_CASES + [
+    (("A", 3), (1, 0, 1)),
+    (("B", 3), (0, 1, 0)),
+    (("C", 3), (0, 1, 0)),
+    (("G", 2), (1, 1)),
+    (("G", 2), (0, 1)),
+    (("C", 2), (2, 1)),
+    (("B", 2), (1, 1)),
+]
+
+
+def assert_covers_match_scan(quotient, x, a):
+    # up covers tuple for tuple (si-graph prints them in this order); down
+    # covers as multisets, since the scan lists them in another order
+    assert quotient.si_covers(x, a) == covers_by_scan(quotient, x, a, 1), (x, a)
+    lower = covers_by_scan(quotient, x, a, -1)
+    assert Counter(quotient.si_lower_covers(x, a)) == Counter(lower), (x, a)
+
+
+@pytest.mark.parametrize("fam,lam", SCAN_CASES)
+def test_covers_match_candidate_scan(fam, lam):
+    # the per-direction labels, lifted, give exactly the edges the full
+    # candidate scan finds at each x, at every level of the cut grid
+    quotient = ParabolicQuotient.for_weight(build(*fam), lam)
+    for x in quotient.si_ball(3):
+        for a in (None,) + quotient.cut_grid():
+            assert_covers_match_scan(quotient, x, a)
+
+
+@pytest.mark.parametrize("fam,lam", SCAN_CASES)
+def test_scanned_labels_depend_only_on_the_finite_direction(fam, lam):
+    # the lifting theorem the labels rest on, checked on the scan itself:
+    # x and the lift cl(x) t_0 find the same labels up and down
+    quotient = ParabolicQuotient.for_weight(build(*fam), lam)
+    for x in quotient.si_ball(3):
+        lift = from_finite(quotient.cl_direction(x))
+        for step in (1, -1):
+            labels = [beta for beta, _ in covers_by_scan(quotient, x, None, step)]
+            assert labels == [beta for beta, _ in covers_by_scan(quotient, lift, None, step)]
+
+
+# the grch1 cases of the benchmark's verify workload, with their depths
+GRCH1_CASES = [
+    (("A", 1), (4,), 8),
+    (("C", 2), (1, 1), 3),
+    (("A", 3), (1, 0, 1), 3),
+    (("G", 2), (0, 1), 5),
+    (("A", 2), (2, 1), 5),
+    (("B", 2), (1, 1), 4),
+    (("B", 3), (0, 1, 0), 3),
+]
+
+
+@pytest.mark.parametrize("fam,lam,depth", GRCH1_CASES)
+def test_enumeration_pool_covers_match_candidate_scan(fam, lam, depth):
+    # every (x, level denominator) whose covers the enumeration asked for
+    datum = build(*fam)
+    crystal = SiLSCrystal(datum, lam)
+    crystal.enumerate_demazure(affine_identity(datum), depth)
+    keys = list(crystal.quotient._cover_cache)
+    assert keys
+    fresh = ParabolicQuotient.for_weight(datum, lam)
+    for x, d in keys:
+        assert_covers_match_scan(fresh, x, None if d == 1 else Fraction(1, d))
+
+
+def test_subset_quotient_ball_matches_candidate_scan():
+    # a quotient without a weight still answers covers, lower covers and
+    # si_ball at level None
+    quotient = ParabolicQuotient.for_subset(build("A", 3), (2,))
+    ball = quotient.si_ball(2)
+    assert len(ball) == 17
+    for x in ball:
+        assert_covers_match_scan(quotient, x, None)
 
 
 def test_si_covers_against_bruteforce():
@@ -377,7 +462,7 @@ def test_level_covers_match_fraction_rule(fam, lam):
         for a in levels:
             kept = tuple(
                 (beta, y) for beta, y in full
-                if (a * quotient.edge_pairing(beta, x)).denominator == 1
+                if (a * edge_pairing(quotient, beta, x)).denominator == 1
             )
             assert quotient.si_covers(x, a) == kept, (x, a)
 
