@@ -18,9 +18,7 @@ from .weyl import (
     FiniteWeylElt,
     affine_identity,
     bruhat_leq,
-    finite_identity,
     longest_element,
-    simple_reflection,
 )
 from .peterson import ParabolicQuotient
 from .qls import QLSCrystal
@@ -218,27 +216,10 @@ def weyl_character(datum: CartanDatum, lam: Vec) -> GradedCharacter:
 
 
 def minus_quotient_reps(datum: CartanDatum, lam: Vec) -> tuple[FiniteWeylElt, ...]:
-    """All minimal coset representatives for the stabilizer of lambda.
-
-    w -> w lambda maps W^J onto the orbit W lambda.  A search of the orbit
-    steps from w to r_i w whenever (w lambda)_i > 0, which lengthens w by one
-    and stays in W^J; every element of W^J is reached, and W is never built.
-    Sorted by (length, sort_key).
-    """
-    lam = tuple(lam)
-    ParabolicQuotient.for_weight(datum, lam)  # rejects a non-dominant lambda
-    alphas = [datum.root_to_fw(datum.simple_root(i)) for i in range(1, datum.rank + 1)]
-    reps = {lam: finite_identity(datum)}
-    frontier = [lam]
-    while frontier:
-        mu = frontier.pop()
-        for i, n in enumerate(mu, 1):
-            if n > 0:
-                nu = tuple(m - n * a for m, a in zip(mu, alphas[i - 1]))
-                if nu not in reps:
-                    reps[nu] = simple_reflection(datum, i).mul(reps[mu])
-                    frontier.append(nu)
-    return tuple(sorted(reps.values(), key=lambda w: (w.length, w.sort_key)))
+    """All minimal coset representatives for the stabilizer of lambda, read off
+    the orbit search `ParabolicQuotient.orbit`; sorted by (length, sort_key)."""
+    orbit = ParabolicQuotient.for_weight(datum, tuple(lam)).orbit
+    return tuple(sorted(orbit.values(), key=lambda w: (w.length, w.sort_key)))
 
 
 def floor_w0(datum: CartanDatum, lam: Vec) -> FiniteWeylElt:

@@ -13,11 +13,14 @@ labels beta depend only on w = cl(x), and xi only moves the endpoints
 r_beta x, so the labels (the edge set of QB(W^J)) are found once per w.  A
 level a enters only through its reduced denominator d, which must divide the
 label's p = |<beta^vee, x lambda>|: covers are kept per (x, d), order per (x, y, d).
+For a weight, QB(W^J) itself is also built on the orbit points w lambda, where
+an edge is one lookup and a length test; the QLS table reads it from there.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -27,6 +30,7 @@ from .cartan import (
     CartanDatum,
     LevelZeroWeight,
     Vec,
+    vec_add,
     vec_neg,
     vec_sub,
 )
@@ -35,6 +39,7 @@ from .weyl import (
     FiniteWeylElt,
     affine_identity,
     affine_reflection,
+    finite_identity,
     from_finite,
     longest_element,
     simple_reflection,
@@ -80,6 +85,7 @@ class ParabolicQuotient:
     _label_cache: dict = field(default_factory=dict, repr=False)
     _adjust_cache: dict = field(default_factory=dict, repr=False)
     _decompose_cache: dict = field(default_factory=dict, repr=False)
+    _reach_cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def for_weight(cls, datum: CartanDatum, lam: Vec) -> "ParabolicQuotient":
@@ -225,19 +231,20 @@ class ParabolicQuotient:
 
     def _edge_labels(
         self, w: FiniteWeylElt, step: int
-    ) -> tuple[tuple[AffineRealRoot, int | None], ...]:
-        """(beta, p) for the edges out of (step 1) or into (step -1) every x over w:
-        beta = step w(u) + chi delta, chi = 1 iff step w(u) < 0, tested once at
-        the lift w t_0, and p = <u^vee, lambda> = |<beta^vee, x lambda>|."""
+    ) -> tuple[tuple[AffineRealRoot, int | None, AffineWeylElt], ...]:
+        """(beta, p, r_beta) for the edges out of (step 1) or into (step -1) every
+        x over w: beta = step w(u) + chi delta, chi = 1 iff step w(u) < 0, tested
+        once at the lift w t_0, and p = <u^vee, lambda> = |<beta^vee, x lambda>|."""
         labels = self._label_cache.get((w, step))
         if labels is None:
             x, out = from_finite(w), []
             for u, p in self._outside:
                 alpha = w.act_root(u if step == 1 else vec_neg(u))
                 beta = AffineRealRoot(alpha, 0 if self.datum.is_positive_root(alpha) else 1)
-                y = affine_reflection(self.datum, beta).mul(x)
+                refl = affine_reflection(self.datum, beta)
+                y = refl.mul(x)
                 if y.si_length == x.si_length + step and self.is_rep(y):
-                    out.append((beta, p))
+                    out.append((beta, p, refl))
             labels = self._label_cache[w, step] = tuple(out)
         return labels
 
@@ -245,8 +252,8 @@ class ParabolicQuotient:
         """The labels of cl(x) kept at level a, each with its endpoint r_beta x."""
         d = 1 if a is None else a.denominator
         return tuple(
-            (beta, affine_reflection(self.datum, beta).mul(x))
-            for beta, p in self._edge_labels(self.decompose(x).w, step)
+            (beta, refl.mul(x))
+            for beta, p, refl in self._edge_labels(self.decompose(x).w, step)
             if d == 1 or p is not None and p % d == 0
         )
 
@@ -338,3 +345,75 @@ class ParabolicQuotient:
         those whose denominator divides one of the pairing values."""
         dens = {q for v in self.pairing_values() for q in range(2, v + 1) if v % q == 0}
         return tuple(sorted({Fraction(p, q) for q in dens for p in range(1, q)}))
+
+    # -- the orbit W lambda and the parabolic quantum Bruhat graph QB(W^J) -------
+
+    @functools.cached_property
+    def orbit(self) -> dict[Vec, FiniteWeylElt]:
+        """w lambda -> w over W^J, by a search of the orbit W lambda that steps
+        from w to r_i w whenever (w lambda)_i > 0: that lengthens w by one and
+        stays in W^J, every element of W^J is reached, and W is never built."""
+        datum, lam = self.datum, self.lam
+        alphas = [datum.root_to_fw(datum.simple_root(i)) for i in range(1, datum.rank + 1)]
+        reps = {lam: finite_identity(datum)}
+        frontier = [lam]
+        while frontier:
+            mu = frontier.pop()
+            for i, n in enumerate(mu, 1):
+                if n > 0:
+                    nu = tuple(m - n * a for m, a in zip(mu, alphas[i - 1]))
+                    if nu not in reps:
+                        reps[nu] = simple_reflection(datum, i).mul(reps[mu])
+                        frontier.append(nu)
+        return reps
+
+    @functools.cached_property
+    def qb_edges(self) -> dict[FiniteWeylElt, tuple[tuple[FiniteWeylElt, int, Vec, Vec | None], ...]]:
+        """(target, p, u, u^vee or None) for the edges w -> floor(w r_u) of QB(W^J),
+        u in Delta^+ \\ Delta_J^+ in pos_roots order and p = <u^vee, lambda>: the
+        target's orbit point is nu = w lambda - p w(u), and the edge is a Bruhat
+        edge (None) if l(nu) = l(w) + 1, a quantum edge (of coweight u^vee) if
+        l(nu) = l(w) + 1 - <u^vee, 2 rho - 2 rho_J>."""
+        datum, orbit = self.datum, self.orbit
+        table = datum.root_table
+        root_fw = [datum.root_to_fw(v) for v in table.roots]
+        shifts = {p: [tuple(p * c for c in v) for v in root_fw] for p in self.pairing_values()}
+        two_rho_j = tuple(map(sum, zip((0,) * datum.rank, *self.delta_j_plus)))
+        rows = []
+        for u, p in self._outside:
+            c = datum.coroot(u)
+            c_u = 2 * sum(c) - datum.pair_coweight_root(c, two_rho_j)
+            rows.append((table.index[u], p, u, c, c_u, shifts[p]))
+        graph = {}
+        for mu, w in orbit.items():
+            perm, up, out = w.perm, w.length + 1, []
+            for k, p, u, c, c_u, shift in rows:
+                v = orbit[tuple(map(operator.sub, mu, shift[perm[k]]))]
+                if v.length == up:
+                    out.append((v, p, u, None))
+                elif v.length == up - c_u:
+                    out.append((v, p, u, c))
+            graph[w] = tuple(out)
+        return graph
+
+    def qb_reach(self, w: FiniteWeylElt, d: int) -> dict[FiniteWeylElt, tuple[int, Vec]]:
+        """v -> (wt_lambda, wt) for every v reachable from w in the subgraph of
+        QB(W^J) whose edges have p divisible by d (the level of a cut of
+        denominator d): wt is the coweight of a shortest path (a breadth-first
+        search) and wt_lambda its pairing with lambda.  Kept per (w, d)."""
+        reach = self._reach_cache.get((w, d))
+        if reach is None:
+            graph = self.qb_edges
+            reach = {w: (0, (0,) * self.datum.rank)}
+            frontier = [w]
+            while frontier:
+                nxt = []
+                for v in frontier:
+                    wt, xi = reach[v]
+                    for y, p, _u, c in graph[v]:
+                        if p % d == 0 and y not in reach:
+                            reach[y] = (wt, xi) if c is None else (wt + p, vec_add(xi, c))
+                            nxt.append(y)
+                frontier = nxt
+            self._reach_cache[w, d] = reach
+        return reach

@@ -1,46 +1,45 @@
-"""Quantum LS paths as projections of the semi-infinite crystal.
+"""Quantum LS paths: the finite crystal of shape lambda, read off QB(W^J).
 
-The finite crystal of shape lambda is generated from the straight-line path
-by root operators, recording one lift per element in the component of the
-unit path; the projection cl forgets the translation data of each direction
-and merges equal neighbours.  The distinguished lifts with final (resp.
-initial) direction inside the finite quotient W^J supply the tail degrees
-used by the graded characters; the table keeps them in one row per element.
+A quantum LS path (Lenart-Naito-Sagaki-Schilling-Shimozono) is a chain
+w_1, ..., w_s in W^J with cuts 0 = sigma_0 < sigma_1 < ... < sigma_s = 1, where
+w_u != w_{u+1} and w_u is reachable from w_{u+1} in QB_{sigma_u lambda}(W^J):
+the edges of the parabolic quantum Bruhat graph whose p = <u^vee, lambda> the
+denominator of sigma_u divides.  These are the projections cl of the
+semi-infinite LS paths (Ishii-Naito-Sagaki), so no root operator runs here.
 
-Both distinguished lifts are read off the recorded lift by one right
-translation: if the recorded lift's final (resp. initial) direction is
-w z_xi t_xi, mapping every direction by x -> Pi^J(x t_{-xi}) and keeping the
-cuts gives the lift whose final (resp. initial) direction is w.  The map is
-a bijection of the Peterson representatives (its inverse translates by
-t_xi) and changes each direction's weight x(lambda) only by a multiple of
-delta, because (W_J)_af fixes lambda.  Root operators act on the left
-(x -> r_j x) and read only the finite part of those weights, while the
-translation acts on the right, so heights, cut points and the operators
-themselves commute with the map (the translation symmetry of
-Ishii-Naito-Sagaki's semi-infinite LS path model).  The image therefore
-lies in the unit component and has the same projection, whichever end xi
-is read from.
+The graph lives on the orbit points mu = w lambda (`ParabolicQuotient.qb_edges`):
+for u in Delta^+ \\ Delta_J^+ the edge w -> floor(w r_u) ends at nu = mu - p w(u).
+It is a Bruhat edge if l(nu) = l(w) + 1, and a quantum edge of coweight u^vee
+(lambda-weight p) if l(nu) = l(w) + 1 - <u^vee, 2 rho - 2 rho_J>.  With
+wt(v => w) the coweight of a shortest path in the level's subgraph and
+wt_lambda its pairing with lambda (`ParabolicQuotient.qb_reach`), a row holds
 
-The table rows rest on two identities that follow.  Pi^J(x t_{-xi}) has
-weight x(lambda) + <xi, lambda> delta, so each tail degree is
-wt(recorded lift).delta + <xi_end, lambda>, and no lift is built for it.
-The translated lift's end direction lies in W^J, so it is psi's own end
-direction: psi.directions[-1] for kappa, psi.directions[0] for iota.
+    weight    = sum_u (sigma_u - sigma_{u-1}) w_u lambda,
+    deg_kappa = -sum_u sigma_u wt_lambda(w_{u+1} => w_u)   (the LNSSS Deg),
+    deg_iota  = sum_u (1 - sigma_u) wt_lambda(w_{u+1} => w_u).
+
+The distinguished lifts are rebuilt from the chain on demand.  With xi_s = 0
+and xi_u = xi_{u+1} + wt(w_{u+1} => w_u), `eta_kappa` has the directions
+Pi^J(w_u t_{xi_u}) = w_u z_{xi_u} t_{xi_u + phi_J(xi_u)} and delta coefficient
+deg_kappa; `eta_iota` is its right translate by t_{-xi_1}, with delta
+coefficient deg_iota.  Right translations commute with the root operators,
+which act on the left, so both lifts lie in the unit component.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
-from .cartan import CartanDatum, Vec, vec_neg
+from .cartan import CartanDatum, Vec, vec_add, vec_sub
 from .weyl import (
+    AffineWeylElt,
     BudgetExceeded,
     FiniteWeylElt,
     finite_reflection,
     from_finite,
     simple_reflection,
-    translation,
 )
 from .sils import CutPath, SiLSCrystal, SiLSPath, merge_segments, root_splice
 
@@ -54,10 +53,8 @@ class QLSPath(CutPath):
 
 
 class LiftRecord(NamedTuple):
-    """A table row: a lift, the element's weight and the delta coefficients
-    of `eta_kappa` and `eta_iota` of the element."""
+    """A table row: the weight and the delta coefficients of `eta_kappa` and `eta_iota`."""
 
-    lift: SiLSPath
     weight: Vec
     deg_kappa: int
     deg_iota: int
@@ -78,32 +75,33 @@ class QLSCrystal:
     def weight(self, psi: QLSPath) -> Vec:
         return self.table[psi].weight
 
-    def _record(self, lift: SiLSPath) -> LiftRecord:
-        """The row of cl(lift), its degrees by the identity in the module docstring."""
-        wt = self.sils.weight(lift)
-        deg = lambda x: wt.delta + self.datum.pair_coweight_weight(x.xi, self.sils.lam_weight)
-        return LiftRecord(lift, wt.fw, deg(lift.kappa), deg(lift.iota))
-
     @functools.cached_property
     def table(self) -> dict[QLSPath, LiftRecord]:
-        """Generate the full finite crystal with one row per element."""
-        budget = 200_000
-        start = self.sils.unit_path()
-        table = {self.cl(start): self._record(start)}
-        queue = [start]
-        while queue:
-            lift = queue.pop()
-            for j in range(self.datum.rank + 1):
-                for op in (self.sils.root_e, self.sils.root_f):
-                    lift2 = op(lift, j)
-                    if lift2 is None:
-                        continue
-                    psi2 = self.cl(lift2)
-                    if psi2 not in table:
-                        if len(table) >= budget:
-                            raise BudgetExceeded("QLS generation exceeded budget")
-                        table[psi2] = self._record(lift2)
-                        queue.append(lift2)
+        """Every QLS path with its row, by a depth-first search over chains
+        grown from the final direction; cuts are ticks over N."""
+        quotient, n = self.sils.quotient, self.sils.n
+        points = {w: mu for mu, w in quotient.orbit.items()}
+        levels = [(a.numerator * (n // a.denominator), a.denominator) for a in quotient.cut_grid()]
+        table: dict[QLSPath, LiftRecord] = {}
+        # (w_s, ..., w_u), (tick_{s-1}, ..., tick_u), the weight of the segments
+        # right of tick_u and the two degree sums, all times N
+        stack = [((w,), (), (0,) * self.datum.rank, 0, 0) for w in points]
+        while stack:
+            chain, cuts, settled, deg_kappa, deg_iota = stack.pop()
+            top, right = chain[-1], cuts[-1] if cuts else n
+            mu = points[top]
+            psi = QLSPath.from_ticks(chain[::-1], (0,) + cuts[::-1] + (n,), n)
+            weight = tuple((s + right * m) // n for s, m in zip(settled, mu))
+            table[psi] = LiftRecord(weight, deg_kappa // n, deg_iota // n)
+            if len(table) > 200_000:
+                raise BudgetExceeded("QLS table exceeded budget")
+            for a, d in levels:
+                if a < right:
+                    step = tuple(s + (right - a) * m for s, m in zip(settled, mu))
+                    for y, (wt, _xi) in quotient.qb_reach(top, d).items():
+                        if y != top:
+                            kappa, iota = deg_kappa - a * wt, deg_iota + (n - a) * wt
+                            stack.append((chain + (y,), cuts + (a,), step, kappa, iota))
         return table
 
     def paths(self) -> tuple[QLSPath, ...]:
@@ -111,30 +109,30 @@ class QLSCrystal:
 
     # -- distinguished lifts ----------------------------------------------------
 
-    def _translated_lift(self, psi: QLSPath, end: str) -> SiLSPath:
-        """The recorded lift translated on the right so that its `end`
-        direction ("kappa" or "iota") lies in W^J; see the module docstring."""
-        lift = self.table[psi].lift
-        quotient = self.sils.quotient
-        shift = translation(self.datum, vec_neg(getattr(lift, end).xi))
-        dirs = tuple(quotient.project(x.mul(shift)) for x in lift.directions)
-        lift = SiLSPath.from_ticks(dirs, lift.ticks, lift.den)
-        x = getattr(lift, end)
-        assert not any(x.xi) and quotient.is_min_rep(x.w)
-        assert self.cl(lift) == psi
+    def _lift(self, psi: QLSPath, end: str) -> SiLSPath:
+        """The lift of psi whose `end` direction ("kappa" or "iota") lies in
+        W^J, rebuilt from the chain; see the module docstring."""
+        quotient, dirs, ticks = self.sils.quotient, psi.directions, psi.ticks
+        xis = [(0,) * self.datum.rank]  # xi_s, ..., xi_1
+        for u in range(len(dirs) - 2, -1, -1):
+            d = psi.den // math.gcd(psi.den, ticks[u + 1])
+            xis.append(vec_add(xis[-1], quotient.qb_reach(dirs[u + 1], d)[dirs[u]][1]))
+        lifted = []
+        for w, xi in zip(dirs, reversed(xis)):
+            xi = vec_sub(xi, xis[-1]) if end == "iota" else xi
+            phi, z = quotient.j_adjust(xi)
+            lifted.append(AffineWeylElt(w.mul(z), vec_add(xi, phi)))
+        lift = SiLSPath.from_ticks(tuple(lifted), ticks, psi.den)
+        assert self.cl(lift) == psi  # decompose checks each direction is a representative
         return lift
 
     def eta_kappa(self, psi: QLSPath) -> SiLSPath:
         """The unique lift in the unit component with final direction in W^J."""
-        return self._translated_lift(psi, "kappa")
+        return self._lift(psi, "kappa")
 
     def eta_iota(self, psi: QLSPath) -> SiLSPath:
-        """The unique lift in the unit component with initial direction in W^J.
-
-        It is the recorded lift translated by the initial direction's xi, as
-        `eta_kappa` is by the final one's.
-        """
-        return self._translated_lift(psi, "iota")
+        """The unique lift in the unit component with initial direction in W^J."""
+        return self._lift(psi, "iota")
 
     def deg_tail(self, psi: QLSPath) -> int:
         """The delta coefficient of the weight of `eta_kappa(psi)`."""
@@ -146,8 +144,7 @@ class QLSCrystal:
 
     def star_dual(self, psi: QLSPath) -> QLSPath:
         """The image of psi under the weight-negating bijection to the dual shape."""
-        rec = self.table[psi]
-        image = self.dual.cl(self.sils.dual_path(rec.lift))
+        image = self.dual.cl(self.sils.dual_path(self.eta_kappa(psi)))
         assert image in self.dual.table
         return image
 

@@ -413,8 +413,7 @@ class SiLSCrystal:
         """All paths with kappa >= x whose weight delta is >= -depth."""
         assert depth >= 0
         quotient = self.quotient
-        lam = self.lam_weight
-        p_of = lambda z: self.datum.pair_coweight_weight(z.xi, lam)
+        p_of = lambda z: -self._direction(z)[0].delta  # <xi, lambda>, read off z(lambda)
         grid = quotient.cut_grid()
         # the grid's largest denominator, so 1/max_den is its smallest cut;
         # the pool bound rests on it, not on N
@@ -428,35 +427,35 @@ class SiLSCrystal:
         levels = {a.numerator * (n // a.denominator): a for a in grid}
 
         @functools.lru_cache(maxsize=None)
-        def upward(z: AffineWeylElt, a: int) -> tuple[AffineWeylElt, ...]:
-            seen = {z}
+        def upward(z: AffineWeylElt, a: int) -> tuple[tuple[AffineWeylElt, int], ...]:
+            """(y, p_of(y)) for every y > z at level a with p_of(y) <= bound."""
+            seen = {z: p_of(z)}
             queue = [z]
             while queue:
                 cur = queue.pop()
                 for _beta, y in quotient.si_covers(cur, levels.get(a)):
-                    if y not in seen and p_of(y) <= bound:
+                    if y not in seen and (p := p_of(y)) <= bound:
                         if len(seen) >= budget:
                             raise BudgetExceeded("direction pool exceeded budget")
-                        seen.add(y)
+                        seen[y] = p
                         queue.append(y)
-            seen.discard(z)
-            return tuple(seen)
+            del seen[z]
+            return tuple(seen.items())
 
         # reachable direction pool: everything >= x with bounded pairing
-        pool = (x,) + upward(x, n)
+        pool = ((x, p_x),) + upward(x, n)
 
-        # depth-first over (chain, cuts_desc, settled), children pushed in
-        # reverse so they pop in order; no recursive closure keeps `self`
-        # alive in a reference cycle
+        # depth-first over (chain, cuts_desc, settled, p_of(top)), children
+        # pushed in reverse so they pop in order; no recursive closure keeps
+        # `self` alive in a reference cycle
         results: list[SiLSPath] = []
-        kappas = sorted(pool, key=lambda z: (z.si_length, z.xi, z.w.sort_key))
-        stack = [((kappa,), (), 0) for kappa in reversed(kappas)]
+        kappas = sorted(pool, key=lambda zp: (zp[0].si_length, zp[0].xi, zp[0].w.sort_key))
+        stack = [((kappa,), (), 0, p) for kappa, p in reversed(kappas)]
         while stack:
-            chain, cuts_desc, settled = stack.pop()
-            top = chain[-1]
+            chain, cuts_desc, settled, p_top = stack.pop()
             right = cuts_desc[-1] if cuts_desc else n
-            # closing now puts `top` on [0, right]
-            if settled + right * p_of(top) <= limit:
+            # closing now puts the top direction on [0, right]
+            if settled + right * p_top <= limit:
                 dirs = tuple(reversed(chain))
                 ticks = (0,) + tuple(reversed(cuts_desc)) + (n,)
                 results.append(SiLSPath.from_ticks(dirs, ticks, n))
@@ -466,13 +465,13 @@ class SiLSCrystal:
             for a in levels:
                 if a >= right:
                     continue
-                new_settled = settled + (right - a) * p_of(top)
-                # every remaining direction pairs at least as high as `top`
-                if new_settled + a * p_of(top) > limit:
+                new_settled = settled + (right - a) * p_top
+                # every remaining direction pairs at least as high as the top
+                if new_settled + a * p_top > limit:
                     continue
-                for y in upward(top, a):
-                    if new_settled + a * p_of(y) <= limit:
-                        children.append((chain + (y,), cuts_desc + (a,), new_settled))
+                for y, p in upward(chain[-1], a):
+                    if new_settled + a * p <= limit:
+                        children.append((chain + (y,), cuts_desc + (a,), new_settled, p))
             stack.extend(reversed(children))
 
         results.sort(key=lambda eta: eta.sort_key(n))

@@ -7,11 +7,11 @@ roots sent negative.  Actions on weights and coweights are read off the
 coroots of the images of the simple roots.  An affine element is the pair
 ``w · t_xi``.
 
-Equality is the generated dataclass one: it compares the tuple (and ``xi``)
-and the datum, which is compared by identity, since ``build`` makes one datum
-per (type, rank).  Hashes read only ``perm`` (and ``xi``), never an address,
-so hash values and the iteration order of sets of elements are the same in
-every process.
+Equality compares the tuple and the datum, which is compared by identity,
+since ``build`` makes one datum per (type, rank); affine equality tests ``xi``,
+a tuple compare, before ``w``.  Hashes read only ``perm`` (and ``xi``), never
+an address, so hash values and the iteration order of sets of elements are
+the same in every process.
 """
 
 from __future__ import annotations
@@ -233,6 +233,9 @@ class AffineWeylElt:
 
     w: FiniteWeylElt
     xi: Vec
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is AffineWeylElt and (self.xi, self.w) == (other.xi, other.w)
 
     def __hash__(self) -> int:
         return hash((self.w.perm, self.xi))

@@ -1,11 +1,13 @@
+import functools
 import itertools
 
 import pytest
 
 from silspath.cartan import AffineRealRoot, build, vec_add, vec_neg
-from silspath.characters import GradedCharacter
+from silspath.characters import GradedCharacter, weyl_character
 from silspath.peterson import ParabolicQuotient
-from silspath.weyl import affine_reflection, finite_reflection, weyl_group
+from silspath.sils import SiLSPath
+from silspath.weyl import affine_reflection, finite_reflection, translation, weyl_group
 
 
 @pytest.fixture(scope="session")
@@ -32,31 +34,55 @@ ORDER_CASES = [
 ]
 
 
-def replay_words(q):
-    """Root-operator words reaching each element of q.table from the unit path.
+def generate_by_operators(q):
+    """psi -> (word, lift) over the finite crystal of q, generated from the unit
+    path by the root operators f_j, j in I_af: the oracle for `QLSCrystal.table`.
 
-    The search visits nodes and operators in the order `QLSCrystal.table`
-    does, so each word, applied to the unit path with `sils.apply`, rebuilds
-    the recorded lift; the words serve as the operator-replay oracle.
+    Each lift is its word applied to the unit path, and psi is its projection
+    cl.  Only f is applied: B(lambda)_cl is a regular crystal whose weights
+    pair to 0 with c = sum_j a_j^vee h_j, so a set closed under every f_j holds
+    whole j-strings and is therefore the whole connected crystal.
     """
     sils = q.sils
     start = sils.unit_path()
-    words = {q.cl(start): ()}
-    queue = [(start, ())]
+    found = {q.cl(start): ((), start)}
+    queue = [((), start)]
     while queue:
-        lift, word = queue.pop()
+        word, lift = queue.pop()
         for j in range(q.datum.rank + 1):
-            for tag, op in (("e", sils.root_e), ("f", sils.root_f)):
-                lift2 = op(lift, j)
-                if lift2 is None:
-                    continue
+            lift2 = sils.root_f(lift, j)
+            if lift2 is not None:
                 psi2 = q.cl(lift2)
-                if psi2 not in words:
-                    assert q.table[psi2].lift == lift2
-                    words[psi2] = word + ((tag, j),)
-                    queue.append((lift2, words[psi2]))
-    assert words.keys() == q.table.keys()
-    return words
+                if psi2 not in found:
+                    found[psi2] = entry = (word + (("f", j),), lift2)
+                    queue.append(entry)
+    return found
+
+
+def replay_words(q):
+    """Root-operator words reaching each element of q.table from the unit path;
+    `sils.apply` of a word rebuilds the oracle's lift, the operator-replay oracle."""
+    found = generate_by_operators(q)
+    assert found.keys() == q.table.keys()
+    return {psi: word for psi, (word, _lift) in found.items()}
+
+
+def oracle_row(q, lift):
+    """(weight, deg_kappa, deg_iota) read off a lift in the unit component: the
+    right translation by t_{-xi} adds <xi, lambda> to the weight's delta."""
+    wt = q.sils.weight(lift)
+    deg = lambda x: wt.delta + q.datum.pair_coweight_weight(x.xi, q.sils.lam_weight)
+    return wt.fw, deg(lift.kappa), deg(lift.iota)
+
+
+def translated_lift(q, lift, end):
+    """The lift translated on the right so that its `end` direction ("kappa" or
+    "iota") lies in W^J: every direction x goes to Pi^J(x t_{-xi}), xi read off
+    that end."""
+    quotient = q.sils.quotient
+    shift = translation(q.datum, vec_neg(getattr(lift, end).xi))
+    dirs = tuple(quotient.project(x.mul(shift)) for x in lift.directions)
+    return SiLSPath.from_ticks(dirs, lift.ticks, lift.den)
 
 
 def dual_route_iota(q, psi):
@@ -77,26 +103,27 @@ def order_quotients():
     ]
 
 
+def partitions_bounded(max_len: int, total: int):
+    """Partitions with at most max_len parts and size at most total, each once."""
+    if max_len <= 0:
+        yield ()
+        return
+    def gen(remaining, max_part, slots):
+        yield ()
+        if not slots or not remaining:
+            return
+        for first in range(min(remaining, max_part), 0, -1):
+            for rest in gen(remaining - first, first, slots - 1):
+                yield (first,) + rest
+    yield from gen(total, total, max_len)
+
+
 def multipartitions(lam, max_total, strict):
     """Tuples of partitions, one per node, of total size <= max_total.
 
     With ``strict`` the partition at node i has length < lam[i], otherwise
     length <= lam[i].
     """
-
-    def partitions_bounded(max_len: int, total: int):
-        if max_len <= 0:
-            yield ()
-            return
-        def gen(remaining, max_part, slots):
-            yield ()
-            if not slots or not remaining:
-                return
-            for first in range(min(remaining, max_part), 0, -1):
-                for rest in gen(remaining - first, first, slots - 1):
-                    yield (first,) + rest
-        yield from gen(total, total, max_len)
-
     per_node = []
     for m in lam:
         bound = (m - 1) if strict else m
@@ -202,3 +229,104 @@ def covers_by_scan(quotient, x, a=None, step=1):
             if d == 1 or edge_pairing(quotient, beta, x if step == 1 else y) % d == 0:
                 out.append((beta, y))
     return tuple(out)
+
+
+# -- type A: Kostka-Foulkes polynomials by charge ---------------------------------------
+
+
+def charge(word):
+    """Lascoux-Schutzenberger charge of a word whose content is a partition.
+
+    Standard subwords are taken out one at a time: the rightmost 1, then each
+    next letter by a leftward scan from the last one, wrapping around to the
+    right end when none is left of it.  The index starts at 0 and grows by one
+    at each wrap; the charge is the sum of the indices over all letters.
+    """
+    word, total = list(word), 0
+    while word:
+        pos, index, taken = len(word), 0, set()
+        for letter in range(1, max(word) + 1):
+            hits = [i for i, x in enumerate(word) if x == letter]
+            left = [i for i in hits if i < pos]
+            if left:
+                pos = left[-1]
+            else:
+                pos, index = hits[-1], index + 1
+            total += index
+            taken.add(pos)
+        word = [x for i, x in enumerate(word) if i not in taken]
+    return total
+
+
+def semistandard_tableaux(shape, content):
+    """All SSYT of a partition shape and a content, as lists of rows: the
+    letters k = 1, 2, ... are added as horizontal strips of content[k-1] boxes."""
+    out = []
+
+    def place(rows, k):
+        if k == len(content):
+            if [len(r) for r in rows] == list(shape):
+                out.append(rows)
+            return
+        old = [len(r) for r in rows]
+
+        def strip(i, left, new):
+            if i == len(shape):
+                if left == 0:
+                    place(new, k + 1)
+                return
+            # no two boxes of one strip in a column: row i stays within row i-1
+            room = min(shape[i], old[i - 1] if i else shape[i]) - old[i]
+            for c in range(min(room, left), -1, -1):
+                strip(i + 1, left - c, new + [rows[i] + [k + 1] * c])
+
+        strip(0, content[k], [])
+
+    place([[] for _ in shape], 0)
+    return out
+
+
+def kostka_foulkes(shape, content):
+    """K_{shape, content}(q) as {exponent: coefficient}: q^charge summed over
+    the SSYT, each read row by row from the bottom row up."""
+    poly = {}
+    for rows in semistandard_tableaux(shape, content):
+        c = charge([x for row in reversed(rows) for x in row])
+        poly[c] = poly.get(c, 0) + 1
+    return poly
+
+
+def conjugate(partition):
+    return tuple(sum(1 for p in partition if p > j) for j in range(partition[0])) if partition else ()
+
+
+@functools.lru_cache(maxsize=None)
+def _schur(datum, mu):
+    return weyl_character(datum, mu)
+
+
+def type_a_macdonald_t0(datum, lam):
+    """P_lambda(x; q, 0) in type A_n as sum_mu K_{mu' lambda'}(q) s_mu.
+
+    lambda is a partition with at most n parts (the column lengths are the
+    nodes), mu runs over the partitions of |lambda| with at most n + 1 rows and
+    s_mu is `weyl_character` of mu in fundamental-weight coordinates.  It
+    rests on J_mu(x; q, 0) = P_mu(x; q, 0) and K_{lambda mu}(q, t) =
+    K_{lambda' mu'}(t, q) with K_{lambda mu}(0, t) = K_{lambda mu}(t)
+    (Macdonald, ch. VI, 8).
+    """
+    n = datum.rank
+    parts = tuple(p for p in (sum(lam[i:]) for i in range(n)) if p)
+    out = GradedCharacter()
+    for mu in partitions_bounded(n + 1, sum(parts)):
+        if sum(mu) < sum(parts):
+            continue
+        poly = kostka_foulkes(conjugate(mu), conjugate(parts))
+        if not poly:
+            continue
+        mu = mu + (0,) * (n + 1 - len(mu))
+        chi = _schur(datum, tuple(mu[i] - mu[i + 1] for i in range(n)))
+        out = out + GradedCharacter(
+            {(fw, q): c * k for (fw, _q), c in chi.terms.items() for q, k in poly.items()}
+        )
+    return out

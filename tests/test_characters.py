@@ -1,7 +1,14 @@
 import itertools
+import math
 
 import pytest
-from conftest import multipartitions, quotient_reps_by_filter, weyl_identity_holds
+from conftest import (
+    kostka_foulkes,
+    multipartitions,
+    quotient_reps_by_filter,
+    type_a_macdonald_t0,
+    weyl_identity_holds,
+)
 
 from silspath import characters as ch
 from silspath.cartan import build
@@ -368,3 +375,32 @@ def test_minus_quotient_reps_match_filter_oracle(fam):
     datum = build(*fam)
     for lam in itertools.product((0, 1), repeat=datum.rank):
         assert ch.minus_quotient_reps(datum, lam) == quotient_reps_by_filter(datum, lam)
+
+
+def test_kostka_foulkes_examples():
+    assert kostka_foulkes((2, 1), (1, 1, 1)) == {1: 1, 2: 1}
+    assert kostka_foulkes((2,), (1, 1)) == {1: 1}
+    assert kostka_foulkes((3,), (1, 1, 1)) == {3: 1}
+    assert kostka_foulkes((1, 1, 1), (1, 1, 1)) == {0: 1}
+    assert kostka_foulkes((2, 2), (2, 1, 1)) == {1: 1}
+    assert kostka_foulkes((1, 1), (2,)) == {}
+
+
+def _type_a_sweep(n):
+    """Every lambda of A_n with |lambda| = sum_i i m_i <= 8 whose QLS crystal,
+    of prod_i C(n+1, i)^(m_i) elements, has at most 2,500 of them."""
+    out = []
+    for m in itertools.product(range(9), repeat=n):
+        size = sum(i * c for i, c in enumerate(m, 1))
+        elements = math.prod(math.comb(n + 1, i) ** c for i, c in enumerate(m, 1))
+        if 0 < size <= 8 and elements <= 2500:
+            out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_macdonald_matches_kostka_foulkes_sweep(n):
+    # every q-degree against P_lambda(x; q, 0) = sum_mu K_{mu' lambda'}(q) s_mu
+    datum = build("A", n)
+    for lam in _type_a_sweep(n):
+        assert ch.macdonald_t0(datum, lam) == type_a_macdonald_t0(datum, lam), lam

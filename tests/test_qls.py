@@ -4,9 +4,15 @@ import weakref
 from fractions import Fraction as F
 
 import pytest
-from conftest import dual_route_iota, replay_words
+from conftest import (
+    dual_route_iota,
+    generate_by_operators,
+    oracle_row,
+    replay_words,
+    translated_lift,
+)
 
-from silspath.cartan import LevelZeroWeight, build, vec_neg, vec_sub
+from silspath.cartan import AffineRealRoot, LevelZeroWeight, build, vec_neg, vec_sub
 from silspath.peterson import ParabolicQuotient
 from silspath.qls import QLSCrystal, QLSPath
 from silspath.sils import SiLSPath
@@ -14,6 +20,7 @@ from silspath.weyl import (
     AffineWeylElt,
     affine_identity,
     finite_identity,
+    finite_reflection,
     from_finite,
     simple_reflection,
     translation,
@@ -164,6 +171,52 @@ def test_table_rows_match_distinguished_lifts(fam, lam):
         assert psi.directions[0] == iota_lift.iota.w
 
 
+ORACLE_CASES = QLS_CASES + [
+    (("F", 4), (0, 1, 0, 0)),
+    (("E", 6), (0, 1, 0, 0, 0, 0)),
+    (("E", 7), (0, 0, 0, 0, 0, 0, 1)),
+    (("E", 8), (0, 0, 0, 0, 0, 0, 0, 1)),
+    (("G", 2), (2, 1)),
+]
+
+
+@pytest.mark.parametrize("fam,lam", ORACLE_CASES)
+def test_table_matches_operator_oracle(fam, lam):
+    # the chains on QB(W^J) are exactly the projections of the crystal the
+    # root operators generate, with the weight and both degrees of its lifts
+    q = qls(fam, lam)
+    found = generate_by_operators(q)
+    assert found.keys() == q.table.keys()
+    for psi, (_word, lift) in found.items():
+        assert q.table[psi] == oracle_row(q, lift), psi
+
+
+@pytest.mark.parametrize("fam,lam", ORACLE_CASES)
+def test_lifts_match_translated_oracle(fam, lam):
+    # the lifts rebuilt from shortest-path coweights are the oracle's lifts
+    # translated on the right at their final or initial direction
+    q = qls(fam, lam)
+    for psi, (_word, lift) in generate_by_operators(q).items():
+        assert q.eta_kappa(psi) == translated_lift(q, lift, "kappa"), psi
+        assert q.eta_iota(psi) == translated_lift(q, lift, "iota"), psi
+
+
+@pytest.mark.parametrize("fam,lam", ORACLE_CASES + [(("B", 3), (1, 1, 0)), (("D", 4), (1, 0, 1, 0))])
+def test_orbit_edges_match_edge_labels(fam, lam):
+    # the edges read off orbit points are the semi-infinite cover labels at
+    # w t_0 (the lifting theorem of Ishii-Naito-Sagaki): beta = w(u) + delta
+    # exactly for the quantum edges, and each target is floor(w r_u)
+    datum = build(*fam)
+    quotient = ParabolicQuotient.for_weight(datum, lam)
+    assert set(quotient.qb_edges) == set(quotient.orbit.values())
+    for w, edges in quotient.qb_edges.items():
+        labels = [(AffineRealRoot(w.act_root(u), int(c is not None)), p) for _v, p, u, c in edges]
+        assert labels == [(beta, p) for beta, p, _refl in quotient._edge_labels(w, 1)], w
+        for v, _p, u, c in edges:
+            assert v == quotient.min_rep(w.mul(finite_reflection(datum, u)))
+            assert c in (None, datum.coroot(u))
+
+
 def test_star_dual_examples(a1):
     q = qls(("A", 1), (1,))
     top = q.cl(q.sils.unit_path())
@@ -230,7 +283,7 @@ def test_iota_translation_matches_dual_route(fam, lam):
 def test_cl_commutes_with_operators(fam, lam):
     q = qls(fam, lam)
     datum = q.datum
-    seen_lifts = [rec.lift for rec in q.table.values()]
+    seen_lifts = [lift for _word, lift in generate_by_operators(q).values()]
     seen_lifts += [q.eta_kappa(psi) for psi in q.paths()]
     for lift in seen_lifts:
         psi = q.cl(lift)
@@ -297,19 +350,19 @@ def test_fiber_structure(fam, lam):
             c if (i + 1) not in jset else 0 for i, c in enumerate(xi)
         )
 
-    words = replay_words(q)
+    found = generate_by_operators(q)
     for eta in enum:
         psi = q.cl(eta)
-        rec = q.table[psi]
+        word, lift = found[psi]
         base = q.sils.component_base(eta)
         # membership in the Demazure set forces a dominant final translate
         assert all(c >= 0 for c in proj(eta.kappa.xi))
-        # the fiber translate, relative to the recorded lift's final direction
+        # the fiber translate, relative to the oracle lift's final direction
         zeta = tuple(
-            a - b for a, b in zip(proj(eta.kappa.xi), proj(rec.lift.kappa.xi))
+            a - b for a, b in zip(proj(eta.kappa.xi), proj(lift.kappa.xi))
         )
         start = q.sils.weyl_action(translation(datum, zeta), base)
-        assert q.sils.apply(start, words[psi]) == eta
+        assert q.sils.apply(start, word) == eta
 
 
 @pytest.mark.parametrize("fam,lam", QLS_CASES)
@@ -339,14 +392,13 @@ TRANSLATION_CASES = QLS_CASES + [
 @pytest.mark.parametrize("fam,lam", TRANSLATION_CASES)
 def test_translation_lift_matches_replay(fam, lam):
     # replaying each element's operator word from Pi^J(t_{-xi}) gives the
-    # same lift as translating the recorded lift on the right
+    # same lift as translating the oracle lift on the right
     q = qls(fam, lam)
     quotient = q.sils.quotient
     unit = q.sils.unit_path()
-    for psi, word in replay_words(q).items():
-        rec = q.table[psi]
-        assert q.sils.apply(unit, word) == rec.lift
-        xi = quotient.decompose(rec.lift.kappa).xi
+    for psi, (word, lift) in generate_by_operators(q).items():
+        assert q.sils.apply(unit, word) == lift
+        xi = quotient.decompose(lift.kappa).xi
         start = SiLSPath(
             (quotient.project(translation(q.datum, vec_neg(xi))),), (F(0), F(1))
         )
@@ -358,18 +410,19 @@ def test_lift_cuts_lie_on_grid(fam, lam):
     # the integer cut form rests on this: N times any cut is an integer
     q = qls(fam, lam)
     allowed = {F(0), F(1)} | set(q.sils.quotient.cut_grid())
-    for psi, rec in q.table.items():
-        for lift in (rec.lift, q.eta_kappa(psi), q.eta_iota(psi)):
+    for psi, (_word, oracle_lift) in generate_by_operators(q).items():
+        for lift in (oracle_lift, q.eta_kappa(psi), q.eta_iota(psi)):
             assert set(lift.cuts) <= allowed, (psi, lift)
 
 
 @pytest.mark.parametrize("fam,lam", QLS_CASES + [(("F", 4), (0, 1, 0, 0))])
 def test_decompose_memo_matches_fresh_quotient(fam, lam):
-    # the table build reads every direction's decomposition from the memo,
-    # whose assertions ran once; a fresh quotient recomputes each one
+    # cl reads every direction's decomposition from the memo, whose
+    # assertions ran once; a fresh quotient recomputes each one
     q = qls(fam, lam)
     memo = q.sils.quotient._decompose_cache
-    directions = {x for rec in q.table.values() for x in rec.lift.directions}
+    found = generate_by_operators(q)
+    directions = {x for _word, lift in found.values() for x in lift.directions}
     assert directions <= memo.keys()
     fresh = ParabolicQuotient.for_weight(q.datum, q.lam)
     for x, dec in memo.items():
@@ -380,7 +433,7 @@ def test_j_adjust_memo_matches_fresh_projection():
     q = qls(("A", 3), (1, 0, 1))
     quotient = q.sils.quotient
     assert quotient.j_nodes
-    directions = {x for rec in q.table.values() for x in rec.lift.directions}
+    directions = {x for _word, lift in generate_by_operators(q).values() for x in lift.directions}
     for psi in q.paths():
         directions.update(q.eta_kappa(psi).directions)
     cache = quotient._adjust_cache
