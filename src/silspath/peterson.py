@@ -7,14 +7,15 @@ representatives, the J-adjustment of coweights, the duality x -> x^vee, and
 the cover/order structure of the parabolic semi-infinite Bruhat graph,
 including its rational-level subgraphs.
 
-The decomposition x = w z_xi t_xi is kept per representative x.  The graph
-lifts the parabolic quantum Bruhat graph QB(W^J) (Ishii-Naito-Sagaki): edge
-labels beta depend only on w = cl(x), and xi only moves the endpoints
-r_beta x, so the labels (the edge set of QB(W^J)) are found once per w.  A
-level a enters only through its reduced denominator d, which must divide the
-label's p = |<beta^vee, x lambda>|: covers are kept per (x, d), order per (x, y, d).
-For a weight, QB(W^J) itself is also built on the orbit points w lambda, where
-an edge is one lookup and a length test; the QLS table reads it from there.
+Every quotient is bound to a dominant weight lambda with zero set J, and the
+parabolic quantum Bruhat graph QB(W^J) is built on the orbit points w lambda:
+one lookup and a length test find an edge up from w or down to w.  The graph
+lifts QB(W^J) (Ishii-Naito-Sagaki): edge labels beta depend only on w = cl(x),
+and xi only moves the endpoints r_beta x, so the labels are read once per w
+off QB(W^J), which the QLS table reads too.  The decomposition x = w z_xi t_xi
+is kept per representative x.  A level a enters only through its reduced
+denominator d, which must divide the label's p = |<beta^vee, x lambda>|:
+covers are kept per (x, d), order per (x, y, d).
 """
 
 from __future__ import annotations
@@ -75,11 +76,12 @@ def _component_split(datum: CartanDatum, nodes: tuple[int, ...]) -> tuple[tuple[
 
 @dataclass(frozen=True, eq=False)
 class ParabolicQuotient:
-    """Tables for one subset J, optionally bound to a dominant weight."""
+    """Tables for one subset J, bound to a dominant weight lambda with zero set J;
+    cover labels are read off its orbit graph QB(W^J)."""
 
     datum: CartanDatum
     j_nodes: tuple[int, ...]
-    lam: Vec | None = None
+    lam: Vec
     _si_leq_cache: dict = field(default_factory=dict, repr=False)
     _cover_cache: dict = field(default_factory=dict, repr=False)
     _label_cache: dict = field(default_factory=dict, repr=False)
@@ -96,11 +98,11 @@ class ParabolicQuotient:
 
     @classmethod
     def for_subset(cls, datum: CartanDatum, nodes) -> "ParabolicQuotient":
-        return cls(datum, tuple(sorted(nodes)), None)
+        """The quotient for J = nodes, bound to the weight sum of varpi_i over i not in J."""
+        return cls.for_weight(datum, tuple(int(i not in nodes) for i in range(1, datum.rank + 1)))
 
     @property
     def lam_weight(self) -> LevelZeroWeight:
-        assert self.lam is not None
         return LevelZeroWeight(self.lam, 0)
 
     @property
@@ -206,8 +208,6 @@ class ParabolicQuotient:
         return tuple(sorted(self.datum.sigma[i - 1] for i in self.j_nodes))
 
     def dual_quotient(self) -> "ParabolicQuotient":
-        if self.lam is None:
-            return ParabolicQuotient.for_subset(self.datum, self.sigma_nodes)
         return ParabolicQuotient.for_weight(self.datum, self.datum.sigma_dual(self.lam))
 
     def vee(self, x: AffineWeylElt) -> AffineWeylElt:
@@ -219,32 +219,29 @@ class ParabolicQuotient:
     # -- semi-infinite covers and order ----------------------------------------
 
     @functools.cached_property
-    def _outside(self) -> tuple[tuple[Vec, int | None], ...]:
-        """(u, <u^vee, lambda>) for u in Delta^+ \\ Delta_J^+ in pos_roots order;
-        the pairing is None without a weight."""
+    def _outside(self) -> tuple[tuple[Vec, int], ...]:
+        """(u, <u^vee, lambda>) for u in Delta^+ \\ Delta_J^+ in pos_roots order."""
         pair, dj = self.datum.pair_coweight_weight, set(self.delta_j_plus)
         return tuple(
-            (u, None if self.lam is None else pair(self.datum.coroot(u), self.lam_weight))
+            (u, pair(self.datum.coroot(u), self.lam_weight))
             for u in self.datum.pos_roots
             if u not in dj
         )
 
     def _edge_labels(
         self, w: FiniteWeylElt, step: int
-    ) -> tuple[tuple[AffineRealRoot, int | None, AffineWeylElt], ...]:
+    ) -> tuple[tuple[AffineRealRoot, int, AffineWeylElt], ...]:
         """(beta, p, r_beta) for the edges out of (step 1) or into (step -1) every
-        x over w: beta = step w(u) + chi delta, chi = 1 iff step w(u) < 0, tested
-        once at the lift w t_0, and p = <u^vee, lambda> = |<beta^vee, x lambda>|."""
+        x over w, one per edge of QB(W^J) at w (`qb_graph`): beta = step w(u) +
+        chi delta, chi = 1 iff step w(u) < 0, and p = <u^vee, lambda> =
+        |<beta^vee, x lambda>|."""
         labels = self._label_cache.get((w, step))
         if labels is None:
-            x, out = from_finite(w), []
-            for u, p in self._outside:
+            out = []
+            for _v, p, u, _c in self.qb_graph[w, step]:
                 alpha = w.act_root(u if step == 1 else vec_neg(u))
                 beta = AffineRealRoot(alpha, 0 if self.datum.is_positive_root(alpha) else 1)
-                refl = affine_reflection(self.datum, beta)
-                y = refl.mul(x)
-                if y.si_length == x.si_length + step and self.is_rep(y):
-                    out.append((beta, p, refl))
+                out.append((beta, p, affine_reflection(self.datum, beta)))
             labels = self._label_cache[w, step] = tuple(out)
         return labels
 
@@ -254,7 +251,7 @@ class ParabolicQuotient:
         return tuple(
             (beta, refl.mul(x))
             for beta, p, refl in self._edge_labels(self.decompose(x).w, step)
-            if d == 1 or p is not None and p % d == 0
+            if p % d == 0
         )
 
     def si_covers(
@@ -285,12 +282,9 @@ class ParabolicQuotient:
         if x == y:
             return True
         key = (x, y, 1 if a is None else a.denominator)
-        cached = self._si_leq_cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._si_leq_search(x, y, a)
-        self._si_leq_cache[key] = result
-        return result
+        if key not in self._si_leq_cache:
+            self._si_leq_cache[key] = self._si_leq_search(x, y, a)
+        return self._si_leq_cache[key]
 
     def _box_ok(self, z: AffineWeylElt, y: AffineWeylElt) -> bool:
         # the I\J translation coordinates only grow along covers
@@ -368,12 +362,13 @@ class ParabolicQuotient:
         return reps
 
     @functools.cached_property
-    def qb_edges(self) -> dict[FiniteWeylElt, tuple[tuple[FiniteWeylElt, int, Vec, Vec | None], ...]]:
-        """(target, p, u, u^vee or None) for the edges w -> floor(w r_u) of QB(W^J),
-        u in Delta^+ \\ Delta_J^+ in pos_roots order and p = <u^vee, lambda>: the
-        target's orbit point is nu = w lambda - p w(u), and the edge is a Bruhat
-        edge (None) if l(nu) = l(w) + 1, a quantum edge (of coweight u^vee) if
-        l(nu) = l(w) + 1 - <u^vee, 2 rho - 2 rho_J>."""
+    def qb_graph(self) -> dict[tuple[FiniteWeylElt, int], tuple[tuple[FiniteWeylElt, int, Vec, Vec | None], ...]]:
+        """(w, step) -> (v, p, u, u^vee or None) for u in Delta^+ \\ Delta_J^+ in
+        pos_roots order and p = <u^vee, lambda>.  The orbit point nu = w lambda -
+        p w(u) of v = floor(w r_u) is looked up once, and with the W_J-invariant
+        c_u = <u^vee, 2 rho - 2 rho_J>, w -> v is an edge of QB(W^J) (step 1) if
+        l(v) - l(w) is 1 (Bruhat: None) or 1 - c_u (quantum: of coweight u^vee),
+        and v -> w is one (step -1) if l(v) - l(w) is -1 or c_u - 1."""
         datum, orbit = self.datum, self.orbit
         table = datum.root_table
         root_fw = [datum.root_to_fw(v) for v in table.roots]
@@ -386,14 +381,15 @@ class ParabolicQuotient:
             rows.append((table.index[u], p, u, c, c_u, shifts[p]))
         graph = {}
         for mu, w in orbit.items():
-            perm, up, out = w.perm, w.length + 1, []
+            perm, ups, downs = w.perm, [], []
             for k, p, u, c, c_u, shift in rows:
                 v = orbit[tuple(map(operator.sub, mu, shift[perm[k]]))]
-                if v.length == up:
-                    out.append((v, p, u, None))
-                elif v.length == up - c_u:
-                    out.append((v, p, u, c))
-            graph[w] = tuple(out)
+                gap = v.length - w.length
+                if gap in (1, 1 - c_u):
+                    ups.append((v, p, u, None if gap == 1 else c))
+                if gap in (-1, c_u - 1):
+                    downs.append((v, p, u, None if gap == -1 else c))
+            graph[w, 1], graph[w, -1] = tuple(ups), tuple(downs)
         return graph
 
     def qb_reach(self, w: FiniteWeylElt, d: int) -> dict[FiniteWeylElt, tuple[int, Vec]]:
@@ -403,14 +399,14 @@ class ParabolicQuotient:
         search) and wt_lambda its pairing with lambda.  Kept per (w, d)."""
         reach = self._reach_cache.get((w, d))
         if reach is None:
-            graph = self.qb_edges
+            graph = self.qb_graph
             reach = {w: (0, (0,) * self.datum.rank)}
             frontier = [w]
             while frontier:
                 nxt = []
                 for v in frontier:
                     wt, xi = reach[v]
-                    for y, p, _u, c in graph[v]:
+                    for y, p, _u, c in graph[v, 1]:
                         if p % d == 0 and y not in reach:
                             reach[y] = (wt, xi) if c is None else (wt + p, vec_add(xi, c))
                             nxt.append(y)

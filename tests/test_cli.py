@@ -129,6 +129,27 @@ SI_GRAPH_STDOUT = {
 }
 
 
+# SHA-256 and line count of stdout, recorded while the cover labels were still
+# found by a candidate scan per finite direction, not read off QB(W^J).
+SI_GRAPH_COVER_STDOUT = {
+    "si-graph --type B --rank 3 --lambda 0,1,0 --radius 2": (
+        "df4f75eed80e636df467d912f19500df353a763868ad9a71262717123dab5f13", 26),
+    "si-graph --type G --rank 2 --lambda 1,1 --radius 2": (
+        "5269919e5c7b0edd603bf31dc3167e442b5ccb30d77ed4ed96135f116c6a1ba9", 64),
+    "si-graph --type C --rank 2 --lambda 2,1 --radius 2 --a 1/2": (
+        "44eb2d6203aaec28345b4f21a11dd551a1803856e9db28d6687858aa8ecd0864", 35),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SI_GRAPH_COVER_STDOUT))
+def test_si_graph_cover_golden(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    digest, lines = SI_GRAPH_COVER_STDOUT[argv]
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("a", sorted(SI_GRAPH_STDOUT))
 def test_si_graph_level_golden(capsys, a):
     code, out, _ = run(

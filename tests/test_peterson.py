@@ -299,9 +299,10 @@ def test_enumeration_pool_covers_match_candidate_scan(fam, lam, depth):
 
 
 def test_subset_quotient_ball_matches_candidate_scan():
-    # a quotient without a weight still answers covers, lower covers and
-    # si_ball at level None
+    # a quotient given by its subset J is bound to the weight sum of varpi_i
+    # over i not in J, and answers covers, lower covers and si_ball at level None
     quotient = ParabolicQuotient.for_subset(build("A", 3), (2,))
+    assert quotient.lam == (1, 0, 1)
     ball = quotient.si_ball(2)
     assert len(ball) == 17
     for x in ball:

@@ -1,10 +1,12 @@
 import gc
 import itertools
 import weakref
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from conftest import (
+    covers_by_scan,
     dual_route_iota,
     generate_by_operators,
     oracle_row,
@@ -208,13 +210,30 @@ def test_orbit_edges_match_edge_labels(fam, lam):
     # exactly for the quantum edges, and each target is floor(w r_u)
     datum = build(*fam)
     quotient = ParabolicQuotient.for_weight(datum, lam)
-    assert set(quotient.qb_edges) == set(quotient.orbit.values())
-    for w, edges in quotient.qb_edges.items():
+    graph, points = quotient.qb_graph, quotient.orbit.values()
+    assert set(graph) == {(w, step) for w in points for step in (1, -1)}
+    for w in points:
+        edges = graph[w, 1]
         labels = [(AffineRealRoot(w.act_root(u), int(c is not None)), p) for _v, p, u, c in edges]
         assert labels == [(beta, p) for beta, p, _refl in quotient._edge_labels(w, 1)], w
         for v, _p, u, c in edges:
             assert v == quotient.min_rep(w.mul(finite_reflection(datum, u)))
             assert c in (None, datum.coroot(u))
+    # every edge v -> w is found from both ends, up at v and down at w
+    ups = Counter((w, v, p, c is None) for w in points for v, p, _u, c in graph[w, 1])
+    assert ups == Counter((v, w, p, c is None) for w in points for v, p, _u, c in graph[w, -1])
+    if fam == ("E", 8):
+        return  # the candidate scan below takes seconds on E8
+    # the labels, read off the same graph, against the independent candidate
+    # scan at w t_0: up tuple for tuple, down as multisets
+    for w in points:
+        x = from_finite(w)
+        up, down = (
+            tuple((beta, refl.mul(x)) for beta, _p, refl in quotient._edge_labels(w, step))
+            for step in (1, -1)
+        )
+        assert up == covers_by_scan(quotient, x, None, 1), w
+        assert Counter(down) == Counter(covers_by_scan(quotient, x, None, -1)), w
 
 
 def test_star_dual_examples(a1):
