@@ -272,10 +272,7 @@ class CartanDatum:
 
     def root_to_fw(self, u: Vec) -> Vec:
         """Fundamental-weight coordinates of an element of Q."""
-        return tuple(
-            sum(self.cartan[i][j] * u[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
+        return tuple(sum(map(operator.mul, row, u)) for row in self.cartan)
 
     def is_positive_affine(self, beta: AffineRealRoot) -> bool:
         if beta.n != 0:

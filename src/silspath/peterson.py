@@ -7,9 +7,10 @@ representatives, the J-adjustment of coweights, the duality x -> x^vee, and
 the cover/order structure of the parabolic semi-infinite Bruhat graph,
 including its rational-level subgraphs.
 
-Every quotient is bound to a dominant weight lambda with zero set J, and the
-parabolic quantum Bruhat graph QB(W^J) is built on the orbit points w lambda:
-one lookup and a length test find an edge up from w or down to w.  The graph
+Every quotient is bound to a dominant weight lambda with zero set J.  The
+parabolic quantum Bruhat graph QB(W^J) is read one row per w: an orbit point nu
+has length #{alpha in Delta^+ : <alpha^vee, nu> < 0}, so a length test finds
+an edge up from w or down to w without building the orbit W lambda.  The graph
 lifts QB(W^J) (Ishii-Naito-Sagaki): edge labels beta depend only on w = cl(x),
 and xi only moves the endpoints r_beta x, so the labels are read once per w
 off QB(W^J), which the QLS table reads too.  The decomposition x = w z_xi t_xi
@@ -77,7 +78,7 @@ def _component_split(datum: CartanDatum, nodes: tuple[int, ...]) -> tuple[tuple[
 @dataclass(frozen=True, eq=False)
 class ParabolicQuotient:
     """Tables for one subset J, bound to a dominant weight lambda with zero set J;
-    cover labels are read off its orbit graph QB(W^J)."""
+    cover labels are read off its orbit graph QB(W^J), one row per direction."""
 
     datum: CartanDatum
     j_nodes: tuple[int, ...]
@@ -85,6 +86,8 @@ class ParabolicQuotient:
     _si_leq_cache: dict = field(default_factory=dict, repr=False)
     _cover_cache: dict = field(default_factory=dict, repr=False)
     _label_cache: dict = field(default_factory=dict, repr=False)
+    _row_cache: dict = field(default_factory=dict, repr=False)
+    _lengths: dict = field(default_factory=dict, repr=False)
     _adjust_cache: dict = field(default_factory=dict, repr=False)
     _decompose_cache: dict = field(default_factory=dict, repr=False)
     _reach_cache: dict = field(default_factory=dict, repr=False)
@@ -232,15 +235,14 @@ class ParabolicQuotient:
         self, w: FiniteWeylElt, step: int
     ) -> tuple[tuple[AffineRealRoot, int, AffineWeylElt], ...]:
         """(beta, p, r_beta) for the edges out of (step 1) or into (step -1) every
-        x over w, one per edge of QB(W^J) at w (`qb_graph`): beta = step w(u) +
-        chi delta, chi = 1 iff step w(u) < 0, and p = <u^vee, lambda> =
-        |<beta^vee, x lambda>|."""
+        x over w, one per edge of QB(W^J) at w (`qb_row`): beta = step w(u) +
+        chi delta with chi = 1 iff the edge is quantum (iff step w(u) < 0), and
+        p = <u^vee, lambda> = |<beta^vee, x lambda>|."""
         labels = self._label_cache.get((w, step))
         if labels is None:
             out = []
-            for _v, p, u, _c in self.qb_graph[w, step]:
-                alpha = w.act_root(u if step == 1 else vec_neg(u))
-                beta = AffineRealRoot(alpha, 0 if self.datum.is_positive_root(alpha) else 1)
+            for _nu, p, u, quantum in self.qb_row(w, step):
+                beta = AffineRealRoot(w.act_root(u if step == 1 else vec_neg(u)), int(quantum))
                 out.append((beta, p, affine_reflection(self.datum, beta)))
             labels = self._label_cache[w, step] = tuple(out)
         return labels
@@ -272,19 +274,15 @@ class ParabolicQuotient:
         """All edges z -> x, listed as (beta, z)."""
         return self._lift(x, a, -1)
 
-    def si_leq(
-        self,
-        x: AffineWeylElt,
-        y: AffineWeylElt,
-        a: Fraction | None = None,
-    ) -> bool:
+    def si_leq(self, x: AffineWeylElt, y: AffineWeylElt, a: Fraction | None = None) -> bool:
         """True iff a directed path from x to y exists in the (sub)graph."""
         if x == y:
             return True
         key = (x, y, 1 if a is None else a.denominator)
-        if key not in self._si_leq_cache:
-            self._si_leq_cache[key] = self._si_leq_search(x, y, a)
-        return self._si_leq_cache[key]
+        cached = self._si_leq_cache.get(key)
+        if cached is None:
+            cached = self._si_leq_cache[key] = self._si_leq_search(x, y, a)
+        return cached
 
     def _box_ok(self, z: AffineWeylElt, y: AffineWeylElt) -> bool:
         # the I\J translation coordinates only grow along covers
@@ -347,9 +345,9 @@ class ParabolicQuotient:
         """w lambda -> w over W^J, by a search of the orbit W lambda that steps
         from w to r_i w whenever (w lambda)_i > 0: that lengthens w by one and
         stays in W^J, every element of W^J is reached, and W is never built."""
-        datum, lam = self.datum, self.lam
+        datum, lam, lengths = self.datum, self.lam, self._lengths
         alphas = [datum.root_to_fw(datum.simple_root(i)) for i in range(1, datum.rank + 1)]
-        reps = {lam: finite_identity(datum)}
+        reps, lengths[lam] = {lam: finite_identity(datum)}, 0
         frontier = [lam]
         while frontier:
             mu = frontier.pop()
@@ -358,39 +356,47 @@ class ParabolicQuotient:
                     nu = tuple(m - n * a for m, a in zip(mu, alphas[i - 1]))
                     if nu not in reps:
                         reps[nu] = simple_reflection(datum, i).mul(reps[mu])
+                        lengths[nu] = lengths[mu] + 1
                         frontier.append(nu)
         return reps
 
     @functools.cached_property
-    def qb_graph(self) -> dict[tuple[FiniteWeylElt, int], tuple[tuple[FiniteWeylElt, int, Vec, Vec | None], ...]]:
-        """(w, step) -> (v, p, u, u^vee or None) for u in Delta^+ \\ Delta_J^+ in
-        pos_roots order and p = <u^vee, lambda>.  The orbit point nu = w lambda -
-        p w(u) of v = floor(w r_u) is looked up once, and with the W_J-invariant
-        c_u = <u^vee, 2 rho - 2 rho_J>, w -> v is an edge of QB(W^J) (step 1) if
-        l(v) - l(w) is 1 (Bruhat: None) or 1 - c_u (quantum: of coweight u^vee),
-        and v -> w is one (step -1) if l(v) - l(w) is -1 or c_u - 1."""
-        datum, orbit = self.datum, self.orbit
-        table = datum.root_table
-        root_fw = [datum.root_to_fw(v) for v in table.roots]
-        shifts = {p: [tuple(p * c for c in v) for v in root_fw] for p in self.pairing_values()}
+    def _qb_roots(self) -> tuple[tuple[int, Vec, int, int, list[Vec]], ...]:
+        """(k, u, p, c_u, shift) for (u, p) in `_outside`: u is root k, c_u =
+        <u^vee, 2 rho - 2 rho_J> is W_J-invariant, and shift[m] is p times root m
+        in fundamental-weight coordinates."""
+        datum, table = self.datum, self.datum.root_table
         two_rho_j = tuple(map(sum, zip((0,) * datum.rank, *self.delta_j_plus)))
-        rows = []
-        for u, p in self._outside:
-            c = datum.coroot(u)
-            c_u = 2 * sum(c) - datum.pair_coweight_root(c, two_rho_j)
-            rows.append((table.index[u], p, u, c, c_u, shifts[p]))
-        graph = {}
-        for mu, w in orbit.items():
-            perm, ups, downs = w.perm, [], []
-            for k, p, u, c, c_u, shift in rows:
-                v = orbit[tuple(map(operator.sub, mu, shift[perm[k]]))]
-                gap = v.length - w.length
-                if gap in (1, 1 - c_u):
-                    ups.append((v, p, u, None if gap == 1 else c))
-                if gap in (-1, c_u - 1):
-                    downs.append((v, p, u, None if gap == -1 else c))
-            graph[w, 1], graph[w, -1] = tuple(ups), tuple(downs)
-        return graph
+        root_fw = [datum.root_to_fw(v) for v in table.roots]
+        shifts = {p: [tuple(p * a for a in v) for v in root_fw] for p in self.pairing_values()}
+        return tuple(
+            (table.index[u], u, p, 2 * sum(c) - datum.pair_coweight_root(c, two_rho_j), shifts[p])
+            for u, p in self._outside
+            for c in [datum.coroot(u)]
+        )
+
+    def qb_row(self, w: FiniteWeylElt, step: int) -> tuple[tuple[Vec, int, Vec, bool], ...]:
+        """(nu, p, u, quantum) for the edges of QB(W^J) out of (step 1) or into
+        (step -1) w in W^J, one per u in `_outside` that passes the length test:
+        v = floor(w r_u) has v lambda = nu = w lambda - p w(u) and length
+        l(v) = #{alpha in Delta^+ : <alpha^vee, nu> < 0}, kept per nu (the orbit
+        search records it too), and w -> v is an edge if l(v) - l(w) is 1 (Bruhat)
+        or 1 - c_u (quantum, of coweight u^vee), v -> w one if it is -1 or c_u - 1.
+        No orbit is built.  Kept per (w, step)."""
+        row = self._row_cache.get((w, step))
+        if row is None:
+            mu, perm, lengths, out = w.act_fw(self.lam), w.perm, self._lengths, []
+            coroots = self.datum.root_table.coroots[: len(self.datum.pos_roots)]
+            for k, u, p, c_u, shift in self._qb_roots:
+                nu = tuple(map(operator.sub, mu, shift[perm[k]]))
+                length = lengths.get(nu)
+                if length is None:
+                    length = lengths[nu] = sum(sum(map(operator.mul, c, nu)) < 0 for c in coroots)
+                gap = length - w.length
+                if gap == step or gap == step * (1 - c_u):
+                    out.append((nu, p, u, gap != step))
+            row = self._row_cache[w, step] = tuple(out)
+        return row
 
     def qb_reach(self, w: FiniteWeylElt, d: int) -> dict[FiniteWeylElt, tuple[int, Vec]]:
         """v -> (wt_lambda, wt) for every v reachable from w in the subgraph of
@@ -399,16 +405,16 @@ class ParabolicQuotient:
         search) and wt_lambda its pairing with lambda.  Kept per (w, d)."""
         reach = self._reach_cache.get((w, d))
         if reach is None:
-            graph = self.qb_graph
+            orbit, coroot = self.orbit, self.datum.coroot
             reach = {w: (0, (0,) * self.datum.rank)}
             frontier = [w]
             while frontier:
                 nxt = []
                 for v in frontier:
                     wt, xi = reach[v]
-                    for y, p, _u, c in graph[v, 1]:
-                        if p % d == 0 and y not in reach:
-                            reach[y] = (wt, xi) if c is None else (wt + p, vec_add(xi, c))
+                    for nu, p, u, quantum in self.qb_row(v, 1):
+                        if p % d == 0 and (y := orbit[nu]) not in reach:
+                            reach[y] = (wt + p, vec_add(xi, coroot(u))) if quantum else (wt, xi)
                             nxt.append(y)
                 frontier = nxt
             self._reach_cache[w, d] = reach

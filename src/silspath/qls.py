@@ -7,11 +7,11 @@ the edges of the parabolic quantum Bruhat graph whose p = <u^vee, lambda> the
 denominator of sigma_u divides.  These are the projections cl of the
 semi-infinite LS paths (Ishii-Naito-Sagaki), so no root operator runs here.
 
-The graph lives on the orbit points mu = w lambda (`ParabolicQuotient.qb_graph`):
-for u in Delta^+ \\ Delta_J^+ the edge w -> floor(w r_u) ends at nu = mu - p w(u).
-It is a Bruhat edge if l(nu) = l(w) + 1, and a quantum edge of coweight u^vee
-(lambda-weight p) if l(nu) = l(w) + 1 - <u^vee, 2 rho - 2 rho_J>.  With
-wt(v => w) the coweight of a shortest path in the level's subgraph and
+The graph is read row by row (`ParabolicQuotient.qb_row`) on the orbit points
+mu = w lambda: for u in Delta^+ \\ Delta_J^+ the edge w -> floor(w r_u) ends at
+nu = mu - p w(u).  It is a Bruhat edge if l(nu) = l(w) + 1, and a quantum edge
+of coweight u^vee (lambda-weight p) if l(nu) = l(w) + 1 - <u^vee, 2 rho - 2 rho_J>.
+With wt(v => w) the coweight of a shortest path in the level's subgraph and
 wt_lambda its pairing with lambda (`ParabolicQuotient.qb_reach`), a row holds
 
     weight    = sum_u (sigma_u - sigma_{u-1}) w_u lambda,

@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +153,26 @@ def test_si_graph_cover_golden(capsys, argv):
     digest, lines = SI_GRAPH_COVER_STDOUT[argv]
     assert len(out.splitlines()) == lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_si_graph_large_orbit_stays_local():
+    # E7 at a regular weight has |W| = 2,903,040 orbit points: a radius-1 ball
+    # must read only the directions it visits, never the whole orbit W lambda
+    argv = "si-graph --type E --rank 7 --lambda 1,1,1,1,1,1,1 --radius 1".split()
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "silspath.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert len(proc.stdout.splitlines()) == 143
+    digest = "59842d6ee8979ebe8c1ca4bb05fb184e92009549f26ff4751a814afa84bc8b31"
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("a", sorted(SI_GRAPH_STDOUT))

@@ -205,26 +205,29 @@ def test_lifts_match_translated_oracle(fam, lam):
 
 @pytest.mark.parametrize("fam,lam", ORACLE_CASES + [(("B", 3), (1, 1, 0)), (("D", 4), (1, 0, 1, 0))])
 def test_orbit_edges_match_edge_labels(fam, lam):
-    # the edges read off orbit points are the semi-infinite cover labels at
-    # w t_0 (the lifting theorem of Ishii-Naito-Sagaki): beta = w(u) + delta
+    # the QB(W^J) rows at the orbit points are the semi-infinite cover labels
+    # at w t_0 (the lifting theorem of Ishii-Naito-Sagaki): beta = w(u) + delta
     # exactly for the quantum edges, and each target is floor(w r_u)
     datum = build(*fam)
     quotient = ParabolicQuotient.for_weight(datum, lam)
-    graph, points = quotient.qb_graph, quotient.orbit.values()
-    assert set(graph) == {(w, step) for w in points for step in (1, -1)}
+    orbit = quotient.orbit
+    points, row = orbit.values(), quotient.qb_row
     for w in points:
-        edges = graph[w, 1]
-        labels = [(AffineRealRoot(w.act_root(u), int(c is not None)), p) for _v, p, u, c in edges]
+        edges = row(w, 1)
+        labels = [(AffineRealRoot(w.act_root(u), int(q)), p) for _nu, p, u, q in edges]
         assert labels == [(beta, p) for beta, p, _refl in quotient._edge_labels(w, 1)], w
-        for v, _p, u, c in edges:
-            assert v == quotient.min_rep(w.mul(finite_reflection(datum, u)))
-            assert c in (None, datum.coroot(u))
+        for nu, _p, u, _q in edges:
+            assert orbit[nu] == quotient.min_rep(w.mul(finite_reflection(datum, u)))
+        # quantum by the length test iff step w(u) < 0, in both directions
+        for step in (1, -1):
+            for _nu, _p, u, q in row(w, step):
+                assert q == (datum.is_positive_root(w.act_root(u)) == (step == -1)), (w, u)
     # every edge v -> w is found from both ends, up at v and down at w
-    ups = Counter((w, v, p, c is None) for w in points for v, p, _u, c in graph[w, 1])
-    assert ups == Counter((v, w, p, c is None) for w in points for v, p, _u, c in graph[w, -1])
+    ups = Counter((w, orbit[nu], p, q) for w in points for nu, p, _u, q in row(w, 1))
+    assert ups == Counter((orbit[nu], w, p, q) for w in points for nu, p, _u, q in row(w, -1))
     if fam == ("E", 8):
         return  # the candidate scan below takes seconds on E8
-    # the labels, read off the same graph, against the independent candidate
+    # the labels, read off the same rows, against the independent candidate
     # scan at w t_0: up tuple for tuple, down as multisets
     for w in points:
         x = from_finite(w)
@@ -234,6 +237,22 @@ def test_orbit_edges_match_edge_labels(fam, lam):
         )
         assert up == covers_by_scan(quotient, x, None, 1), w
         assert Counter(down) == Counter(covers_by_scan(quotient, x, None, -1)), w
+
+
+@pytest.mark.parametrize("fam,lam", ORACLE_CASES + [(("B", 3), (1, 1, 0)), (("D", 4), (1, 0, 1, 0))])
+def test_rows_without_orbit_match_rows_after_it(fam, lam):
+    # a row read before any orbit search counts the lengths of its ends; one
+    # read after it finds them recorded by the search: the rows agree, and the
+    # counted lengths are those of the orbit's elements
+    datum = build(*fam)
+    searched = ParabolicQuotient.for_weight(datum, lam)
+    orbit = searched.orbit
+    counted = ParabolicQuotient.for_weight(datum, lam)
+    for w in orbit.values():
+        for step in (1, -1):
+            assert counted.qb_row(w, step) == searched.qb_row(w, step), (w, step)
+    assert "orbit" not in vars(counted)
+    assert all(orbit[nu].length == n for nu, n in counted._lengths.items())
 
 
 def test_star_dual_examples(a1):
