@@ -5,7 +5,8 @@ mu recorded in fundamental-weight coordinates.  The closed-form Demazure
 characters multiply the degree-weighted QLS sum by the expanded inverse
 product over the columns of lambda; the brute-force route sums the weights
 of a truncated path enumeration instead, and Demazure's character formula
-supplies an independent q=0 oracle without enumerating the Weyl group.
+supplies an independent q=0 oracle without enumerating the Weyl group.  Every
+route reads one crystal per shape, `_qls`, kept until another lambda is asked for.
 """
 
 from __future__ import annotations
@@ -14,15 +15,8 @@ import functools
 from collections import Counter
 
 from .cartan import CartanDatum, Vec, vec_add, vec_neg
-from .weyl import (
-    FiniteWeylElt,
-    affine_identity,
-    bruhat_leq,
-    longest_element,
-)
-from .peterson import ParabolicQuotient
+from .weyl import FiniteWeylElt, affine_identity, bruhat_leq, longest_element
 from .qls import QLSCrystal
-from .sils import SiLSCrystal
 
 Term = tuple[Vec, int]
 
@@ -114,9 +108,7 @@ def macdonald_t0(datum: CartanDatum, lam: Vec) -> GradedCharacter:
     return qls_degree_sum(datum, lam).invert_q()
 
 
-@functools.lru_cache(maxsize=None)
-def _qls(datum: CartanDatum, lam: Vec) -> QLSCrystal:
-    return QLSCrystal(datum, lam)
+_qls = functools.lru_cache(maxsize=1)(QLSCrystal)  # (datum, lam) -> the current shape
 
 
 # -- column series and Demazure characters ---------------------------------------
@@ -156,7 +148,7 @@ def brute_force_gch_minus_e(
     datum: CartanDatum, lam: Vec, depth: int, budget: int = 500_000
 ) -> GradedCharacter:
     """Independent route: sum x^wt over the truncated path enumeration."""
-    crystal = SiLSCrystal(datum, tuple(lam))
+    crystal = _qls(datum, tuple(lam)).sils
     paths = crystal.enumerate_demazure(affine_identity(datum), depth, budget)
     return GradedCharacter(Counter((wt.fw, wt.delta) for wt in map(crystal.weight, paths)))
 
@@ -165,26 +157,28 @@ def brute_force_gch_minus_e(
 
 
 def _qls_rows(datum: CartanDatum, lam: Vec, w: FiniteWeylElt):
-    """The table rows of lambda, once w is checked to lie in W^J."""
+    """The table rows of lambda and W^J, once w is checked to lie in W^J."""
     crystal = _qls(datum, tuple(lam))
     if not crystal.sils.quotient.is_min_rep(w):
         raise ValueError(f"{w!r} is not a minimal coset representative for J")
-    return crystal.table.items()
+    return crystal.table.items(), crystal.sils.quotient.orbit.values()
 
 
 def gch_quotient_minus(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> GradedCharacter:
     """Sum over paths whose distinguished final direction dominates w."""
-    rows = _qls_rows(datum, lam, w)
+    rows, reps = _qls_rows(datum, lam, w)
+    above = {v for v in reps if bruhat_leq(w, v)}
     return GradedCharacter(
-        Counter((r.weight, r.deg_kappa) for psi, r in rows if bruhat_leq(w, psi.directions[-1]))
+        Counter((r.weight, r.deg_kappa) for psi, r in rows if psi.directions[-1] in above)
     )
 
 
 def gch_quotient_plus(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> GradedCharacter:
     """Sum over paths whose distinguished initial direction is below w."""
-    rows = _qls_rows(datum, lam, w)
+    rows, reps = _qls_rows(datum, lam, w)
+    below = {v for v in reps if bruhat_leq(v, w)}
     return GradedCharacter(
-        Counter((r.weight, r.deg_iota) for psi, r in rows if bruhat_leq(psi.directions[0], w))
+        Counter((r.weight, r.deg_iota) for psi, r in rows if psi.directions[0] in below)
     )
 
 
@@ -218,11 +212,10 @@ def weyl_character(datum: CartanDatum, lam: Vec) -> GradedCharacter:
 def minus_quotient_reps(datum: CartanDatum, lam: Vec) -> tuple[FiniteWeylElt, ...]:
     """All minimal coset representatives for the stabilizer of lambda, read off
     the orbit search `ParabolicQuotient.orbit`; sorted by (length, sort_key)."""
-    orbit = ParabolicQuotient.for_weight(datum, tuple(lam)).orbit
+    orbit = _qls(datum, tuple(lam)).sils.quotient.orbit
     return tuple(sorted(orbit.values(), key=lambda w: (w.length, w.sort_key)))
 
 
 def floor_w0(datum: CartanDatum, lam: Vec) -> FiniteWeylElt:
     """The minimal representative of the longest element's coset."""
-    quotient = ParabolicQuotient.for_weight(datum, tuple(lam))
-    return quotient.min_rep(longest_element(datum))
+    return _qls(datum, tuple(lam)).sils.quotient.min_rep(longest_element(datum))

@@ -38,6 +38,7 @@ from .cartan import (
 )
 from .weyl import (
     AffineWeylElt,
+    BudgetExceeded,
     FiniteWeylElt,
     affine_identity,
     affine_reflection,
@@ -47,6 +48,8 @@ from .weyl import (
     simple_reflection,
     translation,
 )
+
+TABLE_BUDGET = 200_000  # QLS table rows; each orbit point is one, so it bounds W lambda too
 
 
 class Decomposition(NamedTuple):
@@ -88,6 +91,7 @@ class ParabolicQuotient:
     _label_cache: dict = field(default_factory=dict, repr=False)
     _row_cache: dict = field(default_factory=dict, repr=False)
     _lengths: dict = field(default_factory=dict, repr=False)
+    _points: dict = field(default_factory=dict, repr=False)
     _adjust_cache: dict = field(default_factory=dict, repr=False)
     _decompose_cache: dict = field(default_factory=dict, repr=False)
     _reach_cache: dict = field(default_factory=dict, repr=False)
@@ -342,22 +346,24 @@ class ParabolicQuotient:
 
     @functools.cached_property
     def orbit(self) -> dict[Vec, FiniteWeylElt]:
-        """w lambda -> w over W^J, by a search of the orbit W lambda that steps
-        from w to r_i w whenever (w lambda)_i > 0: that lengthens w by one and
-        stays in W^J, every element of W^J is reached, and W is never built."""
-        datum, lam, lengths = self.datum, self.lam, self._lengths
+        """w lambda -> w over W^J, by a search of W lambda that steps from w to r_i w
+        if (w lambda)_i > 0 (one longer, still in W^J; all of W^J is reached, W is never
+        built), recording w -> w lambda and lengths; stops past TABLE_BUDGET points."""
+        datum, lam, lengths, points = self.datum, self.lam, self._lengths, self._points
         alphas = [datum.root_to_fw(datum.simple_root(i)) for i in range(1, datum.rank + 1)]
-        reps, lengths[lam] = {lam: finite_identity(datum)}, 0
-        frontier = [lam]
+        reps, frontier = {lam: finite_identity(datum)}, [lam]
+        lengths[lam], points[reps[lam]] = 0, lam
         while frontier:
             mu = frontier.pop()
             for i, n in enumerate(mu, 1):
                 if n > 0:
                     nu = tuple(m - n * a for m, a in zip(mu, alphas[i - 1]))
                     if nu not in reps:
-                        reps[nu] = simple_reflection(datum, i).mul(reps[mu])
-                        lengths[nu] = lengths[mu] + 1
+                        w = reps[nu] = simple_reflection(datum, i).mul(reps[mu])
+                        lengths[nu], points[w] = lengths[mu] + 1, nu
                         frontier.append(nu)
+            if len(reps) > TABLE_BUDGET:
+                raise BudgetExceeded("orbit W lambda exceeded the QLS table budget")
         return reps
 
     @functools.cached_property
@@ -382,13 +388,13 @@ class ParabolicQuotient:
         l(v) = #{alpha in Delta^+ : <alpha^vee, nu> < 0}, kept per nu (the orbit
         search records it too), and w -> v is an edge if l(v) - l(w) is 1 (Bruhat)
         or 1 - c_u (quantum, of coweight u^vee), v -> w one if it is -1 or c_u - 1.
-        No orbit is built.  Kept per (w, step)."""
+        No orbit is built, but w lambda is read off one that was.  Kept per (w, step)."""
         row = self._row_cache.get((w, step))
         if row is None:
-            mu, perm, lengths, out = w.act_fw(self.lam), w.perm, self._lengths, []
+            mu, lengths, out = self._points.get(w) or w.act_fw(self.lam), self._lengths, []
             coroots = self.datum.root_table.coroots[: len(self.datum.pos_roots)]
             for k, u, p, c_u, shift in self._qb_roots:
-                nu = tuple(map(operator.sub, mu, shift[perm[k]]))
+                nu = tuple(map(operator.sub, mu, shift[w.perm[k]]))
                 length = lengths.get(nu)
                 if length is None:
                     length = lengths[nu] = sum(sum(map(operator.mul, c, nu)) < 0 for c in coroots)

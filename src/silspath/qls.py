@@ -41,6 +41,7 @@ from .weyl import (
     from_finite,
     simple_reflection,
 )
+from .peterson import TABLE_BUDGET
 from .sils import CutPath, SiLSCrystal, SiLSPath, merge_segments, root_splice
 
 
@@ -80,20 +81,19 @@ class QLSCrystal:
         """Every QLS path with its row, by a depth-first search over chains
         grown from the final direction; cuts are ticks over N."""
         quotient, n = self.sils.quotient, self.sils.n
-        points = {w: mu for mu, w in quotient.orbit.items()}
         levels = [(a.numerator * (n // a.denominator), a.denominator) for a in quotient.cut_grid()]
         table: dict[QLSPath, LiftRecord] = {}
         # (w_s, ..., w_u), (tick_{s-1}, ..., tick_u), the weight of the segments
         # right of tick_u and the two degree sums, all times N
-        stack = [((w,), (), (0,) * self.datum.rank, 0, 0) for w in points]
+        stack = [((w,), (), (0,) * self.datum.rank, 0, 0) for w in quotient.orbit.values()]
         while stack:
             chain, cuts, settled, deg_kappa, deg_iota = stack.pop()
             top, right = chain[-1], cuts[-1] if cuts else n
-            mu = points[top]
+            mu = quotient._points[top]
             psi = QLSPath.from_ticks(chain[::-1], (0,) + cuts[::-1] + (n,), n)
             weight = tuple((s + right * m) // n for s, m in zip(settled, mu))
             table[psi] = LiftRecord(weight, deg_kappa // n, deg_iota // n)
-            if len(table) > 200_000:
+            if len(table) > TABLE_BUDGET:
                 raise BudgetExceeded("QLS table exceeded budget")
             for a, d in levels:
                 if a < right:

@@ -205,14 +205,13 @@ def weyl_group(datum: CartanDatum, budget: int = 100_000) -> tuple[FiniteWeylElt
     return tuple(sorted(seen, key=lambda w: (w.length, w.sort_key)))
 
 
-@functools.lru_cache(maxsize=None)
 def bruhat_leq(u: FiniteWeylElt, v: FiniteWeylElt) -> bool:
     """Ordinary Bruhat order, decided by the lifting property.
 
-    For a descent s of v (here a right descent, vs < v; Bjorner-Brenti,
-    Prop. 2.2.7, read through w -> w^{-1}): if us < u then u <= v iff
-    us <= vs, otherwise u <= v iff u <= vs.  Descents are peeled off v until
-    l(u) >= l(v), where u <= v iff u = v; no other element of W is visited.
+    For a descent s of v (here a right descent, vs < v; Bjorner-Brenti, Prop. 2.2.7,
+    read through w -> w^{-1}): if us < u then u <= v iff us <= vs, otherwise u <= v iff
+    u <= vs.  Descents are peeled off v until l(u) >= l(v), where u <= v iff u = v; no
+    other element of W is visited, and nothing is memoised.
     """
     datum = u.datum
     n_pos = len(datum.pos_roots)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -7,7 +8,13 @@ from silspath.cartan import AffineRealRoot, build, vec_add, vec_neg
 from silspath.characters import GradedCharacter, weyl_character
 from silspath.peterson import ParabolicQuotient
 from silspath.sils import SiLSPath
-from silspath.weyl import affine_reflection, finite_reflection, translation, weyl_group
+from silspath.weyl import (
+    affine_reflection,
+    bruhat_leq,
+    finite_reflection,
+    translation,
+    weyl_group,
+)
 
 
 @pytest.fixture(scope="session")
@@ -168,6 +175,18 @@ def bruhat_leq_bfs(u, v):
             w2 for w in frontier for r in reflections if (w2 := w.mul(r)).length == level + 1
         }
     return v in frontier
+
+
+def quotient_characters_by_rows(q, w):
+    """(gch_quotient_minus, gch_quotient_plus) at w for the QLS crystal q, by the
+    row filter: one bruhat_leq per table row, on its final and initial direction."""
+    minus, plus = Counter(), Counter()
+    for psi, row in q.table.items():
+        if bruhat_leq(w, psi.directions[-1]):
+            minus[row.weight, row.deg_kappa] += 1
+        if bruhat_leq(psi.directions[0], w):
+            plus[row.weight, row.deg_iota] += 1
+    return GradedCharacter(minus), GradedCharacter(plus)
 
 
 def is_rep_critical(quotient, x):

@@ -1,10 +1,13 @@
+import gc as gc_module
 import itertools
 import math
+import weakref
 
 import pytest
 from conftest import (
     kostka_foulkes,
     multipartitions,
+    quotient_characters_by_rows,
     quotient_reps_by_filter,
     type_a_macdonald_t0,
     weyl_identity_holds,
@@ -13,6 +16,7 @@ from conftest import (
 from silspath import characters as ch
 from silspath.cartan import build
 from silspath.characters import GradedCharacter
+from silspath.peterson import ParabolicQuotient
 from silspath.qls import QLSCrystal
 from silspath.weyl import finite_from_word, simple_reflection
 
@@ -252,6 +256,46 @@ def test_quotient_plus_nesting_and_extremes(fam, lam):
             if bruhat_leq(w1, w2):
                 for key, c in chars[w1].terms.items():
                     assert chars[w2].terms.get(key, 0) >= c
+
+
+@pytest.mark.parametrize("fam,lam", NESTING_WEIGHTS)
+def test_quotient_characters_match_row_filter(fam, lam):
+    # the characters filter W^J once per call; the oracle tests every table row
+    datum = build(*fam)
+    q = QLSCrystal(datum, lam)
+    for w in ch.minus_quotient_reps(datum, lam):
+        pair = (ch.gch_quotient_minus(datum, lam, w), ch.gch_quotient_plus(datum, lam, w))
+        assert pair == quotient_characters_by_rows(q, w), w
+
+
+def test_every_route_reads_one_quotient_per_shape(a2, monkeypatch):
+    # closed form, brute force, representatives, floor(w0) and both quotient
+    # characters of one lambda share one crystal, and so one quotient
+    calls = []
+    for_weight = ParabolicQuotient.for_weight.__func__
+
+    def counted(cls, datum, lam):
+        calls.append(lam)
+        return for_weight(cls, datum, lam)
+
+    monkeypatch.setattr(ParabolicQuotient, "for_weight", classmethod(counted))
+    ch._qls.cache_clear()
+    lam = (1, 1)
+    assert ch.gch_demazure_minus_e(a2, lam, 2) == ch.brute_force_gch_minus_e(a2, lam, 2)
+    reps = ch.minus_quotient_reps(a2, lam)
+    assert ch.floor_w0(a2, lam) in reps
+    for w in reps:
+        assert ch.gch_quotient_minus(a2, lam, w) and ch.gch_quotient_plus(a2, lam, w)
+    assert calls == [lam]
+
+
+def test_character_memo_keeps_only_the_current_shape(a2):
+    # asking for another lambda frees the previous crystal with its table and quotient
+    ch.macdonald_t0(a2, (1, 1))
+    ref = weakref.ref(ch._qls(a2, (1, 1)))
+    ch.macdonald_t0(a2, (1, 0))
+    gc_module.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("fam,lam", TEST_WEIGHTS)

@@ -159,20 +159,32 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def test_si_graph_large_orbit_stays_local():
-    # E7 at a regular weight has |W| = 2,903,040 orbit points: a radius-1 ball
-    # must read only the directions it visits, never the whole orbit W lambda
-    argv = "si-graph --type E --rank 7 --lambda 1,1,1,1,1,1,1 --radius 1".split()
+def run_capped(argv: str):
+    """The CLI in a subprocess under a 1 GiB address-space cap and a 60 s timeout."""
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "silspath.cli", *argv],
+    return subprocess.run(
+        [sys.executable, "-m", "silspath.cli", *argv.split()],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory,
     )
+
+
+def test_si_graph_large_orbit_stays_local():
+    # E7 at a regular weight has |W| = 2,903,040 orbit points: a radius-1 ball
+    # must read only the directions it visits, never the whole orbit W lambda
+    proc = run_capped("si-graph --type E --rank 7 --lambda 1,1,1,1,1,1,1 --radius 1")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert len(proc.stdout.splitlines()) == 143
     digest = "59842d6ee8979ebe8c1ca4bb05fb184e92009549f26ff4751a814afa84bc8b31"
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+def test_macdonald_large_orbit_exhausts_the_budget():
+    # the same orbit is far past the QLS table budget: its search stops there
+    # with exit 3 instead of running out of memory (exit 4)
+    proc = run_capped("char macdonald --type E --rank 7 --lambda 1,1,1,1,1,1,1")
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert "budget exhausted" in proc.stderr
 
 
 @pytest.mark.parametrize("a", sorted(SI_GRAPH_STDOUT))
