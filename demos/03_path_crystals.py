@@ -30,7 +30,7 @@ print()
 print("every truncated Demazure path, with its projection and component:")
 q = QLSCrystal(datum, (2,))
 for path in crystal.enumerate_demazure(affine_identity(datum), 1):
-    base = crystal.component_base(path)
+    base = q.component_base(path)
     print(f"  {path!r}")
     print(f"      cl = {q.cl(path)!r}   component base {base!r}")
 

@@ -23,7 +23,8 @@ and xi_u = xi_{u+1} + wt(w_{u+1} => w_u), `eta_kappa` has the directions
 Pi^J(w_u t_{xi_u}) = w_u z_{xi_u} t_{xi_u + phi_J(xi_u)} and delta coefficient
 deg_kappa; `eta_iota` is its right translate by t_{-xi_1}, with delta
 coefficient deg_iota.  Right translations commute with the root operators,
-which act on the left, so both lifts lie in the unit component.
+which act on the left, so both lifts lie in the unit component, and a path's
+offsets from `eta_kappa` of its projection name its component (`component_base`).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .weyl import (
     finite_reflection,
     from_finite,
     simple_reflection,
+    translation,
 )
 from .peterson import TABLE_BUDGET
 from .sils import CutPath, SiLSCrystal, SiLSPath, merge_segments, root_splice
@@ -133,6 +135,20 @@ class QLSCrystal:
     def eta_iota(self, psi: QLSPath) -> SiLSPath:
         """The unique lift in the unit component with initial direction in W^J."""
         return self._lift(psi, "iota")
+
+    def component_base(self, eta: SiLSPath) -> SiLSPath:
+        """The translation-type path with final direction e in eta's component:
+        with o = x.xi - y.xi for each direction x and the direction y of
+        eta_kappa(cl eta) over the same w, its directions are Pi^J(t_{o - o_s})."""
+        quotient, psi = self.sils.quotient, self.cl(eta)
+        over = iter(zip(psi.directions, self.eta_kappa(psi).directions))
+        (w, y), offsets = next(over), []
+        for x in eta.directions:
+            if quotient.cl_direction(x) != w:
+                w, y = next(over)
+            offsets.append(vec_sub(x.xi, y.xi))
+        dirs = tuple(quotient.project(translation(self.datum, vec_sub(o, offsets[-1]))) for o in offsets)
+        return SiLSPath.from_ticks(*merge_segments(dirs, eta.ticks, eta.den), eta.den)
 
     def deg_tail(self, psi: QLSPath) -> int:
         """The delta coefficient of the weight of `eta_kappa(psi)`."""

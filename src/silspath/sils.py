@@ -32,8 +32,6 @@ from .weyl import (
     BudgetExceeded,
     affine_identity,
     affine_simple,
-    longest_element,
-    simple_reflection,
 )
 from .peterson import ParabolicQuotient
 
@@ -325,85 +323,6 @@ class SiLSCrystal:
     def in_demazure_initial(self, eta: SiLSPath, x: AffineWeylElt) -> bool:
         """x >= iota(eta) in the semi-infinite order."""
         return self.quotient.si_leq(eta.iota, x)
-
-    # -- canonicalization ---------------------------------------------------------
-
-    @functools.cached_property
-    def _orbit_raising_walk(self) -> tuple[int, ...]:
-        """Node labels climbing the finite orbit from w_0(lambda) back to lambda."""
-        datum = self.datum
-        start = longest_element(datum).act_fw(self.lam)
-        if start == self.lam:
-            return ()
-        parent: dict[Vec, tuple[Vec, int]] = {start: (start, -1)}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for nu in frontier:
-                mu = LevelZeroWeight(nu, 0)
-                for j in range(datum.rank + 1):
-                    if datum.acoroot_pairing(j, mu) <= 0:
-                        continue
-                    if j == 0:
-                        pair = -datum.acoroot_pairing(0, mu)
-                        theta_fw = datum.root_to_fw(datum.theta)
-                        nu2 = tuple(
-                            c - pair * t for c, t in zip(nu, theta_fw)
-                        )
-                    else:
-                        nu2 = simple_reflection(datum, j).act_fw(nu)
-                    if nu2 not in parent:
-                        parent[nu2] = (nu, j)
-                        if nu2 == self.lam:
-                            walk = []
-                            cur = nu2
-                            while parent[cur][1] != -1:
-                                prev, jj = parent[cur]
-                                walk.append(jj)
-                                cur = prev
-                            return tuple(reversed(walk))
-                        nxt.append(nu2)
-            frontier = nxt
-        raise AssertionError("orbit walk did not reach the dominant weight")
-
-    def canonicalize(self, eta: SiLSPath) -> tuple[tuple[tuple[int, int], ...], SiLSPath]:
-        """Lower to a translation-type element of the component.
-
-        Returns the applied monomial as (node, power) pairs and the terminal
-        path, whose directions are all of the form z_xi t_xi.  Each round
-        lowers to an I-lowest element and then climbs the finite orbit of the
-        final direction back to lambda; rounds repeat until every direction
-        straightens (empirically at most two are needed, guarded here).
-        """
-        ops: list[tuple[int, int]] = []
-        rounds = 0
-        while not self.is_translation_type(eta):
-            rounds += 1
-            assert rounds <= 64, "canonicalization failed to converge"
-            progress = True
-            while progress:
-                progress = False
-                for j in range(1, self.datum.rank + 1):
-                    eta2, count = self.f_max(eta, j)
-                    if count:
-                        ops.append((j, count))
-                        eta = eta2
-                        progress = True
-            if self.is_translation_type(eta):
-                break
-            for j in self._orbit_raising_walk:
-                eta, count = self.f_max(eta, j)
-                assert count >= 1
-                ops.append((j, count))
-        return tuple(ops), eta
-
-    def component_base(self, eta: SiLSPath) -> SiLSPath:
-        """The unique translation-type path with final direction e reachable
-        from eta; two paths lie in one component iff these agree."""
-        _, terminal = self.canonicalize(eta)
-        base = self.weyl_action(terminal.kappa.inverse(), terminal)
-        assert base.kappa == affine_identity(self.datum)
-        return base
 
     # -- truncated enumeration -----------------------------------------------------
 

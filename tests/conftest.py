@@ -4,14 +4,17 @@ from collections import Counter
 
 import pytest
 
-from silspath.cartan import AffineRealRoot, build, vec_add, vec_neg
+from silspath.cartan import AffineRealRoot, LevelZeroWeight, build, vec_add, vec_neg
 from silspath.characters import GradedCharacter, weyl_character
 from silspath.peterson import ParabolicQuotient
 from silspath.sils import SiLSPath
 from silspath.weyl import (
+    affine_identity,
     affine_reflection,
     bruhat_leq,
     finite_reflection,
+    longest_element,
+    simple_reflection,
     translation,
     weyl_group,
 )
@@ -101,6 +104,87 @@ def dual_route_iota(q, psi):
     """
     dual = q.dual
     return dual.sils.dual_path(dual.eta_kappa(q.star_dual(psi)))
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_raising_walk(datum, lam) -> tuple[int, ...]:
+    """Node labels climbing the finite orbit from w_0(lambda) back to lambda."""
+    start = longest_element(datum).act_fw(lam)
+    if start == lam:
+        return ()
+    parent = {start: (start, -1)}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for nu in frontier:
+            mu = LevelZeroWeight(nu, 0)
+            for j in range(datum.rank + 1):
+                if datum.acoroot_pairing(j, mu) <= 0:
+                    continue
+                if j == 0:
+                    pair = -datum.acoroot_pairing(0, mu)
+                    theta_fw = datum.root_to_fw(datum.theta)
+                    nu2 = tuple(
+                        c - pair * t for c, t in zip(nu, theta_fw)
+                    )
+                else:
+                    nu2 = simple_reflection(datum, j).act_fw(nu)
+                if nu2 not in parent:
+                    parent[nu2] = (nu, j)
+                    if nu2 == lam:
+                        walk = []
+                        cur = nu2
+                        while parent[cur][1] != -1:
+                            prev, jj = parent[cur]
+                            walk.append(jj)
+                            cur = prev
+                        return tuple(reversed(walk))
+                    nxt.append(nu2)
+        frontier = nxt
+    raise AssertionError("orbit walk did not reach the dominant weight")
+
+
+def canonicalize(c, eta):
+    """Lower eta to a translation-type element of its component in the
+    SiLS crystal c by the root operators.
+
+    Returns the applied monomial as (node, power) pairs and the terminal
+    path, whose directions are all of the form z_xi t_xi.  Each round
+    lowers to an I-lowest element and then climbs the finite orbit of the
+    final direction back to lambda; rounds repeat until every direction
+    straightens (empirically at most two are needed, guarded here).
+    """
+    ops = []
+    rounds = 0
+    while not c.is_translation_type(eta):
+        rounds += 1
+        assert rounds <= 64, "canonicalization failed to converge"
+        progress = True
+        while progress:
+            progress = False
+            for j in range(1, c.datum.rank + 1):
+                eta2, count = c.f_max(eta, j)
+                if count:
+                    ops.append((j, count))
+                    eta = eta2
+                    progress = True
+        if c.is_translation_type(eta):
+            break
+        for j in _orbit_raising_walk(c.datum, c.lam):
+            eta, count = c.f_max(eta, j)
+            assert count >= 1
+            ops.append((j, count))
+    return tuple(ops), eta
+
+
+def component_base_by_operators(c, eta):
+    """The unique translation-type path with final direction e reachable
+    from eta, by `canonicalize` and the Weyl group action: the oracle for
+    `QLSCrystal.component_base`."""
+    _, terminal = canonicalize(c, eta)
+    base = c.weyl_action(terminal.kappa.inverse(), terminal)
+    assert base.kappa == affine_identity(c.datum)
+    return base
 
 
 def order_quotients():

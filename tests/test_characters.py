@@ -130,14 +130,15 @@ def test_column_series_counts_multipartitions():
 
 def test_strict_multipartitions_index_components(a1):
     # the component count at each delta degree matches the strict variant
-    from silspath.sils import SiLSCrystal
+    from silspath.qls import QLSCrystal
     from silspath.weyl import affine_identity
 
-    c = SiLSCrystal(a1, (2,))
+    q = QLSCrystal(a1, (2,))
+    c = q.sils
     depth = 3
     bases = {}
     for eta in c.enumerate_demazure(affine_identity(a1), depth):
-        base = c.component_base(eta)
+        base = q.component_base(eta)
         bases[base] = -c.weight(base).delta
     strict = multipartitions((2,), depth, strict=True)
     for k in range(depth + 1):

@@ -159,20 +159,24 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def run_capped(argv: str):
-    """The CLI in a subprocess under a 1 GiB address-space cap and a 60 s timeout."""
+def run_capped(*args: str):
+    """`python *args` in a subprocess under a 1 GiB address-space cap and a 60 s timeout."""
     src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run(
-        [sys.executable, "-m", "silspath.cli", *argv.split()],
+        [sys.executable, *args],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory,
     )
 
 
+def run_cli_capped(argv: str):
+    return run_capped("-m", "silspath.cli", *argv.split())
+
+
 def test_si_graph_large_orbit_stays_local():
     # E7 at a regular weight has |W| = 2,903,040 orbit points: a radius-1 ball
     # must read only the directions it visits, never the whole orbit W lambda
-    proc = run_capped("si-graph --type E --rank 7 --lambda 1,1,1,1,1,1,1 --radius 1")
+    proc = run_cli_capped("si-graph --type E --rank 7 --lambda 1,1,1,1,1,1,1 --radius 1")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert len(proc.stdout.splitlines()) == 143
     digest = "59842d6ee8979ebe8c1ca4bb05fb184e92009549f26ff4751a814afa84bc8b31"
@@ -182,9 +186,32 @@ def test_si_graph_large_orbit_stays_local():
 def test_macdonald_large_orbit_exhausts_the_budget():
     # the same orbit is far past the QLS table budget: its search stops there
     # with exit 3 instead of running out of memory (exit 4)
-    proc = run_capped("char macdonald --type E --rank 7 --lambda 1,1,1,1,1,1,1")
+    proc = run_cli_capped("char macdonald --type E --rank 7 --lambda 1,1,1,1,1,1,1")
     assert proc.returncode == 3, proc.stderr[-2000:]
     assert "budget exhausted" in proc.stderr
+
+
+COMPONENT_BASE_E7 = """
+from silspath.cartan import build
+from silspath.qls import QLSCrystal
+from silspath.weyl import BudgetExceeded
+
+q = QLSCrystal(build("E", 7), (1,) * 7)
+eta = q.sils.root_e(q.sils.unit_path(), 0)
+assert len(eta.directions) == 2
+try:
+    q.component_base(eta)
+except BudgetExceeded:
+    print("budget exhausted")
+"""
+
+
+def test_component_base_large_orbit_exhausts_the_budget():
+    # a two-segment path off the same orbit: its component base needs the
+    # distinguished lift, whose reach search stops at the orbit budget
+    proc = run_capped("-c", COMPONENT_BASE_E7)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "budget exhausted\n"
 
 
 @pytest.mark.parametrize("a", sorted(SI_GRAPH_STDOUT))

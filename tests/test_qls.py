@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import (
+    component_base_by_operators,
     covers_by_scan,
     dual_route_iota,
     generate_by_operators,
@@ -139,7 +140,7 @@ def test_lift_weight_is_maximal_in_fiber(fam, lam):
             for eta in lifts
             if not any(eta.kappa.xi)
             and q.sils.quotient.is_min_rep(eta.kappa.w)
-            and q.sils.component_base(eta) == unit
+            and q.component_base(eta) == unit
         ]
         for eta in lifts:
             wt = q.sils.weight(eta)
@@ -392,7 +393,7 @@ def test_fiber_structure(fam, lam):
     for eta in enum:
         psi = q.cl(eta)
         word, lift = found[psi]
-        base = q.sils.component_base(eta)
+        base = q.component_base(eta)
         # membership in the Demazure set forces a dominant final translate
         assert all(c >= 0 for c in proj(eta.kappa.xi))
         # the fiber translate, relative to the oracle lift's final direction
@@ -401,6 +402,34 @@ def test_fiber_structure(fam, lam):
         )
         start = q.sils.weyl_action(translation(datum, zeta), base)
         assert q.sils.apply(start, word) == eta
+
+
+COMPONENT_CASES = [
+    (("A", 1), (2,)),
+    (("A", 2), (2, 1)),
+    (("A", 2), (3, 2)),
+    (("C", 2), (1, 1)),
+    (("C", 2), (2, 2)),
+    (("G", 2), (1, 1)),
+    (("B", 3), (0, 1, 0)),
+    (("D", 4), (0, 1, 0, 0)),
+    (("F", 4), (0, 0, 0, 1)),
+    (("E", 6), (1, 0, 0, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("fam,lam", COMPONENT_CASES)
+def test_component_base_matches_operator_walk(fam, lam):
+    # the offsets from eta_kappa(cl eta) name the same component as the
+    # root-operator walk, on the Demazure set at e and one operator beyond it
+    q = qls(fam, lam)
+    sils = q.sils
+    sample = set(sils.enumerate_demazure(affine_identity(q.datum), 1))
+    for eta in tuple(sample):
+        for j in range(q.datum.rank + 1):
+            sample.update(p for p in (sils.root_e(eta, j), sils.root_f(eta, j)) if p is not None)
+    for eta in sample:
+        assert q.component_base(eta) == component_base_by_operators(sils, eta)
 
 
 @pytest.mark.parametrize("fam,lam", QLS_CASES)
