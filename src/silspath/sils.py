@@ -334,26 +334,23 @@ class SiLSCrystal:
         quotient = self.quotient
         p_of = lambda z: -self._direction(z)[0].delta  # <xi, lambda>, read off z(lambda)
         grid = quotient.cut_grid()
-        # the grid's largest denominator, so 1/max_den is its smallest cut;
-        # the pool bound rests on it, not on N
-        max_den = max((a.denominator for a in grid), default=1)
-        p_x = p_of(x)
-        bound = max_den * (depth + max(0, -p_x)) + max(0, p_x)
         # cuts and sums below are ticks over N; `levels` maps a grid cut's
-        # ticks to the cut itself, the level argument of si_covers (level 1,
-        # n ticks, is absent and so admits every cover)
+        # ticks to its denominator, the only part of the level si_covers reads
         n, limit = self.n, depth * self.n
-        levels = {a.numerator * (n // a.denominator): a for a in grid}
+        levels = {a.numerator * (n // a.denominator): a.denominator for a in grid}
 
         @functools.lru_cache(maxsize=None)
-        def upward(z: AffineWeylElt, a: int) -> tuple[tuple[AffineWeylElt, int], ...]:
-            """(y, p_of(y)) for every y > z at level a with p_of(y) <= bound."""
+        def upward(z: AffineWeylElt, d: int, cap: int) -> tuple[tuple[AffineWeylElt, int], ...]:
+            """(y, p_of(y)) for every y > z at level 1/d with p_of(y) <= cap.
+
+            p_of never decreases along a cover (a quantum edge adds <beta^vee,
+            lambda> >= 0), so every cover path to such a y stays under cap."""
             seen = {z: p_of(z)}
-            queue = [z]
+            queue, level = [z], Fraction(1, d)
             while queue:
                 cur = queue.pop()
-                for _beta, y in quotient.si_covers(cur, levels.get(a)):
-                    if y not in seen and (p := p_of(y)) <= bound:
+                for _beta, y in quotient.si_covers(cur, level):
+                    if y not in seen and (p := p_of(y)) <= cap:
                         if len(seen) >= budget:
                             raise BudgetExceeded("direction pool exceeded budget")
                         seen[y] = p
@@ -361,8 +358,8 @@ class SiLSCrystal:
             del seen[z]
             return tuple(seen.items())
 
-        # reachable direction pool: everything >= x with bounded pairing
-        pool = ((x, p_x),) + upward(x, n)
+        # every direction pairs at least as high as kappa, so p_of(kappa) <= depth
+        pool = ((x, p_of(x)),) + upward(x, 1, depth)
 
         # depth-first over (chain, cuts_desc, settled, p_of(top)), children
         # pushed in reverse so they pop in order; no recursive closure keeps
@@ -381,16 +378,16 @@ class SiLSCrystal:
             if len(results) > budget:
                 raise BudgetExceeded("path enumeration exceeded budget")
             children = []
-            for a in levels:
+            for a, d in levels.items():
                 if a >= right:
                     continue
                 new_settled = settled + (right - a) * p_top
+                cap = (limit - new_settled) // a
                 # every remaining direction pairs at least as high as the top
-                if new_settled + a * p_top > limit:
+                if cap < p_top:
                     continue
-                for y, p in upward(chain[-1], a):
-                    if new_settled + a * p <= limit:
-                        children.append((chain + (y,), cuts_desc + (a,), new_settled, p))
+                for y, p in upward(chain[-1], d, cap):
+                    children.append((chain + (y,), cuts_desc + (a,), new_settled, p))
             stack.extend(reversed(children))
 
         results.sort(key=lambda eta: eta.sort_key(n))

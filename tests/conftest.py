@@ -9,6 +9,7 @@ from silspath.characters import GradedCharacter, weyl_character
 from silspath.peterson import ParabolicQuotient
 from silspath.sils import SiLSPath
 from silspath.weyl import (
+    BudgetExceeded,
     affine_identity,
     affine_reflection,
     bruhat_leq,
@@ -332,6 +333,76 @@ def covers_by_scan(quotient, x, a=None, step=1):
             if d == 1 or edge_pairing(quotient, beta, x if step == 1 else y) % d == 0:
                 out.append((beta, y))
     return tuple(out)
+
+
+def enumerate_demazure_by_pool(c, x, depth, budget=500_000):
+    """`SiLSCrystal.enumerate_demazure` with every search bounded by one pool
+    bound, max_den * (depth + max(0, -p_x)) + max(0, p_x), instead of the
+    remaining degree: the oracle for the capped search."""
+    assert depth >= 0
+    quotient = c.quotient
+    p_of = lambda z: -c._direction(z)[0].delta  # <xi, lambda>, read off z(lambda)
+    grid = quotient.cut_grid()
+    # the grid's largest denominator, so 1/max_den is its smallest cut;
+    # the pool bound rests on it, not on N
+    max_den = max((a.denominator for a in grid), default=1)
+    p_x = p_of(x)
+    bound = max_den * (depth + max(0, -p_x)) + max(0, p_x)
+    # cuts and sums below are ticks over N; `levels` maps a grid cut's
+    # ticks to the cut itself, the level argument of si_covers (level 1,
+    # n ticks, is absent and so admits every cover)
+    n, limit = c.n, depth * c.n
+    levels = {a.numerator * (n // a.denominator): a for a in grid}
+
+    @functools.lru_cache(maxsize=None)
+    def upward(z, a):
+        """(y, p_of(y)) for every y > z at level a with p_of(y) <= bound."""
+        seen = {z: p_of(z)}
+        queue = [z]
+        while queue:
+            cur = queue.pop()
+            for _beta, y in quotient.si_covers(cur, levels.get(a)):
+                if y not in seen and (p := p_of(y)) <= bound:
+                    if len(seen) >= budget:
+                        raise BudgetExceeded("direction pool exceeded budget")
+                    seen[y] = p
+                    queue.append(y)
+        del seen[z]
+        return tuple(seen.items())
+
+    # reachable direction pool: everything >= x with bounded pairing
+    pool = ((x, p_x),) + upward(x, n)
+
+    # depth-first over (chain, cuts_desc, settled, p_of(top)), children
+    # pushed in reverse so they pop in order
+    results = []
+    kappas = sorted(pool, key=lambda zp: (zp[0].si_length, zp[0].xi, zp[0].w.sort_key))
+    stack = [((kappa,), (), 0, p) for kappa, p in reversed(kappas)]
+    while stack:
+        chain, cuts_desc, settled, p_top = stack.pop()
+        right = cuts_desc[-1] if cuts_desc else n
+        # closing now puts the top direction on [0, right]
+        if settled + right * p_top <= limit:
+            dirs = tuple(reversed(chain))
+            ticks = (0,) + tuple(reversed(cuts_desc)) + (n,)
+            results.append(SiLSPath.from_ticks(dirs, ticks, n))
+        if len(results) > budget:
+            raise BudgetExceeded("path enumeration exceeded budget")
+        children = []
+        for a in levels:
+            if a >= right:
+                continue
+            new_settled = settled + (right - a) * p_top
+            # every remaining direction pairs at least as high as the top
+            if new_settled + a * p_top > limit:
+                continue
+            for y, p in upward(chain[-1], a):
+                if new_settled + a * p <= limit:
+                    children.append((chain + (y,), cuts_desc + (a,), new_settled, p))
+        stack.extend(reversed(children))
+
+    results.sort(key=lambda eta: eta.sort_key(n))
+    return tuple(results)
 
 
 # -- type A: Kostka-Foulkes polynomials by charge ---------------------------------------

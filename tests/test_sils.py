@@ -4,7 +4,12 @@ import weakref
 from fractions import Fraction as F
 
 import pytest
-from conftest import canonicalize, component_base_by_operators, multipartitions
+from conftest import (
+    canonicalize,
+    component_base_by_operators,
+    enumerate_demazure_by_pool,
+    multipartitions,
+)
 
 from silspath.cartan import LevelZeroWeight, build
 from silspath.peterson import ParabolicQuotient
@@ -17,6 +22,7 @@ from silspath.weyl import (
     affine_simple,
     bruhat_leq,
     from_finite,
+    longest_element,
     simple_reflection,
     translation,
     weyl_group,
@@ -496,6 +502,57 @@ def test_decompose_memo_matches_fresh_on_enumeration_pool(fam, lam):
     fresh = ParabolicQuotient.for_weight(c.datum, lam)
     for x, dec in memo.items():
         assert dec == fresh.decompose(x), x
+
+
+def p_of(c, z):
+    """p(z) = <xi, lambda> = -delta(z lambda), the degree a direction costs."""
+    return -z.act_weight(c.lam_weight).delta
+
+
+@pytest.mark.parametrize(
+    "fam,lam,depth",
+    [
+        (("A", 1), (2,), 4),
+        (("A", 2), (1, 1), 2),
+        (("C", 2), (1, 0), 3),
+        (("G", 2), (0, 1), 2),
+        (("B", 2), (1, 1), 2),
+        (("A", 3), (1, 0, 1), 1),
+    ],
+)
+def test_capped_search_matches_pool_oracle(fam, lam, depth):
+    # capping each search by the remaining degree drops no path and keeps
+    # the order, at bases with p_x = 0, p_x < 0 and p_x > depth
+    datum = build(*fam)
+    c = SiLSCrystal(datum, lam)
+    q = c.quotient
+    low = q.project(translation(datum, (-1,) * datum.rank))
+    high = q.project(translation(datum, (depth + 1,) * datum.rank))
+    assert p_of(c, low) < 0 < depth < p_of(c, high)
+    for x in (affine_identity(datum), q.project(from_finite(longest_element(datum))), low, high):
+        for d in range(1, depth + 1):
+            assert c.enumerate_demazure(x, d) == enumerate_demazure_by_pool(c, x, d), (x, d)
+
+
+@pytest.mark.parametrize("fam,lam", [(("A", 2), (1, 1)), (("B", 3), (0, 1, 0))])
+def test_pairing_never_falls_along_a_cover(fam, lam):
+    # the cap is exact only because p_of is monotone along every cover, at
+    # level 1 and at each grid level
+    c = crystal(fam, lam)
+    assert c.enumerate_demazure(affine_identity(c.datum), 2)
+    q = c.quotient
+    pool = {x for x, _d in q._cover_cache}
+    for x in pool:
+        for a in (None,) + q.cut_grid():
+            for _beta, y in q.si_covers(x, a):
+                assert p_of(c, y) >= p_of(c, x), (x, y, a)
+
+
+def test_capped_search_reach_is_pinned():
+    # the pool bound max_den * depth computed covers at 998 directions here
+    c = SiLSCrystal(build("B", 2), (1, 1))
+    assert len(c.enumerate_demazure(affine_identity(c.datum), 4)) == 280
+    assert len(c.quotient._cover_cache) <= 400
 
 
 def test_enumeration_at_translated_base(a2):
