@@ -12,11 +12,11 @@ parabolic quantum Bruhat graph QB(W^J) is read one row per w: an orbit point nu
 has length #{alpha in Delta^+ : <alpha^vee, nu> < 0}, so a length test finds
 an edge up from w or down to w without building the orbit W lambda.  The graph
 lifts QB(W^J) (Ishii-Naito-Sagaki): edge labels beta depend only on w = cl(x),
-and xi only moves the endpoints r_beta x, so the labels are read once per w
-off QB(W^J), which the QLS table reads too.  The decomposition x = w z_xi t_xi
-is kept per representative x.  A level a enters only through its reduced
-denominator d, which must divide the label's p = |<beta^vee, x lambda>|:
-covers are kept per (x, d), order per (x, y, d).
+and xi only moves the endpoints r_beta x, so the labels are read off the row of
+w, which is kept per (w, step) and which the QLS table reads too.  The
+decomposition x = w z_xi t_xi is kept per representative x.  A level a enters
+only through its reduced denominator d, which must divide the label's
+p = |<beta^vee, x lambda>|: covers are kept per (x, d), order per (x, y, d).
 """
 
 from __future__ import annotations
@@ -81,14 +81,13 @@ def _component_split(datum: CartanDatum, nodes: tuple[int, ...]) -> tuple[tuple[
 @dataclass(frozen=True, eq=False)
 class ParabolicQuotient:
     """Tables for one subset J, bound to a dominant weight lambda with zero set J;
-    cover labels are read off its orbit graph QB(W^J), one row per direction."""
+    cover labels are read off the rows of its orbit graph QB(W^J), kept per (w, step)."""
 
     datum: CartanDatum
     j_nodes: tuple[int, ...]
     lam: Vec
     _si_leq_cache: dict = field(default_factory=dict, repr=False)
     _cover_cache: dict = field(default_factory=dict, repr=False)
-    _label_cache: dict = field(default_factory=dict, repr=False)
     _row_cache: dict = field(default_factory=dict, repr=False)
     _lengths: dict = field(default_factory=dict, repr=False)
     _points: dict = field(default_factory=dict, repr=False)
@@ -112,23 +111,18 @@ class ParabolicQuotient:
     def lam_weight(self) -> LevelZeroWeight:
         return LevelZeroWeight(self.lam, 0)
 
-    @property
-    def delta_j_plus(self) -> tuple[Vec, ...]:
-        return self._tables[0]
-
-    @property
-    def reduction_gens(self) -> tuple[tuple[AffineRealRoot, AffineWeylElt], ...]:
-        return self._tables[1]
-
     @functools.cached_property
-    def _tables(self):
-        datum = self.datum
-        jset = set(self.j_nodes)
-        dj = tuple(
+    def delta_j_plus(self) -> tuple[Vec, ...]:
+        datum, jset = self.datum, set(self.j_nodes)
+        return tuple(
             u
             for u in datum.pos_roots
             if all(u[i] == 0 for i in range(datum.rank) if (i + 1) not in jset)
         )
+
+    @functools.cached_property
+    def reduction_gens(self) -> tuple[tuple[AffineRealRoot, AffineWeylElt], ...]:
+        datum, jset = self.datum, set(self.j_nodes)
         gens: list[tuple[AffineRealRoot, AffineWeylElt]] = []
         for i in self.j_nodes:
             beta = AffineRealRoot(datum.simple_root(i), 0)
@@ -136,13 +130,13 @@ class ParabolicQuotient:
         for comp in _component_split(datum, self.j_nodes):
             sub_roots = [
                 u
-                for u in dj
+                for u in self.delta_j_plus
                 if all(u[i - 1] == 0 for i in jset if i not in comp)
             ]
             theta_c = max(sub_roots, key=lambda u: (sum(u), u))
             beta = AffineRealRoot(vec_neg(theta_c), 1)
             gens.append((beta, affine_reflection(datum, beta)))
-        return dj, tuple(gens)
+        return tuple(gens)
 
     # -- membership and projection ------------------------------------------
 
@@ -235,29 +229,16 @@ class ParabolicQuotient:
             if u not in dj
         )
 
-    def _edge_labels(
-        self, w: FiniteWeylElt, step: int
-    ) -> tuple[tuple[AffineRealRoot, int, AffineWeylElt], ...]:
-        """(beta, p, r_beta) for the edges out of (step 1) or into (step -1) every
-        x over w, one per edge of QB(W^J) at w (`qb_row`): beta = step w(u) +
-        chi delta with chi = 1 iff the edge is quantum (iff step w(u) < 0), and
-        p = <u^vee, lambda> = |<beta^vee, x lambda>|."""
-        labels = self._label_cache.get((w, step))
-        if labels is None:
-            out = []
-            for _nu, p, u, quantum in self.qb_row(w, step):
-                beta = AffineRealRoot(w.act_root(u if step == 1 else vec_neg(u)), int(quantum))
-                out.append((beta, p, affine_reflection(self.datum, beta)))
-            labels = self._label_cache[w, step] = tuple(out)
-        return labels
-
     def _lift(self, x: AffineWeylElt, a: Fraction | None, step: int):
-        """The labels of cl(x) kept at level a, each with its endpoint r_beta x."""
-        d = 1 if a is None else a.denominator
+        """The edges of QB(W^J) at w = cl(x) (`qb_row`) whose p = |<beta^vee, x lambda>|
+        level a's denominator divides, lifted to (beta, r_beta x) out of (step 1) or
+        into (step -1) x: beta = step w(u) + chi delta, chi = 1 iff the edge is quantum."""
+        d, w = 1 if a is None else a.denominator, self.decompose(x).w
         return tuple(
-            (beta, refl.mul(x))
-            for beta, p, refl in self._edge_labels(self.decompose(x).w, step)
+            (beta, affine_reflection(self.datum, beta).mul(x))
+            for _nu, p, u, quantum in self.qb_row(w, step)
             if p % d == 0
+            for beta in [AffineRealRoot(w.act_root(u if step == 1 else vec_neg(u)), int(quantum))]
         )
 
     def si_covers(

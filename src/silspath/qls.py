@@ -83,7 +83,6 @@ class QLSCrystal:
         """Every QLS path with its row, by a depth-first search over chains
         grown from the final direction; cuts are ticks over N."""
         quotient, n = self.sils.quotient, self.sils.n
-        levels = [(a.numerator * (n // a.denominator), a.denominator) for a in quotient.cut_grid()]
         table: dict[QLSPath, LiftRecord] = {}
         # (w_s, ..., w_u), (tick_{s-1}, ..., tick_u), the weight of the segments
         # right of tick_u and the two degree sums, all times N
@@ -97,7 +96,7 @@ class QLSCrystal:
             table[psi] = LiftRecord(weight, deg_kappa // n, deg_iota // n)
             if len(table) > TABLE_BUDGET:
                 raise BudgetExceeded("QLS table exceeded budget")
-            for a, d in levels:
+            for a, d in self.sils.levels:
                 if a < right:
                     step = tuple(s + (right - a) * m for s, m in zip(settled, mu))
                     for y, (wt, _xi) in quotient.qb_reach(top, d).items():

@@ -178,6 +178,11 @@ class SiLSCrystal:
         self.lam_weight = LevelZeroWeight(self.lam, 0)
         # N: every cut of a path of this shape is an integer over it
         self.n = math.lcm(*self.quotient.pairing_values())
+        # the grid cuts in grid order as (ticks over N, denominator), the only
+        # part of a cut's level that the semi-infinite order reads
+        self.levels = tuple(
+            (a.numerator * (self.n // a.denominator), a.denominator) for a in self.quotient.cut_grid()
+        )
         self._directions: dict = {}
 
     # -- basic paths ----------------------------------------------------------
@@ -283,14 +288,12 @@ class SiLSCrystal:
             self.quotient.cl_direction(x).is_identity for x in eta.directions
         )
 
-    def _s_translation_form(self, x: AffineWeylElt, eta: SiLSPath) -> SiLSPath:
-        dirs = tuple(self.quotient.project(x.mul(y)) for y in eta.directions)
-        return SiLSPath.from_ticks(dirs, eta.ticks, eta.den)
-
     def weyl_action(self, x: AffineWeylElt, eta: SiLSPath) -> SiLSPath:
-        """S_x eta via a reduced word, or the projection form on translates."""
-        if self.is_translation_type(eta):
-            return self._s_translation_form(x, eta)
+        """S_x eta = S_{j_1} ... S_{j_k} eta for a reduced word j_1 ... j_k of x.
+
+        On a translation-type path every node has one slope along the path, so
+        each S_j reflects every direction, and S_x eta replaces each direction y
+        by Pi^J(x y)."""
         for j in reversed(x.reduced_word()):
             eta = self._s_simple(j, eta)
         return eta
@@ -333,11 +336,8 @@ class SiLSCrystal:
         assert depth >= 0
         quotient = self.quotient
         p_of = lambda z: -self._direction(z)[0].delta  # <xi, lambda>, read off z(lambda)
-        grid = quotient.cut_grid()
-        # cuts and sums below are ticks over N; `levels` maps a grid cut's
-        # ticks to its denominator, the only part of the level si_covers reads
+        # cuts and sums below are ticks over N
         n, limit = self.n, depth * self.n
-        levels = {a.numerator * (n // a.denominator): a.denominator for a in grid}
 
         @functools.lru_cache(maxsize=None)
         def upward(z: AffineWeylElt, d: int, cap: int) -> tuple[tuple[AffineWeylElt, int], ...]:
@@ -378,7 +378,7 @@ class SiLSCrystal:
             if len(results) > budget:
                 raise BudgetExceeded("path enumeration exceeded budget")
             children = []
-            for a, d in levels.items():
+            for a, d in self.levels:
                 if a >= right:
                     continue
                 new_settled = settled + (right - a) * p_top

@@ -314,6 +314,7 @@ def from_finite(w: FiniteWeylElt) -> AffineWeylElt:
     return AffineWeylElt(w, (0,) * w.datum.rank)
 
 
+@functools.lru_cache(maxsize=None)
 def affine_reflection(datum: CartanDatum, beta: AffineRealRoot) -> AffineWeylElt:
     """r_beta = r_alpha t_{n alpha^vee} for beta = alpha + n delta."""
     r = finite_reflection(datum, beta.finite)

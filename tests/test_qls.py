@@ -9,6 +9,7 @@ from conftest import (
     component_base_by_operators,
     covers_by_scan,
     dual_route_iota,
+    edge_pairing,
     generate_by_operators,
     oracle_row,
     replay_words,
@@ -208,15 +209,16 @@ def test_lifts_match_translated_oracle(fam, lam):
 def test_orbit_edges_match_edge_labels(fam, lam):
     # the QB(W^J) rows at the orbit points are the semi-infinite cover labels
     # at w t_0 (the lifting theorem of Ishii-Naito-Sagaki): beta = w(u) + delta
-    # exactly for the quantum edges, and each target is floor(w r_u)
+    # exactly for the quantum edges, p = <beta^vee, x lambda>, and each target
+    # is floor(w r_u)
     datum = build(*fam)
     quotient = ParabolicQuotient.for_weight(datum, lam)
     orbit = quotient.orbit
     points, row = orbit.values(), quotient.qb_row
     for w in points:
-        edges = row(w, 1)
+        x, edges = from_finite(w), row(w, 1)
         labels = [(AffineRealRoot(w.act_root(u), int(q)), p) for _nu, p, u, q in edges]
-        assert labels == [(beta, p) for beta, p, _refl in quotient._edge_labels(w, 1)], w
+        assert labels == [(beta, edge_pairing(quotient, beta, x)) for beta, _y in quotient.si_covers(x)], w
         for nu, _p, u, _q in edges:
             assert orbit[nu] == quotient.min_rep(w.mul(finite_reflection(datum, u)))
         # quantum by the length test iff step w(u) < 0, in both directions
@@ -228,15 +230,12 @@ def test_orbit_edges_match_edge_labels(fam, lam):
     assert ups == Counter((orbit[nu], w, p, q) for w in points for nu, p, _u, q in row(w, -1))
     if fam == ("E", 8):
         return  # the candidate scan below takes seconds on E8
-    # the labels, read off the same rows, against the independent candidate
+    # the covers, read off the same rows, against the independent candidate
     # scan at w t_0: up tuple for tuple, down as multisets
     for w in points:
         x = from_finite(w)
-        up, down = (
-            tuple((beta, refl.mul(x)) for beta, _p, refl in quotient._edge_labels(w, step))
-            for step in (1, -1)
-        )
-        assert up == covers_by_scan(quotient, x, None, 1), w
+        assert quotient.si_covers(x) == covers_by_scan(quotient, x, None, 1), w
+        down = quotient.si_lower_covers(x)
         assert Counter(down) == Counter(covers_by_scan(quotient, x, None, -1)), w
 
 

@@ -174,17 +174,21 @@ def test_weyl_action_examples(a1):
 
 
 def test_weyl_action_translation_form_consistent(a2):
-    # the projection form and the reduced-word form agree on translates
-    c = SiLSCrystal(a2, (1, 1))
-    eta = c.unit_path()
-    for xi in [(1, 0), (0, 1), (1, 1)]:
-        x = translation(a2, xi)
-        closed = c.weyl_action(x, eta)
-        by_word = eta
-        for j in reversed(x.reduced_word()):
-            by_word = c._s_simple(j, by_word)
-        assert closed == by_word
-        assert c.validate(closed)
+    # on translation-type paths the reduced-word action is the projection form,
+    # each direction y going to Pi^J(x y): at simple reflections, r_0 and
+    # translations, on one- and two-direction paths
+    xs = [affine_simple(a2, j) for j in range(3)]
+    xs += [translation(a2, xi) for xi in [(1, 0), (0, 1), (1, 1), (-1, 1)]]
+    for lam, shapes in [((1, 1), {1}), ((2, 0), {1, 2})]:
+        c = SiLSCrystal(a2, lam)
+        base = c.quotient.project(translation(a2, (-1, -1)))
+        paths = [eta for eta in c.enumerate_demazure(base, 3) if c.is_translation_type(eta)]
+        assert {len(eta.directions) for eta in paths} == shapes
+        for eta, x in itertools.product(paths, xs):
+            dirs = tuple(c.quotient.project(x.mul(y)) for y in eta.directions)
+            closed = c.weyl_action(x, eta)
+            assert closed == SiLSPath.from_ticks(dirs, eta.ticks, eta.den), (eta, x)
+            assert c.validate(closed)
 
 
 # -- duality --------------------------------------------------------------------
