@@ -1,12 +1,13 @@
 """Graded characters, Macdonald t=0 specializations, and their oracles.
 
 A graded character is a finite integer combination of terms x^mu q^k with
-mu recorded in fundamental-weight coordinates.  The closed-form Demazure
-characters multiply the degree-weighted QLS sum by the expanded inverse
-product over the columns of lambda; the brute-force route sums the weights
-of a truncated path enumeration instead, and Demazure's character formula
-supplies an independent q=0 oracle without enumerating the Weyl group.  Every
-route reads one crystal per shape, `_qls`, kept until another lambda is asked for.
+mu recorded in fundamental-weight coordinates.  The degree-weighted QLS sum,
+from `QLSCrystal.final_sums`, lists no path; the closed-form Demazure
+characters multiply it by the expanded inverse product over the columns of
+lambda; the brute-force route sums the weights of a truncated path
+enumeration instead, and Demazure's character formula supplies an independent
+q=0 oracle without enumerating the Weyl group.  Every route reads one crystal
+per shape, `_qls`, kept until another lambda is asked for.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import functools
 from collections import Counter
 
 from .cartan import CartanDatum, Vec, vec_add, vec_neg
-from .weyl import FiniteWeylElt, affine_identity, bruhat_leq, longest_element
+from .weyl import BudgetExceeded, FiniteWeylElt, affine_identity, bruhat_leq, longest_element
 from .qls import QLSCrystal
 
 Term = tuple[Vec, int]
@@ -99,8 +100,10 @@ class GradedCharacter:
 
 def qls_degree_sum(datum: CartanDatum, lam: Vec) -> GradedCharacter:
     """Sum of q^(tail degree) x^(weight) over the finite path crystal."""
-    rows = _qls(datum, tuple(lam)).table.values()
-    return GradedCharacter(Counter((rec.weight, rec.deg_kappa) for rec in rows))
+    total = Counter()
+    for part in _qls(datum, tuple(lam)).final_sums.values():
+        total.update(part)
+    return GradedCharacter(total)
 
 
 def macdonald_t0(datum: CartanDatum, lam: Vec) -> GradedCharacter:
@@ -115,33 +118,41 @@ _qls = functools.lru_cache(maxsize=1)(QLSCrystal)  # (datum, lam) -> the current
 
 
 def _column_series(rank: int, lam: Vec, depth: int, sign: int) -> GradedCharacter:
-    """Expansion of prod_i prod_{r<=m_i} (1 - q^(sign*r))^(-1) to q-depth."""
-    zero = (0,) * rank
-    series = {(zero, 0): 1}
+    """Expansion of prod_i prod_{r<=m_i} (1 - q^(sign*r))^(-1) to q-depth, by the
+    partition recurrence c[k] += c[k - r], one pass per factor."""
+    counts = [1] + [0] * depth if any(lam) else [1]
     for m in lam:
         for r in range(1, m + 1):
-            out: dict[Term, int] = {}
-            for (fw, q), c in series.items():
-                k = abs(q)
-                power = 0
-                while k + power * r <= depth:
-                    key = (fw, q + sign * power * r)
-                    out[key] = out.get(key, 0) + c
-                    power += 1
-            series = out
-    return GradedCharacter(series)
+            for k in range(r, depth + 1):
+                counts[k] += counts[k - r]
+    zero = (0,) * rank
+    return GradedCharacter({(zero, sign * k): c for k, c in enumerate(counts)})
 
 
-def gch_demazure_minus_e(datum: CartanDatum, lam: Vec, depth: int) -> GradedCharacter:
+def _times_column_series(
+    total: GradedCharacter, lam: Vec, depth: int, sign: int, budget: int
+) -> GradedCharacter:
+    """total times the column series, truncated to q-depth.  That holds at most
+    one term per weight of total and q-degree within depth; past budget such
+    terms it raises BudgetExceeded before anything is expanded."""
+    if any(lam) and len({fw for fw, _q in total.terms}) * (depth + 1) > budget:
+        raise BudgetExceeded(f"closed form exceeded budget {budget}")
+    product = total * _column_series(len(lam), lam, depth, sign)
+    return product.truncate(q_min=-depth) if sign < 0 else product.truncate(q_max=depth)
+
+
+def gch_demazure_minus_e(
+    datum: CartanDatum, lam: Vec, depth: int, budget: int = 500_000
+) -> GradedCharacter:
     """Closed form for the minus Demazure character, truncated to q >= -depth."""
-    series = _column_series(datum.rank, lam, depth, -1)
-    return (qls_degree_sum(datum, lam) * series).truncate(q_min=-depth)
+    return _times_column_series(qls_degree_sum(datum, lam), lam, depth, -1, budget)
 
 
-def gch_demazure_plus_w0(datum: CartanDatum, lam: Vec, depth: int) -> GradedCharacter:
+def gch_demazure_plus_w0(
+    datum: CartanDatum, lam: Vec, depth: int, budget: int = 500_000
+) -> GradedCharacter:
     """Closed form for the plus Demazure character, truncated to q <= depth."""
-    series = _column_series(datum.rank, lam, depth, +1)
-    return (macdonald_t0(datum, lam) * series).truncate(q_max=depth)
+    return _times_column_series(macdonald_t0(datum, lam), lam, depth, +1, budget)
 
 
 def brute_force_gch_minus_e(

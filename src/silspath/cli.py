@@ -214,9 +214,9 @@ def _cmd_char(args) -> int:
     if mode == "macdonald":
         _emit(_character_json(meta, ch.macdonald_t0(datum, lam)))
     elif mode == "demazure-minus":
-        _emit(_character_json(meta, ch.gch_demazure_minus_e(datum, lam, args.depth)))
+        _emit(_character_json(meta, ch.gch_demazure_minus_e(datum, lam, args.depth, args.budget)))
     elif mode == "demazure-plus":
-        _emit(_character_json(meta, ch.gch_demazure_plus_w0(datum, lam, args.depth)))
+        _emit(_character_json(meta, ch.gch_demazure_plus_w0(datum, lam, args.depth, args.budget)))
     elif mode in ("quotient-minus", "quotient-plus"):
         if args.w is None:
             raise ValueError("quotient characters require --w")
@@ -224,7 +224,7 @@ def _cmd_char(args) -> int:
         fn = ch.gch_quotient_minus if mode == "quotient-minus" else ch.gch_quotient_plus
         _emit(_character_json(meta, fn(datum, lam, w)))
     elif mode == "verify-grch1":
-        closed = ch.gch_demazure_minus_e(datum, lam, args.depth)
+        closed = ch.gch_demazure_minus_e(datum, lam, args.depth, args.budget)
         brute = ch.brute_force_gch_minus_e(datum, lam, args.depth, budget=args.budget)
         if closed != brute:
             _diff_report("graded character of the minus Demazure module", closed, brute)
@@ -232,8 +232,8 @@ def _cmd_char(args) -> int:
         print(f"verified: minus Demazure character, depth {args.depth}, "
               f"{len(closed.terms)} terms")
     elif mode == "verify-grch2":
-        plus = ch.gch_demazure_plus_w0(datum, lam, args.depth)
-        minus = ch.gch_demazure_minus_e(datum, datum.sigma_dual(lam), args.depth)
+        plus = ch.gch_demazure_plus_w0(datum, lam, args.depth, args.budget)
+        minus = ch.gch_demazure_minus_e(datum, datum.sigma_dual(lam), args.depth, args.budget)
         flipped = minus.invert_q().invert_x()
         if plus != flipped:
             _diff_report("plus/minus Demazure duality", plus, flipped)

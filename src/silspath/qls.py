@@ -18,6 +18,9 @@ wt_lambda its pairing with lambda (`ParabolicQuotient.qb_reach`), a row holds
     deg_kappa = -sum_u sigma_u wt_lambda(w_{u+1} => w_u)   (the LNSSS Deg),
     deg_iota  = sum_u (1 - sigma_u) wt_lambda(w_{u+1} => w_u).
 
+The characters read no row: `final_sums` is a transfer matrix, whose terms
+follow the character, not the paths.
+
 The distinguished lifts are rebuilt from the chain on demand.  With xi_s = 0
 and xi_u = xi_{u+1} + wt(w_{u+1} => w_u), `eta_kappa` has the directions
 Pi^J(w_u t_{xi_u}) = w_u z_{xi_u} t_{xi_u + phi_J(xi_u)} and delta coefficient
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import NamedTuple
 
 from .cartan import CartanDatum, Vec, vec_add, vec_sub
@@ -104,6 +108,32 @@ class QLSCrystal:
                             kappa, iota = deg_kappa - a * wt, deg_iota + (n - a) * wt
                             stack.append((chain + (y,), cuts + (a,), step, kappa, iota))
         return table
+
+    @functools.cached_property
+    def final_sums(self) -> dict[FiniteWeylElt, dict[tuple[Vec, int], int]]:
+        """w -> the sum of x^weight q^deg_kappa over the rows with final direction w,
+        by a transfer matrix: as the grid cuts a are swept upward, sums[w] holds the
+        rows whose cuts all lie below a.  At a, a row ending in y yields those whose
+        last cut is a, its final segment swapped for any w != y that reaches y at
+        a's level.  A term stands for one row at least."""
+        quotient, n, points = self.sils.quotient, self.sils.n, self.sils.quotient._points
+        sums = {w: {(points[w], 0): 1} for w in quotient.orbit.values()}
+        size = len(sums)
+        for a, d in self.sils.levels:
+            before = {w: tuple(s.items()) for w, s in sums.items()}
+            for w, acc in sums.items():
+                for y, (wt, _xi) in quotient.qb_reach(w, d).items():
+                    if y != w:
+                        # every edge of the level has p divisible by d, so both steps are exact
+                        step = tuple((n - a) * (m - v) // n for m, v in zip(points[w], points[y]))
+                        dq = -a * wt // n
+                        for (fw, q), c in before[y]:
+                            key = (tuple(map(operator.add, fw, step)), q + dq)
+                            acc[key] = acc.get(key, 0) + c
+                size += len(acc) - len(before[w])
+                if size > TABLE_BUDGET:
+                    raise BudgetExceeded("transfer matrix exceeded the QLS table budget")
+        return sums
 
     def paths(self) -> tuple[QLSPath, ...]:
         return tuple(sorted(self.table, key=lambda psi: psi.sort_key(self.sils.n)))

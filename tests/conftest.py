@@ -262,6 +262,13 @@ def bruhat_leq_bfs(u, v):
     return v in frontier
 
 
+def table_degree_sum(q):
+    """Sum of q^(tail degree) x^(weight) over the rows of `QLSCrystal.table`: the
+    oracle for the transfer matrix behind `characters.qls_degree_sum`."""
+    rows = q.table.values()
+    return GradedCharacter(Counter((rec.weight, rec.deg_kappa) for rec in rows))
+
+
 def quotient_characters_by_rows(q, w):
     """(gch_quotient_minus, gch_quotient_plus) at w for the QLS crystal q, by the
     row filter: one bruhat_leq per table row, on its final and initial direction."""

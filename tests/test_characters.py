@@ -2,6 +2,7 @@ import gc as gc_module
 import itertools
 import math
 import weakref
+from collections import Counter
 
 import pytest
 from conftest import (
@@ -9,6 +10,7 @@ from conftest import (
     multipartitions,
     quotient_characters_by_rows,
     quotient_reps_by_filter,
+    table_degree_sum,
     type_a_macdonald_t0,
     weyl_identity_holds,
 )
@@ -16,7 +18,7 @@ from conftest import (
 from silspath import characters as ch
 from silspath.cartan import build
 from silspath.characters import GradedCharacter
-from silspath.peterson import ParabolicQuotient
+from silspath.peterson import TABLE_BUDGET, ParabolicQuotient
 from silspath.qls import QLSCrystal
 from silspath.weyl import finite_from_word, simple_reflection
 
@@ -394,6 +396,50 @@ def test_q0_slice_is_weyl_character_sweep(fam, lam):
     assert zero == ch.weyl_character(datum, lam)
 
 
+# -- the transfer matrix against the table rows -----------------------------------------
+
+DEGREE_SUM_WEIGHTS = sorted(
+    set(NESTING_WEIGHTS + Q0_SWEEP)
+    | {(fam, lam) for fam, lam, _depth in OTHER_FAMILIES + CLOSED_FORM_SWEEP}
+    | {
+        (("G", 2), (3, 2)),
+        (("D", 4), (1, 1, 1, 1)),
+        (("A", 3), (3, 2, 1)),
+        (("F", 4), (0, 1, 0, 0)),
+        (("E", 7), (1, 0, 0, 0, 0, 0, 1)),
+        (("E", 8), (1, 0, 0, 0, 0, 0, 0, 0)),
+    }
+)
+
+
+def assert_degree_sums_match_rows(datum, lam):
+    # the whole sum, and each final direction's share of it
+    q = QLSCrystal(datum, lam)
+    assert ch.qls_degree_sum(datum, lam) == table_degree_sum(q)
+    by_final = {}
+    for psi, row in q.table.items():
+        by_final.setdefault(psi.directions[-1], Counter())[row.weight, row.deg_kappa] += 1
+    assert q.final_sums == by_final
+
+
+@pytest.mark.parametrize("fam,lam", DEGREE_SUM_WEIGHTS)
+def test_degree_sum_matches_table_rows(fam, lam):
+    assert_degree_sums_match_rows(build(*fam), lam)
+
+
+def test_degree_sum_past_the_table_budget():
+    # the table of G2 (4,3) would hold 7^4 * 15^3 rows, one per element of the
+    # tensor product of the fundamental crystals; the transfer matrix never
+    # lists them, but its coefficients still add up to that count
+    datum = build("G", 2)
+    rows = [len(QLSCrystal(datum, lam).table) for lam in ((1, 0), (0, 1))]
+    assert rows[0] ** 4 * rows[1] ** 3 > TABLE_BUDGET
+    mac = ch.macdonald_t0(datum, (4, 3))
+    assert mac.value_at_ones() == rows[0] ** 4 * rows[1] ** 3
+    zero = GradedCharacter({(fw, 0): c for fw, c in mac.q_slice(0).items()})
+    assert zero == ch.weyl_character(datum, (4, 3))
+
+
 # -- Demazure's formula and the orbit search against oracles over all of W ------------
 
 SMALL_FAMILIES = [
@@ -431,21 +477,30 @@ def test_kostka_foulkes_examples():
     assert kostka_foulkes((1, 1), (2,)) == {}
 
 
-def _type_a_sweep(n):
-    """Every lambda of A_n with |lambda| = sum_i i m_i <= 8 whose QLS crystal,
-    of prod_i C(n+1, i)^(m_i) elements, has at most 2,500 of them."""
+def _type_a_sweep(n, keep):
+    """Every lambda of A_n with |lambda| = sum_i i m_i <= 8 whose QLS crystal, of
+    prod_i C(n+1, i)^(m_i) elements, has a size that `keep` accepts."""
     out = []
     for m in itertools.product(range(9), repeat=n):
         size = sum(i * c for i, c in enumerate(m, 1))
         elements = math.prod(math.comb(n + 1, i) ** c for i, c in enumerate(m, 1))
-        if 0 < size <= 8 and elements <= 2500:
+        if 0 < size <= 8 and keep(elements):
             out.append(m)
     return out
 
 
 @pytest.mark.parametrize("n", range(1, 6))
+def test_degree_sum_matches_table_rows_type_a(n):
+    datum = build("A", n)
+    for lam in _type_a_sweep(n, lambda elements: elements <= 2500):
+        assert_degree_sums_match_rows(datum, lam)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
 def test_macdonald_matches_kostka_foulkes_sweep(n):
     # every q-degree against P_lambda(x; q, 0) = sum_mu K_{mu' lambda'}(q) s_mu
+    # crystals past TABLE_BUDGET are in, as only the transfer matrix reaches
+    # them; the band from 20,000 elements up to it is left out for time
     datum = build("A", n)
-    for lam in _type_a_sweep(n):
+    for lam in _type_a_sweep(n, lambda elements: not 20_000 < elements <= TABLE_BUDGET):
         assert ch.macdonald_t0(datum, lam) == type_a_macdonald_t0(datum, lam), lam

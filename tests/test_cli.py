@@ -159,18 +159,18 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def run_capped(*args: str):
-    """`python *args` in a subprocess under a 1 GiB address-space cap and a 60 s timeout."""
+def run_capped(*args: str, timeout: float = 60):
+    """`python *args` in a subprocess under a 1 GiB address-space cap and a timeout."""
     src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run(
         [sys.executable, *args],
         env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory,
+        capture_output=True, text=True, timeout=timeout, preexec_fn=_cap_memory,
     )
 
 
-def run_cli_capped(argv: str):
-    return run_capped("-m", "silspath.cli", *argv.split())
+def run_cli_capped(argv: str, timeout: float = 60):
+    return run_capped("-m", "silspath.cli", *argv.split(), timeout=timeout)
 
 
 def test_si_graph_large_orbit_stays_local():
@@ -189,6 +189,56 @@ def test_macdonald_large_orbit_exhausts_the_budget():
     proc = run_cli_capped("char macdonald --type E --rank 7 --lambda 1,1,1,1,1,1,1")
     assert proc.returncode == 3, proc.stderr[-2000:]
     assert "budget exhausted" in proc.stderr
+
+
+def test_macdonald_transfer_matrix_exhausts_the_budget():
+    # D5 at a regular weight: 1,920 directions, well inside the orbit budget, but
+    # their partial sums pass TABLE_BUDGET terms within about a second
+    proc = run_cli_capped("char macdonald --type D --rank 5 --lambda 1,1,1,1,1", timeout=20)
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert "budget exhausted: transfer matrix exceeded" in proc.stderr
+
+
+def test_macdonald_past_the_table_budget(capsys):
+    # G2 (4,3) has 8,103,375 QLS paths, too many for the table
+    code, out, _ = run(capsys, *"char macdonald --type G --rank 2 --lambda 4,3".split())
+    assert code == 0
+    assert len(json.loads(out)["terms"]) == 4668
+
+
+# SHA-256 and line count of stdout, recorded while the column series was still
+# expanded by a loop quadratic in the depth.
+DEPTH_STDOUT = {
+    "char demazure-minus --type A --rank 2 --lambda 1,1 --depth 1000": (
+        "ac2cbc39297d57978c3cc8e419c926113873f59b628ff0c0962fd77d0fcecd29", 1),
+    "char demazure-plus --type C --rank 2 --lambda 2,1 --depth 60": (
+        "be15e103502db187d29909502b7a311dd49bb247c061991aa6e3572b583855c0", 1),
+    "char demazure-minus --type A --rank 2 --lambda 0,0 --depth 99999999": (
+        "c4f05825b469e258682137041ea05c72291bb9507d2d03dc366a985a4bd11cfb", 1),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(DEPTH_STDOUT))
+def test_depth_stdout_golden(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    digest, lines = DEPTH_STDOUT[argv]
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    "char demazure-minus --type A --rank 2 --lambda 1,1 --depth 99999999",
+    "char demazure-plus --type A --rank 2 --lambda 1,1 --depth 99999999",
+    "char verify-grch1 --type A --rank 2 --lambda 1,1 --depth 99999999",
+    "char verify-grch2 --type A --rank 2 --lambda 1,1 --depth 99999999",
+    "char demazure-minus --type A --rank 2 --lambda 1,1 --depth 1000 --budget 100",
+])
+def test_closed_forms_honour_the_budget(capsys, argv):
+    # 7 weights times the depth window is past the budget: exit 3, not a hang
+    code, out, err = run(capsys, *argv.split())
+    assert code == 3 and out == ""
+    assert "budget exhausted: closed form exceeded budget" in err
 
 
 COMPONENT_BASE_E7 = """
