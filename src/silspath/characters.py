@@ -1,10 +1,11 @@
 """Graded characters, Macdonald t=0 specializations, and their oracles.
 
 A graded character is a finite integer combination of terms x^mu q^k with
-mu recorded in fundamental-weight coordinates.  The degree-weighted QLS sum,
-from `QLSCrystal.final_sums`, lists no path; the closed-form Demazure
-characters multiply it by the expanded inverse product over the columns of
-lambda; the brute-force route sums the weights of a truncated path
+mu recorded in fundamental-weight coordinates.  No QLS route lists a path: the
+degree-weighted QLS sum adds up `QLSCrystal.final_sums`, the quotient characters
+add it (or `initial_sums`) over a Bruhat interval of W^J, and the closed-form
+Demazure characters multiply the sum by the expanded inverse product over the
+columns of lambda.  The brute-force route sums the weights of a truncated path
 enumeration instead, and Demazure's character formula supplies an independent
 q=0 oracle without enumerating the Weyl group.  Every route reads one crystal
 per shape, `_qls`, kept until another lambda is asked for.
@@ -16,7 +17,7 @@ import functools
 from collections import Counter
 
 from .cartan import CartanDatum, Vec, vec_add, vec_neg
-from .weyl import BudgetExceeded, FiniteWeylElt, affine_identity, bruhat_leq, longest_element
+from .weyl import BudgetExceeded, FiniteWeylElt, affine_identity, longest_element
 from .qls import QLSCrystal
 
 Term = tuple[Vec, int]
@@ -167,30 +168,33 @@ def brute_force_gch_minus_e(
 # -- quotient characters -----------------------------------------------------------
 
 
-def _qls_rows(datum: CartanDatum, lam: Vec, w: FiniteWeylElt):
-    """The table rows of lambda and W^J, once w is checked to lie in W^J."""
+def _interval_sum(datum: CartanDatum, lam: Vec, w: FiniteWeylElt, step: int) -> GradedCharacter:
+    """Once w is checked to lie in W^J, sum `final_sums` over v >= w (step 1) or `initial_sums`
+    over v <= w (step -1): a search of the Bruhat edges of QB(W^J), by orbit point (fast to hash)."""
     crystal = _qls(datum, tuple(lam))
-    if not crystal.sils.quotient.is_min_rep(w):
+    quotient = crystal.sils.quotient
+    if not quotient.is_min_rep(w):
         raise ValueError(f"{w!r} is not a minimal coset representative for J")
-    return crystal.table.items(), crystal.sils.quotient.orbit.values()
+    sums = crystal.final_sums if step == 1 else crystal.initial_sums
+    total, seen, frontier = Counter(), {w.act_fw(crystal.lam)}, [w]
+    while frontier:
+        v = frontier.pop()
+        total.update(sums[v])
+        for nu, _p, _u, quantum in quotient.qb_row(v, step):
+            if not quantum and nu not in seen:
+                seen.add(nu)
+                frontier.append(quotient.orbit[nu])
+    return GradedCharacter(total)
 
 
 def gch_quotient_minus(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> GradedCharacter:
     """Sum over paths whose distinguished final direction dominates w."""
-    rows, reps = _qls_rows(datum, lam, w)
-    above = {v for v in reps if bruhat_leq(w, v)}
-    return GradedCharacter(
-        Counter((r.weight, r.deg_kappa) for psi, r in rows if psi.directions[-1] in above)
-    )
+    return _interval_sum(datum, lam, w, 1)
 
 
 def gch_quotient_plus(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> GradedCharacter:
     """Sum over paths whose distinguished initial direction is below w."""
-    rows, reps = _qls_rows(datum, lam, w)
-    below = {v for v in reps if bruhat_leq(v, w)}
-    return GradedCharacter(
-        Counter((r.weight, r.deg_iota) for psi, r in rows if psi.directions[0] in below)
-    )
+    return _interval_sum(datum, lam, w, -1)
 
 
 # -- Weyl character oracle -----------------------------------------------------------

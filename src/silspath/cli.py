@@ -204,12 +204,7 @@ def _cmd_char(args) -> int:
     datum = build(args.type, args.rank)
     lam = _parse_lambda(datum, getattr(args, "lambda"))
     _check_nonnegative(args, "depth", "budget")
-    meta = {
-        "type": datum.type_label,
-        "rank": datum.rank,
-        "lambda": list(lam),
-        "depth": args.depth,
-    }
+    meta = {"type": datum.type_label, "rank": datum.rank, "lambda": list(lam), "depth": args.depth}
     mode = args.mode
     if mode == "macdonald":
         _emit(_character_json(meta, ch.macdonald_t0(datum, lam)))

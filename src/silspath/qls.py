@@ -18,8 +18,11 @@ wt_lambda its pairing with lambda (`ParabolicQuotient.qb_reach`), a row holds
     deg_kappa = -sum_u sigma_u wt_lambda(w_{u+1} => w_u)   (the LNSSS Deg),
     deg_iota  = sum_u (1 - sigma_u) wt_lambda(w_{u+1} => w_u).
 
-The characters read no row: `final_sums` is a transfer matrix, whose terms
-follow the character, not the paths.
+The characters read no row, and the table keeps only deg_kappa: `final_sums`
+(`initial_sums`) adds x^weight q^deg_kappa (q^deg_iota) by final (initial)
+direction, one transfer matrix swept over the cuts from either end.  A segment
+of w added at a cut a = k/d spans 1 - a (a) and adds -a (1 - a) times its edge's
+wt_lambda to the degree, both exact as d divides p on every edge of a's level.
 
 The distinguished lifts are rebuilt from the chain on demand.  With xi_s = 0
 and xi_u = xi_{u+1} + wt(w_{u+1} => w_u), `eta_kappa` has the directions
@@ -60,11 +63,10 @@ class QLSPath(CutPath):
 
 
 class LiftRecord(NamedTuple):
-    """A table row: the weight and the delta coefficients of `eta_kappa` and `eta_iota`."""
+    """A table row: the weight and the delta coefficient of `eta_kappa`."""
 
     weight: Vec
     deg_kappa: int
-    deg_iota: int
 
 
 class QLSCrystal:
@@ -89,15 +91,15 @@ class QLSCrystal:
         quotient, n = self.sils.quotient, self.sils.n
         table: dict[QLSPath, LiftRecord] = {}
         # (w_s, ..., w_u), (tick_{s-1}, ..., tick_u), the weight of the segments
-        # right of tick_u and the two degree sums, all times N
-        stack = [((w,), (), (0,) * self.datum.rank, 0, 0) for w in quotient.orbit.values()]
+        # right of tick_u and the degree sum, all times N
+        stack = [((w,), (), (0,) * self.datum.rank, 0) for w in quotient.orbit.values()]
         while stack:
-            chain, cuts, settled, deg_kappa, deg_iota = stack.pop()
+            chain, cuts, settled, deg_kappa = stack.pop()
             top, right = chain[-1], cuts[-1] if cuts else n
             mu = quotient._points[top]
             psi = QLSPath.from_ticks(chain[::-1], (0,) + cuts[::-1] + (n,), n)
             weight = tuple((s + right * m) // n for s, m in zip(settled, mu))
-            table[psi] = LiftRecord(weight, deg_kappa // n, deg_iota // n)
+            table[psi] = LiftRecord(weight, deg_kappa // n)
             if len(table) > TABLE_BUDGET:
                 raise BudgetExceeded("QLS table exceeded budget")
             for a, d in self.sils.levels:
@@ -105,35 +107,36 @@ class QLSCrystal:
                     step = tuple(s + (right - a) * m for s, m in zip(settled, mu))
                     for y, (wt, _xi) in quotient.qb_reach(top, d).items():
                         if y != top:
-                            kappa, iota = deg_kappa - a * wt, deg_iota + (n - a) * wt
-                            stack.append((chain + (y,), cuts + (a,), step, kappa, iota))
+                            stack.append((chain + (y,), cuts + (a,), step, deg_kappa - a * wt))
         return table
 
-    @functools.cached_property
-    def final_sums(self) -> dict[FiniteWeylElt, dict[tuple[Vec, int], int]]:
-        """w -> the sum of x^weight q^deg_kappa over the rows with final direction w,
-        by a transfer matrix: as the grid cuts a are swept upward, sums[w] holds the
-        rows whose cuts all lie below a.  At a, a row ending in y yields those whose
-        last cut is a, its final segment swapped for any w != y that reaches y at
-        a's level.  A term stands for one row at least."""
+    def _sweep(self, end: str) -> dict[FiniteWeylElt, dict[tuple[Vec, int], int]]:
+        """w -> the sum of x^weight q^deg over the rows whose `end` direction is w.  Swept
+        up ("kappa") or down the cuts a, sums[w] holds the rows with every cut below (above)
+        a; at a it gains, with last (first) cut a, the rows of each y != w that w reaches
+        (that reaches w) at a's level.  A term stands for one row at least."""
         quotient, n, points = self.sils.quotient, self.sils.n, self.sils.quotient._points
-        sums = {w: {(points[w], 0): 1} for w in quotient.orbit.values()}
+        kappa, sums = end == "kappa", {w: {(points[w], 0): 1} for w in quotient.orbit.values()}
         size = len(sums)
-        for a, d in self.sils.levels:
+        for a, d in self.sils.levels if kappa else reversed(self.sils.levels):
+            span, times = (n - a, -a) if kappa else (a, n - a)  # see the module docstring
             before = {w: tuple(s.items()) for w, s in sums.items()}
-            for w, acc in sums.items():
-                for y, (wt, _xi) in quotient.qb_reach(w, d).items():
-                    if y != w:
-                        # every edge of the level has p divisible by d, so both steps are exact
-                        step = tuple((n - a) * (m - v) // n for m, v in zip(points[w], points[y]))
-                        dq = -a * wt // n
+            for x in sums:
+                for z, (wt, _xi) in quotient.qb_reach(x, d).items():
+                    if z != x:
+                        w, y = (x, z) if kappa else (z, x)
+                        acc, held, dq = sums[w], len(sums[w]), times * wt // n
+                        step = tuple(span * (m - v) // n for m, v in zip(points[w], points[y]))
                         for (fw, q), c in before[y]:
                             key = (tuple(map(operator.add, fw, step)), q + dq)
                             acc[key] = acc.get(key, 0) + c
-                size += len(acc) - len(before[w])
-                if size > TABLE_BUDGET:
-                    raise BudgetExceeded("transfer matrix exceeded the QLS table budget")
+                        size += len(acc) - held
+                        if size > TABLE_BUDGET:
+                            raise BudgetExceeded("transfer matrix exceeded the QLS table budget")
         return sums
+
+    final_sums = functools.cached_property(lambda self: self._sweep("kappa"))  # by deg_kappa
+    initial_sums = functools.cached_property(lambda self: self._sweep("iota"))  # by deg_iota
 
     def paths(self) -> tuple[QLSPath, ...]:
         return tuple(sorted(self.table, key=lambda psi: psi.sort_key(self.sils.n)))
@@ -196,10 +199,8 @@ class QLSCrystal:
     # -- intrinsic root operators -------------------------------------------------
 
     def _cl_reflect(self, j: int, w: FiniteWeylElt) -> FiniteWeylElt:
-        if j == 0:
-            refl = finite_reflection(self.datum, self.datum.theta)
-        else:
-            refl = simple_reflection(self.datum, j)
+        datum = self.datum
+        refl = finite_reflection(datum, datum.theta) if j == 0 else simple_reflection(datum, j)
         return self.sils.quotient.min_rep(refl.mul(w))
 
     def qls_op(self, psi: QLSPath, tag: str, j: int) -> QLSPath | None:

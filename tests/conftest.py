@@ -269,6 +269,11 @@ def table_degree_sum(q):
     return GradedCharacter(Counter((rec.weight, rec.deg_kappa) for rec in rows))
 
 
+def deg_iota(q, psi):
+    """The delta coefficient of the weight of `eta_iota(psi)`, read off the lift."""
+    return q.sils.weight(q.eta_iota(psi)).delta
+
+
 def quotient_characters_by_rows(q, w):
     """(gch_quotient_minus, gch_quotient_plus) at w for the QLS crystal q, by the
     row filter: one bruhat_leq per table row, on its final and initial direction."""
@@ -277,7 +282,7 @@ def quotient_characters_by_rows(q, w):
         if bruhat_leq(w, psi.directions[-1]):
             minus[row.weight, row.deg_kappa] += 1
         if bruhat_leq(psi.directions[0], w):
-            plus[row.weight, row.deg_iota] += 1
+            plus[row.weight, deg_iota(q, psi)] += 1
     return GradedCharacter(minus), GradedCharacter(plus)
 
 

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 from conftest import (
+    deg_iota,
     kostka_foulkes,
     multipartitions,
     quotient_characters_by_rows,
@@ -413,13 +414,16 @@ DEGREE_SUM_WEIGHTS = sorted(
 
 
 def assert_degree_sums_match_rows(datum, lam):
-    # the whole sum, and each final direction's share of it
+    # the whole sum, each final direction's share of it, and each initial
+    # direction's share of the sum by the degree of eta_iota
     q = QLSCrystal(datum, lam)
     assert ch.qls_degree_sum(datum, lam) == table_degree_sum(q)
-    by_final = {}
+    by_final, by_initial = {}, {}
     for psi, row in q.table.items():
         by_final.setdefault(psi.directions[-1], Counter())[row.weight, row.deg_kappa] += 1
+        by_initial.setdefault(psi.directions[0], Counter())[row.weight, deg_iota(q, psi)] += 1
     assert q.final_sums == by_final
+    assert q.initial_sums == by_initial
 
 
 @pytest.mark.parametrize("fam,lam", DEGREE_SUM_WEIGHTS)
@@ -438,6 +442,29 @@ def test_degree_sum_past_the_table_budget():
     assert mac.value_at_ones() == rows[0] ** 4 * rows[1] ** 3
     zero = GradedCharacter({(fw, 0): c for fw, c in mac.q_slice(0).items()})
     assert zero == ch.weyl_character(datum, (4, 3))
+
+
+def test_quotient_characters_past_the_table_budget():
+    # both transfer matrices of G2 (4,3) finish though its 7^4 * 15^3 paths would
+    # not fit the table, and the Bruhat intervals of W^J split them up
+    datum, lam = build("G", 2), (4, 3)
+    e, top = finite_from_word(datum, []), ch.floor_w0(datum, lam)
+    assert ch.gch_quotient_minus(datum, lam, e) == ch.qls_degree_sum(datum, lam)
+    # at floor(w0), the top of W^J, only the path with that single direction has
+    # degree 0; the longer paths ending there reach it by quantum edges, in degree < 0
+    assert ch.gch_quotient_minus(datum, lam, top).q_slice(0) == {top.act_fw(lam): 1}
+    plus = ch.gch_quotient_plus(datum, lam, top)
+    assert plus.value_at_ones() == 7**4 * 15**3
+    assert plus == ch.macdonald_t0(datum, lam)
+
+
+def test_quotient_characters_list_no_path(a2):
+    # every quotient character reads the transfer matrices, never the table
+    ch._qls.cache_clear()
+    lam = (1, 1)
+    for w in ch.minus_quotient_reps(a2, lam):
+        assert ch.gch_quotient_minus(a2, lam, w) and ch.gch_quotient_plus(a2, lam, w)
+    assert "table" not in ch._qls(a2, lam).__dict__
 
 
 # -- Demazure's formula and the orbit search against oracles over all of W ------------

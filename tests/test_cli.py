@@ -199,6 +199,13 @@ def test_macdonald_transfer_matrix_exhausts_the_budget():
     assert "budget exhausted: transfer matrix exceeded" in proc.stderr
 
 
+def test_quotient_transfer_matrix_exhausts_the_budget():
+    # the mirrored sweep behind quotient-plus stops at the same budget
+    proc = run_cli_capped("char quotient-plus --type D --rank 5 --lambda 1,1,1,1,1 --w 1", timeout=20)
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert "budget exhausted: transfer matrix exceeded" in proc.stderr
+
+
 def test_macdonald_past_the_table_budget(capsys):
     # G2 (4,3) has 8,103,375 QLS paths, too many for the table
     code, out, _ = run(capsys, *"char macdonald --type G --rank 2 --lambda 4,3".split())

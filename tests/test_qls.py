@@ -160,6 +160,15 @@ ROW_CASES = QLS_CASES + [
 ]
 
 
+def deg_iota_by_chain(q, psi):
+    """sum_u (1 - sigma_u) wt_lambda(w_{u+1} => w_u) over the cuts sigma_u of psi."""
+    dirs, total = psi.directions, 0
+    for u, cut in enumerate(psi.cuts[1:-1]):
+        total += (1 - cut) * q.sils.quotient.qb_reach(dirs[u + 1], cut.denominator)[dirs[u]][0]
+    assert total.denominator == 1
+    return int(total)
+
+
 @pytest.mark.parametrize("fam,lam", ROW_CASES)
 def test_table_rows_match_distinguished_lifts(fam, lam):
     # each row's weight and degrees, read off the recorded lift, agree with
@@ -169,7 +178,7 @@ def test_table_rows_match_distinguished_lifts(fam, lam):
         kappa_lift, iota_lift = q.eta_kappa(psi), q.eta_iota(psi)
         wt_kappa, wt_iota = q.sils.weight(kappa_lift), q.sils.weight(iota_lift)
         assert rec.deg_kappa == wt_kappa.delta, psi
-        assert rec.deg_iota == wt_iota.delta, psi
+        assert wt_iota.delta == deg_iota_by_chain(q, psi), psi
         assert rec.weight == wt_kappa.fw == wt_iota.fw
         assert psi.directions[-1] == kappa_lift.kappa.w
         assert psi.directions[0] == iota_lift.iota.w
@@ -192,7 +201,9 @@ def test_table_matches_operator_oracle(fam, lam):
     found = generate_by_operators(q)
     assert found.keys() == q.table.keys()
     for psi, (_word, lift) in found.items():
-        assert q.table[psi] == oracle_row(q, lift), psi
+        weight, deg_kappa, deg_iota = oracle_row(q, lift)
+        assert q.table[psi] == (weight, deg_kappa), psi
+        assert q.sils.weight(q.eta_iota(psi)).delta == deg_iota, psi
 
 
 @pytest.mark.parametrize("fam,lam", ORACLE_CASES)
