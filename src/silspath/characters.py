@@ -5,10 +5,11 @@ mu recorded in fundamental-weight coordinates.  No QLS route lists a path: the
 degree-weighted QLS sum adds up `QLSCrystal.final_sums`, the quotient characters
 add it (or `initial_sums`) over a Bruhat interval of W^J, and the closed-form
 Demazure characters multiply the sum by the expanded inverse product over the
-columns of lambda.  The brute-force route sums the weights of a truncated path
-enumeration instead, and Demazure's character formula supplies an independent
-q=0 oracle without enumerating the Weyl group.  Every route reads one crystal
-per shape, `_qls`, kept until another lambda is asked for.
+columns of lambda.  The brute-force route walks the semi-infinite LS paths with
+kappa >= e down to the depth instead and counts the weights that the walk
+carries, again without listing a path.  Demazure's character formula supplies
+an independent q=0 oracle without enumerating the Weyl group.  Every route
+reads one crystal per shape, `_qls`, kept until another lambda is asked for.
 """
 
 from __future__ import annotations
@@ -159,10 +160,10 @@ def gch_demazure_plus_w0(
 def brute_force_gch_minus_e(
     datum: CartanDatum, lam: Vec, depth: int, budget: int = 500_000
 ) -> GradedCharacter:
-    """Independent route: sum x^wt over the truncated path enumeration."""
-    crystal = _qls(datum, tuple(lam)).sils
-    paths = crystal.enumerate_demazure(affine_identity(datum), depth, budget)
-    return GradedCharacter(Counter((wt.fw, wt.delta) for wt in map(crystal.weight, paths)))
+    """Independent route: count x^wt q^delta over the paths of the truncated
+    enumeration, whose weights its walk carries; no path is built or sorted."""
+    walk = _qls(datum, tuple(lam)).sils._demazure_walk(affine_identity(datum), depth, budget)
+    return GradedCharacter(Counter((fw, delta) for _chain, _cuts, fw, delta in walk))
 
 
 # -- quotient characters -----------------------------------------------------------

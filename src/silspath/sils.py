@@ -333,50 +333,63 @@ class SiLSCrystal:
         self, x: AffineWeylElt, depth: int, budget: int = 500_000
     ) -> tuple[SiLSPath, ...]:
         """All paths with kappa >= x whose weight delta is >= -depth."""
+        n = self.n
+        paths = [
+            SiLSPath.from_ticks(tuple(reversed(chain)), (0,) + tuple(reversed(cuts_desc)) + (n,), n)
+            for chain, cuts_desc, _fw, _delta in self._demazure_walk(x, depth, budget)
+        ]
+        paths.sort(key=lambda eta: eta.sort_key(n))
+        return tuple(paths)
+
+    def _demazure_walk(self, x: AffineWeylElt, depth: int, budget: int):
+        """Yield (chain, cuts_desc, fw, delta) for every path of `enumerate_demazure`:
+        its directions from kappa up, its inner cuts from the right in ticks over
+        N, and its weight, carried along the walk rather than read off the path."""
         assert depth >= 0
         quotient = self.quotient
-        p_of = lambda z: -self._direction(z)[0].delta  # <xi, lambda>, read off z(lambda)
         # cuts and sums below are ticks over N
         n, limit = self.n, depth * self.n
 
         @functools.lru_cache(maxsize=None)
-        def upward(z: AffineWeylElt, d: int, cap: int) -> tuple[tuple[AffineWeylElt, int], ...]:
-            """(y, p_of(y)) for every y > z at level 1/d with p_of(y) <= cap.
+        def upward(z: AffineWeylElt, d: int, cap: int) -> tuple[tuple[AffineWeylElt, int, Vec], ...]:
+            """(y, p, fw) for every y > z at level 1/d with p <= cap, where
+            y(lambda) = fw - p delta and p = <xi, lambda>.
 
-            p_of never decreases along a cover (a quantum edge adds <beta^vee,
+            p never decreases along a cover (a quantum edge adds <beta^vee,
             lambda> >= 0), so every cover path to such a y stays under cap."""
-            seen = {z: p_of(z)}
+            seen = {z: None}
             queue, level = [z], Fraction(1, d)
             while queue:
                 cur = queue.pop()
                 for _beta, y in quotient.si_covers(cur, level):
-                    if y not in seen and (p := p_of(y)) <= cap:
+                    if y not in seen and (wt := self._direction(y)[0]).delta >= -cap:
                         if len(seen) >= budget:
                             raise BudgetExceeded("direction pool exceeded budget")
-                        seen[y] = p
+                        seen[y] = (y, -wt.delta, wt.fw)
                         queue.append(y)
             del seen[z]
-            return tuple(seen.items())
+            return tuple(seen.values())
 
-        # every direction pairs at least as high as kappa, so p_of(kappa) <= depth
-        pool = ((x, p_of(x)),) + upward(x, 1, depth)
+        # every direction pairs at least as high as kappa, so p(kappa) <= depth
+        wt = self._direction(x)[0]
+        pool = ((x, -wt.delta, wt.fw),) + upward(x, 1, depth)
 
-        # depth-first over (chain, cuts_desc, settled, p_of(top)), children
-        # pushed in reverse so they pop in order; no recursive closure keeps
-        # `self` alive in a reference cycle
-        results: list[SiLSPath] = []
-        kappas = sorted(pool, key=lambda zp: (zp[0].si_length, zp[0].xi, zp[0].w.sort_key))
-        stack = [((kappa,), (), 0, p) for kappa, p in reversed(kappas)]
+        # depth-first over (chain, cuts_desc, settled, settled_fw, p and fw of
+        # the top), children pushed in reverse so they pop in order; no
+        # recursive closure keeps `self` alive in a reference cycle
+        count, zero = 0, (0,) * self.datum.rank
+        kappas = sorted(pool, key=lambda z: (z[0].si_length, z[0].xi, z[0].w.sort_key))
+        stack = [((kappa,), (), 0, zero, p, fw) for kappa, p, fw in reversed(kappas)]
         while stack:
-            chain, cuts_desc, settled, p_top = stack.pop()
+            chain, cuts_desc, settled, settled_fw, p_top, fw_top = stack.pop()
             right = cuts_desc[-1] if cuts_desc else n
             # closing now puts the top direction on [0, right]
-            if settled + right * p_top <= limit:
-                dirs = tuple(reversed(chain))
-                ticks = (0,) + tuple(reversed(cuts_desc)) + (n,)
-                results.append(SiLSPath.from_ticks(dirs, ticks, n))
-            if len(results) > budget:
-                raise BudgetExceeded("path enumeration exceeded budget")
+            if (total := settled + right * p_top) <= limit:
+                count += 1
+                if count > budget:
+                    raise BudgetExceeded("path enumeration exceeded budget")
+                fw = tuple((s + right * f) // n for s, f in zip(settled_fw, fw_top))
+                yield chain, cuts_desc, fw, -total // n
             children = []
             for a, d in self.levels:
                 if a >= right:
@@ -386,10 +399,7 @@ class SiLSCrystal:
                 # every remaining direction pairs at least as high as the top
                 if cap < p_top:
                     continue
-                for y, p in upward(chain[-1], d, cap):
-                    children.append((chain + (y,), cuts_desc + (a,), new_settled, p))
+                new_fw = tuple(s + (right - a) * f for s, f in zip(settled_fw, fw_top))
+                for y, p, fw in upward(chain[-1], d, cap):
+                    children.append((chain + (y,), cuts_desc + (a,), new_settled, new_fw, p, fw))
             stack.extend(reversed(children))
-
-        results.sort(key=lambda eta: eta.sort_key(n))
-        return tuple(results)
-

@@ -7,7 +7,7 @@ import pytest
 from silspath.cartan import AffineRealRoot, LevelZeroWeight, build, vec_add, vec_neg
 from silspath.characters import GradedCharacter, weyl_character
 from silspath.peterson import ParabolicQuotient
-from silspath.sils import SiLSPath
+from silspath.sils import SiLSCrystal, SiLSPath
 from silspath.weyl import (
     BudgetExceeded,
     affine_identity,
@@ -415,6 +415,15 @@ def enumerate_demazure_by_pool(c, x, depth, budget=500_000):
 
     results.sort(key=lambda eta: eta.sort_key(n))
     return tuple(results)
+
+
+def brute_force_by_paths(datum, lam, depth, budget=500_000):
+    """`brute_force_gch_minus_e` by listing the paths with kappa >= e on a fresh
+    crystal and summing `SiLSCrystal.weight` over them: the oracle for the
+    weights the enumeration walk carries."""
+    c = SiLSCrystal(datum, lam)
+    paths = c.enumerate_demazure(affine_identity(datum), depth, budget)
+    return GradedCharacter(Counter((wt.fw, wt.delta) for wt in map(c.weight, paths)))
 
 
 # -- type A: Kostka-Foulkes polynomials by charge ---------------------------------------

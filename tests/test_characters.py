@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 from conftest import (
+    brute_force_by_paths,
     deg_iota,
     kostka_foulkes,
     multipartitions,
@@ -365,6 +366,32 @@ def test_closed_form_matches_brute_force_sweep(fam, lam, depth):
     assert ch.gch_demazure_minus_e(datum, lam, depth) == ch.brute_force_gch_minus_e(
         datum, lam, depth
     )
+
+
+# the seven grch1 cases of the verify benchmark, three more families, and
+# lambda = 0, where N = 1 and the cut grid is empty
+BRUTE_FORCE_ORACLE_CASES = [
+    (("A", 1), (4,), 8),
+    (("C", 2), (1, 1), 3),
+    (("A", 3), (1, 0, 1), 3),
+    (("G", 2), (0, 1), 5),
+    (("A", 2), (2, 1), 5),
+    (("B", 2), (1, 1), 4),
+    (("B", 3), (0, 1, 0), 3),
+    (("G", 2), (1, 0), 3),
+    (("C", 3), (0, 1, 0), 2),
+    (("E", 6), (1, 0, 0, 0, 0, 0), 1),
+    (("A", 2), (0, 0), 3),
+]
+
+
+@pytest.mark.parametrize("fam,lam,depth", BRUTE_FORCE_ORACLE_CASES)
+def test_brute_force_matches_path_listing(fam, lam, depth):
+    datum = build(*fam)
+    brute = ch.brute_force_gch_minus_e(datum, lam, depth)
+    assert brute == brute_force_by_paths(datum, lam, depth)
+    if not any(lam):
+        assert brute == GradedCharacter.unit(datum.rank)
 
 
 def _fundamental_weights(families):

@@ -114,6 +114,13 @@ CUT_STDOUT = {
         "90535fae57cdcc25677d9847339a76e0b2e1a20a37e1b7b69a0af9279ae789da", 1),
     "char macdonald --type B --rank 3 --lambda 1,1,0": (
         "6c80d5637f8d0a566215aaf3029a10ae53c11c8b17c5327c351ddd2eb7cbdacf", 1),
+    # recorded while the brute force still listed and sorted the paths, which
+    # pins the output order of the shared enumeration walk: the DOT run also
+    # applies every f_j to every path, and the translated x starts the walk off e
+    "sils enumerate --type A --rank 2 --lambda 1,1 --depth 2 --out dot": (
+        "0b94c72fab8fbc4e97cd656eaa6eaa8dd227d98f86297531e4f779f556f77e17", 111),
+    "sils enumerate --type A --rank 2 --lambda 1,1 --depth 2 --x |-1,0": (
+        "959ba168b8e9b6efc51fb7d47a84c6089f03729a62ebd3a072ba37e46033e27e", 86),
 }
 
 

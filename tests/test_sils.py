@@ -5,12 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import (
+    brute_force_by_paths,
     canonicalize,
     component_base_by_operators,
     enumerate_demazure_by_pool,
     multipartitions,
 )
 
+from silspath import characters as ch
 from silspath.cartan import LevelZeroWeight, build
 from silspath.peterson import ParabolicQuotient
 from silspath.qls import QLSCrystal
@@ -437,7 +439,8 @@ def test_enumerated_cuts_lie_on_grid():
 
 def test_budget_exhaustion_names_its_stage(a1):
     # the pool is every direction whose covers were computed; A1 lambda=2 at
-    # depth 2 pools fewer directions than it emits paths
+    # depth 2 pools fewer directions than it emits paths.  The brute force
+    # counts the same walk's paths without holding them, at the same bounds.
     c = SiLSCrystal(a1, (2,))
     e = affine_identity(a1)
     paths = c.enumerate_demazure(e, 2)
@@ -450,7 +453,23 @@ def test_budget_exhaustion_names_its_stage(a1):
     ]:
         with pytest.raises(BudgetExceeded, match=stage):
             SiLSCrystal(a1, (2,)).enumerate_demazure(e, 2, budget)
+        with pytest.raises(BudgetExceeded, match=stage):
+            ch.brute_force_gch_minus_e(a1, (2,), 2, budget)
     assert SiLSCrystal(a1, (2,)).enumerate_demazure(e, 2, len(paths)) == paths
+    assert ch.brute_force_gch_minus_e(a1, (2,), 2, len(paths)) == brute_force_by_paths(a1, (2,), 2)
+
+
+def test_walk_carries_each_path_weight(a2):
+    # at a translated x, the weight carried to each closing path is its weight
+    c = SiLSCrystal(a2, (1, 1))
+    x = c.quotient.project(translation(a2, (-1, 0)))
+    n, cut = c.n, 0
+    for chain, cuts_desc, fw, delta in c._demazure_walk(x, 2, 500_000):
+        ticks = (0,) + tuple(reversed(cuts_desc)) + (n,)
+        eta = SiLSPath.from_ticks(tuple(reversed(chain)), ticks, n)
+        assert c.weight(eta) == LevelZeroWeight(fw, delta), eta
+        cut += len(chain) > 1
+    assert cut  # some path settles a segment before it closes
 
 
 def test_dropped_crystal_is_collected(a2):
