@@ -42,7 +42,6 @@ from typing import NamedTuple
 
 from .cartan import CartanDatum, Vec, vec_add, vec_sub
 from .weyl import (
-    AffineWeylElt,
     BudgetExceeded,
     FiniteWeylElt,
     finite_reflection,
@@ -151,12 +150,9 @@ class QLSCrystal:
         for u in range(len(dirs) - 2, -1, -1):
             d = psi.den // math.gcd(psi.den, ticks[u + 1])
             xis.append(vec_add(xis[-1], quotient.qb_reach(dirs[u + 1], d)[dirs[u]][1]))
-        lifted = []
-        for w, xi in zip(dirs, reversed(xis)):
-            xi = vec_sub(xi, xis[-1]) if end == "iota" else xi
-            phi, z = quotient.j_adjust(xi)
-            lifted.append(AffineWeylElt(w.mul(z), vec_add(xi, phi)))
-        lift = SiLSPath.from_ticks(tuple(lifted), ticks, psi.den)
+        shift = xis[-1] if end == "iota" else xis[0]  # xi_1 or xi_s = 0
+        lifted = tuple(quotient.rep(w, vec_sub(xi, shift)) for w, xi in zip(dirs, reversed(xis)))
+        lift = SiLSPath.from_ticks(lifted, ticks, psi.den)
         assert self.cl(lift) == psi  # decompose checks each direction is a representative
         return lift
 

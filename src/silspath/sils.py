@@ -18,12 +18,19 @@ with `merge_segments`.  The semi-infinite operators pass x -> r_j x as the
 reflection; the quantum LS operators in `silspath.qls` run the same kernel
 on projected paths with w -> min_rep(r_j w), and `QLSCrystal.cl` uses the
 same merge.
+
+The Demazure enumeration walks cosets, not directions.  The representative
+x = w z_xi t_xi is the state (nu, xi off J, p): nu = w lambda names w in W^J,
+the coordinates of xi off J name xi mod Q_J^vee, and p = <xi, lambda>.  Its
+covers come off the row of w (`ParabolicQuotient.coset_covers`) and its weight
+is nu - p delta; `ParabolicQuotient.rep` rebuilds x, once per state of a listed path.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from .cartan import CartanDatum, LevelZeroWeight, Vec
@@ -333,55 +340,53 @@ class SiLSCrystal:
         self, x: AffineWeylElt, depth: int, budget: int = 500_000
     ) -> tuple[SiLSPath, ...]:
         """All paths with kappa >= x whose weight delta is >= -depth."""
-        n = self.n
-        paths = [
-            SiLSPath.from_ticks(tuple(reversed(chain)), (0,) + tuple(reversed(cuts_desc)) + (n,), n)
+        n, quotient = self.n, self.quotient
+        rep = functools.cache(lambda z: quotient.rep(quotient.orbit[z[0]], z[1]))  # once per state
+        paths = (
+            SiLSPath.from_ticks(tuple(map(rep, reversed(chain))), (0,) + tuple(reversed(cuts_desc)) + (n,), n)
             for chain, cuts_desc, _fw, _delta in self._demazure_walk(x, depth, budget)
-        ]
-        paths.sort(key=lambda eta: eta.sort_key(n))
-        return tuple(paths)
+        )
+        return tuple(sorted(paths, key=lambda eta: eta.sort_key(n)))
 
     def _demazure_walk(self, x: AffineWeylElt, depth: int, budget: int):
-        """Yield (chain, cuts_desc, fw, delta) for every path of `enumerate_demazure`:
-        its directions from kappa up, its inner cuts from the right in ticks over
-        N, and its weight, carried along the walk rather than read off the path."""
+        """Yield (chain, cuts_desc, fw, delta) for every path of `enumerate_demazure`: its
+        directions from kappa up as coset states (see the module docstring), its inner cuts
+        from the right in ticks over N, and its weight, carried along the walk."""
         assert depth >= 0
-        quotient = self.quotient
+        quotient, covers, orbit = self.quotient, self.quotient.coset_covers, self.quotient.orbit
         # cuts and sums below are ticks over N
-        n, limit = self.n, depth * self.n
+        n, limit, lam = self.n, depth * self.n, self.lam
 
         @functools.lru_cache(maxsize=None)
-        def upward(z: AffineWeylElt, d: int, cap: int) -> tuple[tuple[AffineWeylElt, int, Vec], ...]:
-            """(y, p, fw) for every y > z at level 1/d with p <= cap, where
-            y(lambda) = fw - p delta and p = <xi, lambda>.
-
-            p never decreases along a cover (a quantum edge adds <beta^vee,
-            lambda> >= 0), so every cover path to such a y stays under cap."""
-            seen = {z: None}
-            queue, level = [z], Fraction(1, d)
+        def upward(z: tuple, d: int, cap: int) -> tuple[tuple, ...]:
+            """Every state y > z at level 1/d with p <= cap.  p never decreases along a
+            cover (a quantum edge adds p_beta > 0), so a cover path to such a y stays under cap."""
+            seen, queue = {z: None}, [z]
             while queue:
-                cur = queue.pop()
-                for _beta, y in quotient.si_covers(cur, level):
-                    if y not in seen and (wt := self._direction(y)[0]).delta >= -cap:
+                nu0, xi, p0 = queue.pop()
+                for nu, c, dp in covers(nu0, d):
+                    p = p0 + dp
+                    if p <= cap and (y := (nu, tuple(map(operator.add, xi, c)) if dp else xi, p)) not in seen:
                         if len(seen) >= budget:
                             raise BudgetExceeded("direction pool exceeded budget")
-                        seen[y] = (y, -wt.delta, wt.fw)
+                        seen[y] = None
                         queue.append(y)
             del seen[z]
-            return tuple(seen.values())
+            return tuple(seen)
 
         # every direction pairs at least as high as kappa, so p(kappa) <= depth
-        wt = self._direction(x)[0]
-        pool = ((x, -wt.delta, wt.fw),) + upward(x, 1, depth)
-
-        # depth-first over (chain, cuts_desc, settled, settled_fw, p and fw of
-        # the top), children pushed in reverse so they pop in order; no
+        xi, nu = x.xi, quotient.decompose(x).w.act_fw(lam)
+        start = (nu, tuple(c if m else 0 for c, m in zip(xi, lam)), sum(map(operator.mul, xi, lam)))
+        # depth-first over (chain, cuts_desc, settled, settled_fw), the top's p and
+        # fw read off its state, children pushed in reverse so they pop in order; no
         # recursive closure keeps `self` alive in a reference cycle
         count, zero = 0, (0,) * self.datum.rank
-        kappas = sorted(pool, key=lambda z: (z[0].si_length, z[0].xi, z[0].w.sort_key))
-        stack = [((kappa,), (), 0, zero, p, fw) for kappa, p, fw in reversed(kappas)]
+        pool = (start,) + upward(start, 1, depth)
+        kappas = sorted(pool, key=lambda z: ((y := quotient.rep(orbit[z[0]], z[1])).si_length, y.xi, y.w.sort_key))
+        stack = [((kappa,), (), 0, zero) for kappa in reversed(kappas)]
         while stack:
-            chain, cuts_desc, settled, settled_fw, p_top, fw_top = stack.pop()
+            chain, cuts_desc, settled, settled_fw = stack.pop()
+            fw_top, _xi, p_top = chain[-1]
             right = cuts_desc[-1] if cuts_desc else n
             # closing now puts the top direction on [0, right]
             if (total := settled + right * p_top) <= limit:
@@ -400,6 +405,6 @@ class SiLSCrystal:
                 if cap < p_top:
                     continue
                 new_fw = tuple(s + (right - a) * f for s, f in zip(settled_fw, fw_top))
-                for y, p, fw in upward(chain[-1], d, cap):
-                    children.append((chain + (y,), cuts_desc + (a,), new_settled, new_fw, p, fw))
+                for y in upward(chain[-1], d, cap):
+                    children.append((chain + (y,), cuts_desc + (a,), new_settled, new_fw))
             stack.extend(reversed(children))

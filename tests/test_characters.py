@@ -357,6 +357,8 @@ CLOSED_FORM_SWEEP = [
     (("D", 4), (0, 1, 0, 0), 1),
     (("A", 3), (1, 0, 1), 2),
     (("A", 3), (1, 1, 0), 2),
+    (("E", 7), (0, 0, 0, 0, 0, 0, 1), 1),
+    (("E", 8), (0, 0, 0, 0, 0, 0, 0, 1), 1),
 ]
 
 
@@ -368,8 +370,8 @@ def test_closed_form_matches_brute_force_sweep(fam, lam, depth):
     )
 
 
-# the seven grch1 cases of the verify benchmark, three more families, and
-# lambda = 0, where N = 1 and the cut grid is empty
+# the seven grch1 cases of the verify benchmark, three more families,
+# lambda = 0, where N = 1 and the cut grid is empty, and E7 and E8
 BRUTE_FORCE_ORACLE_CASES = [
     (("A", 1), (4,), 8),
     (("C", 2), (1, 1), 3),
@@ -382,6 +384,8 @@ BRUTE_FORCE_ORACLE_CASES = [
     (("C", 3), (0, 1, 0), 2),
     (("E", 6), (1, 0, 0, 0, 0, 0), 1),
     (("A", 2), (0, 0), 3),
+    (("E", 7), (0, 0, 0, 0, 0, 0, 1), 1),
+    (("E", 8), (0, 0, 0, 0, 0, 0, 0, 1), 1),
 ]
 
 

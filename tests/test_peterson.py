@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from silspath.cartan import AffineRealRoot, build, vec_sub
+from silspath.cartan import AffineRealRoot, build, vec_add, vec_sub
 from silspath.peterson import ParabolicQuotient
 from silspath.sils import SiLSCrystal
 from silspath.weyl import (
@@ -21,11 +21,13 @@ from silspath.weyl import (
 
 from conftest import (
     ORDER_CASES,
+    coset_state,
     cover_candidates,
     covers_by_scan,
     edge_pairing,
     is_rep_critical,
     order_quotients,
+    walk_pool,
 )
 
 
@@ -287,15 +289,43 @@ GRCH1_CASES = [
 
 @pytest.mark.parametrize("fam,lam,depth", GRCH1_CASES)
 def test_enumeration_pool_covers_match_candidate_scan(fam, lam, depth):
-    # every (x, level denominator) whose covers the enumeration asked for
+    # every direction the enumeration walk visited, at level 1 and at every
+    # level denominator of the grid (the walk reads covers at some of these)
     datum = build(*fam)
     crystal = SiLSCrystal(datum, lam)
-    crystal.enumerate_demazure(affine_identity(datum), depth)
-    keys = list(crystal.quotient._cover_cache)
-    assert keys
+    pool = walk_pool(crystal, affine_identity(datum), depth)
+    assert pool
     fresh = ParabolicQuotient.for_weight(datum, lam)
-    for x, d in keys:
-        assert_covers_match_scan(fresh, x, None if d == 1 else Fraction(1, d))
+    for x in pool:
+        for d in {1} | {d for _a, d in crystal.levels}:
+            assert_covers_match_scan(fresh, x, None if d == 1 else Fraction(1, d))
+
+
+COSET_CASES = [(fam, lam) for fam, lam, _depth in GRCH1_CASES] + [
+    (("D", 4), (0, 1, 0, 0)),
+    (("F", 4), (0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("fam,lam", COSET_CASES)
+def test_coset_covers_lift_to_si_covers(fam, lam):
+    # the walk's covers on cosets: from x's state (cl x lambda, xi off J, p), each
+    # entry of coset_covers gives the state of the matching entry of si_covers and
+    # of the candidate scan, in order, and rep rebuilds that cover from it, at
+    # level None and at every grid level
+    quotient = ParabolicQuotient.for_weight(build(*fam), lam)
+    orbit = quotient.orbit
+    for x in quotient.si_ball(3):
+        nu, xi, p = coset_state(quotient, x)
+        w = quotient.decompose(x).w
+        assert quotient.rep(w, xi) == x == quotient.rep(w, x.xi)
+        for a in (None,) + quotient.cut_grid():
+            row = quotient.coset_covers(nu, 1 if a is None else a.denominator)
+            states = [(nu2, vec_add(xi, c), p + dp) for nu2, c, dp in row]
+            covers = [y for _beta, y in quotient.si_covers(x, a)]
+            assert covers == [y for _beta, y in covers_by_scan(quotient, x, a, 1)], (x, a)
+            assert states == [coset_state(quotient, y) for y in covers], (x, a)
+            assert [quotient.rep(orbit[s[0]], s[1]) for s in states] == covers, (x, a)
 
 
 def test_subset_quotient_ball_matches_candidate_scan():

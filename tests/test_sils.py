@@ -8,8 +8,10 @@ from conftest import (
     brute_force_by_paths,
     canonicalize,
     component_base_by_operators,
+    coset_state,
     enumerate_demazure_by_pool,
     multipartitions,
+    walk_pool,
 )
 
 from silspath import characters as ch
@@ -444,7 +446,7 @@ def test_budget_exhaustion_names_its_stage(a1):
     c = SiLSCrystal(a1, (2,))
     e = affine_identity(a1)
     paths = c.enumerate_demazure(e, 2)
-    pool = {x for x, _d in c.quotient._cover_cache}
+    pool = walk_pool(c, e, 2)
     assert len(pool) < len(paths)
     for budget, stage in [
         (len(pool) - 1, "direction pool"),
@@ -463,10 +465,12 @@ def test_walk_carries_each_path_weight(a2):
     # at a translated x, the weight carried to each closing path is its weight
     c = SiLSCrystal(a2, (1, 1))
     x = c.quotient.project(translation(a2, (-1, 0)))
-    n, cut = c.n, 0
+    n, cut, q = c.n, 0, c.quotient
     for chain, cuts_desc, fw, delta in c._demazure_walk(x, 2, 500_000):
         ticks = (0,) + tuple(reversed(cuts_desc)) + (n,)
-        eta = SiLSPath.from_ticks(tuple(reversed(chain)), ticks, n)
+        dirs = tuple(q.rep(q.orbit[nu], xi) for nu, xi, _p in reversed(chain))
+        eta = SiLSPath.from_ticks(dirs, ticks, n)
+        assert c.validate(eta), eta
         assert c.weight(eta) == LevelZeroWeight(fw, delta), eta
         cut += len(chain) > 1
     assert cut  # some path settles a segment before it closes
@@ -516,12 +520,22 @@ def test_enumerating_crystal_is_freed_without_cyclic_gc(a2):
 
 @pytest.mark.parametrize("fam,lam", [(("C", 2), (1, 1)), (("G", 2), (0, 1))])
 def test_decompose_memo_matches_fresh_on_enumeration_pool(fam, lam):
-    # every pool direction had its covers computed, which decomposes it
+    # the walk's states, rebuilt by rep, are exactly the paths' directions, and
+    # decomposing each one gives back its state (cl x, xi off J, <xi, lambda>),
+    # from e and from a base whose xi is nonzero on all of J (G2: J = {1})
     c = crystal(fam, lam)
-    paths = c.enumerate_demazure(affine_identity(c.datum), 2)
-    memo = c.quotient._decompose_cache
-    pool = {x for x, _d in c.quotient._cover_cache}
-    assert {x for eta in paths for x in eta.directions} <= pool <= memo.keys()
+    q, visited = c.quotient, set()
+    low = q.project(translation(c.datum, (-1,) * c.datum.rank))
+    assert all(v for v, m in zip(low.xi, lam) if not m)
+    for x in (affine_identity(c.datum), low):
+        paths = c.enumerate_demazure(x, 2)
+        pool = walk_pool(c, x, 2)
+        assert {y for eta in paths for y in eta.directions} == pool.keys()
+        for y, state in pool.items():
+            assert coset_state(q, y) == state, y
+        visited |= pool.keys()
+    memo = q._decompose_cache
+    assert visited <= memo.keys()
     fresh = ParabolicQuotient.for_weight(c.datum, lam)
     for x, dec in memo.items():
         assert dec == fresh.decompose(x), x
@@ -564,7 +578,8 @@ def test_pairing_never_falls_along_a_cover(fam, lam):
     c = crystal(fam, lam)
     assert c.enumerate_demazure(affine_identity(c.datum), 2)
     q = c.quotient
-    pool = {x for x, _d in q._cover_cache}
+    pool = walk_pool(c, affine_identity(c.datum), 2)
+    assert pool
     for x in pool:
         for a in (None,) + q.cut_grid():
             for _beta, y in q.si_covers(x, a):
@@ -575,7 +590,7 @@ def test_capped_search_reach_is_pinned():
     # the pool bound max_den * depth computed covers at 998 directions here
     c = SiLSCrystal(build("B", 2), (1, 1))
     assert len(c.enumerate_demazure(affine_identity(c.datum), 4)) == 280
-    assert len(c.quotient._cover_cache) <= 400
+    assert 0 < len(walk_pool(c, affine_identity(c.datum), 4)) <= 400
 
 
 def test_enumeration_at_translated_base(a2):
