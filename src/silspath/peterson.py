@@ -14,7 +14,7 @@ an edge up from w or down to w without building the orbit W lambda.  The graph
 lifts QB(W^J) (Ishii-Naito-Sagaki): edge labels beta depend only on w = cl(x),
 and a quantum edge moves xi by u^vee, so covers are read off the row of w (kept
 per (w, step), read by the QLS table too) as edges (`si_covers`, per (x, d)) or
-on cosets (`coset_covers`, per (w lambda, d)), where `rep` rebuilds x from w and
+on cosets (`coset_covers`, per (w, d)), where `rep` rebuilds x from w and
 xi mod Q_J^vee.  A level a enters only through its reduced denominator d, which
 must divide p = |<beta^vee, x lambda>|; order is kept per (x, y, d), and
 x = w z_xi t_xi per representative x.
@@ -44,6 +44,7 @@ from .weyl import (
     affine_identity,
     affine_reflection,
     finite_identity,
+    finite_reflection,
     from_finite,
     longest_element,
     simple_reflection,
@@ -115,19 +116,26 @@ class ParabolicQuotient:
 
     @functools.cached_property
     def delta_j_plus(self) -> tuple[Vec, ...]:
-        # lambda is zero exactly on J
-        return tuple(u for u in self.datum.pos_roots if not any(c for c, m in zip(u, self.lam) if m))
+        datum, jset = self.datum, set(self.j_nodes)
+        return tuple(
+            u
+            for u in datum.pos_roots
+            if all(u[i] == 0 for i in range(datum.rank) if (i + 1) not in jset)
+        )
 
     @functools.cached_property
     def reduction_gens(self) -> tuple[tuple[AffineRealRoot, AffineWeylElt], ...]:
-        datum = self.datum
+        datum, jset = self.datum, set(self.j_nodes)
         gens: list[tuple[AffineRealRoot, AffineWeylElt]] = []
         for i in self.j_nodes:
             beta = AffineRealRoot(datum.simple_root(i), 0)
             gens.append((beta, from_finite(simple_reflection(datum, i))))
         for comp in _component_split(datum, self.j_nodes):
-            # the highest root of the component: each root of Delta_J lies in one
-            sub_roots = [u for u in self.delta_j_plus if any(u[i - 1] for i in comp)]
+            sub_roots = [
+                u
+                for u in self.delta_j_plus
+                if all(u[i - 1] == 0 for i in jset if i not in comp)
+            ]
             theta_c = max(sub_roots, key=lambda u: (sum(u), u))
             beta = AffineRealRoot(vec_neg(theta_c), 1)
             gens.append((beta, affine_reflection(datum, beta)))
@@ -222,9 +230,12 @@ class ParabolicQuotient:
     @functools.cached_property
     def _outside(self) -> tuple[tuple[Vec, int], ...]:
         """(u, <u^vee, lambda>) for u in Delta^+ \\ Delta_J^+ in pos_roots order."""
-        pair, coroot = self.datum.pair_coweight_weight, self.datum.coroot
-        # <u^vee, lambda> > 0 exactly off Delta_J, as lambda is dominant with zero set J
-        return tuple((u, p) for u in self.datum.pos_roots if (p := pair(coroot(u), self.lam_weight)))
+        pair, dj = self.datum.pair_coweight_weight, set(self.delta_j_plus)
+        return tuple(
+            (u, pair(self.datum.coroot(u), self.lam_weight))
+            for u in self.datum.pos_roots
+            if u not in dj
+        )
 
     def _lift(self, x: AffineWeylElt, a: Fraction | None, step: int):
         """The edges of QB(W^J) at w = cl(x) (`qb_row`) whose p = |<beta^vee, x lambda>|
@@ -250,18 +261,19 @@ class ParabolicQuotient:
             cached = self._cover_cache[key] = self._lift(x, a, 1)
         return cached
 
-    def coset_covers(self, nu: Vec, d: int) -> tuple[tuple[Vec, Vec, int], ...]:
-        """`si_covers` at a level of denominator d, on cosets: for x over w = orbit[nu] at xi
-        mod Q_J^vee (its coordinates off J) and p = <xi, lambda>, each (nu', c, p') is a cover
-        r_beta x over orbit[nu'] at xi + c and p + p', in `si_covers` order; c = u^vee off J
-        (W_J fixes Q^vee / Q_J^vee) and p' = p for a quantum edge of `qb_row(w, 1)`, 0 and 0
-        for a Bruhat one.  Kept per (nu, d)."""
-        row = self._coset_cache.get((nu, d))
+    def coset_covers(self, w: FiniteWeylElt, d: int) -> tuple[tuple[FiniteWeylElt, Vec, Vec, int], ...]:
+        """`si_covers` at a level of denominator d, on cosets: for x over w in W^J at xi mod
+        Q_J^vee and p = <xi, lambda>, each (v, v lambda, c, p') is a cover over v = floor(w r_u)
+        at xi + c and p + p', from an edge of `qb_row(w, 1)`: c = u^vee off J and p' = p if
+        it is quantum, else 0 and 0.  In `si_covers` order, kept per (w, d); builds no orbit."""
+        row = self._coset_cache.get((w, d))
         if row is None:
-            zero, coroot = (0,) * self.datum.rank, self.datum.coroot
-            row = self._coset_cache[nu, d] = tuple(
-                (nu2, tuple(c if m else 0 for c, m in zip(coroot(u), self.lam)), p) if quantum else (nu2, zero, 0)
-                for nu2, p, u, quantum in self.qb_row(self.orbit[nu], 1) if p % d == 0
+            datum, lam = self.datum, self.lam
+            row = self._coset_cache[w, d] = tuple(
+                (self.min_rep(w.mul(finite_reflection(datum, u))), nu, c, p if quantum else 0)
+                for nu, p, u, quantum in self.qb_row(w, 1)
+                if p % d == 0
+                for c in [tuple(v if m and quantum else 0 for v, m in zip(datum.coroot(u), lam))]
             )
         return row
 
@@ -282,18 +294,31 @@ class ParabolicQuotient:
         return cached
 
     def _box_ok(self, z: AffineWeylElt, y: AffineWeylElt) -> bool:
-        # the I\J translation coordinates (where lambda is nonzero) only grow along covers
-        return all(a <= b for a, b, m in zip(z.xi, y.xi, self.lam) if m)
+        # the I\J translation coordinates only grow along covers
+        jset = set(self.j_nodes)
+        return all(
+            z.xi[i - 1] <= y.xi[i - 1]
+            for i in range(1, self.datum.rank + 1)
+            if i not in jset
+        )
 
     def _si_leq_search(self, x, y, a) -> bool:
-        # si_length grows by one along a cover, so y can only be reached after `steps` covers
         steps = y.si_length - x.si_length
-        frontier = {x} if steps > 0 and self._box_ok(x, y) else set()
+        if steps <= 0 or not self._box_ok(x, y):
+            return False
+        frontier = {x}
         for _ in range(steps):
+            nxt = set()
+            for z in frontier:
+                for _beta, z2 in self.si_covers(z, a):
+                    if z2 == y:
+                        return True
+                    if self._box_ok(z2, y):
+                        nxt.add(z2)
+            frontier = nxt
             if not frontier:
                 return False
-            frontier = {z for v in frontier for _beta, z in self.si_covers(v, a) if self._box_ok(z, y)}
-        return y in frontier
+        return False
 
     def si_ball(self, radius: int) -> tuple[AffineWeylElt, ...]:
         """Everything within `radius` cover steps (up or down) of the identity."""

@@ -418,21 +418,19 @@ def enumerate_demazure_by_pool(c, x, depth, budget=500_000):
 
 
 def coset_state(quotient, x):
-    """(cl(x) lambda, xi off J, <xi, lambda>) for x = w z_xi t_xi, read off x itself:
+    """(cl(x), xi off J, <xi, lambda>) for x = w z_xi t_xi, read off x itself:
     the state the enumeration walk names x by (lambda is zero exactly on J)."""
     lam = quotient.lam
     xi = tuple(v if m else 0 for v, m in zip(x.xi, lam))
-    return quotient.decompose(x).w.act_fw(lam), xi, sum(a * m for a, m in zip(x.xi, lam))
+    return quotient.decompose(x).w, xi, sum(a * m for a, m in zip(x.xi, lam))
 
 
 def walk_pool(c, x, depth, budget=500_000):
-    """representative -> coset state (nu, xi off J, p) for every state the Demazure
-    walk from x visits, rebuilt by `ParabolicQuotient.rep`.  Each state a cover
-    search of the walk reaches closes a path, so these are the states of its chains,
-    and each had its covers read."""
+    """representative -> coset state (w, xi off J, p) for every state on a chain
+    the Demazure walk from x yields, rebuilt by `ParabolicQuotient.rep`."""
     q = c.quotient
     states = {z for chain, *_ in c._demazure_walk(x, depth, budget) for z in chain}
-    return {q.rep(q.orbit[z[0]], z[1]): z for z in states}
+    return {q.rep(w, xi): (w, xi, p) for w, xi, p in states}
 
 
 def brute_force_by_paths(datum, lam, depth, budget=500_000):

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from silspath.cartan import build
 from silspath.cli import main
+from silspath.weyl import longest_element
 
 
 def run(capsys, *argv):
@@ -187,6 +189,17 @@ def test_si_graph_large_orbit_stays_local():
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert len(proc.stdout.splitlines()) == 143
     digest = "59842d6ee8979ebe8c1ca4bb05fb184e92009549f26ff4751a814afa84bc8b31"
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+def test_enumeration_large_orbit_stays_local():
+    # the Demazure walk reads the rows of the directions it visits: from w_0 on
+    # the same orbit it lists the 71 paths of degree >= -1 without the orbit
+    w0 = ",".join(map(str, longest_element(build("E", 7)).reduced_word()))
+    proc = run_cli_capped(f"sils enumerate --type E --rank 7 --lambda 1,1,1,1,1,1,1 --x {w0}| --depth 1")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert len(proc.stdout.splitlines()) == 71
+    digest = "45c330d2244b6a9509b4bab81c230e9301395a3f5130ff52ac6d556e234abc4e"
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 

@@ -287,18 +287,34 @@ GRCH1_CASES = [
 ]
 
 
+def assert_coset_covers_match_scan(quotient, fresh, x, state, a):
+    # the cosets coset_covers reads from x's state, each rebuilt by rep, are the
+    # covers of x that a fresh quotient's candidate scan finds, in order, with
+    # their states and orbit points
+    w, xi, p = state
+    scan = [y for _beta, y in covers_by_scan(fresh, x, a, 1)]
+    row = quotient.coset_covers(w, 1 if a is None else a.denominator)
+    states = [(v, vec_add(xi, c), p + dp) for v, _nu, c, dp in row]
+    assert [quotient.rep(v, xi2) for v, xi2, _p in states] == scan, (x, a)
+    assert states == [coset_state(fresh, y) for y in scan], (x, a)
+    assert [nu for _v, nu, _c, _dp in row] == [v.act_fw(quotient.lam) for v, *_ in row], (x, a)
+
+
 @pytest.mark.parametrize("fam,lam,depth", GRCH1_CASES)
 def test_enumeration_pool_covers_match_candidate_scan(fam, lam, depth):
-    # every direction the enumeration walk visited, at level 1 and at every
-    # level denominator of the grid (the walk reads covers at some of these)
+    # every state the enumeration walk visited, at level 1 and at every level
+    # denominator of the grid (the walk reads covers at some of these): its
+    # coset covers and si_covers both match the candidate scan
     datum = build(*fam)
     crystal = SiLSCrystal(datum, lam)
     pool = walk_pool(crystal, affine_identity(datum), depth)
     assert pool
     fresh = ParabolicQuotient.for_weight(datum, lam)
-    for x in pool:
+    for x, state in pool.items():
         for d in {1} | {d for _a, d in crystal.levels}:
-            assert_covers_match_scan(fresh, x, None if d == 1 else Fraction(1, d))
+            a = None if d == 1 else Fraction(1, d)
+            assert_coset_covers_match_scan(crystal.quotient, fresh, x, state, a)
+            assert_covers_match_scan(fresh, x, a)
 
 
 COSET_CASES = [(fam, lam) for fam, lam, _depth in GRCH1_CASES] + [
@@ -309,23 +325,22 @@ COSET_CASES = [(fam, lam) for fam, lam, _depth in GRCH1_CASES] + [
 
 @pytest.mark.parametrize("fam,lam", COSET_CASES)
 def test_coset_covers_lift_to_si_covers(fam, lam):
-    # the walk's covers on cosets: from x's state (cl x lambda, xi off J, p), each
-    # entry of coset_covers gives the state of the matching entry of si_covers and
-    # of the candidate scan, in order, and rep rebuilds that cover from it, at
-    # level None and at every grid level
+    # the walk's covers on cosets: from x's state (cl x, xi off J, p), each entry
+    # of coset_covers gives the state of the matching entry of si_covers and of
+    # the candidate scan, in order, and rep rebuilds that cover from it, at level
+    # None and at every grid level; no orbit W lambda is built
     quotient = ParabolicQuotient.for_weight(build(*fam), lam)
-    orbit = quotient.orbit
+    fresh = ParabolicQuotient.for_weight(quotient.datum, lam)
     for x in quotient.si_ball(3):
-        nu, xi, p = coset_state(quotient, x)
-        w = quotient.decompose(x).w
-        assert quotient.rep(w, xi) == x == quotient.rep(w, x.xi)
+        state = coset_state(quotient, x)
+        w = state[0]
+        assert quotient.rep(w, state[1]) == x == quotient.rep(w, x.xi)
         for a in (None,) + quotient.cut_grid():
-            row = quotient.coset_covers(nu, 1 if a is None else a.denominator)
-            states = [(nu2, vec_add(xi, c), p + dp) for nu2, c, dp in row]
-            covers = [y for _beta, y in quotient.si_covers(x, a)]
-            assert covers == [y for _beta, y in covers_by_scan(quotient, x, a, 1)], (x, a)
-            assert states == [coset_state(quotient, y) for y in covers], (x, a)
-            assert [quotient.rep(orbit[s[0]], s[1]) for s in states] == covers, (x, a)
+            assert_coset_covers_match_scan(quotient, fresh, x, state, a)
+            assert [y for _beta, y in quotient.si_covers(x, a)] == [
+                y for _beta, y in covers_by_scan(quotient, x, a, 1)
+            ], (x, a)
+    assert "orbit" not in vars(quotient)
 
 
 def test_subset_quotient_ball_matches_candidate_scan():

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import itertools
 import weakref
 from fractions import Fraction as F
@@ -468,7 +469,7 @@ def test_walk_carries_each_path_weight(a2):
     n, cut, q = c.n, 0, c.quotient
     for chain, cuts_desc, fw, delta in c._demazure_walk(x, 2, 500_000):
         ticks = (0,) + tuple(reversed(cuts_desc)) + (n,)
-        dirs = tuple(q.rep(q.orbit[nu], xi) for nu, xi, _p in reversed(chain))
+        dirs = tuple(q.rep(w, xi) for w, xi, _p in reversed(chain))
         eta = SiLSPath.from_ticks(dirs, ticks, n)
         assert c.validate(eta), eta
         assert c.weight(eta) == LevelZeroWeight(fw, delta), eta
@@ -522,20 +523,21 @@ def test_enumerating_crystal_is_freed_without_cyclic_gc(a2):
 def test_decompose_memo_matches_fresh_on_enumeration_pool(fam, lam):
     # the walk's states, rebuilt by rep, are exactly the paths' directions, and
     # decomposing each one gives back its state (cl x, xi off J, <xi, lambda>),
-    # from e and from a base whose xi is nonzero on all of J (G2: J = {1})
+    # from e and from a base whose xi is nonzero on all of J (G2: J = {1}); the
+    # walks decompose their bases and nothing else
     c = crystal(fam, lam)
-    q, visited = c.quotient, set()
-    low = q.project(translation(c.datum, (-1,) * c.datum.rank))
-    assert all(v for v, m in zip(low.xi, lam) if not m)
-    for x in (affine_identity(c.datum), low):
+    q, bases, pools = c.quotient, [affine_identity(c.datum)], []
+    bases.append(q.project(translation(c.datum, (-1,) * c.datum.rank)))
+    assert all(v for v, m in zip(bases[1].xi, lam) if not m)
+    for x in bases:
         paths = c.enumerate_demazure(x, 2)
-        pool = walk_pool(c, x, 2)
-        assert {y for eta in paths for y in eta.directions} == pool.keys()
+        pools.append(walk_pool(c, x, 2))
+        assert {y for eta in paths for y in eta.directions} == pools[-1].keys()
+    memo = q._decompose_cache
+    assert memo.keys() == set(bases)
+    for pool in pools:
         for y, state in pool.items():
             assert coset_state(q, y) == state, y
-        visited |= pool.keys()
-    memo = q._decompose_cache
-    assert visited <= memo.keys()
     fresh = ParabolicQuotient.for_weight(c.datum, lam)
     for x, dec in memo.items():
         assert dec == fresh.decompose(x), x
@@ -586,11 +588,22 @@ def test_pairing_never_falls_along_a_cover(fam, lam):
                 assert p_of(c, y) >= p_of(c, x), (x, y, a)
 
 
-def test_capped_search_reach_is_pinned():
-    # the pool bound max_den * depth computed covers at 998 directions here
+def test_capped_search_reach_is_pinned(monkeypatch):
+    # the (state, level denominator) pairs whose coset covers the walk's searches
+    # read: 380 here, as many as the (x, d) pairs of the walk on directions; the
+    # pool bound max_den * depth read covers at 998 directions, and a search
+    # capped at depth * N instead of the remaining degree reads 405 pairs
+    read, coset_covers = set(), ParabolicQuotient.coset_covers
+
+    def reading(self, w, d):
+        search = inspect.currentframe().f_back.f_locals  # the state it expands
+        read.add((w, search["xi"], search["p0"], d))
+        return coset_covers(self, w, d)
+
+    monkeypatch.setattr(ParabolicQuotient, "coset_covers", reading)
     c = SiLSCrystal(build("B", 2), (1, 1))
     assert len(c.enumerate_demazure(affine_identity(c.datum), 4)) == 280
-    assert 0 < len(walk_pool(c, affine_identity(c.datum), 4)) <= 400
+    assert 0 < len(read) <= 400
 
 
 def test_enumeration_at_translated_base(a2):
