@@ -3,13 +3,13 @@
 A graded character is a finite integer combination of terms x^mu q^k with
 mu recorded in fundamental-weight coordinates.  No QLS route lists a path: the
 degree-weighted QLS sum adds up `QLSCrystal.final_sums`, the quotient characters
-add it (or `initial_sums`) over a Bruhat interval of W^J, and the closed-form
-Demazure characters multiply the sum by the expanded inverse product over the
-columns of lambda.  The brute-force route walks the semi-infinite LS paths with
-kappa >= e down to the depth instead and counts the weights that the walk
-carries, again without listing a path.  Demazure's character formula supplies
-an independent q=0 oracle without enumerating the Weyl group.  Every route
-reads one crystal per shape, `_qls`, kept until another lambda is asked for.
+add it over a Bruhat interval of W^J (the plus ones that of the `dual` shape), and
+the closed-form Demazure characters multiply the sum by the expanded inverse product
+over the columns of lambda.  The brute-force route walks the semi-infinite LS paths
+with kappa >= e down to the depth instead and counts the weights that the walk
+carries, again without listing a path.  Demazure's character formula supplies an
+independent q=0 oracle without enumerating the Weyl group.  Every route reads one
+crystal per shape (and its dual), `_qls`, kept until another lambda is asked for.
 """
 
 from __future__ import annotations
@@ -169,33 +169,38 @@ def brute_force_gch_minus_e(
 # -- quotient characters -----------------------------------------------------------
 
 
-def _interval_sum(datum: CartanDatum, lam: Vec, w: FiniteWeylElt, step: int) -> GradedCharacter:
-    """Once w is checked to lie in W^J, sum `final_sums` over v >= w (step 1) or `initial_sums`
-    over v <= w (step -1): a search of the Bruhat edges of QB(W^J), by orbit point (fast to hash)."""
+def _checked_crystal(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> QLSCrystal:
     crystal = _qls(datum, tuple(lam))
-    quotient = crystal.sils.quotient
-    if not quotient.is_min_rep(w):
+    if not crystal.sils.quotient.is_min_rep(w):
         raise ValueError(f"{w!r} is not a minimal coset representative for J")
-    sums = crystal.final_sums if step == 1 else crystal.initial_sums
-    total, seen, frontier = Counter(), {w.act_fw(crystal.lam)}, [w]
+    return crystal
+
+
+def _interval_sum(crystal: QLSCrystal, mu: Vec) -> Counter:
+    """Sum `final_sums` over v >= w, for the w in W^J with w lambda = mu: a search of
+    the Bruhat edges of QB(W^J), by orbit point (fast to hash)."""
+    quotient = crystal.sils.quotient
+    total, seen, frontier = Counter(), {mu}, [quotient.orbit[mu]]
     while frontier:
         v = frontier.pop()
-        total.update(sums[v])
-        for nu, _p, _u, quantum in quotient.qb_row(v, step):
+        total.update(crystal.final_sums[v])
+        for nu, _p, _u, quantum in quotient.qb_row(v, 1):
             if not quantum and nu not in seen:
                 seen.add(nu)
                 frontier.append(quotient.orbit[nu])
-    return GradedCharacter(total)
+    return total
 
 
 def gch_quotient_minus(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> GradedCharacter:
     """Sum over paths whose distinguished final direction dominates w."""
-    return _interval_sum(datum, lam, w, 1)
+    return GradedCharacter(_interval_sum(_checked_crystal(datum, lam, w), w.act_fw(lam)))
 
 
 def gch_quotient_plus(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> GradedCharacter:
-    """Sum over paths whose distinguished initial direction is below w."""
-    return _interval_sum(datum, lam, w, -1)
+    """Sum over paths whose distinguished initial direction is below w: the sigma-dual shape's
+    minus character at floor(w w0), the representative at -w lambda, with x and q inverted."""
+    total = _interval_sum(_checked_crystal(datum, lam, w).dual, vec_neg(w.act_fw(lam)))
+    return GradedCharacter({(vec_neg(fw), -q): c for (fw, q), c in total.items()})
 
 
 # -- Weyl character oracle -----------------------------------------------------------

@@ -19,10 +19,9 @@ wt_lambda its pairing with lambda (`ParabolicQuotient.qb_reach`), a row holds
     deg_iota  = sum_u (1 - sigma_u) wt_lambda(w_{u+1} => w_u).
 
 The characters read no row, and the table keeps only deg_kappa: `final_sums`
-(`initial_sums`) adds x^weight q^deg_kappa (q^deg_iota) by final (initial)
-direction, one transfer matrix swept over the cuts from either end.  A segment
-of w added at a cut a = k/d spans 1 - a (a) and adds -a (1 - a) times its edge's
-wt_lambda to the degree, both exact as d divides p on every edge of a's level.
+adds x^weight q^deg_kappa by final direction, one transfer matrix swept up the
+cuts.  A segment of w added at a cut a = k/d spans 1 - a and adds -a times its
+edge's wt_lambda to the degree, both exact as d divides p on every edge of a's level.
 
 The distinguished lifts are rebuilt from the chain on demand.  With xi_s = 0
 and xi_u = xi_{u+1} + wt(w_{u+1} => w_u), `eta_kappa` has the directions
@@ -109,23 +108,22 @@ class QLSCrystal:
                             stack.append((chain + (y,), cuts + (a,), step, deg_kappa - a * wt))
         return table
 
-    def _sweep(self, end: str) -> dict[FiniteWeylElt, dict[tuple[Vec, int], int]]:
-        """w -> the sum of x^weight q^deg over the rows whose `end` direction is w.  Swept
-        up ("kappa") or down the cuts a, sums[w] holds the rows with every cut below (above)
-        a; at a it gains, with last (first) cut a, the rows of each y != w that w reaches
-        (that reaches w) at a's level.  A term stands for one row at least."""
+    @functools.cached_property
+    def final_sums(self) -> dict[FiniteWeylElt, dict[tuple[Vec, int], int]]:
+        """w -> the sum of x^weight q^deg_kappa over the rows with final direction w.
+        Swept up the cuts a, sums[w] holds the rows with every cut below a; at a it
+        gains, with last cut a, the rows of each y != w that w reaches at a's level.
+        A term stands for one row at least."""
         quotient, n, points = self.sils.quotient, self.sils.n, self.sils.quotient._points
-        kappa, sums = end == "kappa", {w: {(points[w], 0): 1} for w in quotient.orbit.values()}
+        sums = {w: {(points[w], 0): 1} for w in quotient.orbit.values()}
         size = len(sums)
-        for a, d in self.sils.levels if kappa else reversed(self.sils.levels):
-            span, times = (n - a, -a) if kappa else (a, n - a)  # see the module docstring
+        for a, d in self.sils.levels:
             before = {w: tuple(s.items()) for w, s in sums.items()}
-            for x in sums:
-                for z, (wt, _xi) in quotient.qb_reach(x, d).items():
-                    if z != x:
-                        w, y = (x, z) if kappa else (z, x)
-                        acc, held, dq = sums[w], len(sums[w]), times * wt // n
-                        step = tuple(span * (m - v) // n for m, v in zip(points[w], points[y]))
+            for w, acc in sums.items():
+                for y, (wt, _xi) in quotient.qb_reach(w, d).items():
+                    if y != w:
+                        held, dq = len(acc), -a * wt // n  # see the module docstring
+                        step = tuple((n - a) * (m - v) // n for m, v in zip(points[w], points[y]))
                         for (fw, q), c in before[y]:
                             key = (tuple(map(operator.add, fw, step)), q + dq)
                             acc[key] = acc.get(key, 0) + c
@@ -133,9 +131,6 @@ class QLSCrystal:
                         if size > TABLE_BUDGET:
                             raise BudgetExceeded("transfer matrix exceeded the QLS table budget")
         return sums
-
-    final_sums = functools.cached_property(lambda self: self._sweep("kappa"))  # by deg_kappa
-    initial_sums = functools.cached_property(lambda self: self._sweep("iota"))  # by deg_iota
 
     def paths(self) -> tuple[QLSPath, ...]:
         return tuple(sorted(self.table, key=lambda psi: psi.sort_key(self.sils.n)))
@@ -183,8 +178,11 @@ class QLSCrystal:
         return self.table[psi].deg_kappa
 
     @functools.cached_property
-    def dual(self) -> "QLSCrystal":
-        return QLSCrystal(self.datum, self.datum.sigma_dual(self.lam))
+    def _other_dual(self) -> "QLSCrystal | None":  # None, not a cycle, when self-dual
+        dual_lam = self.datum.sigma_dual(self.lam)
+        return None if dual_lam == self.lam else QLSCrystal(self.datum, dual_lam)
+
+    dual = property(lambda self: self._other_dual or self)  # the crystal of shape -w0 lambda
 
     def star_dual(self, psi: QLSPath) -> QLSPath:
         """The image of psi under the weight-negating bijection to the dual shape."""

@@ -315,10 +315,6 @@ class SiLSCrystal:
 
     # -- duality ---------------------------------------------------------------
 
-    @functools.cached_property
-    def dual(self) -> "SiLSCrystal":
-        return SiLSCrystal(self.datum, self.datum.sigma_dual(self.lam))
-
     def dual_path(self, eta: SiLSPath) -> SiLSPath:
         dirs = tuple(self.quotient.vee(x) for x in reversed(eta.directions))
         ticks = tuple(eta.den - a for a in reversed(eta.ticks))

@@ -274,6 +274,27 @@ def deg_iota(q, psi):
     return q.sils.weight(q.eta_iota(psi)).delta
 
 
+def initial_sums_by_sweep(q):
+    """w -> the sum of x^weight q^deg_iota over the rows whose initial direction is w,
+    by the transfer matrix of `QLSCrystal.final_sums` swept down the cuts instead:
+    sums[w] holds the rows with every cut above a, and at a it gains, with first cut
+    a, the rows of each y != w that reaches w at a's level.  A segment of w added at
+    a spans a and adds (1 - a) times its edge's wt_lambda to the degree.  The oracle
+    for the plus quotient characters, which read the sigma-dual shape's `final_sums`."""
+    quotient, n = q.sils.quotient, q.sils.n
+    points = quotient._points
+    sums = {w: Counter({(points[w], 0): 1}) for w in quotient.orbit.values()}
+    for a, d in reversed(q.sils.levels):
+        before = {w: tuple(s.items()) for w, s in sums.items()}
+        for y in sums:
+            for w, (wt, _xi) in quotient.qb_reach(y, d).items():
+                if w != y:
+                    step = tuple(a * (m - v) // n for m, v in zip(points[w], points[y]))
+                    for (fw, deg), c in before[y]:
+                        sums[w][vec_add(fw, step), deg + (n - a) * wt // n] += c
+    return sums
+
+
 def quotient_characters_by_rows(q, w):
     """(gch_quotient_minus, gch_quotient_plus) at w for the QLS crystal q, by the
     row filter: one bruhat_leq per table row, on its final and initial direction."""

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     brute_force_by_paths,
     deg_iota,
+    initial_sums_by_sweep,
     kostka_foulkes,
     multipartitions,
     quotient_characters_by_rows,
@@ -22,7 +23,7 @@ from silspath.cartan import build
 from silspath.characters import GradedCharacter
 from silspath.peterson import TABLE_BUDGET, ParabolicQuotient
 from silspath.qls import QLSCrystal
-from silspath.weyl import finite_from_word, simple_reflection
+from silspath.weyl import bruhat_leq, finite_from_word, simple_reflection
 
 TEST_WEIGHTS = [
     (("A", 1), (1,)),
@@ -225,8 +226,6 @@ NESTING_WEIGHTS = TEST_WEIGHTS + [
 @pytest.mark.parametrize("fam,lam", NESTING_WEIGHTS)
 def test_quotient_minus_nesting(fam, lam):
     datum = build(*fam)
-    from silspath.weyl import bruhat_leq
-
     reps = ch.minus_quotient_reps(datum, lam)
     chars = {w: ch.gch_quotient_minus(datum, lam, w) for w in reps}
     for w1 in reps:
@@ -250,8 +249,6 @@ def test_quotient_plus_examples(a1):
 @pytest.mark.parametrize("fam,lam", NESTING_WEIGHTS)
 def test_quotient_plus_nesting_and_extremes(fam, lam):
     datum = build(*fam)
-    from silspath.weyl import bruhat_leq
-
     reps = ch.minus_quotient_reps(datum, lam)
     chars = {w: ch.gch_quotient_plus(datum, lam, w) for w in reps}
     top = ch.floor_w0(datum, lam)
@@ -273,9 +270,35 @@ def test_quotient_characters_match_row_filter(fam, lam):
         assert pair == quotient_characters_by_rows(q, w), w
 
 
+# weights whose sigma-dual -w0 lambda is another weight: -w0 flips the diagram of
+# A_n, D5 and E6, and NESTING_WEIGHTS adds A2 (1,0) and E6 (1,0,0,0,0,0)
+NOT_SELF_DUAL = [
+    (("A", 2), (1, 0)),
+    (("A", 3), (2, 1, 0)),
+    (("A", 4), (1, 1, 0, 0)),
+    (("D", 5), (1, 0, 0, 1, 0)),
+    (("E", 6), (1, 1, 0, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("fam,lam", sorted(set(NESTING_WEIGHTS + NOT_SELF_DUAL)))
+def test_quotient_plus_matches_the_initial_sweep(fam, lam):
+    # read off the sigma-dual shape's final sums, the plus character at w is the
+    # sum of lambda's own initial-direction sums over v <= w in W^J
+    datum = build(*fam)
+    by_initial = initial_sums_by_sweep(QLSCrystal(datum, lam))
+    for w in ch.minus_quotient_reps(datum, lam):
+        below = Counter()
+        for v, part in by_initial.items():
+            if bruhat_leq(v, w):
+                below.update(part)
+        assert ch.gch_quotient_plus(datum, lam, w) == GradedCharacter(below), w
+
+
 def test_every_route_reads_one_quotient_per_shape(a2, monkeypatch):
     # closed form, brute force, representatives, floor(w0) and both quotient
-    # characters of one lambda share one crystal, and so one quotient
+    # characters of one lambda share one crystal, and so one quotient; the plus
+    # characters add the quotient of the sigma-dual shape when that is another
     calls = []
     for_weight = ParabolicQuotient.for_weight.__func__
 
@@ -284,23 +307,36 @@ def test_every_route_reads_one_quotient_per_shape(a2, monkeypatch):
         return for_weight(cls, datum, lam)
 
     monkeypatch.setattr(ParabolicQuotient, "for_weight", classmethod(counted))
-    ch._qls.cache_clear()
-    lam = (1, 1)
-    assert ch.gch_demazure_minus_e(a2, lam, 2) == ch.brute_force_gch_minus_e(a2, lam, 2)
-    reps = ch.minus_quotient_reps(a2, lam)
-    assert ch.floor_w0(a2, lam) in reps
-    for w in reps:
-        assert ch.gch_quotient_minus(a2, lam, w) and ch.gch_quotient_plus(a2, lam, w)
-    assert calls == [lam]
+    for lam, shapes in [((1, 1), [(1, 1)]), ((1, 0), [(1, 0), (0, 1)])]:
+        calls.clear()
+        ch._qls.cache_clear()
+        assert ch.gch_demazure_minus_e(a2, lam, 2) == ch.brute_force_gch_minus_e(a2, lam, 2)
+        reps = ch.minus_quotient_reps(a2, lam)
+        assert ch.floor_w0(a2, lam) in reps
+        for w in reps:
+            assert ch.gch_quotient_minus(a2, lam, w) and ch.gch_quotient_plus(a2, lam, w)
+        assert calls == shapes, lam
 
 
 def test_character_memo_keeps_only_the_current_shape(a2):
-    # asking for another lambda frees the previous crystal with its table and quotient
-    ch.macdonald_t0(a2, (1, 1))
-    ref = weakref.ref(ch._qls(a2, (1, 1)))
-    ch.macdonald_t0(a2, (1, 0))
-    gc_module.collect()
-    assert ref() is None
+    # asking for another lambda frees the previous crystal with its quotient and the
+    # dual that the plus characters read, by reference counts alone: no cycle holds
+    # them, for a self-dual lambda (1,1) as for (1,0), whose dual is (0,1)
+    enabled = gc_module.isenabled()
+    gc_module.disable()
+    try:
+        for lam in [(1, 1), (1, 0)]:
+            for w in ch.minus_quotient_reps(a2, lam):
+                ch.gch_quotient_plus(a2, lam, w)
+            ch.macdonald_t0(a2, lam)
+            crystal = ch._qls(a2, lam)
+            refs = [weakref.ref(crystal), weakref.ref(crystal.dual), weakref.ref(crystal.sils.quotient)]
+            del crystal
+            ch.macdonald_t0(a2, (2, 2))
+            assert [ref() for ref in refs] == [None, None, None], lam
+    finally:
+        if enabled:
+            gc_module.enable()
 
 
 @pytest.mark.parametrize("fam,lam", TEST_WEIGHTS)
@@ -454,7 +490,7 @@ def assert_degree_sums_match_rows(datum, lam):
         by_final.setdefault(psi.directions[-1], Counter())[row.weight, row.deg_kappa] += 1
         by_initial.setdefault(psi.directions[0], Counter())[row.weight, deg_iota(q, psi)] += 1
     assert q.final_sums == by_final
-    assert q.initial_sums == by_initial
+    assert initial_sums_by_sweep(q) == by_initial
 
 
 @pytest.mark.parametrize("fam,lam", DEGREE_SUM_WEIGHTS)
@@ -476,8 +512,9 @@ def test_degree_sum_past_the_table_budget():
 
 
 def test_quotient_characters_past_the_table_budget():
-    # both transfer matrices of G2 (4,3) finish though its 7^4 * 15^3 paths would
-    # not fit the table, and the Bruhat intervals of W^J split them up
+    # the transfer matrix of G2 (4,3), its own sigma-dual, finishes though its
+    # 7^4 * 15^3 paths would not fit the table, and the Bruhat intervals of W^J
+    # split them up for both quotient characters
     datum, lam = build("G", 2), (4, 3)
     e, top = finite_from_word(datum, []), ch.floor_w0(datum, lam)
     assert ch.gch_quotient_minus(datum, lam, e) == ch.qls_degree_sum(datum, lam)

@@ -220,7 +220,8 @@ def test_macdonald_transfer_matrix_exhausts_the_budget():
 
 
 def test_quotient_transfer_matrix_exhausts_the_budget():
-    # the mirrored sweep behind quotient-plus stops at the same budget
+    # quotient-plus reads the sweep of the sigma-dual shape, here lambda itself,
+    # so it stops at the same budget
     proc = run_cli_capped("char quotient-plus --type D --rank 5 --lambda 1,1,1,1,1 --w 1", timeout=20)
     assert proc.returncode == 3, proc.stderr[-2000:]
     assert "budget exhausted: transfer matrix exceeded" in proc.stderr
@@ -356,6 +357,26 @@ def test_char_quotient_minus(capsys):
         {"fw": [-2], "q": 0, "coeff": 1},
         {"fw": [0], "q": -1, "coeff": 1},
     ]
+
+
+# SHA-256 of `char quotient-plus` stdout, recorded while the plus characters still
+# came from a sweep of lambda's own initial directions; none of these weights is
+# its own sigma-dual, and A2 (2,1) has terms in several q-degrees.
+QUOTIENT_PLUS_STDOUT = {
+    "--type A --rank 2 --lambda 1,0 --w 1":
+        "f25b544360f748d541963da84e1b03ce5bec4521dd7e23171bd0935e8232ea61",
+    "--type A --rank 2 --lambda 2,1 --w 1,2":
+        "39009e47e5027d5161a6bc709244237dca8d75b5fc770593c55e1f50cf40d5af",
+    "--type E --rank 6 --lambda 1,0,0,0,0,0 --w 2,4,3,1":
+        "680dc0fea9bf65c85c1e465d371aa4d835ae5b1186fe74b7d5f3aa7bd0e33f68",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(QUOTIENT_PLUS_STDOUT))
+def test_char_quotient_plus_golden(capsys, argv):
+    code, out, _ = run(capsys, "char", "quotient-plus", *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == QUOTIENT_PLUS_STDOUT[argv]
 
 
 def test_char_quotient_minus_e7_at_floor_w0(capsys):

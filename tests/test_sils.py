@@ -203,13 +203,14 @@ def test_dual_examples(a1):
     one = SiLSCrystal(a1, (1,))
     e, s1, t1 = a1_paths(a1)
     assert one.dual_path(one.unit_path()) == SiLSPath((s1,), (F(0), F(1)))
-    assert one.dual.lam == (1,)
+    dual = SiLSCrystal(a1, a1.sigma_dual(one.lam))
+    assert dual.lam == (1,) and dual.validate(one.dual_path(one.unit_path()))
 
 
 @pytest.mark.parametrize("fam,lam,depth", [(("A", 1), (2,), 2), (("A", 2), (1, 0), 1), (("C", 2), (1, 0), 1)])
 def test_dual_properties(fam, lam, depth):
     c = crystal(fam, lam)
-    dual = c.dual
+    dual = SiLSCrystal(c.datum, c.datum.sigma_dual(c.lam))
     for eta in _component_sample(c, depth):
         im = c.dual_path(eta)
         assert dual.validate(im)
