@@ -193,6 +193,7 @@ class RootTable(NamedTuple):
     index: dict[Vec, int]
     coroots: tuple[Vec, ...]  # coweight coordinates of each root's coroot
     simple: tuple[int, ...]  # simple[i - 1] is the index of alpha_i
+    fws: tuple[Vec, ...]  # fundamental-weight coordinates of each root
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +235,7 @@ class CartanDatum:
         simple = tuple(index[self.simple_root(i)] for i in range(1, self.rank + 1))
         pos_coroots = tuple(_coroot(self.cartan, self.sym, u) for u in self.pos_roots)
         coroots = pos_coroots + tuple(vec_neg(c) for c in pos_coroots)
-        return RootTable(roots, index, coroots, simple)
+        return RootTable(roots, index, coroots, simple, tuple(map(self.root_to_fw, roots)))
 
     @property
     def rho(self) -> Vec:

@@ -14,10 +14,10 @@ an edge up from w or down to w without building the orbit W lambda.  The graph
 lifts QB(W^J) (Ishii-Naito-Sagaki): edge labels beta depend only on w = cl(x),
 and a quantum edge moves xi by u^vee, so covers are read off the row of w (kept
 per (w, step), read by the QLS table too) as edges (`si_covers`, per (x, d)) or
-on cosets (`coset_covers`, per (w, d)), where `rep` rebuilds x from w and
-xi mod Q_J^vee.  A level a enters only through its reduced denominator d, which
-must divide p = |<beta^vee, x lambda>|; order is kept per (x, y, d), and
-x = w z_xi t_xi per representative x.
+on cosets (`coset_covers`, per (w lambda, d)), on states that name x by integers
+alone: w lambda, xi mod Q_J^vee and <xi, lambda>.  A level a enters only through
+its reduced denominator d, which must divide p = |<beta^vee, x lambda>|; order
+is kept per (x, y, d), and x = w z_xi t_xi per representative x.
 """
 
 from __future__ import annotations
@@ -97,6 +97,7 @@ class ParabolicQuotient:
     _decompose_cache: dict = field(default_factory=dict, repr=False)
     _reach_cache: dict = field(default_factory=dict, repr=False)
     _coset_cache: dict = field(default_factory=dict, repr=False)
+    _named: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def for_weight(cls, datum: CartanDatum, lam: Vec) -> "ParabolicQuotient":
@@ -261,20 +262,33 @@ class ParabolicQuotient:
             cached = self._cover_cache[key] = self._lift(x, a, 1)
         return cached
 
-    def coset_covers(self, w: FiniteWeylElt, d: int) -> tuple[tuple[FiniteWeylElt, Vec, Vec, int], ...]:
-        """`si_covers` at a level of denominator d, on cosets: for x over w in W^J at xi mod
-        Q_J^vee and p = <xi, lambda>, each (v, v lambda, c, p') is a cover over v = floor(w r_u)
-        at xi + c and p + p', from an edge of `qb_row(w, 1)`: c = u^vee off J and p' = p if
-        it is quantum, else 0 and 0.  In `si_covers` order, kept per (w, d); builds no orbit."""
-        row = self._coset_cache.get((w, d))
+    def coset_state(self, x: AffineWeylElt) -> tuple[Vec, Vec, int]:
+        """(w lambda, xi off J, <xi, lambda>) for x = w z_xi t_xi: its state on cosets."""
+        w, lam = self.decompose(x).w, self.lam
+        nu = w.act_fw(lam)
+        self._named[nu] = w  # w lambda fixes w in W^J
+        return nu, tuple(c if m else 0 for c, m in zip(x.xi, lam)), sum(map(operator.mul, x.xi, lam))
+
+    def state_rep(self, state: tuple[Vec, Vec, int]) -> AffineWeylElt:
+        """The representative x that a state of `coset_state` or `coset_covers` names."""
+        return self.rep(self._named[state[0]], state[1])
+
+    def coset_covers(self, nu: Vec, d: int) -> tuple[tuple[FiniteWeylElt, Vec, Vec, int], ...]:
+        """`si_covers` at level denominator d on the states of `coset_state`: at nu = w lambda,
+        each (v, v lambda, c, p') is a cover over v = floor(w r_u) at xi + c and p + p' from an
+        edge of `qb_row(w, 1)`: c = u^vee off J, p' = p if it is quantum, else 0 and 0.  Kept per
+        (nu, d) in `si_covers` order; w is read off the points these rows and `coset_state` name."""
+        row = self._coset_cache.get((nu, d))
         if row is None:
-            datum, lam = self.datum, self.lam
-            row = self._coset_cache[w, d] = tuple(
-                (self.min_rep(w.mul(finite_reflection(datum, u))), nu, c, p if quantum else 0)
-                for nu, p, u, quantum in self.qb_row(w, 1)
+            datum, lam, named, w = self.datum, self.lam, self._named, self._named[nu]
+            row = self._coset_cache[nu, d] = tuple(
+                (v, nu2, c, p if quantum else 0)
+                for nu2, p, u, quantum in self.qb_row(w, 1)
                 if p % d == 0
-                for c in [tuple(v if m and quantum else 0 for v, m in zip(datum.coroot(u), lam))]
+                for v in [named.get(nu2) or self.min_rep(w.mul(finite_reflection(datum, u)))]
+                for c in [tuple(a if m and quantum else 0 for a, m in zip(datum.coroot(u), lam))]
             )
+            named.update((nu2, v) for v, nu2, _c, _p in row)
         return row
 
     def si_lower_covers(
@@ -378,8 +392,7 @@ class ParabolicQuotient:
         in fundamental-weight coordinates."""
         datum, table = self.datum, self.datum.root_table
         two_rho_j = tuple(map(sum, zip((0,) * datum.rank, *self.delta_j_plus)))
-        root_fw = [datum.root_to_fw(v) for v in table.roots]
-        shifts = {p: [tuple(p * a for a in v) for v in root_fw] for p in self.pairing_values()}
+        shifts = {p: [tuple(p * a for a in v) for v in table.fws] for p in self.pairing_values()}
         return tuple(
             (table.index[u], u, p, 2 * sum(c) - datum.pair_coweight_root(c, two_rho_j), shifts[p])
             for u, p in self._outside

@@ -20,10 +20,11 @@ on projected paths with w -> min_rep(r_j w), and `QLSCrystal.cl` uses the
 same merge.
 
 The Demazure enumeration walks cosets, not directions.  The representative
-x = w z_xi t_xi is the state (w, xi off J, p): w in W^J, the coordinates of xi
-off J, which name xi mod Q_J^vee, and p = <xi, lambda>.  Its covers come off the
-row of w (`ParabolicQuotient.coset_covers`), its weight is w lambda - p delta,
-and `ParabolicQuotient.rep` rebuilds x, once per state of a listed path.
+x = w z_xi t_xi is the integer state (w lambda, xi off J, p): the orbit point
+of w in W^J, which fixes w, xi off J, which names xi mod Q_J^vee, and
+p = <xi, lambda>.  Its weight is w lambda - p delta, its covers come off the row
+of w (`ParabolicQuotient.coset_covers`), and `ParabolicQuotient.state_rep`
+rebuilds x, once per state of a listed path; the output is sorted, not the walk.
 """
 
 from __future__ import annotations
@@ -336,8 +337,7 @@ class SiLSCrystal:
         self, x: AffineWeylElt, depth: int, budget: int = 500_000
     ) -> tuple[SiLSPath, ...]:
         """All paths with kappa >= x whose weight delta is >= -depth."""
-        n, quotient = self.n, self.quotient
-        rep = functools.cache(lambda z: quotient.rep(z[0], z[1]))  # once per state
+        n, rep = self.n, functools.cache(self.quotient.state_rep)  # rep runs once per state
         paths = (
             SiLSPath.from_ticks(tuple(map(rep, reversed(chain))), (0,) + tuple(reversed(cuts_desc)) + (n,), n)
             for chain, cuts_desc, _fw, _delta in self._demazure_walk(x, depth, budget)
@@ -349,41 +349,34 @@ class SiLSCrystal:
         directions from kappa up as coset states (see the module docstring), its inner cuts
         from the right in ticks over N, and its weight, carried along the walk."""
         assert depth >= 0
-        quotient, covers = self.quotient, self.quotient.coset_covers
-        # cuts and sums below are ticks over N
-        n, limit, lam = self.n, depth * self.n, self.lam
+        covers, n, limit = self.quotient.coset_covers, self.n, depth * self.n  # sums, cuts: ticks over N
 
         @functools.lru_cache(maxsize=None)
-        def upward(z: tuple, d: int, cap: int) -> tuple[tuple[tuple, Vec], ...]:
-            """(y, w lambda) for every state y = (w, xi, p) > z at level 1/d with p <= cap,
-            found by (w lambda, xi, p), which is faster to hash.  p never decreases along a
-            cover (a quantum edge adds p_beta > 0), so a cover path to such a y stays under
-            cap; a cover raises si_length, so z is never found."""
+        def upward(z: tuple, d: int, cap: int) -> tuple[tuple, ...]:
+            """Every state y = (w lambda, xi, p) > z at level 1/d with p <= cap.  p never
+            decreases along a cover (a quantum edge adds p_beta > 0), so a cover path to
+            such a y stays under cap; a cover raises si_length, so z is never found."""
             seen, queue = {}, [z]
             while queue:
-                w0, xi, p0 = queue.pop()
-                for w, nu, c, dp in covers(w0, d):
+                nu0, xi, p0 = queue.pop()
+                for _v, nu, c, dp in covers(nu0, d):
                     p = p0 + dp
-                    if p <= cap and (key := (nu, tuple(map(operator.add, xi, c)) if dp else xi, p)) not in seen:
+                    if p <= cap and (y := (nu, tuple(map(operator.add, xi, c)) if dp else xi, p)) not in seen:
                         if len(seen) + 1 >= budget:  # the pool holds z too
                             raise BudgetExceeded("direction pool exceeded budget")
-                        y = seen[key] = (w, key[1], p)
+                        seen[y] = None
                         queue.append(y)
-            return tuple((y, key[0]) for key, y in seen.items())
+            return tuple(seen)
 
         # every direction pairs at least as high as kappa, so p(kappa) <= depth
-        xi, w = x.xi, quotient.decompose(x).w
-        start = (w, tuple(c if m else 0 for c, m in zip(xi, lam)), sum(map(operator.mul, xi, lam)))
-        # depth-first over (chain, cuts_desc, settled, settled_fw, fw of the top),
-        # the top's p read off its state, children pushed in reverse so they pop in
-        # order; no recursive closure keeps `self` alive in a reference cycle
+        start = self.quotient.coset_state(x)
+        # depth-first over (chain, cuts_desc, settled, settled_fw), children pushed in reverse
+        # so they pop in order; no recursive closure keeps `self` alive in a reference cycle
         count, zero = 0, (0,) * self.datum.rank
-        pool = ((start, w.act_fw(lam)),) + upward(start, 1, depth)
-        kappas = sorted(pool, key=lambda z: ((y := quotient.rep(*z[0][:2])).si_length, y.xi, y.w.sort_key))
-        stack = [((kappa,), (), 0, zero, fw) for kappa, fw in reversed(kappas)]
+        stack = [((z,), (), 0, zero) for z in reversed((start,) + upward(start, 1, depth))]
         while stack:
-            chain, cuts_desc, settled, settled_fw, fw_top = stack.pop()
-            p_top = chain[-1][2]
+            chain, cuts_desc, settled, settled_fw = stack.pop()
+            fw_top, _xi, p_top = chain[-1]
             right = cuts_desc[-1] if cuts_desc else n
             # closing now puts the top direction on [0, right]
             if (total := settled + right * p_top) <= limit:
@@ -402,6 +395,6 @@ class SiLSCrystal:
                 if cap < p_top:
                     continue
                 new_fw = tuple(s + (right - a) * f for s, f in zip(settled_fw, fw_top))
-                for y, fw in upward(chain[-1], d, cap):
-                    children.append((chain + (y,), cuts_desc + (a,), new_settled, new_fw, fw))
+                for y in upward(chain[-1], d, cap):
+                    children.append((chain + (y,), cuts_desc + (a,), new_settled, new_fw))
             stack.extend(reversed(children))

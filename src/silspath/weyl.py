@@ -142,13 +142,11 @@ def finite_identity(datum: CartanDatum) -> FiniteWeylElt:
 
 
 def _reflection_perm(datum: CartanDatum, u: Vec) -> tuple[int, ...]:
-    # r_u(v) = v - <u^vee, v> u
-    table = datum.root_table
-    c = datum.coroot(u)
-    perm = []
-    for v in table.roots:
-        k = datum.pair_coweight_root(c, v)
-        perm.append(table.index[tuple(a - k * b for a, b in zip(v, u))])
+    # r_u(v) = v - <u^vee, v> u, <u^vee, v> = sum_i c_i fw(v)_i for u^vee = sum_i c_i alpha_i^vee
+    table, c, n_pos = datum.root_table, datum.coroot(u), len(datum.pos_roots)
+    pairs = (sum(map(operator.mul, c, fw)) for fw in table.fws[:n_pos])
+    perm = [table.index[tuple(a - k * b for a, b in zip(v, u))] for v, k in zip(table.roots, pairs)]
+    perm += [(p + n_pos) % (2 * n_pos) for p in perm]  # r_u(-v) = -r_u(v), root k + N = -root k
     return tuple(perm)
 
 

@@ -344,6 +344,17 @@ def cover_candidates(quotient, w):
     return out
 
 
+def reflection_perm_by_pairing(datum, u):
+    """The permutation r_u induces on the root table, each of the 2N images
+    v - <u^vee, v> u read off the coweight-root pairing, O(rank^2) per root."""
+    table, c = datum.root_table, datum.coroot(u)
+    return tuple(
+        table.index[tuple(a - k * b for a, b in zip(v, u))]
+        for v in table.roots
+        for k in [datum.pair_coweight_root(c, v)]
+    )
+
+
 def covers_by_scan(quotient, x, a=None, step=1):
     """The edges out of x (step 1, as (beta, r_beta x)) or into x (step -1, as
     (beta, z)) at level a, by testing every candidate: si_length must change by
@@ -439,19 +450,21 @@ def enumerate_demazure_by_pool(c, x, depth, budget=500_000):
 
 
 def coset_state(quotient, x):
-    """(cl(x), xi off J, <xi, lambda>) for x = w z_xi t_xi, read off x itself:
-    the state the enumeration walk names x by (lambda is zero exactly on J)."""
+    """(w lambda, xi off J, <xi, lambda>) for x = w z_xi t_xi, read off x itself:
+    the state the enumeration walk names x by (lambda is zero exactly on J, and
+    z_xi in W_J fixes lambda, so w lambda is the finite part of x applied to lambda)."""
     lam = quotient.lam
     xi = tuple(v if m else 0 for v, m in zip(x.xi, lam))
-    return quotient.decompose(x).w, xi, sum(a * m for a, m in zip(x.xi, lam))
+    return x.w.act_fw(lam), xi, sum(a * m for a, m in zip(x.xi, lam))
 
 
 def walk_pool(c, x, depth, budget=500_000):
-    """representative -> coset state (w, xi off J, p) for every state on a chain
-    the Demazure walk from x yields, rebuilt by `ParabolicQuotient.rep`."""
-    q = c.quotient
+    """representative -> coset state (w lambda, xi off J, p) for every state on a chain
+    the Demazure walk from x yields, rebuilt by `ParabolicQuotient.rep` over the w that
+    a fresh quotient's orbit search finds at w lambda."""
+    q, orbit = c.quotient, ParabolicQuotient.for_weight(c.datum, c.lam).orbit
     states = {z for chain, *_ in c._demazure_walk(x, depth, budget) for z in chain}
-    return {q.rep(w, xi): (w, xi, p) for w, xi, p in states}
+    return {q.rep(orbit[nu], xi): (nu, xi, p) for nu, xi, p in states}
 
 
 def brute_force_by_paths(datum, lam, depth, budget=500_000):

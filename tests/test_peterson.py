@@ -291,11 +291,12 @@ def assert_coset_covers_match_scan(quotient, fresh, x, state, a):
     # the cosets coset_covers reads from x's state, each rebuilt by rep, are the
     # covers of x that a fresh quotient's candidate scan finds, in order, with
     # their states and orbit points
-    w, xi, p = state
+    nu, xi, p = state
     scan = [y for _beta, y in covers_by_scan(fresh, x, a, 1)]
-    row = quotient.coset_covers(w, 1 if a is None else a.denominator)
-    states = [(v, vec_add(xi, c), p + dp) for v, _nu, c, dp in row]
-    assert [quotient.rep(v, xi2) for v, xi2, _p in states] == scan, (x, a)
+    row = quotient.coset_covers(nu, 1 if a is None else a.denominator)
+    states = [(nu2, vec_add(xi, c), p + dp) for _v, nu2, c, dp in row]
+    assert [quotient.rep(v, z[1]) for (v, *_), z in zip(row, states)] == scan, (x, a)
+    assert [quotient.state_rep(z) for z in states] == scan, (x, a)
     assert states == [coset_state(fresh, y) for y in scan], (x, a)
     assert [nu for _v, nu, _c, _dp in row] == [v.act_fw(quotient.lam) for v, *_ in row], (x, a)
 
@@ -332,9 +333,10 @@ def test_coset_covers_lift_to_si_covers(fam, lam):
     quotient = ParabolicQuotient.for_weight(build(*fam), lam)
     fresh = ParabolicQuotient.for_weight(quotient.datum, lam)
     for x in quotient.si_ball(3):
-        state = coset_state(quotient, x)
-        w = state[0]
-        assert quotient.rep(w, state[1]) == x == quotient.rep(w, x.xi)
+        state = quotient.coset_state(x)
+        assert state == coset_state(fresh, x)
+        w = quotient.decompose(x).w
+        assert quotient.rep(w, state[1]) == x == quotient.rep(w, x.xi) == quotient.state_rep(state)
         for a in (None,) + quotient.cut_grid():
             assert_coset_covers_match_scan(quotient, fresh, x, state, a)
             assert [y for _beta, y in quotient.si_covers(x, a)] == [

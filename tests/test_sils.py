@@ -23,6 +23,7 @@ from silspath.sils import SiLSCrystal, SiLSPath
 from silspath.weyl import (
     AffineWeylElt,
     BudgetExceeded,
+    FiniteWeylElt,
     affine_identity,
     affine_simple,
     bruhat_leq,
@@ -463,6 +464,66 @@ def test_budget_exhaustion_names_its_stage(a1):
     assert ch.brute_force_gch_minus_e(a1, (2,), 2, len(paths)) == brute_force_by_paths(a1, (2,), 2)
 
 
+# the stage each budget 1..paths+2 stops at, recorded while the walk still sorted
+# its kappas by (si_length, xi, w.sort_key): "direction pool" for budgets up to
+# `pool`, "path enumeration" below `paths`, and none from `paths` on
+BUDGET_STAGES = [
+    (("A", 1), (2,), 2, 5, 14),
+    (("A", 2), (1, 1), 3, 59, 86),
+    (("B", 2), (1, 1), 4, 119, 280),
+]
+
+
+@pytest.mark.parametrize("fam,lam,depth,pool,paths", BUDGET_STAGES)
+def test_budget_stages_are_pinned(fam, lam, depth, pool, paths):
+    # the order the walk takes its kappas in decides which budget runs out first
+    # when both do; it moves no stage of the enumeration or of the brute force
+    datum = build(*fam)
+    c, e = SiLSCrystal(datum, lam), affine_identity(datum)
+    assert len(c.enumerate_demazure(e, depth)) == paths
+    runs = (
+        lambda budget: c.enumerate_demazure(e, depth, budget),
+        lambda budget: ch.brute_force_gch_minus_e(datum, lam, depth, budget),
+    )
+    for budget in range(1, paths + 3):
+        stage = "direction pool" if budget <= pool else "path enumeration" if budget < paths else None
+        for run in runs:
+            if stage is None:
+                run(budget)
+                continue
+            with pytest.raises(BudgetExceeded, match=stage):
+                run(budget)
+
+
+def test_brute_force_walk_hashes_no_weyl_element_per_state(monkeypatch):
+    # after the closed form has read every row of QB(W^J), the brute force walks
+    # integer states: it rebuilds no representative, and it hashes a Weyl element
+    # only to read the QB(W^J) row of each coset row it builds
+    datum, lam = build("B", 2), (1, 1)
+    ch._qls.cache_clear()
+    closed = ch.gch_demazure_minus_e(datum, lam, 4)
+    quotient = ch._qls(datum, lam).sils.quotient
+    assert not quotient._coset_cache
+    calls = {"rep": 0, "hash": 0}
+    rep, finite_hash = ParabolicQuotient.rep, FiniteWeylElt.__hash__
+
+    def counting_rep(self, *args):
+        calls["rep"] += 1
+        return rep(self, *args)
+
+    def counting_hash(self):
+        calls["hash"] += 1
+        return finite_hash(self)
+
+    monkeypatch.setattr(ParabolicQuotient, "rep", counting_rep)
+    monkeypatch.setattr(FiniteWeylElt, "__hash__", counting_hash)
+    brute = ch.brute_force_gch_minus_e(datum, lam, 4)
+    monkeypatch.undo()
+    rows = len(quotient._coset_cache)
+    assert calls["rep"] == 0 and 0 < calls["hash"] <= rows, (calls, rows)
+    assert brute == closed == brute_force_by_paths(datum, lam, 4)
+
+
 def test_walk_carries_each_path_weight(a2):
     # at a translated x, the weight carried to each closing path is its weight
     c = SiLSCrystal(a2, (1, 1))
@@ -470,7 +531,7 @@ def test_walk_carries_each_path_weight(a2):
     n, cut, q = c.n, 0, c.quotient
     for chain, cuts_desc, fw, delta in c._demazure_walk(x, 2, 500_000):
         ticks = (0,) + tuple(reversed(cuts_desc)) + (n,)
-        dirs = tuple(q.rep(w, xi) for w, xi, _p in reversed(chain))
+        dirs = tuple(map(q.state_rep, reversed(chain)))
         eta = SiLSPath.from_ticks(dirs, ticks, n)
         assert c.validate(eta), eta
         assert c.weight(eta) == LevelZeroWeight(fw, delta), eta
@@ -596,10 +657,10 @@ def test_capped_search_reach_is_pinned(monkeypatch):
     # capped at depth * N instead of the remaining degree reads 405 pairs
     read, coset_covers = set(), ParabolicQuotient.coset_covers
 
-    def reading(self, w, d):
+    def reading(self, nu, d):
         search = inspect.currentframe().f_back.f_locals  # the state it expands
-        read.add((w, search["xi"], search["p0"], d))
-        return coset_covers(self, w, d)
+        read.add((nu, search["xi"], search["p0"], d))
+        return coset_covers(self, nu, d)
 
     monkeypatch.setattr(ParabolicQuotient, "coset_covers", reading)
     c = SiLSCrystal(build("B", 2), (1, 1))

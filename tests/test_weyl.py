@@ -7,11 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import bruhat_leq_bfs
+from conftest import bruhat_leq_bfs, reflection_perm_by_pairing
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from silspath.cartan import AffineRealRoot, LevelZeroWeight, build
+from silspath.cartan import _RANK_RANGE, AffineRealRoot, LevelZeroWeight, build
 from silspath.cli import main
 from silspath.peterson import ParabolicQuotient
 from silspath.weyl import (
@@ -22,6 +22,7 @@ from silspath.weyl import (
     bruhat_leq,
     finite_from_word,
     finite_identity,
+    finite_reflection,
     from_finite,
     longest_element,
     simple_reflection,
@@ -353,3 +354,20 @@ def test_golden_orders(capsys):
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 108
     assert hashlib.sha256(out.encode()).hexdigest() == C2_SILS_STDOUT
+
+
+@pytest.mark.parametrize(
+    "fam", [(t, r) for t, ranks in _RANK_RANGE.items() for r in ranks if (t, r) != ("E", 8)]
+)
+def test_reflection_perms_match_pairing_oracle(fam):
+    # read off the fundamental-weight column on the positive roots and negated
+    # on the rest, every reflection permutes the roots as the coroot pairing says
+    datum = build(*fam)
+    for u in datum.root_table.roots:
+        assert finite_reflection(datum, u).perm == reflection_perm_by_pairing(datum, u), u
+
+
+def test_e8_reflection_perms_match_pairing_oracle():
+    datum = build("E", 8)
+    for u in [datum.simple_root(i) for i in range(1, 9)] + [datum.theta]:
+        assert finite_reflection(datum, u).perm == reflection_perm_by_pairing(datum, u), u
