@@ -16,8 +16,10 @@ and a quantum edge moves xi by u^vee, so covers are read off the row of w (kept
 per (w, step), read by the QLS table too) as edges (`si_covers`, per (x, d)) or
 on cosets (`coset_covers`, per (w lambda, d)), on states that name x by integers
 alone: w lambda, xi mod Q_J^vee and <xi, lambda>.  A level a enters only through
-its reduced denominator d, which must divide p = |<beta^vee, x lambda>|; order
-is kept per (x, y, d), and x = w z_xi t_xi per representative x.
+its reduced denominator d, which must divide p = |<beta^vee, x lambda>|, and
+x = w z_xi t_xi is kept per representative x.  Reach is searched once, on those
+states: `si_above`, capped by <xi, lambda>, which never falls along a cover, serves
+the Demazure walk (kept per walk) and the order (kept per (x, y, d)).
 """
 
 from __future__ import annotations
@@ -298,41 +300,31 @@ class ParabolicQuotient:
         return self._lift(x, a, -1)
 
     def si_leq(self, x: AffineWeylElt, y: AffineWeylElt, a: Fraction | None = None) -> bool:
-        """True iff a directed path from x to y exists in the (sub)graph."""
+        """True iff a path from x to y exists in the (sub)graph: y is in `si_above` of x capped at p(y)."""
         if x == y:
             return True
-        key = (x, y, 1 if a is None else a.denominator)
-        cached = self._si_leq_cache.get(key)
+        d = 1 if a is None else a.denominator
+        cached = self._si_leq_cache.get((x, y, d))
         if cached is None:
-            cached = self._si_leq_cache[key] = self._si_leq_search(x, y, a)
+            top = self.coset_state(y)
+            cached = self._si_leq_cache[x, y, d] = top in self.si_above(self.coset_state(x), d, top[2])
         return cached
 
-    def _box_ok(self, z: AffineWeylElt, y: AffineWeylElt) -> bool:
-        # the I\J translation coordinates only grow along covers
-        jset = set(self.j_nodes)
-        return all(
-            z.xi[i - 1] <= y.xi[i - 1]
-            for i in range(1, self.datum.rank + 1)
-            if i not in jset
-        )
-
-    def _si_leq_search(self, x, y, a) -> bool:
-        steps = y.si_length - x.si_length
-        if steps <= 0 or not self._box_ok(x, y):
-            return False
-        frontier = {x}
-        for _ in range(steps):
-            nxt = set()
-            for z in frontier:
-                for _beta, z2 in self.si_covers(z, a):
-                    if z2 == y:
-                        return True
-                    if self._box_ok(z2, y):
-                        nxt.add(z2)
-            frontier = nxt
-            if not frontier:
-                return False
-        return False
+    def si_above(self, z: tuple, d: int, cap: int, budget: float = float("inf")) -> tuple[tuple, ...]:
+        """Every state y = (w lambda, xi, p) > z at level 1/d with p <= cap, in search order.
+        p never decreases along a cover (a quantum edge adds p_beta > 0), so a cover path
+        to such a y stays under cap; a cover raises si_length, so z is never found."""
+        covers, seen, queue = self.coset_covers, {}, [z]
+        while queue:
+            nu0, xi, p0 = queue.pop()
+            for _v, nu, c, dp in covers(nu0, d):
+                p = p0 + dp
+                if p <= cap and (y := (nu, tuple(map(operator.add, xi, c)) if dp else xi, p)) not in seen:
+                    if len(seen) + 1 >= budget:  # the pool holds z too
+                        raise BudgetExceeded("direction pool exceeded budget")
+                    seen[y] = None
+                    queue.append(y)
+        return tuple(seen)
 
     def si_ball(self, radius: int) -> tuple[AffineWeylElt, ...]:
         """Everything within `radius` cover steps (up or down) of the identity."""

@@ -25,13 +25,14 @@ of w in W^J, which fixes w, xi off J, which names xi mod Q_J^vee, and
 p = <xi, lambda>.  Its weight is w lambda - p delta, its covers come off the row
 of w (`ParabolicQuotient.coset_covers`), and `ParabolicQuotient.state_rep`
 rebuilds x, once per state of a listed path; the output is sorted, not the walk.
+The states above one within the remaining degree are `ParabolicQuotient.si_above`,
+kept per walk: the one reach search, which the semi-infinite order reads too.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from fractions import Fraction
 
 from .cartan import CartanDatum, LevelZeroWeight, Vec
@@ -349,24 +350,8 @@ class SiLSCrystal:
         directions from kappa up as coset states (see the module docstring), its inner cuts
         from the right in ticks over N, and its weight, carried along the walk."""
         assert depth >= 0
-        covers, n, limit = self.quotient.coset_covers, self.n, depth * self.n  # sums, cuts: ticks over N
-
-        @functools.lru_cache(maxsize=None)
-        def upward(z: tuple, d: int, cap: int) -> tuple[tuple, ...]:
-            """Every state y = (w lambda, xi, p) > z at level 1/d with p <= cap.  p never
-            decreases along a cover (a quantum edge adds p_beta > 0), so a cover path to
-            such a y stays under cap; a cover raises si_length, so z is never found."""
-            seen, queue = {}, [z]
-            while queue:
-                nu0, xi, p0 = queue.pop()
-                for _v, nu, c, dp in covers(nu0, d):
-                    p = p0 + dp
-                    if p <= cap and (y := (nu, tuple(map(operator.add, xi, c)) if dp else xi, p)) not in seen:
-                        if len(seen) + 1 >= budget:  # the pool holds z too
-                            raise BudgetExceeded("direction pool exceeded budget")
-                        seen[y] = None
-                        queue.append(y)
-            return tuple(seen)
+        n, limit = self.n, depth * self.n  # sums, cuts: ticks over N
+        upward = functools.cache(functools.partial(self.quotient.si_above, budget=budget))
 
         # every direction pairs at least as high as kappa, so p(kappa) <= depth
         start = self.quotient.coset_state(x)

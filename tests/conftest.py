@@ -467,6 +467,23 @@ def walk_pool(c, x, depth, budget=500_000):
     return {q.rep(orbit[nu], xi): (nu, xi, p) for nu, xi, p in states}
 
 
+def si_leq_by_covers(quotient, x, y, a=None):
+    """The semi-infinite order by a breadth-first search over `si_covers`: y is at most
+    si_length(y) - si_length(x) steps above x, and the translation coordinates off J
+    only grow along covers, so a box below y's bounds every step.  The oracle for
+    `ParabolicQuotient.si_leq`, which searches coset states capped at <xi_y, lambda>."""
+    if x == y:
+        return True
+    off_j = [i for i, m in enumerate(quotient.lam) if m]
+    below = lambda z: all(z.xi[i] <= y.xi[i] for i in off_j)
+    frontier = {x} if below(x) else set()
+    for _ in range(y.si_length - x.si_length):
+        frontier = {z2 for z in frontier for _beta, z2 in quotient.si_covers(z, a) if below(z2)}
+        if y in frontier:
+            return True
+    return False
+
+
 def brute_force_by_paths(datum, lam, depth, budget=500_000):
     """`brute_force_gch_minus_e` by listing the paths with kappa >= e on a fresh
     crystal and summing `SiLSCrystal.weight` over them: the oracle for the

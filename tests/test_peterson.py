@@ -27,6 +27,7 @@ from conftest import (
     edge_pairing,
     is_rep_critical,
     order_quotients,
+    si_leq_by_covers,
     walk_pool,
 )
 
@@ -532,6 +533,28 @@ def test_si_leq_depends_on_level_denominator(fam, lam):
     assert any(len(runs) > 1 for runs in by_den.values())
     for runs in by_den.values():
         assert all(run == runs[0] for run in runs)
+
+
+@pytest.mark.parametrize("fam,lam", LEVEL_CASES + [(("B", 2), (1, 1)), (("A", 3), (1, 0, 1))])
+def test_si_leq_matches_cover_search(fam, lam):
+    # the membership test in the states si_above finds capped at p(y) agrees with
+    # a search over si_covers pruned by the xi box, on every ordered pair of a
+    # ball and a walk pool, at level 1 and at every grid level (the oracle runs
+    # once per denominator); each weight is nonzero at two nodes, so the cap
+    # admits states that the box prunes
+    datum = build(*fam)
+    quotient, oracle = (ParabolicQuotient.for_weight(datum, lam) for _ in range(2))
+    points = set(quotient.si_ball(2)) | walk_pool(SiLSCrystal(datum, lam), affine_identity(datum), 2).keys()
+    pairs = [(x, y) for x in points for y in points]
+    expected = {}
+    for a in (None,) + quotient.cut_grid():
+        d = 1 if a is None else a.denominator
+        if d not in expected:
+            expected[d] = [si_leq_by_covers(oracle, x, y, a) for x, y in pairs]
+        answers = [quotient.si_leq(x, y, a) for x, y in pairs]
+        bad = [pair for pair, got, want in zip(pairs, answers, expected[d]) if got != want]
+        assert not bad, (a, bad[:3])
+        assert len(points) < sum(answers) < len(pairs)
 
 
 def test_cut_grid(a1):

@@ -531,7 +531,7 @@ def test_quotient_memos_are_freed_with_crystal():
         paths = q.sils.enumerate_demazure(affine_identity(q.datum), 2)
         assert all(q.sils.validate(eta) for eta in paths)
         quotient = q.sils.quotient
-        assert quotient._decompose_cache and quotient._cover_cache and quotient._si_leq_cache
+        assert quotient._decompose_cache and quotient._coset_cache and quotient._si_leq_cache
         ref = weakref.ref(quotient)
         del q, quotient
         assert ref() is None
