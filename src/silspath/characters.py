@@ -178,16 +178,16 @@ def _checked_crystal(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> QLSCryst
 
 def _interval_sum(crystal: QLSCrystal, mu: Vec) -> Counter:
     """Sum `final_sums` over v >= w, for the w in W^J with w lambda = mu: a search of
-    the Bruhat edges of QB(W^J), by orbit point (fast to hash)."""
-    quotient = crystal.sils.quotient
-    total, seen, frontier = Counter(), {mu}, [quotient.orbit[mu]]
+    the Bruhat edges of QB(W^J), by orbit point."""
+    quotient, sums = crystal.sils.quotient, crystal.final_sums
+    total, seen, frontier = Counter(), {mu}, [mu]
     while frontier:
-        v = frontier.pop()
-        total.update(crystal.final_sums[v])
-        for nu, _p, _u, quantum in quotient.qb_row(v, 1):
-            if not quantum and nu not in seen:
-                seen.add(nu)
-                frontier.append(quotient.orbit[nu])
+        nu = frontier.pop()
+        total.update(sums[nu])
+        for nu2, _p, _u, quantum in quotient.qb_row(nu, 1, 1):
+            if not quantum and nu2 not in seen:
+                seen.add(nu2)
+                frontier.append(nu2)
     return total
 
 

@@ -132,9 +132,9 @@ def _cmd_si_graph(args) -> int:
         xi = ",".join(map(str, x.xi))
         return f"{word} | {xi}"
 
-    lines = ["digraph si_bruhat {"]
+    print("digraph si_bruhat {")
     for x in ball:
-        lines.append(f'  "{node_name(x)}";')
+        print(f'  "{node_name(x)}";')
     in_ball = set(ball)
     for x in ball:
         for beta, y in quotient.si_covers(x, a):
@@ -142,9 +142,8 @@ def _cmd_si_graph(args) -> int:
                 label = "+".join(
                     filter(None, [str(list(beta.finite)), f"{beta.n}d" if beta.n else ""])
                 )
-                lines.append(f'  "{node_name(x)}" -> "{node_name(y)}" [label="{label}"];')
-    lines.append("}")
-    print("\n".join(lines))
+                print(f'  "{node_name(x)}" -> "{node_name(y)}" [label="{label}"];')
+    print("}")
     return 0
 
 

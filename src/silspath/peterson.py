@@ -7,19 +7,19 @@ representatives, the J-adjustment of coweights, the duality x -> x^vee, and
 the cover/order structure of the parabolic semi-infinite Bruhat graph,
 including its rational-level subgraphs.
 
-Every quotient is bound to a dominant weight lambda with zero set J.  The
-parabolic quantum Bruhat graph QB(W^J) is read one row per w: an orbit point nu
-has length #{alpha in Delta^+ : <alpha^vee, nu> < 0}, so a length test finds
-an edge up from w or down to w without building the orbit W lambda.  The graph
-lifts QB(W^J) (Ishii-Naito-Sagaki): edge labels beta depend only on w = cl(x),
-and a quantum edge moves xi by u^vee, so covers are read off the row of w (kept
-per (w, step), read by the QLS table too) as edges (`si_covers`, per (x, d)) or
-on cosets (`coset_covers`, per (w lambda, d)), on states that name x by integers
-alone: w lambda, xi mod Q_J^vee and <xi, lambda>.  A level a enters only through
-its reduced denominator d, which must divide p = |<beta^vee, x lambda>|, and
-x = w z_xi t_xi is kept per representative x.  Reach is searched once, on those
-states: `si_above`, capped by <xi, lambda>, which never falls along a cover, serves
-the Demazure walk (kept per walk) and the order (kept per (x, y, d)).
+Every quotient is bound to a dominant weight lambda with zero set J.  The parabolic
+quantum Bruhat graph QB(W^J) is read one row per orbit point nu = w lambda: nu has length
+#{alpha in Delta^+ : <alpha^vee, nu> < 0}, so a length test finds an edge up from w or
+down to w without building the orbit W lambda.  The graph lifts QB(W^J)
+(Ishii-Naito-Sagaki): edge labels beta depend only on w = cl(x), and a quantum edge moves
+xi by u^vee, so covers are read off the row of w lambda as edges (`si_covers`, per
+(x, d)) or on cosets (`coset_covers`, per (w lambda, d)), on states that name x by
+integers alone: w lambda, xi mod Q_J^vee and <xi, lambda>.  A level a enters only through
+its reduced denominator d, which must divide p = |<beta^vee, x lambda>|: a row is kept
+per (w lambda, step, d), built from the roots whose p d divides.  One map w lambda -> w
+names the points, and x = w z_xi t_xi and its state are kept per x.  Reach is searched
+once, on states: `si_above`, capped by <xi, lambda>, which never falls along a cover,
+serves the Demazure walk (kept per walk) and the order (per (coset_state(x), d, p(y))).
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def _component_split(datum: CartanDatum, nodes: tuple[int, ...]) -> tuple[tuple[
 @dataclass(frozen=True, eq=False)
 class ParabolicQuotient:
     """Tables for one subset J, bound to a dominant weight lambda with zero set J;
-    cover labels are read off the rows of its orbit graph QB(W^J), kept per (w, step)."""
+    cover labels are read off the rows of its orbit graph QB(W^J), kept per (w lambda, step, d)."""
 
     datum: CartanDatum
     j_nodes: tuple[int, ...]
@@ -93,10 +93,11 @@ class ParabolicQuotient:
     _si_leq_cache: dict = field(default_factory=dict, repr=False)
     _cover_cache: dict = field(default_factory=dict, repr=False)
     _row_cache: dict = field(default_factory=dict, repr=False)
+    _qb_levels: dict = field(default_factory=dict, repr=False)
     _lengths: dict = field(default_factory=dict, repr=False)
-    _points: dict = field(default_factory=dict, repr=False)
     _adjust_cache: dict = field(default_factory=dict, repr=False)
     _decompose_cache: dict = field(default_factory=dict, repr=False)
+    _states: dict = field(default_factory=dict, repr=False)
     _reach_cache: dict = field(default_factory=dict, repr=False)
     _coset_cache: dict = field(default_factory=dict, repr=False)
     _named: dict = field(default_factory=dict, repr=False)
@@ -167,14 +168,11 @@ class ParabolicQuotient:
         cached = self._adjust_cache.get(xi)
         if cached is None:
             p = self.project(translation(self.datum, xi))
-            cached = (vec_sub(p.xi, xi), p.w)
-            self._adjust_cache[xi] = cached
+            cached = self._adjust_cache[xi] = (vec_sub(p.xi, xi), p.w)
         return cached
 
     def is_adjusted(self, xi: Vec) -> bool:
-        return all(
-            self.datum.pair_coweight_root(xi, u) in (-1, 0) for u in self.delta_j_plus
-        )
+        return all(self.datum.pair_coweight_root(xi, u) in (-1, 0) for u in self.delta_j_plus)
 
     def is_min_rep(self, w: FiniteWeylElt) -> bool:
         return all(
@@ -185,9 +183,7 @@ class ParabolicQuotient:
     def min_rep(self, w: FiniteWeylElt) -> FiniteWeylElt:
         while True:
             for i in self.j_nodes:
-                if not self.datum.is_positive_root(
-                    w.act_root(self.datum.simple_root(i))
-                ):
+                if not self.datum.is_positive_root(w.act_root(self.datum.simple_root(i))):
                     w = w.mul(simple_reflection(self.datum, i))
                     break
             else:
@@ -244,11 +240,10 @@ class ParabolicQuotient:
         """The edges of QB(W^J) at w = cl(x) (`qb_row`) whose p = |<beta^vee, x lambda>|
         level a's denominator divides, lifted to (beta, r_beta x) out of (step 1) or
         into (step -1) x: beta = step w(u) + chi delta, chi = 1 iff the edge is quantum."""
-        d, w = 1 if a is None else a.denominator, self.decompose(x).w
+        d, w, nu = 1 if a is None else a.denominator, self.decompose(x).w, self.coset_state(x)[0]
         return tuple(
             (beta, affine_reflection(self.datum, beta).mul(x))
-            for _nu, p, u, quantum in self.qb_row(w, step)
-            if p % d == 0
+            for _nu, _p, u, quantum in self.qb_row(nu, d, step)
             for beta in [AffineRealRoot(w.act_root(u if step == 1 else vec_neg(u)), int(quantum))]
         )
 
@@ -265,11 +260,15 @@ class ParabolicQuotient:
         return cached
 
     def coset_state(self, x: AffineWeylElt) -> tuple[Vec, Vec, int]:
-        """(w lambda, xi off J, <xi, lambda>) for x = w z_xi t_xi: its state on cosets."""
-        w, lam = self.decompose(x).w, self.lam
-        nu = w.act_fw(lam)
-        self._named[nu] = w  # w lambda fixes w in W^J
-        return nu, tuple(c if m else 0 for c, m in zip(x.xi, lam)), sum(map(operator.mul, x.xi, lam))
+        """(w lambda, xi off J, <xi, lambda>) for x = w z_xi t_xi: its state on cosets, kept per x."""
+        state = self._states.get(x)
+        if state is None:
+            w, lam = self.decompose(x).w, self.lam
+            nu = w.act_fw(lam)
+            self._named[nu] = w  # w lambda fixes w in W^J
+            xi, p = tuple(c if m else 0 for c, m in zip(x.xi, lam)), sum(map(operator.mul, x.xi, lam))
+            state = self._states[x] = nu, xi, p
+        return state
 
     def state_rep(self, state: tuple[Vec, Vec, int]) -> AffineWeylElt:
         """The representative x that a state of `coset_state` or `coset_covers` names."""
@@ -278,15 +277,14 @@ class ParabolicQuotient:
     def coset_covers(self, nu: Vec, d: int) -> tuple[tuple[FiniteWeylElt, Vec, Vec, int], ...]:
         """`si_covers` at level denominator d on the states of `coset_state`: at nu = w lambda,
         each (v, v lambda, c, p') is a cover over v = floor(w r_u) at xi + c and p + p' from an
-        edge of `qb_row(w, 1)`: c = u^vee off J, p' = p if it is quantum, else 0 and 0.  Kept per
-        (nu, d) in `si_covers` order; w is read off the points these rows and `coset_state` name."""
+        edge of `qb_row(nu, d, 1)`: c = u^vee off J, p' = p if it is quantum, else 0 and 0.  Kept
+        per (nu, d) in `si_covers` order; w is read off the points these rows and `coset_state` name."""
         row = self._coset_cache.get((nu, d))
         if row is None:
             datum, lam, named, w = self.datum, self.lam, self._named, self._named[nu]
             row = self._coset_cache[nu, d] = tuple(
                 (v, nu2, c, p if quantum else 0)
-                for nu2, p, u, quantum in self.qb_row(w, 1)
-                if p % d == 0
+                for nu2, p, u, quantum in self.qb_row(nu, d, 1)
                 for v in [named.get(nu2) or self.min_rep(w.mul(finite_reflection(datum, u)))]
                 for c in [tuple(a if m and quantum else 0 for a, m in zip(datum.coroot(u), lam))]
             )
@@ -303,12 +301,12 @@ class ParabolicQuotient:
         """True iff a path from x to y exists in the (sub)graph: y is in `si_above` of x capped at p(y)."""
         if x == y:
             return True
-        d = 1 if a is None else a.denominator
-        cached = self._si_leq_cache.get((x, y, d))
-        if cached is None:
-            top = self.coset_state(y)
-            cached = self._si_leq_cache[x, y, d] = top in self.si_above(self.coset_state(x), d, top[2])
-        return cached
+        top = self.coset_state(y)
+        key = (self.coset_state(x), 1 if a is None else a.denominator, top[2])
+        above = self._si_leq_cache.get(key)
+        if above is None:
+            above = self._si_leq_cache[key] = set(self.si_above(*key))
+        return top in above
 
     def si_above(self, z: tuple, d: int, cap: int, budget: float = float("inf")) -> tuple[tuple, ...]:
         """Every state y = (w lambda, xi, p) > z at level 1/d with p <= cap, in search order.
@@ -327,18 +325,15 @@ class ParabolicQuotient:
         return tuple(seen)
 
     def si_ball(self, radius: int) -> tuple[AffineWeylElt, ...]:
-        """Everything within `radius` cover steps (up or down) of the identity."""
+        """Everything within `radius` cover steps (up or down) of e; stops past TABLE_BUDGET points."""
         seen = {affine_identity(self.datum)}
         frontier = set(seen)
         for _ in range(radius):
             nxt = set()
             for x in frontier:
-                for _beta, y in self.si_covers(x):
-                    if y not in seen:
-                        nxt.add(y)
-                for _beta, z in self.si_lower_covers(x):
-                    if z not in seen:
-                        nxt.add(z)
+                nxt.update(y for _beta, y in self.si_covers(x) + self.si_lower_covers(x) if y not in seen)
+                if len(seen) + len(nxt) > TABLE_BUDGET:
+                    raise BudgetExceeded("semi-infinite ball exceeded the QLS table budget")
             seen |= nxt
             frontier = nxt
         return tuple(sorted(seen, key=lambda v: (v.si_length, v.xi, v.w.sort_key)))
@@ -357,25 +352,26 @@ class ParabolicQuotient:
 
     @functools.cached_property
     def orbit(self) -> dict[Vec, FiniteWeylElt]:
-        """w lambda -> w over W^J, by a search of W lambda that steps from w to r_i w
-        if (w lambda)_i > 0 (one longer, still in W^J; all of W^J is reached, W is never
-        built), recording w -> w lambda and lengths; stops past TABLE_BUDGET points."""
-        datum, lam, lengths, points = self.datum, self.lam, self._lengths, self._points
+        """w lambda -> w over W^J, by a search of W lambda that steps from w to r_i w if (w lambda)_i > 0
+        (one longer, still in W^J; all of W^J is reached, W is never built), recording lengths; stops
+        past TABLE_BUDGET points.  It completes the map that `coset_state` and the coset rows name into."""
+        datum, lam, lengths = self.datum, self.lam, self._lengths
         alphas = [datum.root_to_fw(datum.simple_root(i)) for i in range(1, datum.rank + 1)]
         reps, frontier = {lam: finite_identity(datum)}, [lam]
-        lengths[lam], points[reps[lam]] = 0, lam
+        lengths[lam] = 0
         while frontier:
             mu = frontier.pop()
             for i, n in enumerate(mu, 1):
                 if n > 0:
                     nu = tuple(m - n * a for m, a in zip(mu, alphas[i - 1]))
                     if nu not in reps:
-                        w = reps[nu] = simple_reflection(datum, i).mul(reps[mu])
-                        lengths[nu], points[w] = lengths[mu] + 1, nu
+                        reps[nu] = simple_reflection(datum, i).mul(reps[mu])
+                        lengths[nu] = lengths[mu] + 1
                         frontier.append(nu)
             if len(reps) > TABLE_BUDGET:
                 raise BudgetExceeded("orbit W lambda exceeded the QLS table budget")
-        return reps
+        self._named.update(reps)  # a point named before is in reps, over the same w
+        return self._named
 
     @functools.cached_property
     def _qb_roots(self) -> tuple[tuple[int, Vec, int, int, list[Vec]], ...]:
@@ -391,47 +387,49 @@ class ParabolicQuotient:
             for c in [datum.coroot(u)]
         )
 
-    def qb_row(self, w: FiniteWeylElt, step: int) -> tuple[tuple[Vec, int, Vec, bool], ...]:
-        """(nu, p, u, quantum) for the edges of QB(W^J) out of (step 1) or into
-        (step -1) w in W^J, one per u in `_outside` that passes the length test:
-        v = floor(w r_u) has v lambda = nu = w lambda - p w(u) and length
-        l(v) = #{alpha in Delta^+ : <alpha^vee, nu> < 0}, kept per nu (the orbit
-        search records it too), and w -> v is an edge if l(v) - l(w) is 1 (Bruhat)
-        or 1 - c_u (quantum, of coweight u^vee), v -> w one if it is -1 or c_u - 1.
-        No orbit is built, but w lambda is read off one that was.  Kept per (w, step)."""
-        row = self._row_cache.get((w, step))
+    def qb_row(self, nu: Vec, d: int, step: int) -> tuple[tuple[Vec, int, Vec, bool], ...]:
+        """(nu', p, u, quantum) for the edges of QB(W^J) with d | p out of (step 1) or into (step -1)
+        w in W^J at nu = w lambda, one per u in `_outside` (its entries with d | p are kept per d in
+        `_qb_levels`) that passes the length test: v = floor(w r_u) has v lambda = nu' = nu - p w(u)
+        and length l(v) = #{alpha in Delta^+ : <alpha^vee, nu'> < 0}, kept per nu' (the orbit search
+        records it too); w -> v is an edge if l(v) - l(w) is 1 (Bruhat) or 1 - c_u (quantum, of
+        coweight u^vee), v -> w one if it is -1 or c_u - 1.  No orbit is built: w is read off the
+        points that the orbit search, `coset_state` or `coset_covers` named.  Kept per (nu, step, d)."""
+        row = self._row_cache.get((nu, step, d))
         if row is None:
-            mu, lengths, out = self._points.get(w) or w.act_fw(self.lam), self._lengths, []
+            w, lengths, out = self._named[nu], self._lengths, []
             coroots = self.datum.root_table.coroots[: len(self.datum.pos_roots)]
-            for k, u, p, c_u, shift in self._qb_roots:
-                nu = tuple(map(operator.sub, mu, shift[w.perm[k]]))
-                length = lengths.get(nu)
+            roots = self._qb_levels.get(d)
+            if roots is None:
+                roots = self._qb_levels[d] = tuple(r for r in self._qb_roots if r[2] % d == 0)
+            for k, u, p, c_u, shift in roots:
+                nu2 = tuple(map(operator.sub, nu, shift[w.perm[k]]))
+                length = lengths.get(nu2)
                 if length is None:
-                    length = lengths[nu] = sum(sum(map(operator.mul, c, nu)) < 0 for c in coroots)
+                    length = lengths[nu2] = sum(sum(map(operator.mul, c, nu2)) < 0 for c in coroots)
                 gap = length - w.length
                 if gap == step or gap == step * (1 - c_u):
-                    out.append((nu, p, u, gap != step))
-            row = self._row_cache[w, step] = tuple(out)
+                    out.append((nu2, p, u, gap != step))
+            row = self._row_cache[nu, step, d] = tuple(out)
         return row
 
-    def qb_reach(self, w: FiniteWeylElt, d: int) -> dict[FiniteWeylElt, tuple[int, Vec]]:
-        """v -> (wt_lambda, wt) for every v reachable from w in the subgraph of
-        QB(W^J) whose edges have p divisible by d (the level of a cut of
-        denominator d): wt is the coweight of a shortest path (a breadth-first
-        search) and wt_lambda its pairing with lambda.  Kept per (w, d)."""
-        reach = self._reach_cache.get((w, d))
+    def qb_reach(self, nu: Vec, d: int) -> dict[Vec, tuple[int, Vec]]:
+        """v lambda -> (wt_lambda, wt) for every v reachable from w at nu = w lambda in the
+        subgraph of QB(W^J) whose edges have p divisible by d (the level of a cut of
+        denominator d, the rows `qb_row(., d, 1)`): wt is the coweight of a shortest path
+        (a breadth-first search) and wt_lambda its pairing with lambda.  Kept per (nu, d)."""
+        reach = self._reach_cache.get((nu, d))
         if reach is None:
-            orbit, coroot = self.orbit, self.datum.coroot
-            reach = {w: (0, (0,) * self.datum.rank)}
-            frontier = [w]
+            self.orbit  # names every point that the rows reach
+            coroot, reach, frontier = self.datum.coroot, {nu: (0, (0,) * self.datum.rank)}, [nu]
             while frontier:
                 nxt = []
                 for v in frontier:
                     wt, xi = reach[v]
-                    for nu, p, u, quantum in self.qb_row(v, 1):
-                        if p % d == 0 and (y := orbit[nu]) not in reach:
-                            reach[y] = (wt + p, vec_add(xi, coroot(u))) if quantum else (wt, xi)
-                            nxt.append(y)
+                    for nu2, p, u, quantum in self.qb_row(v, d, 1):
+                        if nu2 not in reach:
+                            reach[nu2] = (wt + p, vec_add(xi, coroot(u))) if quantum else (wt, xi)
+                            nxt.append(nu2)
                 frontier = nxt
-            self._reach_cache[w, d] = reach
+            self._reach_cache[nu, d] = reach
         return reach

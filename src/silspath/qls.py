@@ -7,20 +7,21 @@ the edges of the parabolic quantum Bruhat graph whose p = <u^vee, lambda> the
 denominator of sigma_u divides.  These are the projections cl of the
 semi-infinite LS paths (Ishii-Naito-Sagaki), so no root operator runs here.
 
-The graph is read row by row (`ParabolicQuotient.qb_row`) on the orbit points
-mu = w lambda: for u in Delta^+ \\ Delta_J^+ the edge w -> floor(w r_u) ends at
-nu = mu - p w(u).  It is a Bruhat edge if l(nu) = l(w) + 1, and a quantum edge
-of coweight u^vee (lambda-weight p) if l(nu) = l(w) + 1 - <u^vee, 2 rho - 2 rho_J>.
-With wt(v => w) the coweight of a shortest path in the level's subgraph and
-wt_lambda its pairing with lambda (`ParabolicQuotient.qb_reach`), a row holds
+The graph is read row by row (`ParabolicQuotient.qb_row`, kept per (mu, step, d): a level
+reads only the rows of its denominator d) on the orbit points mu = w lambda: for u in
+Delta^+ \\ Delta_J^+ the edge w -> floor(w r_u) ends at nu = mu - p w(u).  It is a
+Bruhat edge if l(nu) = l(w) + 1, and a quantum edge of coweight u^vee (lambda-weight p)
+if l(nu) = l(w) + 1 - <u^vee, 2 rho - 2 rho_J>.  With wt(v => w) the coweight of a
+shortest path in the level's subgraph and wt_lambda its pairing with lambda
+(`ParabolicQuotient.qb_reach`, keyed by orbit points), a row holds
 
     weight    = sum_u (sigma_u - sigma_{u-1}) w_u lambda,
     deg_kappa = -sum_u sigma_u wt_lambda(w_{u+1} => w_u)   (the LNSSS Deg),
     deg_iota  = sum_u (1 - sigma_u) wt_lambda(w_{u+1} => w_u).
 
-The characters read no row, and the table keeps only deg_kappa: `final_sums`
-adds x^weight q^deg_kappa by final direction, one transfer matrix swept up the
-cuts.  A segment of w added at a cut a = k/d spans 1 - a and adds -a times its
+The characters read no row, and the table keeps only deg_kappa: `final_sums` adds
+x^weight q^deg_kappa by final direction w, keyed by w lambda, one transfer matrix swept
+up the cuts.  A segment of w added at a cut a = k/d spans 1 - a and adds -a times its
 edge's wt_lambda to the degree, both exact as d divides p on every edge of a's level.
 
 The distinguished lifts are rebuilt from the chain on demand.  With xi_s = 0
@@ -87,14 +88,13 @@ class QLSCrystal:
         """Every QLS path with its row, by a depth-first search over chains
         grown from the final direction; cuts are ticks over N."""
         quotient, n = self.sils.quotient, self.sils.n
-        table: dict[QLSPath, LiftRecord] = {}
+        orbit, table = quotient.orbit, {}
         # (w_s, ..., w_u), (tick_{s-1}, ..., tick_u), the weight of the segments
-        # right of tick_u and the degree sum, all times N
-        stack = [((w,), (), (0,) * self.datum.rank, 0) for w in quotient.orbit.values()]
+        # right of tick_u and the degree sum, all times N, and mu = w_u lambda
+        stack = [((w,), (), (0,) * self.datum.rank, 0, mu) for mu, w in orbit.items()]
         while stack:
-            chain, cuts, settled, deg_kappa = stack.pop()
-            top, right = chain[-1], cuts[-1] if cuts else n
-            mu = quotient._points[top]
+            chain, cuts, settled, deg_kappa, mu = stack.pop()
+            right = cuts[-1] if cuts else n
             psi = QLSPath.from_ticks(chain[::-1], (0,) + cuts[::-1] + (n,), n)
             weight = tuple((s + right * m) // n for s, m in zip(settled, mu))
             table[psi] = LiftRecord(weight, deg_kappa // n)
@@ -103,28 +103,28 @@ class QLSCrystal:
             for a, d in self.sils.levels:
                 if a < right:
                     step = tuple(s + (right - a) * m for s, m in zip(settled, mu))
-                    for y, (wt, _xi) in quotient.qb_reach(top, d).items():
-                        if y != top:
-                            stack.append((chain + (y,), cuts + (a,), step, deg_kappa - a * wt))
+                    for y, (wt, _xi) in quotient.qb_reach(mu, d).items():
+                        if y != mu:
+                            stack.append((chain + (orbit[y],), cuts + (a,), step, deg_kappa - a * wt, y))
         return table
 
     @functools.cached_property
-    def final_sums(self) -> dict[FiniteWeylElt, dict[tuple[Vec, int], int]]:
-        """w -> the sum of x^weight q^deg_kappa over the rows with final direction w.
-        Swept up the cuts a, sums[w] holds the rows with every cut below a; at a it
+    def final_sums(self) -> dict[Vec, dict[tuple[Vec, int], int]]:
+        """w lambda -> the sum of x^weight q^deg_kappa over the rows with final direction w.
+        Swept up the cuts a, sums[w lambda] holds the rows with every cut below a; at a it
         gains, with last cut a, the rows of each y != w that w reaches at a's level.
         A term stands for one row at least."""
-        quotient, n, points = self.sils.quotient, self.sils.n, self.sils.quotient._points
-        sums = {w: {(points[w], 0): 1} for w in quotient.orbit.values()}
+        quotient, n = self.sils.quotient, self.sils.n
+        sums = {mu: {(mu, 0): 1} for mu in quotient.orbit}
         size = len(sums)
         for a, d in self.sils.levels:
-            before = {w: tuple(s.items()) for w, s in sums.items()}
-            for w, acc in sums.items():
-                for y, (wt, _xi) in quotient.qb_reach(w, d).items():
-                    if y != w:
+            before = {mu: tuple(s.items()) for mu, s in sums.items()}
+            for mu, acc in sums.items():
+                for nu, (wt, _xi) in quotient.qb_reach(mu, d).items():
+                    if nu != mu:
                         held, dq = len(acc), -a * wt // n  # see the module docstring
-                        step = tuple((n - a) * (m - v) // n for m, v in zip(points[w], points[y]))
-                        for (fw, q), c in before[y]:
+                        step = tuple((n - a) * (m - v) // n for m, v in zip(mu, nu))
+                        for (fw, q), c in before[nu]:
                             key = (tuple(map(operator.add, fw, step)), q + dq)
                             acc[key] = acc.get(key, 0) + c
                         size += len(acc) - held
@@ -141,10 +141,11 @@ class QLSCrystal:
         """The lift of psi whose `end` direction ("kappa" or "iota") lies in
         W^J, rebuilt from the chain; see the module docstring."""
         quotient, dirs, ticks = self.sils.quotient, psi.directions, psi.ticks
+        points = [w.act_fw(self.lam) for w in dirs]
         xis = [(0,) * self.datum.rank]  # xi_s, ..., xi_1
         for u in range(len(dirs) - 2, -1, -1):
             d = psi.den // math.gcd(psi.den, ticks[u + 1])
-            xis.append(vec_add(xis[-1], quotient.qb_reach(dirs[u + 1], d)[dirs[u]][1]))
+            xis.append(vec_add(xis[-1], quotient.qb_reach(points[u + 1], d)[points[u]][1]))
         shift = xis[-1] if end == "iota" else xis[0]  # xi_1 or xi_s = 0
         lifted = tuple(quotient.rep(w, vec_sub(xi, shift)) for w, xi in zip(dirs, reversed(xis)))
         lift = SiLSPath.from_ticks(lifted, ticks, psi.den)

@@ -280,19 +280,19 @@ def initial_sums_by_sweep(q):
     sums[w] holds the rows with every cut above a, and at a it gains, with first cut
     a, the rows of each y != w that reaches w at a's level.  A segment of w added at
     a spans a and adds (1 - a) times its edge's wt_lambda to the degree.  The oracle
-    for the plus quotient characters, which read the sigma-dual shape's `final_sums`."""
+    for the plus quotient characters, which read the sigma-dual shape's `final_sums`.
+    The sweep runs on orbit points w lambda, as `final_sums` does, and names each w at the end."""
     quotient, n = q.sils.quotient, q.sils.n
-    points = quotient._points
-    sums = {w: Counter({(points[w], 0): 1}) for w in quotient.orbit.values()}
+    sums = {mu: Counter({(mu, 0): 1}) for mu in quotient.orbit}
     for a, d in reversed(q.sils.levels):
-        before = {w: tuple(s.items()) for w, s in sums.items()}
-        for y in sums:
-            for w, (wt, _xi) in quotient.qb_reach(y, d).items():
-                if w != y:
-                    step = tuple(a * (m - v) // n for m, v in zip(points[w], points[y]))
-                    for (fw, deg), c in before[y]:
-                        sums[w][vec_add(fw, step), deg + (n - a) * wt // n] += c
-    return sums
+        before = {mu: tuple(s.items()) for mu, s in sums.items()}
+        for nu in sums:
+            for mu, (wt, _xi) in quotient.qb_reach(nu, d).items():
+                if mu != nu:
+                    step = tuple(a * (m - v) // n for m, v in zip(mu, nu))
+                    for (fw, deg), c in before[nu]:
+                        sums[mu][vec_add(fw, step), deg + (n - a) * wt // n] += c
+    return {quotient.orbit[mu]: s for mu, s in sums.items()}
 
 
 def quotient_characters_by_rows(q, w):

@@ -487,7 +487,7 @@ def assert_degree_sums_match_rows(datum, lam):
     assert ch.qls_degree_sum(datum, lam) == table_degree_sum(q)
     by_final, by_initial = {}, {}
     for psi, row in q.table.items():
-        by_final.setdefault(psi.directions[-1], Counter())[row.weight, row.deg_kappa] += 1
+        by_final.setdefault(psi.directions[-1].act_fw(lam), Counter())[row.weight, row.deg_kappa] += 1
         by_initial.setdefault(psi.directions[0], Counter())[row.weight, deg_iota(q, psi)] += 1
     assert q.final_sums == by_final
     assert initial_sums_by_sweep(q) == by_initial
@@ -496,6 +496,34 @@ def assert_degree_sums_match_rows(datum, lam):
 @pytest.mark.parametrize("fam,lam", DEGREE_SUM_WEIGHTS)
 def test_degree_sum_matches_table_rows(fam, lam):
     assert_degree_sums_match_rows(build(*fam), lam)
+
+
+@pytest.mark.parametrize("fam,lam", DEGREE_SUM_WEIGHTS)
+def test_level_rows_are_full_rows_filtered(fam, lam):
+    # the row at a level's denominator d, built from the roots whose p it divides,
+    # is the full row of another quotient with its edges of d not dividing p dropped,
+    # in the same order, out of and into every orbit point
+    datum = build(*fam)
+    quotient, full = (ParabolicQuotient.for_weight(datum, lam) for _ in range(2))
+    dens = {a.denominator for a in quotient.cut_grid()}
+    assert full.orbit.keys() == quotient.orbit.keys()
+    for nu, step, d in itertools.product(quotient.orbit, (1, -1), dens):
+        assert quotient.qb_row(nu, d, step) == tuple(e for e in full.qb_row(nu, 1, step) if e[1] % d == 0)
+    assert all(d in dens for _nu, _step, d in quotient._row_cache)
+
+
+def test_macdonald_builds_only_the_rows_of_its_levels():
+    # macdonald_t0 reads rows only through the reach sets of its grid levels: none
+    # on E6 varpi_1, whose pairings are all 1, and one out of each of the 24 orbit
+    # points per level on B3 (1,1,0), whose cuts have denominators 2, 3 and 4
+    counts = {}
+    for fam, lam in ((("E", 6), (1, 0, 0, 0, 0, 0)), (("B", 3), (1, 1, 0))):
+        datum = build(*fam)
+        ch._qls.cache_clear()
+        ch.macdonald_t0(datum, lam)
+        counts[fam] = Counter((d, step) for _nu, step, d in ch._qls(datum, lam).sils.quotient._row_cache)
+    ch._qls.cache_clear()
+    assert counts == {("E", 6): Counter(), ("B", 3): Counter({(2, 1): 24, (3, 1): 24, (4, 1): 24})}
 
 
 def test_degree_sum_past_the_table_budget():

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from silspath import peterson
 from silspath.cartan import build
 from silspath.cli import main
+from silspath.peterson import ParabolicQuotient
 from silspath.weyl import longest_element
 
 
@@ -190,6 +192,25 @@ def test_si_graph_large_orbit_stays_local():
     assert len(proc.stdout.splitlines()) == 143
     digest = "59842d6ee8979ebe8c1ca4bb05fb184e92009549f26ff4751a814afa84bc8b31"
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("radius", [2, 3])
+def test_si_graph_ball_past_the_budget_exits_3(capsys, monkeypatch, radius):
+    # the ball of radius 3 on A2 (1,1) holds more points than that of radius 2: with
+    # TABLE_BUDGET at the smaller size, radius 2 prints its graph unchanged, and
+    # radius 3 stops with exit 3 and prints nothing
+    argv = f"si-graph --type A --rank 2 --lambda 1,1 --radius {radius}".split()
+    code, full, _ = run(capsys, *argv)
+    assert code == 0
+    small = len(ParabolicQuotient.for_weight(build("A", 2), (1, 1)).si_ball(2))
+    assert len(ParabolicQuotient.for_weight(build("A", 2), (1, 1)).si_ball(3)) > small
+    monkeypatch.setattr(peterson, "TABLE_BUDGET", small)
+    code, out, err = run(capsys, *argv)
+    if radius == 2:
+        assert (code, out) == (0, full)
+    else:
+        assert (code, out) == (3, "")
+        assert "budget exhausted: semi-infinite ball exceeded" in err
 
 
 def test_enumeration_large_orbit_stays_local():

@@ -16,6 +16,7 @@ from conftest import (
     translated_lift,
 )
 
+from silspath import characters as ch
 from silspath.cartan import AffineRealRoot, LevelZeroWeight, build, vec_neg, vec_sub
 from silspath.peterson import ParabolicQuotient
 from silspath.qls import QLSCrystal, QLSPath
@@ -162,9 +163,9 @@ ROW_CASES = QLS_CASES + [
 
 def deg_iota_by_chain(q, psi):
     """sum_u (1 - sigma_u) wt_lambda(w_{u+1} => w_u) over the cuts sigma_u of psi."""
-    dirs, total = psi.directions, 0
+    points, total = [w.act_fw(q.lam) for w in psi.directions], 0
     for u, cut in enumerate(psi.cuts[1:-1]):
-        total += (1 - cut) * q.sils.quotient.qb_reach(dirs[u + 1], cut.denominator)[dirs[u]][0]
+        total += (1 - cut) * q.sils.quotient.qb_reach(points[u + 1], cut.denominator)[points[u]][0]
     assert total.denominator == 1
     return int(total)
 
@@ -225,7 +226,7 @@ def test_orbit_edges_match_edge_labels(fam, lam):
     datum = build(*fam)
     quotient = ParabolicQuotient.for_weight(datum, lam)
     orbit = quotient.orbit
-    points, row = orbit.values(), quotient.qb_row
+    points, row = orbit.values(), lambda w, step: quotient.qb_row(w.act_fw(lam), 1, step)
     for w in points:
         x, edges = from_finite(w), row(w, 1)
         labels = [(AffineRealRoot(w.act_root(u), int(q)), p) for _nu, p, u, q in edges]
@@ -252,16 +253,19 @@ def test_orbit_edges_match_edge_labels(fam, lam):
 
 @pytest.mark.parametrize("fam,lam", ORACLE_CASES + [(("B", 3), (1, 1, 0)), (("D", 4), (1, 0, 1, 0))])
 def test_rows_without_orbit_match_rows_after_it(fam, lam):
-    # a row read before any orbit search counts the lengths of its ends; one
-    # read after it finds them recorded by the search: the rows agree, and the
-    # counted lengths are those of the orbit's elements
+    # a row read before any orbit search, at a point that coset_state names,
+    # counts the lengths of its ends; one read after it finds them recorded by
+    # the search: the rows agree at every level, and the counted lengths are
+    # those of the orbit's elements
     datum = build(*fam)
     searched = ParabolicQuotient.for_weight(datum, lam)
     orbit = searched.orbit
     counted = ParabolicQuotient.for_weight(datum, lam)
-    for w in orbit.values():
-        for step in (1, -1):
-            assert counted.qb_row(w, step) == searched.qb_row(w, step), (w, step)
+    levels = {1} | {a.denominator for a in searched.cut_grid()}
+    for nu, w in orbit.items():
+        assert counted.coset_state(from_finite(w))[0] == nu
+        for step, d in itertools.product((1, -1), levels):
+            assert counted.qb_row(nu, d, step) == searched.qb_row(nu, d, step), (w, step, d)
     assert "orbit" not in vars(counted)
     assert all(orbit[nu].length == n for nu, n in counted._lengths.items())
 
@@ -522,7 +526,8 @@ def test_j_adjust_memo_matches_fresh_projection():
 
 def test_quotient_memos_are_freed_with_crystal():
     # the quotient and its memos belong to the crystal: nothing else keeps
-    # them, and no reference cycle needs the cyclic collector
+    # them, and no reference cycle needs the cyclic collector; the sweep and a
+    # quotient character fill the per-level rows, which a method cache would pin
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -530,8 +535,13 @@ def test_quotient_memos_are_freed_with_crystal():
         assert q.table
         paths = q.sils.enumerate_demazure(affine_identity(q.datum), 2)
         assert all(q.sils.validate(eta) for eta in paths)
+        total = Counter()
+        for part in q.final_sums.values():
+            total.update(part)
+        assert ch._interval_sum(q, q.lam) == total
         quotient = q.sils.quotient
         assert quotient._decompose_cache and quotient._coset_cache and quotient._si_leq_cache
+        assert quotient._row_cache and quotient._qb_levels and quotient._reach_cache
         ref = weakref.ref(quotient)
         del q, quotient
         assert ref() is None

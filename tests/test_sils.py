@@ -497,8 +497,8 @@ def test_budget_stages_are_pinned(fam, lam, depth, pool, paths):
 
 def test_brute_force_walk_hashes_no_weyl_element_per_state(monkeypatch):
     # after the closed form has read every row of QB(W^J), the brute force walks
-    # integer states: it rebuilds no representative, and it hashes a Weyl element
-    # only to read the QB(W^J) row of each coset row it builds
+    # integer states: it rebuilds no representative, and it hashes no Weyl element,
+    # as the QB(W^J) rows under its coset rows are kept per orbit point
     datum, lam = build("B", 2), (1, 1)
     ch._qls.cache_clear()
     closed = ch.gch_demazure_minus_e(datum, lam, 4)
@@ -519,8 +519,8 @@ def test_brute_force_walk_hashes_no_weyl_element_per_state(monkeypatch):
     monkeypatch.setattr(FiniteWeylElt, "__hash__", counting_hash)
     brute = ch.brute_force_gch_minus_e(datum, lam, 4)
     monkeypatch.undo()
-    rows = len(quotient._coset_cache)
-    assert calls["rep"] == 0 and 0 < calls["hash"] <= rows, (calls, rows)
+    assert quotient._coset_cache
+    assert calls == {"rep": 0, "hash": 0}, calls
     assert brute == closed == brute_force_by_paths(datum, lam, 4)
 
 
