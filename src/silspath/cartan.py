@@ -142,19 +142,21 @@ def _symmetrizer(cartan: Mat) -> Vec:
 
 
 def _positive_roots(cartan: Mat) -> tuple[Vec, ...]:
-    """All roots via reflection closure of the simple roots; positives only."""
+    """All roots via reflection closure of the simple roots; positives only.
+
+    Each root carries its fundamental-weight coordinates, column i of the
+    Cartan matrix for alpha_i: v = r_i u lowers u_i by c = fw(u)_i and has
+    fw(v) = fw(u) - c fw(alpha_i), O(rank) per step, and c = 0 leaves v = u."""
     n = len(cartan)
-    simples = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    seen: set[Vec] = set(simples)
-    frontier = list(simples)
+    cols = tuple(zip(*cartan))  # cols[i] = fw(alpha_i)
+    seen = {tuple(1 if k == i else 0 for k in range(n)): cols[i] for i in range(n)}
+    frontier = list(seen.items())
     while frontier:
-        u = frontier.pop()
-        for i in range(n):
-            c = sum(cartan[i][j] * u[j] for j in range(n))
-            v = tuple(u[k] - (c if k == i else 0) for k in range(n))
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
+        u, fw = frontier.pop()
+        for i, c in enumerate(fw):
+            if c and (v := u[:i] + (u[i] - c,) + u[i + 1 :]) not in seen:
+                seen[v] = fv = tuple(a - c * b for a, b in zip(fw, cols[i]))
+                frontier.append((v, fv))
     pos = [u for u in seen if all(c >= 0 for c in u)]
     pos.sort(key=lambda u: (sum(u), u))
     assert 2 * len(pos) == len(seen)
@@ -229,13 +231,18 @@ class CartanDatum:
 
     @functools.cached_property
     def root_table(self) -> RootTable:
-        """Built on first use by the Weyl group arithmetic, not by ``build``."""
-        roots = self.pos_roots + tuple(vec_neg(u) for u in self.pos_roots)
+        """Built on first use by the Weyl group arithmetic, not by ``build``.
+
+        Pairings are read off the fundamental-weight column: fw(u)_i =
+        <alpha_i^vee, u> is computed on the N positive roots and negated on
+        the rest, and each coroot is `_coroot` of that column."""
+        pos, both = self.pos_roots, lambda vs: vs + tuple(map(vec_neg, vs))
+        roots = both(pos)
         index = {u: k for k, u in enumerate(roots)}
         simple = tuple(index[self.simple_root(i)] for i in range(1, self.rank + 1))
-        pos_coroots = tuple(_coroot(self.cartan, self.sym, u) for u in self.pos_roots)
-        coroots = pos_coroots + tuple(vec_neg(c) for c in pos_coroots)
-        return RootTable(roots, index, coroots, simple, tuple(map(self.root_to_fw, roots)))
+        fws = tuple(map(self.root_to_fw, pos))
+        coroots = tuple(_coroot(self.sym, u, fw) for u, fw in zip(pos, fws))
+        return RootTable(roots, index, both(coroots), simple, both(fws))
 
     @property
     def rho(self) -> Vec:
@@ -302,13 +309,15 @@ def _root_norm(cartan: Mat, sym: Vec, u: Vec) -> int:
     return sum(ui * uj * d * a for ui, d, row in zip(u, sym, cartan) for uj, a in zip(u, row))
 
 
-def _coroot(cartan: Mat, sym: Vec, u: Vec) -> Vec:
+def _coroot(sym: Vec, u: Vec, fw: Vec) -> Vec:
     """Coweight coordinates of alpha^vee = 2 alpha / (alpha, alpha), exactly:
-    coordinate j is 2 u_j d_j / (alpha, alpha)."""
-    norm = _root_norm(cartan, sym, u)
-    out = [divmod(2 * uj * d, norm) for uj, d in zip(u, sym)]
-    assert not any(r for _, r in out), u
-    return tuple(c for c, _ in out)
+    coordinate j is 2 u_j d_j / (alpha, alpha).  The norm is read off the
+    fundamental-weight column fw = fw(alpha) in O(rank):
+    (alpha, alpha) = sum_i u_i d_i fw_i, since fw_i = sum_j a_ij u_j."""
+    ud = tuple(map(operator.mul, u, sym))
+    norm = sum(map(operator.mul, ud, fw))
+    assert not any(2 * x % norm for x in ud), u
+    return tuple([2 * x // norm for x in ud])
 
 
 @functools.lru_cache(maxsize=None)
@@ -324,7 +333,6 @@ def build(type_label: str, rank: int, /) -> CartanDatum:
     pos = _positive_roots(cartan)
     theta = pos[-1]
     assert all(all(t >= u for t, u in zip(theta, v)) for v in pos)
-    theta_coroot = _coroot(cartan, sym, theta)
     datum = CartanDatum(
         type_label=type_label,
         rank=rank,
@@ -332,7 +340,7 @@ def build(type_label: str, rank: int, /) -> CartanDatum:
         sym=sym,
         pos_roots=pos,
         theta=theta,
-        theta_coroot=theta_coroot,
+        theta_coroot=_coroot(sym, theta, tuple(sum(map(operator.mul, row, theta)) for row in cartan)),
         sigma=_sigma(cartan),
     )
     _check_affinization(datum)

@@ -228,13 +228,11 @@ class ParabolicQuotient:
 
     @functools.cached_property
     def _outside(self) -> tuple[tuple[Vec, int], ...]:
-        """(u, <u^vee, lambda>) for u in Delta^+ \\ Delta_J^+ in pos_roots order."""
-        pair, dj = self.datum.pair_coweight_weight, set(self.delta_j_plus)
-        return tuple(
-            (u, pair(self.datum.coroot(u), self.lam_weight))
-            for u in self.datum.pos_roots
-            if u not in dj
-        )
+        """(u, p) for u in Delta^+ \\ Delta_J^+ in pos_roots order, p = <u^vee, lambda> the coroot
+        column dotted with lambda: lambda is dominant with zero set J, so p > 0 exactly off Delta_J^+."""
+        lam, datum = self.lam, self.datum
+        pairs = (sum(map(operator.mul, c, lam)) for c in datum.root_table.coroots)
+        return tuple((u, p) for u, p in zip(datum.pos_roots, pairs) if p > 0)
 
     def _lift(self, x: AffineWeylElt, a: Fraction | None, step: int):
         """The edges of QB(W^J) at w = cl(x) (`qb_row`) whose p = |<beta^vee, x lambda>|
@@ -325,13 +323,15 @@ class ParabolicQuotient:
         return tuple(seen)
 
     def si_ball(self, radius: int) -> tuple[AffineWeylElt, ...]:
-        """Everything within `radius` cover steps (up or down) of e; stops past TABLE_BUDGET points."""
+        """Everything within `radius` cover steps (up or down) of e; stops past TABLE_BUDGET points.
+        Covers are read off `_lift`, so the ball fills no per-x `si_covers` memo."""
         seen = {affine_identity(self.datum)}
         frontier = set(seen)
         for _ in range(radius):
             nxt = set()
             for x in frontier:
-                nxt.update(y for _beta, y in self.si_covers(x) + self.si_lower_covers(x) if y not in seen)
+                edges = self._lift(x, None, 1) + self._lift(x, None, -1)
+                nxt.update(y for _beta, y in edges if y not in seen)
                 if len(seen) + len(nxt) > TABLE_BUDGET:
                     raise BudgetExceeded("semi-infinite ball exceeded the QLS table budget")
             seen |= nxt
@@ -374,17 +374,20 @@ class ParabolicQuotient:
         return self._named
 
     @functools.cached_property
-    def _qb_roots(self) -> tuple[tuple[int, Vec, int, int, list[Vec]], ...]:
+    def _qb_roots(self) -> tuple[tuple[int, Vec, int, int, tuple[Vec, ...]], ...]:
         """(k, u, p, c_u, shift) for (u, p) in `_outside`: u is root k, c_u =
         <u^vee, 2 rho - 2 rho_J> is W_J-invariant, and shift[m] is p times root m
-        in fundamental-weight coordinates."""
-        datum, table = self.datum, self.datum.root_table
-        two_rho_j = tuple(map(sum, zip((0,) * datum.rank, *self.delta_j_plus)))
-        shifts = {p: [tuple(p * a for a in v) for v in table.fws] for p in self.pairing_values()}
+        in fundamental-weight coordinates.  fw(2 rho_J) is 2 rho less the roots off
+        Delta_J^+, so c_u = 2 sum(u^vee) - <u^vee, fw(2 rho_J)> is a dot product."""
+        table = self.datum.root_table
+        fws, ks = table.fws, [table.index[u] for u, _p in self._outside]
+        two_rho_j = [2 - s for s in map(sum, zip((0,) * self.datum.rank, *(fws[k] for k in ks)))]
+        shifts = {p: tuple(tuple(p * a for a in v) for v in fws) for p in self.pairing_values() if p > 1}
+        shifts[1] = fws
         return tuple(
-            (table.index[u], u, p, 2 * sum(c) - datum.pair_coweight_root(c, two_rho_j), shifts[p])
-            for u, p in self._outside
-            for c in [datum.coroot(u)]
+            (k, u, p, 2 * sum(c) - sum(map(operator.mul, c, two_rho_j)), shifts[p])
+            for k, (u, p) in zip(ks, self._outside)
+            for c in [table.coroots[k]]
         )
 
     def qb_row(self, nu: Vec, d: int, step: int) -> tuple[tuple[Vec, int, Vec, bool], ...]:

@@ -292,11 +292,6 @@ class SiLSCrystal:
 
     # -- Weyl group action ------------------------------------------------------
 
-    def is_translation_type(self, eta: SiLSPath) -> bool:
-        return all(
-            self.quotient.cl_direction(x).is_identity for x in eta.directions
-        )
-
     def weyl_action(self, x: AffineWeylElt, eta: SiLSPath) -> SiLSPath:
         """S_x eta = S_{j_1} ... S_{j_k} eta for a reduced word j_1 ... j_k of x.
 

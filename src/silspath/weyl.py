@@ -141,19 +141,20 @@ def finite_identity(datum: CartanDatum) -> FiniteWeylElt:
     return FiniteWeylElt(datum, tuple(range(len(datum.root_table.roots))))
 
 
-def _reflection_perm(datum: CartanDatum, u: Vec) -> tuple[int, ...]:
-    # r_u(v) = v - <u^vee, v> u, <u^vee, v> = sum_i c_i fw(v)_i for u^vee = sum_i c_i alpha_i^vee
-    table, c, n_pos = datum.root_table, datum.coroot(u), len(datum.pos_roots)
-    pairs = (sum(map(operator.mul, c, fw)) for fw in table.fws[:n_pos])
-    perm = [table.index[tuple(a - k * b for a, b in zip(v, u))] for v, k in zip(table.roots, pairs)]
-    perm += [(p + n_pos) % (2 * n_pos) for p in perm]  # r_u(-v) = -r_u(v), root k + N = -root k
-    return tuple(perm)
+def _reflection_perm(datum: CartanDatum, images) -> tuple[int, ...]:
+    """The permutation of the reflection that sends the N positive roots, in order, to images."""
+    table, n_pos = datum.root_table, len(datum.pos_roots)
+    perm = list(map(table.index.__getitem__, images))
+    return tuple(perm + [(p + n_pos) % (2 * n_pos) for p in perm])  # r(-v) = -r(v), root k + N = -root k
 
 
 @functools.lru_cache(maxsize=None)
 def simple_reflection(datum: CartanDatum, i: int) -> FiniteWeylElt:
-    """The finite simple reflection r_i, i in 1..n."""
-    return FiniteWeylElt(datum, _reflection_perm(datum, datum.simple_root(i)))
+    """The finite simple reflection r_i, i in 1..n: r_i(v) = v - fw(v)_i alpha_i lowers
+    coordinate i of v by the entry of its fundamental-weight column."""
+    table, k = datum.root_table, i - 1
+    images = (v[:k] + (v[k] - fw[k],) + v[k + 1 :] for v, fw in zip(datum.pos_roots, table.fws))
+    return FiniteWeylElt(datum, _reflection_perm(datum, images))
 
 
 def finite_from_word(datum: CartanDatum, word: tuple[int, ...] | list[int]) -> FiniteWeylElt:
@@ -165,9 +166,13 @@ def finite_from_word(datum: CartanDatum, word: tuple[int, ...] | list[int]) -> F
 
 @functools.lru_cache(maxsize=None)
 def finite_reflection(datum: CartanDatum, u: Vec) -> FiniteWeylElt:
-    """The reflection r_alpha for a finite root alpha given in root coords."""
+    """The reflection r_alpha for a finite root alpha given in root coords: r_u(v) = v - <u^vee, v> u,
+    <u^vee, v> = sum_i c_i fw(v)_i for u^vee = sum_i c_i alpha_i^vee."""
     assert datum.is_root(u)
-    return FiniteWeylElt(datum, _reflection_perm(datum, u))
+    c, fws = datum.coroot(u), datum.root_table.fws
+    pairs = (sum(map(operator.mul, c, fw)) for fw in fws)  # zip stops at the N positive roots
+    images = (tuple(a - k * b for a, b in zip(v, u)) for v, k in zip(datum.pos_roots, pairs))
+    return FiniteWeylElt(datum, _reflection_perm(datum, images))
 
 
 @functools.lru_cache(maxsize=None)
@@ -270,18 +275,6 @@ class AffineWeylElt:
     def si_length(self) -> int:
         # <xi, rho> = sum of the coweight coordinates
         return self.w.length + 2 * sum(self.xi)
-
-    @functools.cached_property
-    def affine_length(self) -> int:
-        total = 0
-        datum = self.datum
-        for u in datum.pos_roots:
-            c = datum.pair_coweight_root(self.xi, u)
-            w_pos = datum.is_positive_root(self.w.act_root(u))
-            total += max(c, 0) + (1 if c >= 0 and not w_pos else 0)
-            if c <= -1:
-                total += (-c - 1) + (1 if w_pos else 0)
-        return total
 
     def reduced_word(self) -> tuple[int, ...]:
         """Labels in I_af with self equal to the product of the r_j."""

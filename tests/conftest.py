@@ -4,7 +4,15 @@ from collections import Counter
 
 import pytest
 
-from silspath.cartan import AffineRealRoot, LevelZeroWeight, build, vec_add, vec_neg
+from silspath.cartan import (
+    AffineRealRoot,
+    LevelZeroWeight,
+    RootTable,
+    _root_norm,
+    build,
+    vec_add,
+    vec_neg,
+)
 from silspath.characters import GradedCharacter, weyl_character
 from silspath.peterson import ParabolicQuotient
 from silspath.sils import SiLSCrystal, SiLSPath
@@ -145,6 +153,11 @@ def _orbit_raising_walk(datum, lam) -> tuple[int, ...]:
     raise AssertionError("orbit walk did not reach the dominant weight")
 
 
+def is_translation_type(c, eta):
+    """Every direction of eta lies over the identity of W^J: x = z_xi t_xi."""
+    return all(c.quotient.cl_direction(x).is_identity for x in eta.directions)
+
+
 def canonicalize(c, eta):
     """Lower eta to a translation-type element of its component in the
     SiLS crystal c by the root operators.
@@ -157,7 +170,7 @@ def canonicalize(c, eta):
     """
     ops = []
     rounds = 0
-    while not c.is_translation_type(eta):
+    while not is_translation_type(c, eta):
         rounds += 1
         assert rounds <= 64, "canonicalization failed to converge"
         progress = True
@@ -169,7 +182,7 @@ def canonicalize(c, eta):
                     ops.append((j, count))
                     eta = eta2
                     progress = True
-        if c.is_translation_type(eta):
+        if is_translation_type(c, eta):
             break
         for j in _orbit_raising_walk(c.datum, c.lam):
             eta, count = c.f_max(eta, j)
@@ -342,6 +355,75 @@ def cover_candidates(quotient, w):
             wu = w.act_root(u)
             out.append(AffineRealRoot(wu, 0 if datum.is_positive_root(wu) else 1))
     return out
+
+
+def affine_length(x):
+    """The length of x = w t_xi in W_af: the positive real roots alpha + n delta that
+    x sends negative, counted per finite positive root alpha from c = <xi, alpha>."""
+    total, datum = 0, x.datum
+    for u in datum.pos_roots:
+        c = datum.pair_coweight_root(x.xi, u)
+        w_pos = datum.is_positive_root(x.w.act_root(u))
+        total += max(c, 0) + (1 if c >= 0 and not w_pos else 0)
+        if c <= -1:
+            total += (-c - 1) + (1 if w_pos else 0)
+    return total
+
+
+# -- root data by the O(rank^2) pairings, the oracles for the fundamental-weight column --
+
+
+def positive_roots_by_closure(cartan):
+    """The positive roots by reflection closure of the simple roots, each pairing
+    <alpha_i^vee, u> summed over the Cartan row: the oracle for `_positive_roots`."""
+    n = len(cartan)
+    simples = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+    seen, frontier = set(simples), list(simples)
+    while frontier:
+        u = frontier.pop()
+        for i in range(n):
+            c = sum(cartan[i][j] * u[j] for j in range(n))
+            v = tuple(u[k] - (c if k == i else 0) for k in range(n))
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return tuple(sorted((u for u in seen if all(c >= 0 for c in u)), key=lambda u: (sum(u), u)))
+
+
+def root_table_by_pairing(datum):
+    """The root table with every pairing summed in full: fundamental-weight
+    coordinates by `root_to_fw` on all 2N roots and each coroot 2 u_j d_j / (u, u)
+    from the double-sum norm `_root_norm`."""
+    roots = datum.pos_roots + tuple(vec_neg(u) for u in datum.pos_roots)
+    index = {u: k for k, u in enumerate(roots)}
+    coroots = []
+    for u in roots:
+        norm = _root_norm(datum.cartan, datum.sym, u)
+        assert all(2 * uj * d % norm == 0 for uj, d in zip(u, datum.sym))
+        coroots.append(tuple(2 * uj * d // norm for uj, d in zip(u, datum.sym)))
+    simple = tuple(index[datum.simple_root(i)] for i in range(1, datum.rank + 1))
+    return RootTable(roots, index, tuple(coroots), simple, tuple(map(datum.root_to_fw, roots)))
+
+
+def outside_by_delta_j(quotient):
+    """(u, <u^vee, lambda>) for u in Delta^+ \\ Delta_J^+, filtered by the set
+    `delta_j_plus`: the oracle for `ParabolicQuotient._outside`."""
+    datum, dj = quotient.datum, set(quotient.delta_j_plus)
+    pair = datum.pair_coweight_weight
+    return tuple((u, pair(datum.coroot(u), quotient.lam_weight)) for u in datum.pos_roots if u not in dj)
+
+
+def qb_roots_by_pairing(quotient):
+    """`ParabolicQuotient._qb_roots` with c_u = <u^vee, 2 rho - 2 rho_J> paired in
+    root coordinates, 2 rho_J summed over `delta_j_plus`, and each shift list copied."""
+    datum, table = quotient.datum, quotient.datum.root_table
+    two_rho_j = tuple(map(sum, zip((0,) * datum.rank, *quotient.delta_j_plus)))
+    shifts = {p: tuple(tuple(p * a for a in v) for v in table.fws) for p in quotient.pairing_values()}
+    return tuple(
+        (table.index[u], u, p, 2 * sum(c) - datum.pair_coweight_root(c, two_rho_j), shifts[p])
+        for u, p in outside_by_delta_j(quotient)
+        for c in [datum.coroot(u)]
+    )
 
 
 def reflection_perm_by_pairing(datum, u):

@@ -1,6 +1,15 @@
 import pytest
+from conftest import positive_roots_by_closure, root_table_by_pairing
 
-from silspath.cartan import _RANK_RANGE, AffineRealRoot, LevelZeroWeight, build, vec_neg
+from silspath.cartan import (
+    _RANK_RANGE,
+    AffineRealRoot,
+    LevelZeroWeight,
+    _cartan_matrix,
+    _positive_roots,
+    build,
+    vec_neg,
+)
 from silspath.weyl import longest_element
 
 # closed-form positive root counts, used as an oracle for the closure
@@ -166,6 +175,27 @@ def test_affine_matrix_annihilates_marks(a2, c2):
 def test_unsupported_types_raise(fam):
     with pytest.raises(ValueError):
         build(*fam)
+
+
+SUPPORTED = [(t, r) for t, ranks in _RANK_RANGE.items() for r in ranks]
+
+
+@pytest.mark.parametrize("fam", SUPPORTED)
+def test_positive_roots_match_closure_oracle(fam):
+    # the closure that carries each root's fundamental-weight column finds the
+    # same positive roots, in the same order, as the one that sums every pairing
+    cartan = _cartan_matrix(*fam)
+    assert _positive_roots(cartan) == positive_roots_by_closure(cartan) == build(*fam).pos_roots
+
+
+@pytest.mark.parametrize("fam", SUPPORTED)
+def test_root_table_matches_pairing_oracle(fam):
+    # every field of the table read off the fundamental-weight column, on the
+    # positive roots and negated, equals the one summed in full on all 2N roots
+    datum = build.__wrapped__(*fam)  # a fresh datum, outside build's cache
+    oracle = root_table_by_pairing(datum)
+    assert datum.root_table == oracle
+    assert datum.theta_coroot == oracle.coroots[oracle.index[datum.theta]]
 
 
 def test_root_table_is_built_on_first_use():

@@ -11,6 +11,8 @@ from conftest import (
     initial_sums_by_sweep,
     kostka_foulkes,
     multipartitions,
+    outside_by_delta_j,
+    qb_roots_by_pairing,
     quotient_characters_by_rows,
     quotient_reps_by_filter,
     table_degree_sum,
@@ -496,6 +498,18 @@ def assert_degree_sums_match_rows(datum, lam):
 @pytest.mark.parametrize("fam,lam", DEGREE_SUM_WEIGHTS)
 def test_degree_sum_matches_table_rows(fam, lam):
     assert_degree_sums_match_rows(build(*fam), lam)
+
+
+@pytest.mark.parametrize("fam,lam", DEGREE_SUM_WEIGHTS)
+def test_qb_roots_match_pairing_oracles(fam, lam):
+    # the roots off Delta_J^+ by p > 0, and each c_u by one dot product with
+    # fw(2 rho_J), are the ones filtered by delta_j_plus and paired in root
+    # coordinates; the p = 1 shift list is the table's own column
+    quotient = ParabolicQuotient.for_weight(build(*fam), lam)
+    assert quotient._outside == outside_by_delta_j(quotient)
+    assert quotient._qb_roots == qb_roots_by_pairing(quotient)
+    fws = quotient.datum.root_table.fws
+    assert all(shift is fws for _k, _u, p, _c, shift in quotient._qb_roots if p == 1)
 
 
 @pytest.mark.parametrize("fam,lam", DEGREE_SUM_WEIGHTS)

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import bruhat_leq_bfs, reflection_perm_by_pairing
+from conftest import affine_length, bruhat_leq_bfs, reflection_perm_by_pairing
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -92,7 +92,7 @@ def test_simple_reflection_inverts_one_positive_root(a2, c2):
     for datum in (a2, c2):
         for j in range(datum.rank + 1):
             rj = affine_simple(datum, j)
-            assert rj.affine_length == 1
+            assert affine_length(rj) == 1
             flipped = []
             for u in datum.root_set:
                 for n in range(-3, 4):
@@ -167,7 +167,7 @@ def test_affine_word_roundtrip(word):
     for j in x.reduced_word():
         rebuilt = rebuilt.mul(affine_simple(datum, j))
     assert rebuilt == x
-    assert len(x.reduced_word()) == x.affine_length
+    assert len(x.reduced_word()) == affine_length(x)
 
 
 def test_bruhat_examples(a2):
@@ -365,6 +365,16 @@ def test_reflection_perms_match_pairing_oracle(fam):
     datum = build(*fam)
     for u in datum.root_table.roots:
         assert finite_reflection(datum, u).perm == reflection_perm_by_pairing(datum, u), u
+
+
+@pytest.mark.parametrize("fam", [(t, r) for t, ranks in _RANK_RANGE.items() for r in ranks])
+def test_simple_reflection_perms_match_pairing_oracle(fam):
+    # r_i lowers coordinate i by the fundamental-weight column's entry i, as the
+    # coroot pairing <alpha_i^vee, v> says, at every node, E8 included
+    datum = build(*fam)
+    for i in range(1, datum.rank + 1):
+        oracle = reflection_perm_by_pairing(datum, datum.simple_root(i))
+        assert simple_reflection(datum, i).perm == oracle, i
 
 
 def test_e8_reflection_perms_match_pairing_oracle():
