@@ -15,6 +15,7 @@ crystal per shape (and its dual), `_qls`, kept until another lambda is asked for
 from __future__ import annotations
 
 import functools
+import operator
 from collections import Counter
 
 from .cartan import CartanDatum, Vec, vec_add, vec_neg
@@ -220,11 +221,13 @@ def weyl_character(datum: CartanDatum, lam: Vec) -> GradedCharacter:
         alpha = alphas[i - 1]
         out: dict[Vec, int] = {}
         for mu, c in poly.items():
-            n = mu[i - 1]
-            # the string is mu - k alpha_i over these k
-            ks, sign = (range(n + 1), c) if n >= 0 else (range(-1, n, -1), -c)
-            for k in ks:
-                key = tuple(m - k * a for m, a in zip(mu, alpha))
+            if (n := mu[i - 1]) == -1:
+                continue
+            # the string's |n + 1| terms, down from mu or up from mu + alpha_i, one add a step
+            step, key, sign = (operator.sub, mu, c) if n >= 0 else (operator.add, vec_add(mu, alpha), -c)
+            out[key] = out.get(key, 0) + sign
+            for _ in range(abs(n + 1) - 1):
+                key = tuple(map(step, key, alpha))
                 out[key] = out.get(key, 0) + sign
         poly = {mu: c for mu, c in out.items() if c}
     return GradedCharacter({(mu, 0): c for mu, c in poly.items()})

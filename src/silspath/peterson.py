@@ -394,23 +394,24 @@ class ParabolicQuotient:
         """(nu', p, u, quantum) for the edges of QB(W^J) with d | p out of (step 1) or into (step -1)
         w in W^J at nu = w lambda, one per u in `_outside` (its entries with d | p are kept per d in
         `_qb_levels`) that passes the length test: v = floor(w r_u) has v lambda = nu' = nu - p w(u)
-        and length l(v) = #{alpha in Delta^+ : <alpha^vee, nu'> < 0}, kept per nu' (the orbit search
-        records it too); w -> v is an edge if l(v) - l(w) is 1 (Bruhat) or 1 - c_u (quantum, of
-        coweight u^vee), v -> w one if it is -1 or c_u - 1.  No orbit is built: w is read off the
-        points that the orbit search, `coset_state` or `coset_covers` named.  Kept per (nu, step, d)."""
+        and length l(v) = #{alpha in Delta^+ : <alpha^vee, nu'> < 0}, kept per nu' as l(w) is per nu (the
+        orbit search records them too); w -> v is an edge if l(v) - l(w) is 1 (Bruhat) or 1 - c_u (quantum,
+        of coweight u^vee), v -> w one if it is -1 or c_u - 1.  No orbit is built: w is read off the points
+        that the orbit search, `coset_state` or `coset_covers` named.  Kept per (nu, step, d)."""
         row = self._row_cache.get((nu, step, d))
         if row is None:
             w, lengths, out = self._named[nu], self._lengths, []
             coroots = self.datum.root_table.coroots[: len(self.datum.pos_roots)]
+            if (base := lengths.get(nu)) is None:  # a point that only `coset_state` named
+                base = lengths[nu] = sum(sum(map(operator.mul, c, nu)) < 0 for c in coroots)
             roots = self._qb_levels.get(d)
             if roots is None:
                 roots = self._qb_levels[d] = tuple(r for r in self._qb_roots if r[2] % d == 0)
             for k, u, p, c_u, shift in roots:
                 nu2 = tuple(map(operator.sub, nu, shift[w.perm[k]]))
-                length = lengths.get(nu2)
-                if length is None:
+                if (length := lengths.get(nu2)) is None:
                     length = lengths[nu2] = sum(sum(map(operator.mul, c, nu2)) < 0 for c in coroots)
-                gap = length - w.length
+                gap = length - base
                 if gap == step or gap == step * (1 - c_u):
                     out.append((nu2, p, u, gap != step))
             row = self._row_cache[nu, step, d] = tuple(out)

@@ -345,36 +345,32 @@ class SiLSCrystal:
         directions from kappa up as coset states (see the module docstring), its inner cuts
         from the right in ticks over N, and its weight, carried along the walk."""
         assert depth >= 0
-        n, limit = self.n, depth * self.n  # sums, cuts: ticks over N
+        n, levels, limit = self.n, self.levels, depth * self.n  # sums, cuts: ticks over N
         upward = functools.cache(functools.partial(self.quotient.si_above, budget=budget))
 
         # every direction pairs at least as high as kappa, so p(kappa) <= depth
-        start = self.quotient.coset_state(x)
-        # depth-first over (chain, cuts_desc, settled, settled_fw), children pushed in reverse
-        # so they pop in order; no recursive closure keeps `self` alive in a reference cycle
-        count, zero = 0, (0,) * self.datum.rank
-        stack = [((z,), (), 0, zero) for z in reversed((start,) + upward(start, 1, depth))]
+        start, count, zero = self.quotient.coset_state(x), 0, (0,) * self.datum.rank
+        # depth-first over (chain, cuts_desc, k, settled, settled_fw), k the index of the right
+        # cut in levels (len(levels) for 1); a stack, so no recursive closure keeps `self` alive
+        stack = [((z,), (), len(levels), 0, zero) for z in reversed((start,) + upward(start, 1, depth))]
         while stack:
-            chain, cuts_desc, settled, settled_fw = stack.pop()
-            fw_top, _xi, p_top = chain[-1]
+            chain, cuts_desc, k, settled, settled_fw = stack.pop()
+            fw_top, _xi, p_top = top = chain[-1]
             right = cuts_desc[-1] if cuts_desc else n
-            # closing now puts the top direction on [0, right]
-            if (total := settled + right * p_top) <= limit:
-                count += 1
-                if count > budget:
-                    raise BudgetExceeded("path enumeration exceeded budget")
-                fw = tuple((s + right * f) // n for s, f in zip(settled_fw, fw_top))
-                yield chain, cuts_desc, fw, -total // n
-            children = []
-            for a, d in self.levels:
-                if a >= right:
-                    continue
+            # closing now puts the top direction on [0, right]; a cut at a caps the directions above
+            # at p_top + (limit - total) / a, and they pair as high as the top, so no child closes either
+            if (total := settled + right * p_top) > limit:
+                continue
+            if (count := count + 1) > budget:
+                raise BudgetExceeded("path enumeration exceeded budget")
+            fw = tuple([(s + right * f) // n for s, f in zip(settled_fw, fw_top)])
+            yield chain, cuts_desc, fw, -total // n
+            # the children cut at levels[k - 1] down to levels[0], pushed from the highest cut and
+            # each search's last state so they pop from the lowest cut, in search order
+            for i in range(k - 1, -1, -1):
+                a, d = levels[i]
                 new_settled = settled + (right - a) * p_top
-                cap = (limit - new_settled) // a
-                # every remaining direction pairs at least as high as the top
-                if cap < p_top:
-                    continue
-                new_fw = tuple(s + (right - a) * f for s, f in zip(settled_fw, fw_top))
-                for y in upward(chain[-1], d, cap):
-                    children.append((chain + (y,), cuts_desc + (a,), new_settled, new_fw))
-            stack.extend(reversed(children))
+                if ys := upward(top, d, (limit - new_settled) // a):
+                    new_fw = tuple([s + (right - a) * f for s, f in zip(settled_fw, fw_top)])
+                    cuts = cuts_desc + (a,)
+                    stack.extend([(chain + (y,), cuts, i, new_settled, new_fw) for y in reversed(ys)])

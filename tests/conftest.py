@@ -44,6 +44,18 @@ def c2():
     return build("C", 2)
 
 
+# the grch1 cases of the benchmark's verify workload, with their depths
+GRCH1_CASES = [
+    (("A", 1), (4,), 8),
+    (("C", 2), (1, 1), 3),
+    (("A", 3), (1, 0, 1), 3),
+    (("G", 2), (0, 1), 5),
+    (("A", 2), (2, 1), 5),
+    (("B", 2), (1, 1), 4),
+    (("B", 3), (0, 1, 0), 3),
+]
+
+
 ORDER_CASES = [
     (("A", 1), (1,)),
     (("A", 1), (2,)),

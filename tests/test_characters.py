@@ -25,7 +25,7 @@ from silspath.cartan import build
 from silspath.characters import GradedCharacter
 from silspath.peterson import TABLE_BUDGET, ParabolicQuotient
 from silspath.qls import QLSCrystal
-from silspath.weyl import bruhat_leq, finite_from_word, simple_reflection
+from silspath.weyl import affine_identity, bruhat_leq, finite_from_word, simple_reflection
 
 TEST_WEIGHTS = [
     (("A", 1), (1,)),
@@ -397,6 +397,8 @@ CLOSED_FORM_SWEEP = [
     (("A", 3), (1, 1, 0), 2),
     (("E", 7), (0, 0, 0, 0, 0, 0, 1), 1),
     (("E", 8), (0, 0, 0, 0, 0, 0, 0, 1), 1),
+    (("F", 4), (1, 0, 0, 0), 2),
+    (("F", 4), (0, 0, 1, 0), 1),
 ]
 
 
@@ -409,7 +411,8 @@ def test_closed_form_matches_brute_force_sweep(fam, lam, depth):
 
 
 # the seven grch1 cases of the verify benchmark, three more families,
-# lambda = 0, where N = 1 and the cut grid is empty, and E7 and E8
+# lambda = 0, where N = 1 and the cut grid is empty, E7, E8, and F4, whose
+# varpi_3 has three cut levels
 BRUTE_FORCE_ORACLE_CASES = [
     (("A", 1), (4,), 8),
     (("C", 2), (1, 1), 3),
@@ -424,6 +427,8 @@ BRUTE_FORCE_ORACLE_CASES = [
     (("A", 2), (0, 0), 3),
     (("E", 7), (0, 0, 0, 0, 0, 0, 1), 1),
     (("E", 8), (0, 0, 0, 0, 0, 0, 0, 1), 1),
+    (("F", 4), (1, 0, 0, 0), 2),
+    (("F", 4), (0, 0, 1, 0), 1),
 ]
 
 
@@ -524,6 +529,27 @@ def test_level_rows_are_full_rows_filtered(fam, lam):
     for nu, step, d in itertools.product(quotient.orbit, (1, -1), dens):
         assert quotient.qb_row(nu, d, step) == tuple(e for e in full.qb_row(nu, 1, step) if e[1] % d == 0)
     assert all(d in dens for _nu, _step, d in quotient._row_cache)
+
+
+@pytest.mark.parametrize("fam,lam", DEGREE_SUM_WEIGHTS)
+def test_row_lengths_are_element_lengths(fam, lam):
+    # the lengths qb_row reads off its map: lambda's, counted when only coset_state
+    # named it, and every point's that the coset rows reach before the orbit search
+    # runs (QB(W^J) is strongly connected), each the length of its w in W^J
+    datum = build(*fam)
+    quotient = ParabolicQuotient.for_weight(datum, lam)
+    start = quotient.coset_state(affine_identity(datum))[0]
+    quotient.qb_row(start, 1, 1)
+    assert quotient._lengths[start] == 0
+    seen, frontier = {start}, [start]
+    while frontier:
+        for _v, nu, _c, _p in quotient.coset_covers(frontier.pop(), 1):
+            if nu not in seen:
+                seen.add(nu)
+                frontier.append(nu)
+    lengths = dict(quotient._lengths)
+    assert seen == quotient.orbit.keys()
+    assert all(lengths[nu] == w.length for nu, w in quotient.orbit.items())
 
 
 def test_macdonald_builds_only_the_rows_of_its_levels():

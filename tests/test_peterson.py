@@ -20,6 +20,7 @@ from silspath.weyl import (
 )
 
 from conftest import (
+    GRCH1_CASES,
     ORDER_CASES,
     coset_state,
     cover_candidates,
@@ -274,18 +275,6 @@ def test_scanned_labels_depend_only_on_the_finite_direction(fam, lam):
         for step in (1, -1):
             labels = [beta for beta, _ in covers_by_scan(quotient, x, None, step)]
             assert labels == [beta for beta, _ in covers_by_scan(quotient, lift, None, step)]
-
-
-# the grch1 cases of the benchmark's verify workload, with their depths
-GRCH1_CASES = [
-    (("A", 1), (4,), 8),
-    (("C", 2), (1, 1), 3),
-    (("A", 3), (1, 0, 1), 3),
-    (("G", 2), (0, 1), 5),
-    (("A", 2), (2, 1), 5),
-    (("B", 2), (1, 1), 4),
-    (("B", 3), (0, 1, 0), 3),
-]
 
 
 def assert_coset_covers_match_scan(quotient, fresh, x, state, a):

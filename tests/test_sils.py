@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import (
+    GRCH1_CASES,
     brute_force_by_paths,
     canonicalize,
     component_base_by_operators,
@@ -667,6 +668,36 @@ def test_capped_search_reach_is_pinned(monkeypatch):
     c = SiLSCrystal(build("B", 2), (1, 1))
     assert len(c.enumerate_demazure(affine_identity(c.datum), 4)) == 280
     assert 0 < len(read) <= 400
+
+
+def test_walk_searches_are_pinned(monkeypatch):
+    # the walk runs each capped search once, and only for a node that closes
+    # within the depth: a rewrite that adds searches moves the count
+    calls, si_above = [], ParabolicQuotient.si_above
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return si_above(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParabolicQuotient, "si_above", counting)
+    c = SiLSCrystal(build("B", 2), (1, 1))
+    assert sum(1 for _ in c._demazure_walk(affine_identity(c.datum), 4, 500_000)) == 280
+    assert len(calls) == len(set(calls)) == 341
+
+
+@pytest.mark.parametrize("fam,lam,depth", GRCH1_CASES)
+def test_walk_stays_in_depth_and_cuts_below_the_parent(fam, lam, depth):
+    # every yielded path costs at most the depth, from e and from a base that costs
+    # more than the depth by itself, and each child cuts strictly below the right
+    # cut of its parent, the path one direction shorter
+    c = crystal(fam, lam)
+    high = c.quotient.project(translation(c.datum, (depth + 1,) * c.datum.rank))
+    walk = [path for x in (affine_identity(c.datum), high) for path in c._demazure_walk(x, depth, 500_000)]
+    assert any(cuts_desc for _chain, cuts_desc, _fw, _delta in walk)
+    for chain, cuts_desc, _fw, delta in walk:
+        assert -delta <= depth
+        assert len(cuts_desc) == len(chain) - 1
+        assert all(0 < a < right for a, right in zip(cuts_desc, (c.n,) + cuts_desc)), cuts_desc
 
 
 def test_enumeration_at_translated_base(a2):
