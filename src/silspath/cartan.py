@@ -249,6 +249,11 @@ class CartanDatum:
         """rho in fundamental-weight coordinates: the all-ones vector."""
         return (1,) * self.rank
 
+    @functools.cached_property
+    def simple_fws(self) -> tuple[Vec, ...]:
+        """fw(alpha_i) at index i - 1, the Cartan matrix's column i: r_i mu = mu - mu_i fw(alpha_i)."""
+        return tuple(zip(*self.cartan))
+
     def simple_root(self, i: int) -> Vec:
         """Root coordinates of alpha_i for a finite node label i in 1..n."""
         return tuple(1 if k == i - 1 else 0 for k in range(self.rank))

@@ -3,13 +3,14 @@
 A graded character is a finite integer combination of terms x^mu q^k with
 mu recorded in fundamental-weight coordinates.  No QLS route lists a path: the
 degree-weighted QLS sum adds up `QLSCrystal.final_sums`, the quotient characters
-add it over a Bruhat interval of W^J (the plus ones that of the `dual` shape), and
-the closed-form Demazure characters multiply the sum by the expanded inverse product
-over the columns of lambda.  The brute-force route walks the semi-infinite LS paths
-with kappa >= e down to the depth instead and counts the weights that the walk
-carries, again without listing a path.  Demazure's character formula supplies an
-independent q=0 oracle without enumerating the Weyl group.  Every route reads one
-crystal per shape (and its dual), `_qls`, kept until another lambda is asked for.
+add it over a Bruhat up-set of W^J, one sum kept per orbit point on the crystal
+(the plus ones read the `dual` shape's), and the closed-form Demazure characters
+multiply the sum by the expanded inverse product over the columns of lambda.  The
+brute-force route walks the semi-infinite LS paths with kappa >= e down to the
+depth instead and counts the weights that the walk carries, again without listing
+a path.  Demazure's character formula supplies an independent q=0 oracle without
+enumerating the Weyl group.  Every route reads one crystal per shape (and its
+dual), `_qls`, kept until another lambda is asked for.
 """
 
 from __future__ import annotations
@@ -178,17 +179,14 @@ def _checked_crystal(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> QLSCryst
 
 
 def _interval_sum(crystal: QLSCrystal, mu: Vec) -> Counter:
-    """Sum `final_sums` over v >= w, for the w in W^J with w lambda = mu: a search of
-    the Bruhat edges of QB(W^J), by orbit point."""
-    quotient, sums = crystal.sils.quotient, crystal.final_sums
-    total, seen, frontier = Counter(), {mu}, [mu]
-    while frontier:
-        nu = frontier.pop()
-        total.update(sums[nu])
-        for nu2, _p, _u, quantum in quotient.qb_row(nu, 1, 1):
-            if not quantum and nu2 not in seen:
-                seen.add(nu2)
-                frontier.append(nu2)
+    """Sum `final_sums` over v >= w, for the w in W^J with w lambda = mu: over the up-set
+    `ParabolicQuotient.bruhat_above`, kept per mu in the crystal's `interval_sums`."""
+    total = crystal.interval_sums.get(mu)
+    if total is None:
+        sums, total = crystal.final_sums, Counter()
+        for nu in crystal.sils.quotient.bruhat_above(mu):
+            total.update(sums[nu])
+        crystal.interval_sums[mu] = total
     return total
 
 
@@ -215,10 +213,9 @@ def weyl_character(datum: CartanDatum, lam: Vec) -> GradedCharacter:
     if n >= 0, 0 if n = -1, and -(e^(mu + alpha_i) + ... + e^(r_i mu - alpha_i))
     if n <= -2.  The operators run along a reduced word of w0.
     """
-    alphas = [datum.root_to_fw(datum.simple_root(i)) for i in range(1, datum.rank + 1)]
     poly = {tuple(lam): 1}
     for i in longest_element(datum).reduced_word():
-        alpha = alphas[i - 1]
+        alpha = datum.simple_fws[i - 1]
         out: dict[Vec, int] = {}
         for mu, c in poly.items():
             if (n := mu[i - 1]) == -1:
@@ -234,10 +231,11 @@ def weyl_character(datum: CartanDatum, lam: Vec) -> GradedCharacter:
 
 
 def minus_quotient_reps(datum: CartanDatum, lam: Vec) -> tuple[FiniteWeylElt, ...]:
-    """All minimal coset representatives for the stabilizer of lambda, read off
-    the orbit search `ParabolicQuotient.orbit`; sorted by (length, sort_key)."""
-    orbit = _qls(datum, tuple(lam)).sils.quotient.orbit
-    return tuple(sorted(orbit.values(), key=lambda w: (w.length, w.sort_key)))
+    """All minimal coset representatives for the stabilizer of lambda, read off the orbit
+    search `ParabolicQuotient.orbit`; sorted by (length, sort_key), lengths as it recorded them."""
+    quotient = _qls(datum, tuple(lam)).sils.quotient
+    by_length = sorted(quotient.orbit.items(), key=lambda p: (quotient._lengths[p[0]], p[1].sort_key))
+    return tuple(w for _nu, w in by_length)
 
 
 def floor_w0(datum: CartanDatum, lam: Vec) -> FiniteWeylElt:

@@ -20,6 +20,7 @@ per (w lambda, step, d), built from the roots whose p d divides.  One map w lamb
 names the points, and x = w z_xi t_xi and its state are kept per x.  Reach is searched
 once, on states: `si_above`, capped by <xi, lambda>, which never falls along a cover,
 serves the Demazure walk (kept per walk) and the order (per (coset_state(x), d, p(y))).
+Bruhat up-sets in W^J (`bruhat_above`, per w lambda) read no row: simple reflections lift them.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ class ParabolicQuotient:
     _reach_cache: dict = field(default_factory=dict, repr=False)
     _coset_cache: dict = field(default_factory=dict, repr=False)
     _named: dict = field(default_factory=dict, repr=False)
+    _up_cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def for_weight(cls, datum: CartanDatum, lam: Vec) -> "ParabolicQuotient":
@@ -355,8 +357,7 @@ class ParabolicQuotient:
         """w lambda -> w over W^J, by a search of W lambda that steps from w to r_i w if (w lambda)_i > 0
         (one longer, still in W^J; all of W^J is reached, W is never built), recording lengths; stops
         past TABLE_BUDGET points.  It completes the map that `coset_state` and the coset rows name into."""
-        datum, lam, lengths = self.datum, self.lam, self._lengths
-        alphas = [datum.root_to_fw(datum.simple_root(i)) for i in range(1, datum.rank + 1)]
+        datum, lam, lengths, alphas = self.datum, self.lam, self._lengths, self.datum.simple_fws
         reps, frontier = {lam: finite_identity(datum)}, [lam]
         lengths[lam] = 0
         while frontier:
@@ -372,6 +373,22 @@ class ParabolicQuotient:
                 raise BudgetExceeded("orbit W lambda exceeded the QLS table budget")
         self._named.update(reps)  # a point named before is in reps, over the same w
         return self._named
+
+    def bruhat_above(self, nu: Vec) -> frozenset[Vec]:
+        """The points v lambda of {v in W^J : v >= w} for w lambda = nu, by the lifting property
+        (Deodhar; Bjorner-Brenti 2.2, 2.5): if nu_i > 0, r_i w > w is in W^J and up(nu) =
+        up(r_i nu) | r_i up(r_i nu), r_i mu = mu - mu_i alpha_i on points, down from {nu} at the
+        antidominant point, the top of W^J.  No element, row or length; kept per point of the chain."""
+        alphas, cache, chain = self.datum.simple_fws, self._up_cache, []
+        while (up := cache.get(nu)) is None and (n := max(nu)) > 0:
+            chain.append((nu, i := nu.index(n)))
+            nu = tuple(m - n * a for m, a in zip(nu, alphas[i]))
+        if up is None:  # nu is antidominant: w is the top of W^J
+            up = cache[nu] = frozenset((nu,))
+        for nu, i in reversed(chain):  # r_i u > u >= r_i w is already in up where (u lambda)_i > 0
+            images = [tuple(m - mu[i] * a for m, a in zip(mu, alphas[i])) for mu in up if mu[i] < 0]
+            up = cache[nu] = up.union(images)
+        return up
 
     @functools.cached_property
     def _qb_roots(self) -> tuple[tuple[int, Vec, int, int, tuple[Vec, ...]], ...]:

@@ -73,6 +73,7 @@ class QLSCrystal:
         self.datum = datum
         self.lam = tuple(lam)
         self.sils = SiLSCrystal(datum, self.lam)
+        self.interval_sums: dict = {}  # w lambda -> `final_sums` added over v >= w (the quotient characters)
 
     def cl(self, eta: SiLSPath) -> QLSPath:
         """Project directions to W^J and merge equal neighbours."""

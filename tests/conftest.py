@@ -332,6 +332,20 @@ def quotient_characters_by_rows(q, w):
     return GradedCharacter(minus), GradedCharacter(plus)
 
 
+def bruhat_above_by_rows(quotient, nu):
+    """The points v lambda over v >= w in W^J, for w lambda = nu, by a search along the
+    Bruhat (non-quantum) edges of the full QB(W^J) rows `qb_row(., 1, 1)`: the oracle
+    for `ParabolicQuotient.bruhat_above`, which lifts by simple reflections instead."""
+    quotient.orbit  # names every point that the rows reach
+    seen, frontier = {nu}, [nu]
+    while frontier:
+        for nu2, _p, _u, quantum in quotient.qb_row(frontier.pop(), 1, 1):
+            if not quantum and nu2 not in seen:
+                seen.add(nu2)
+                frontier.append(nu2)
+    return seen
+
+
 def is_rep_critical(quotient, x):
     """Peterson membership by the critical roots: x(u) and x(-u + delta) positive
     for every u in Delta_J^+."""

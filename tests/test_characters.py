@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 from conftest import (
+    bruhat_above_by_rows,
     brute_force_by_paths,
     deg_iota,
     initial_sums_by_sweep,
@@ -323,19 +324,24 @@ def test_every_route_reads_one_quotient_per_shape(a2, monkeypatch):
 def test_character_memo_keeps_only_the_current_shape(a2):
     # asking for another lambda frees the previous crystal with its quotient and the
     # dual that the plus characters read, by reference counts alone: no cycle holds
-    # them, for a self-dual lambda (1,1) as for (1,0), whose dual is (0,1)
+    # them, for a self-dual lambda (1,1) as for (1,0), whose dual is (0,1); the
+    # quotient characters fill both shapes' interval sums and up-sets, freed with them
     enabled = gc_module.isenabled()
     gc_module.disable()
     try:
         for lam in [(1, 1), (1, 0)]:
             for w in ch.minus_quotient_reps(a2, lam):
+                ch.gch_quotient_minus(a2, lam, w)
                 ch.gch_quotient_plus(a2, lam, w)
             ch.macdonald_t0(a2, lam)
             crystal = ch._qls(a2, lam)
+            shapes = (crystal, crystal.dual)
+            assert all(c.interval_sums and c.sils.quotient._up_cache for c in shapes), lam
             refs = [weakref.ref(crystal), weakref.ref(crystal.dual), weakref.ref(crystal.sils.quotient)]
-            del crystal
+            refs += [weakref.ref(crystal.dual.sils.quotient), weakref.ref(next(iter(crystal.interval_sums.values())))]
+            del crystal, shapes
             ch.macdonald_t0(a2, (2, 2))
-            assert [ref() for ref in refs] == [None, None, None], lam
+            assert [ref() for ref in refs] == [None] * 5, lam
     finally:
         if enabled:
             gc_module.enable()
@@ -550,6 +556,58 @@ def test_row_lengths_are_element_lengths(fam, lam):
     lengths = dict(quotient._lengths)
     assert seen == quotient.orbit.keys()
     assert all(lengths[nu] == w.length for nu, w in quotient.orbit.items())
+
+
+@pytest.mark.parametrize(
+    "fam,lam",
+    sorted(
+        set(DEGREE_SUM_WEIGHTS)
+        | {
+            (("E", 6), (1, 0, 0, 0, 0, 1)),
+            (("E", 7), (1, 0, 0, 0, 0, 0, 0)),
+            (("E", 8), (0, 0, 0, 0, 0, 0, 0, 1)),
+        }
+    ),
+)
+def test_bruhat_above_matches_the_row_search(fam, lam):
+    # the up-set that the lifting property builds from simple reflections is the
+    # one that a search along the Bruhat edges of the full QB(W^J) rows finds, at
+    # every orbit point; the search runs on a quotient of its own
+    datum = build(*fam)
+    lifted, searched = (ParabolicQuotient.for_weight(datum, lam) for _ in range(2))
+    for nu in searched.orbit:
+        assert lifted.bruhat_above(nu) == bruhat_above_by_rows(searched, nu), nu
+    assert lifted._up_cache.keys() == searched.orbit.keys() and not lifted._row_cache
+
+
+@pytest.mark.parametrize("fam,lam", DEGREE_SUM_WEIGHTS)
+def test_minus_quotient_reps_sort_by_element_length(fam, lam):
+    # sorted by the lengths that the orbit search recorded, the representatives
+    # come in the order of FiniteWeylElt.length, ties broken by sort_key
+    datum = build(*fam)
+    reps = ch.minus_quotient_reps(datum, lam)
+    assert reps == tuple(sorted(reps, key=lambda w: (w.length, w.sort_key)))
+
+
+def test_quotient_characters_build_only_the_rows_of_their_levels():
+    # the up-sets read no QB(W^J) row, so after every quotient character the rows
+    # are the sweep's, one set per level denominator d, and none at d = 1; on these
+    # self-dual shapes the plus character at w reads the minus sum at -w lambda, so
+    # the 2 |W^J| characters keep one interval sum per orbit point
+    kept = {}
+    for fam, lam in ((("B", 3), (0, 1, 0)), (("G", 2), (1, 1))):
+        datum = build(*fam)
+        ch._qls.cache_clear()
+        reps = ch.minus_quotient_reps(datum, lam)
+        for w in reps:
+            assert ch.gch_quotient_minus(datum, lam, w) and ch.gch_quotient_plus(datum, lam, w)
+        crystal = ch._qls(datum, lam)
+        dens = {d for _a, d in crystal.sils.levels}
+        assert 1 not in dens and {d for _nu, _step, d in crystal.sils.quotient._row_cache} == dens, fam
+        assert crystal.dual is crystal
+        kept[fam] = (len(reps), len(crystal.interval_sums))
+    ch._qls.cache_clear()
+    assert kept == {("B", 3): (12, 12), ("G", 2): (12, 12)}
 
 
 def test_macdonald_builds_only_the_rows_of_its_levels():
