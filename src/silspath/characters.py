@@ -58,11 +58,16 @@ class GradedCharacter:
         return GradedCharacter(out)
 
     def __mul__(self, other: "GradedCharacter") -> "GradedCharacter":
+        by_weight: dict[Vec, list[tuple[int, int]]] = {}  # one vec_add per pair of weights
+        for (fw2, q2), c2 in other.terms.items():
+            by_weight.setdefault(fw2, []).append((q2, c2))
         out: dict[Term, int] = {}
         for (fw1, q1), c1 in self.terms.items():
-            for (fw2, q2), c2 in other.terms.items():
-                key = (vec_add(fw1, fw2), q1 + q2)
-                out[key] = out.get(key, 0) + c1 * c2
+            for fw2, qcs in by_weight.items():
+                fw = vec_add(fw1, fw2)
+                for q2, c2 in qcs:
+                    key = (fw, q1 + q2)
+                    out[key] = out.get(key, 0) + c1 * c2
         return GradedCharacter(out)
 
     def invert_q(self) -> "GradedCharacter":
@@ -87,10 +92,10 @@ class GradedCharacter:
         return sum(self.terms.values())
 
     def sorted_terms(self) -> tuple[tuple[Vec, int, int], ...]:
-        return tuple(
-            (fw, q, self.terms[(fw, q)])
-            for fw, q in sorted(self.terms, key=lambda t: (-t[1], t[0]))
-        )
+        """(fw, q, c) by q descending, then fw: a stable sort by q over the rows sorted by fw."""
+        rows = sorted([(fw, q, c) for (fw, q), c in self.terms.items()])
+        rows.sort(key=operator.itemgetter(1), reverse=True)
+        return tuple(rows)
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -112,25 +112,29 @@ class QLSCrystal:
     @functools.cached_property
     def final_sums(self) -> dict[Vec, dict[tuple[Vec, int], int]]:
         """w lambda -> the sum of x^weight q^deg_kappa over the rows with final direction w.
-        Swept up the cuts a, sums[w lambda] holds the rows with every cut below a; at a it
-        gains, with last cut a, the rows of each y != w that w reaches at a's level.
-        A term stands for one row at least."""
+        Swept up the cuts a, sums[w lambda] holds the rows with every cut below a; at a it gains,
+        with last cut a, the rows of each y != w that w reaches at a's level.  Only the points
+        with an edge there move (listed per level denominator d with their targets), and only
+        the sums they read are copied.  A term stands for one row at least."""
         quotient, n = self.sils.quotient, self.sils.n
         sums = {mu: {(mu, 0): 1} for mu in quotient.orbit}
-        size = len(sums)
+        size, moves = len(sums), {}  # d -> (mu, its sum, its targets (nu, wt_lambda) != mu) if mu has an edge
         for a, d in self.sils.levels:
-            before = {mu: tuple(s.items()) for mu, s in sums.items()}
-            for mu, acc in sums.items():
-                for nu, (wt, _xi) in quotient.qb_reach(mu, d).items():
-                    if nu != mu:
-                        held, dq = len(acc), -a * wt // n  # see the module docstring
-                        step = tuple((n - a) * (m - v) // n for m, v in zip(mu, nu))
-                        for (fw, q), c in before[nu]:
-                            key = (tuple(map(operator.add, fw, step)), q + dq)
-                            acc[key] = acc.get(key, 0) + c
-                        size += len(acc) - held
-                        if size > TABLE_BUDGET:
-                            raise BudgetExceeded("transfer matrix exceeded the QLS table budget")
+            if d not in moves:
+                reach = quotient.qb_reach
+                moves[d] = [(mu, acc, [(nu, wt) for nu, (wt, _xi) in reach(mu, d).items() if nu != mu])
+                            for mu, acc in sums.items() if quotient.qb_row(mu, d, 1)]
+            before = {nu: tuple(sums[nu].items()) for _mu, _acc, targets in moves[d] for nu, _wt in targets}
+            for mu, acc, targets in moves[d]:
+                for nu, wt in targets:
+                    held, dq = len(acc), -a * wt // n  # see the module docstring
+                    step = tuple((n - a) * (m - v) // n for m, v in zip(mu, nu))
+                    for (fw, q), c in before[nu]:
+                        key = (tuple(map(operator.add, fw, step)), q + dq)
+                        acc[key] = acc.get(key, 0) + c
+                    size += len(acc) - held
+                    if size > TABLE_BUDGET:
+                        raise BudgetExceeded("transfer matrix exceeded the QLS table budget")
         return sums
 
     def paths(self) -> tuple[QLSPath, ...]:

@@ -26,7 +26,9 @@ p = <xi, lambda>.  Its weight is w lambda - p delta, its covers come off the row
 of w (`ParabolicQuotient.coset_covers`), and `ParabolicQuotient.state_rep`
 rebuilds x, once per state of a listed path; the output is sorted, not the walk.
 The states above one within the remaining degree are `ParabolicQuotient.si_above`,
-kept per walk: the one reach search, which the semi-infinite order reads too.
+kept per walk: the one reach search, which the semi-infinite order reads too.  A node
+takes children only at the levels where its top has a cover (`ParabolicQuotient.qb_row`
+of its orbit point is not empty, listed per point and walk); most rows at d >= 2 are empty.
 """
 
 from __future__ import annotations
@@ -343,10 +345,18 @@ class SiLSCrystal:
     def _demazure_walk(self, x: AffineWeylElt, depth: int, budget: int):
         """Yield (chain, cuts_desc, fw, delta) for every path of `enumerate_demazure`: its
         directions from kappa up as coset states (see the module docstring), its inner cuts
-        from the right in ticks over N, and its weight, carried along the walk."""
+        from the right in ticks over N, and its weight, carried along the walk.  Children come
+        only from the levels below the node's cut where the top has a cover."""
         assert depth >= 0
         n, levels, limit = self.n, self.levels, depth * self.n  # sums, cuts: ticks over N
         upward = functools.cache(functools.partial(self.quotient.si_above, budget=budget))
+        @functools.cache
+        def live(nu):
+            """live(nu)[k]: the level indices below k, highest first, where nu's row is not empty."""
+            below = [()]
+            for i, (_a, d) in enumerate(levels):
+                below.append((i,) + below[-1] if self.quotient.qb_row(nu, d, 1) else below[-1])
+            return below
 
         # every direction pairs at least as high as kappa, so p(kappa) <= depth
         start, count, zero = self.quotient.coset_state(x), 0, (0,) * self.datum.rank
@@ -365,9 +375,9 @@ class SiLSCrystal:
                 raise BudgetExceeded("path enumeration exceeded budget")
             fw = tuple([(s + right * f) // n for s, f in zip(settled_fw, fw_top)])
             yield chain, cuts_desc, fw, -total // n
-            # the children cut at levels[k - 1] down to levels[0], pushed from the highest cut and
+            # the children cut at the live levels below levels[k], pushed from the highest cut and
             # each search's last state so they pop from the lowest cut, in search order
-            for i in range(k - 1, -1, -1):
+            for i in live(fw_top)[k] if k else ():
                 a, d = levels[i]
                 new_settled = settled + (right - a) * p_top
                 if ys := upward(top, d, (limit - new_settled) // a):

@@ -294,6 +294,24 @@ def table_degree_sum(q):
     return GradedCharacter(Counter((rec.weight, rec.deg_kappa) for rec in rows))
 
 
+def final_sums_dense(q):
+    """`QLSCrystal.final_sums` by the dense sweep: at each cut every orbit point snapshots
+    its sum and searches its reach, whether or not its row at the cut's level is empty.
+    The oracle, key order included, for the sweep that moves only the points with an edge."""
+    quotient, n = q.sils.quotient, q.sils.n
+    sums = {mu: {(mu, 0): 1} for mu in quotient.orbit}
+    for a, d in q.sils.levels:
+        before = {mu: tuple(s.items()) for mu, s in sums.items()}
+        for mu, acc in sums.items():
+            for nu, (wt, _xi) in quotient.qb_reach(mu, d).items():
+                if nu != mu:
+                    step = tuple((n - a) * (m - v) // n for m, v in zip(mu, nu))
+                    for (fw, deg), c in before[nu]:
+                        key = (vec_add(fw, step), deg - a * wt // n)
+                        acc[key] = acc.get(key, 0) + c
+    return sums
+
+
 def deg_iota(q, psi):
     """The delta coefficient of the weight of `eta_iota(psi)`, read off the lift."""
     return q.sils.weight(q.eta_iota(psi)).delta

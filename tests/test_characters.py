@@ -5,10 +5,13 @@ import weakref
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     bruhat_above_by_rows,
     brute_force_by_paths,
     deg_iota,
+    final_sums_dense,
     initial_sums_by_sweep,
     kostka_foulkes,
     multipartitions,
@@ -388,6 +391,32 @@ def test_character_ring_ops(a1):
     assert (x + y).truncate(q_min=-1) == x
 
 
+random_characters = st.dictionaries(
+    st.tuples(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(-2, 2)),
+    st.integers(-3, 3).filter(bool),
+    max_size=12,
+).map(GradedCharacter)
+
+
+@settings(max_examples=80, deadline=None)
+@given(chi=random_characters)
+def test_sorted_terms_match_the_q_then_weight_key(chi):
+    # the two stable sorts order the terms as one sort by (-q, fw); few q-degrees, so ties
+    old = tuple((fw, q, chi.terms[fw, q]) for fw, q in sorted(chi.terms, key=lambda t: (-t[1], t[0])))
+    assert chi.sorted_terms() == old
+
+
+@settings(max_examples=80, deadline=None)
+@given(left=random_characters, right=random_characters)
+def test_product_matches_the_termwise_product(left, right):
+    # grouping the right factor's terms by weight changes no coefficient
+    out = Counter()
+    for (fw1, q1), c1 in left.terms.items():
+        for (fw2, q2), c2 in right.terms.items():
+            out[tuple(a + b for a, b in zip(fw1, fw2)), q1 + q2] += c1 * c2
+    assert left * right == GradedCharacter(out)
+
+
 # -- exact sweep: closed form vs brute force, q = 0 slice vs Weyl character ----------
 
 CLOSED_FORM_SWEEP = [
@@ -509,6 +538,40 @@ def assert_degree_sums_match_rows(datum, lam):
 @pytest.mark.parametrize("fam,lam", DEGREE_SUM_WEIGHTS)
 def test_degree_sum_matches_table_rows(fam, lam):
     assert_degree_sums_match_rows(build(*fam), lam)
+
+
+# the weights of the benchmark's macdonald workload
+MACDONALD_BENCH_WEIGHTS = [
+    (("B", 3), (1, 1, 0)),
+    (("A", 3), (1, 1, 1)),
+    (("C", 3), (1, 0, 1)),
+    (("G", 2), (1, 1)),
+    (("D", 4), (1, 0, 1, 0)),
+    (("F", 4), (1, 0, 0, 0)),
+    (("E", 6), (1, 0, 0, 0, 0, 0)),
+    (("C", 2), (2, 1)),
+]
+
+
+@pytest.mark.parametrize("fam,lam", sorted(set(DEGREE_SUM_WEIGHTS + MACDONALD_BENCH_WEIGHTS)))
+def test_final_sums_match_the_dense_sweep(fam, lam):
+    # moving only the points whose row at a cut's level is not empty makes the same
+    # additions in the same order: every sum is equal, in the same key order
+    datum = build(*fam)
+    sparse, dense = QLSCrystal(datum, lam).final_sums, final_sums_dense(QLSCrystal(datum, lam))
+    assert [(mu, list(s.items())) for mu, s in sparse.items()] == [
+        (mu, list(s.items())) for mu, s in dense.items()
+    ]
+
+
+def test_final_sums_reach_searches_are_pinned():
+    # one reach search per (point, level denominator) whose row is not empty: 28 on
+    # B3 (1,1,0), against 72 when every point searches at every denominator
+    q = QLSCrystal(build("B", 3), (1, 1, 0))
+    q.final_sums
+    assert len(q.sils.quotient._reach_cache) == 28
+    final_sums_dense(q)
+    assert len(q.sils.quotient._reach_cache) == 72
 
 
 @pytest.mark.parametrize("fam,lam", DEGREE_SUM_WEIGHTS)

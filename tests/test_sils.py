@@ -654,7 +654,8 @@ def test_pairing_never_falls_along_a_cover(fam, lam):
 
 def test_capped_search_reach_is_pinned(monkeypatch):
     # the (state, level denominator) pairs whose coset covers the walk's searches
-    # read: 380 here, as many as the (x, d) pairs of the walk on directions; the
+    # read: 298 here, 380 (as many as the (x, d) pairs of the walk on directions)
+    # when the walk also searched at levels where the top's row is empty; the
     # pool bound max_den * depth read covers at 998 directions, and a search
     # capped at depth * N instead of the remaining degree reads 405 pairs
     read, coset_covers = set(), ParabolicQuotient.coset_covers
@@ -671,8 +672,10 @@ def test_capped_search_reach_is_pinned(monkeypatch):
 
 
 def test_walk_searches_are_pinned(monkeypatch):
-    # the walk runs each capped search once, and only for a node that closes
-    # within the depth: a rewrite that adds searches moves the count
+    # the walk runs each capped search once, only for a node that closes within
+    # the depth, and only at a level where the top's QB(W^J) row is not empty
+    # (341 searches without that skip, 220 of them on an empty row): a rewrite
+    # that adds searches moves the count
     calls, si_above = [], ParabolicQuotient.si_above
 
     def counting(self, *args, **kwargs):
@@ -682,7 +685,7 @@ def test_walk_searches_are_pinned(monkeypatch):
     monkeypatch.setattr(ParabolicQuotient, "si_above", counting)
     c = SiLSCrystal(build("B", 2), (1, 1))
     assert sum(1 for _ in c._demazure_walk(affine_identity(c.datum), 4, 500_000)) == 280
-    assert len(calls) == len(set(calls)) == 341
+    assert len(calls) == len(set(calls)) == 121
 
 
 @pytest.mark.parametrize("fam,lam,depth", GRCH1_CASES)
@@ -698,6 +701,30 @@ def test_walk_stays_in_depth_and_cuts_below_the_parent(fam, lam, depth):
         assert -delta <= depth
         assert len(cuts_desc) == len(chain) - 1
         assert all(0 < a < right for a, right in zip(cuts_desc, (c.n,) + cuts_desc)), cuts_desc
+
+
+@pytest.mark.parametrize("fam,lam,depth", GRCH1_CASES)
+def test_walk_skips_only_levels_with_no_search_result(fam, lam, depth):
+    # at every node, from e and from a base that costs more than the depth, each level
+    # below the node's cut where the top's row is empty is one whose capped search
+    # finds nothing, and the enumeration still matches the pool oracle
+    c = crystal(fam, lam)
+    q, n, limit = c.quotient, c.n, depth * c.n
+    high = q.project(translation(c.datum, (depth + 1,) * c.datum.rank))
+    skipped = 0
+    for x in (affine_identity(c.datum), high):
+        for chain, cuts_desc, _fw, _delta in c._demazure_walk(x, depth, 500_000):
+            rights = (n,) + cuts_desc
+            settled = sum((rights[j] - cuts_desc[j]) * chain[j][2] for j in range(len(cuts_desc)))
+            top, right = chain[-1], rights[-1]
+            for a, d in c.levels:
+                if a < right and not q.qb_row(top[0], d, 1):
+                    cap = (limit - settled - (right - a) * top[2]) // a
+                    assert q.si_above(top, d, cap) == (), (chain, cuts_desc, a)
+                    skipped += 1
+        assert c.enumerate_demazure(x, depth) == enumerate_demazure_by_pool(c, x, depth), x
+    # with one pairing value every level reads the full rows, and QB(W^J) is strongly connected
+    assert skipped or len(q.pairing_values()) == 1
 
 
 def test_enumeration_at_translated_base(a2):
