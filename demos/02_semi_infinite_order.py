@@ -2,6 +2,8 @@
 
 The semi-infinite length of w t_xi is len(w) + 2<xi, rho>; covers raise it
 by exactly one, and the translation part only grows along directed paths.
+The graph runs on integer states (w lambda, xi off J, <xi, lambda>), one per
+representative; `state_rep` rebuilds the representative for printing.
 """
 
 from fractions import Fraction
@@ -10,16 +12,19 @@ from silspath import ParabolicQuotient, affine_identity, build, translation
 
 datum = build("A", 1)
 quotient = ParabolicQuotient.for_weight(datum, (2,))
-e = affine_identity(datum)
+state, rep = quotient.coset_state, quotient.state_rep
+e = state(affine_identity(datum))
+print(f"the identity's state: {e}")
 
+print()
 print("covers above the identity, one level at a time:")
 level = [e]
 for step in range(4):
     nxt = []
     for x in level:
         for beta, y in quotient.si_covers(x):
-            print(f"  {x!r}  --[{beta.finite} + {beta.n}d]-->  {y!r}"
-                  f"   (si-length {x.si_length} -> {y.si_length})")
+            print(f"  {rep(x)!r}  --[{beta.finite} + {beta.n}d]-->  {rep(y)!r} = {y}"
+                  f"   (si-length {rep(x).si_length} -> {rep(y).si_length})")
             nxt.append(y)
     level = nxt
 
@@ -30,7 +35,7 @@ for a in (Fraction(1, 2), Fraction(1, 3)):
     print(f"  a = {a}: {len(kept)} of {len(quotient.si_covers(e))} edges survive at e")
 
 print()
-t2 = translation(datum, (2,))
+t2 = state(translation(datum, (2,)))
 print(f"e <= t_(2a^vee) in the semi-infinite order: {quotient.si_leq(e, t2)}")
 print(f"t_(2a^vee) <= e: {quotient.si_leq(t2, e)}")
 
@@ -38,5 +43,5 @@ print()
 print("duality x -> x * w0 * w_(sigma(J),0) reverses the graph:")
 dual = quotient.dual_quotient()
 for x in quotient.si_ball(2):
-    xv = quotient.vee(x)
+    xv = dual.state_rep(quotient.vee(state(x)))
     print(f"  {x!r} (si-len {x.si_length})  ->  {xv!r} (si-len {xv.si_length})")

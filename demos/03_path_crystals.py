@@ -5,10 +5,11 @@ reflect the portion of a path between the critical times of its height
 function.  Projecting away the translation parts gives the finite quantum
 path crystal; each projected path has a unique lift whose final direction
 is a finite coset representative, and the delta-coefficient of that lift's
-weight is the tail degree driving the graded characters.
+weight is the tail degree driving the graded characters.  A direction is
+printed as its integer state (w lambda, xi off J, <xi, lambda>).
 """
 
-from silspath import QLSCrystal, SiLSCrystal, affine_identity, build
+from silspath import QLSCrystal, SiLSCrystal, build
 
 datum = build("A", 1)
 crystal = SiLSCrystal(datum, (2,))
@@ -29,9 +30,10 @@ print(f"  eps_0(unit) = {crystal.string_eps(eta, 0)}   phi_1(unit) = {crystal.st
 print()
 print("every truncated Demazure path, with its projection and component:")
 q = QLSCrystal(datum, (2,))
-for path in crystal.enumerate_demazure(affine_identity(datum), 1):
+for path in crystal.enumerate_demazure(crystal.unit, 1):
     base = q.component_base(path)
-    print(f"  {path!r}")
+    reps = ", ".join(map(repr, map(crystal.quotient.state_rep, path.directions)))
+    print(f"  {path!r}, the representatives {reps}")
     print(f"      cl = {q.cl(path)!r}   component base {base!r}")
 
 print()

@@ -20,7 +20,7 @@ import operator
 from collections import Counter
 
 from .cartan import CartanDatum, Vec, vec_add, vec_neg
-from .weyl import BudgetExceeded, FiniteWeylElt, affine_identity, longest_element
+from .weyl import BudgetExceeded, FiniteWeylElt, longest_element
 from .qls import QLSCrystal
 
 Term = tuple[Vec, int]
@@ -169,7 +169,8 @@ def brute_force_gch_minus_e(
 ) -> GradedCharacter:
     """Independent route: count x^wt q^delta over the paths of the truncated
     enumeration, whose weights its walk carries; no path is built or sorted."""
-    walk = _qls(datum, tuple(lam)).sils._demazure_walk(affine_identity(datum), depth, budget)
+    sils = _qls(datum, tuple(lam)).sils
+    walk = sils._demazure_walk(sils.unit, depth, budget)
     return GradedCharacter(Counter((fw, delta) for _chain, _cuts, fw, delta in walk))
 
 

@@ -17,13 +17,7 @@ from .cartan import CartanDatum, build
 from .peterson import ParabolicQuotient
 from .qls import QLSCrystal
 from .sils import SiLSCrystal, SiLSPath
-from .weyl import (
-    AffineWeylElt,
-    BudgetExceeded,
-    FiniteWeylElt,
-    affine_identity,
-    finite_from_word,
-)
+from .weyl import AffineWeylElt, BudgetExceeded, FiniteWeylElt, finite_from_word
 
 USAGE_ERROR = 2
 BUDGET_ERROR = 3
@@ -78,7 +72,7 @@ def _direction_json(x: AffineWeylElt) -> dict:
 def _path_json(crystal: SiLSCrystal, eta: SiLSPath) -> dict:
     wt = crystal.weight(eta)
     return {
-        "directions": [_direction_json(x) for x in eta.directions],
+        "directions": [_direction_json(crystal.quotient.state_rep(z)) for z in eta.directions],
         "cuts": [str(a) for a in eta.cuts],
         "weight": {"fw": list(wt.fw), "delta": wt.delta},
     }
@@ -121,11 +115,12 @@ def _cmd_si_graph(args) -> int:
     _check_nonnegative(args, "radius")
     quotient = ParabolicQuotient.for_weight(datum, lam)
     a = _parse_level(args.a) if args.a is not None else None
-    ball = [
-        x
+    # the ball's representatives by their states, in the ball's order
+    ball = {
+        quotient.coset_state(x): x
         for x in quotient.si_ball(args.radius)
         if -args.radius <= x.si_length <= args.radius
-    ]
+    }
 
     def node_name(x: AffineWeylElt) -> str:
         word = "".join(map(str, x.w.reduced_word())) or "e"
@@ -133,16 +128,15 @@ def _cmd_si_graph(args) -> int:
         return f"{word} | {xi}"
 
     print("digraph si_bruhat {")
-    for x in ball:
+    for x in ball.values():
         print(f'  "{node_name(x)}";')
-    in_ball = set(ball)
-    for x in ball:
-        for beta, y in quotient.si_covers(x, a):
-            if y in in_ball:
+    for z, x in ball.items():
+        for beta, y in quotient.si_covers(z, a):
+            if y in ball:
                 label = "+".join(
                     filter(None, [str(list(beta.finite)), f"{beta.n}d" if beta.n else ""])
                 )
-                print(f'  "{node_name(x)}" -> "{node_name(y)}" [label="{label}"];')
+                print(f'  "{node_name(x)}" -> "{node_name(ball[y])}" [label="{label}"];')
     print("}")
     return 0
 
@@ -152,9 +146,8 @@ def _cmd_sils(args) -> int:
     lam = _parse_lambda(datum, getattr(args, "lambda"))
     _check_nonnegative(args, "depth", "budget")
     crystal = SiLSCrystal(datum, lam)
-    x = _parse_x(datum, args.x) if args.x else affine_identity(datum)
-    # the truncated set only depends on the coset of x, so normalize it
-    x = crystal.quotient.project(x)
+    # the truncated set only depends on the coset of x, which its state names
+    x = crystal.quotient.coset_state(_parse_x(datum, args.x)) if args.x else crystal.unit
     paths = crystal.enumerate_demazure(x, args.depth, budget=args.budget)
     if args.out == "json":
         for eta in paths:
@@ -163,7 +156,9 @@ def _cmd_sils(args) -> int:
         index = {eta: k for k, eta in enumerate(paths)}
         print("digraph sils {")
         for k, eta in enumerate(paths):
-            print(f'  "p{k}" [label="{eta!r}"];')
+            dirs = ",".join(repr(crystal.quotient.state_rep(z)) for z in eta.directions)
+            cuts = ",".join(map(str, eta.cuts))
+            print(f'  "p{k}" [label="Path({dirs}; {cuts})"];')
         for eta, k in index.items():
             for j in range(datum.rank + 1):
                 img = crystal.root_f(eta, j)

@@ -1,26 +1,29 @@
-"""Peterson coset representatives and the semi-infinite Bruhat order.
+"""Peterson coset representatives, their integer states, and the semi-infinite Bruhat order.
 
 For a subset J of the finite nodes, ``(W_J)_af = W_J x t_{Q_J^vee}`` acts on
 the right and every coset has a unique representative sending all of
 ``(Delta_J)_af^+`` to positive affine roots.  This module computes those
-representatives, the J-adjustment of coweights, the duality x -> x^vee, and
-the cover/order structure of the parabolic semi-infinite Bruhat graph,
-including its rational-level subgraphs.
+representatives, the J-adjustment of coweights, and the cover/order structure of the
+parabolic semi-infinite Bruhat graph, including its rational-level subgraphs.
 
-Every quotient is bound to a dominant weight lambda with zero set J.  The parabolic
-quantum Bruhat graph QB(W^J) is read one row per orbit point nu = w lambda: nu has length
-#{alpha in Delta^+ : <alpha^vee, nu> < 0}, so a length test finds an edge up from w or
-down to w without building the orbit W lambda.  The graph lifts QB(W^J)
-(Ishii-Naito-Sagaki): edge labels beta depend only on w = cl(x), and a quantum edge moves
-xi by u^vee, so covers are read off the row of w lambda as edges (`si_covers`, per
-(x, d)) or on cosets (`coset_covers`, per (w lambda, d)), on states that name x by
-integers alone: w lambda, xi mod Q_J^vee and <xi, lambda>.  A level a enters only through
-its reduced denominator d, which must divide p = |<beta^vee, x lambda>|: a row is kept
-per (w lambda, step, d), built from the roots whose p d divides.  One map w lambda -> w
-names the points, and x = w z_xi t_xi and its state are kept per x.  Reach is searched
-once, on states: `si_above`, capped by <xi, lambda>, which never falls along a cover,
-serves the Demazure walk (kept per walk) and the order (per (coset_state(x), d, p(y))).
-Bruhat up-sets in W^J (`bruhat_above`, per w lambda) read no row: simple reflections lift them.
+Every quotient is bound to a dominant weight lambda with zero set J, and a direction is
+the integer state (w lambda, xi off J, p = <xi, lambda>) of x = w z_xi t_xi: the orbit
+point of w, which fixes w in W^J (`named`), xi mod Q_J^vee, and the pairing.  The state
+is read off any element of the coset x (W_J)_af (`coset_state`), and `state_rep` rebuilds
+x; elements appear only there, in `rep`, `project`, `j_adjust` and `decompose`.  On states
+r_j x is a closed form (`reflect`), as is the duality x -> x^vee (`vee`).
+
+The parabolic quantum Bruhat graph QB(W^J) is read one row per orbit point nu = w lambda:
+nu has length #{alpha in Delta^+ : <alpha^vee, nu> < 0}, so a length test finds an edge up
+from w or down to w without building the orbit W lambda.  The graph lifts QB(W^J)
+(Ishii-Naito-Sagaki): edge labels beta depend only on w, and a quantum edge moves xi by
+u^vee, so the covers of a state are read off the row of its point (`coset_covers`, per
+(w lambda, d, step)).  A level a enters only through its reduced denominator d, which must
+divide p = |<beta^vee, x lambda>|: a row is kept per (w lambda, step, d), built from the
+roots whose p d divides.  Reach is searched once, on states: `si_above`, capped by
+<xi, lambda>, which never falls along a cover, serves the Demazure walk (kept per walk) and
+the order (per (x, d, p(y))).  Bruhat up-sets in W^J (`bruhat_above`, per w lambda) read no
+row: simple reflections lift them.
 """
 
 from __future__ import annotations
@@ -44,17 +47,15 @@ from .weyl import (
     AffineWeylElt,
     BudgetExceeded,
     FiniteWeylElt,
-    affine_identity,
     affine_reflection,
     finite_identity,
-    finite_reflection,
     from_finite,
-    longest_element,
     simple_reflection,
     translation,
 )
 
 TABLE_BUDGET = 200_000  # QLS table rows; each orbit point is one, so it bounds W lambda too
+State = tuple[Vec, Vec, int]  # (w lambda, xi off J, <xi, lambda>): see the module docstring
 
 
 class Decomposition(NamedTuple):
@@ -86,19 +87,16 @@ def _component_split(datum: CartanDatum, nodes: tuple[int, ...]) -> tuple[tuple[
 @dataclass(frozen=True, eq=False)
 class ParabolicQuotient:
     """Tables for one subset J, bound to a dominant weight lambda with zero set J;
-    cover labels are read off the rows of its orbit graph QB(W^J), kept per (w lambda, step, d)."""
+    covers of states are read off the rows of its orbit graph QB(W^J), kept per (w lambda, step, d)."""
 
     datum: CartanDatum
     j_nodes: tuple[int, ...]
     lam: Vec
     _si_leq_cache: dict = field(default_factory=dict, repr=False)
-    _cover_cache: dict = field(default_factory=dict, repr=False)
     _row_cache: dict = field(default_factory=dict, repr=False)
     _qb_levels: dict = field(default_factory=dict, repr=False)
     _lengths: dict = field(default_factory=dict, repr=False)
     _adjust_cache: dict = field(default_factory=dict, repr=False)
-    _decompose_cache: dict = field(default_factory=dict, repr=False)
-    _states: dict = field(default_factory=dict, repr=False)
     _reach_cache: dict = field(default_factory=dict, repr=False)
     _coset_cache: dict = field(default_factory=dict, repr=False)
     _named: dict = field(default_factory=dict, repr=False)
@@ -192,15 +190,12 @@ class ParabolicQuotient:
                 return w
 
     def decompose(self, x: AffineWeylElt) -> Decomposition:
-        """Computed, and its assertions checked, once per representative x."""
-        cached = self._decompose_cache.get(x)
-        if cached is None:
-            phi, z = self.j_adjust(x.xi)
-            assert not any(phi), f"{x} is not a Peterson representative"
-            w = x.w.mul(z.inverse())
-            assert self.is_min_rep(w)
-            cached = self._decompose_cache[x] = Decomposition(w, z, x.xi)
-        return cached
+        """x = w z_xi t_xi for a representative x, its assertions checked."""
+        phi, z = self.j_adjust(x.xi)
+        assert not any(phi), f"{x} is not a Peterson representative"
+        w = x.w.mul(z.inverse())
+        assert self.is_min_rep(w)
+        return Decomposition(w, z, x.xi)
 
     def rep(self, w: FiniteWeylElt, xi: Vec) -> AffineWeylElt:
         """Pi^J(w t_xi) = w z_xi t_{xi + phi_J(xi)}: the representative over w in W^J at xi mod Q_J^vee."""
@@ -220,11 +215,12 @@ class ParabolicQuotient:
     def dual_quotient(self) -> "ParabolicQuotient":
         return ParabolicQuotient.for_weight(self.datum, self.datum.sigma_dual(self.lam))
 
-    def vee(self, x: AffineWeylElt) -> AffineWeylElt:
-        """x^vee = x * w_0 * w_{sigma(J),0}, a representative for sigma(J)."""
-        w0 = longest_element(self.datum)
-        wsj0 = longest_element(self.datum, self.sigma_nodes)
-        return x.mul(from_finite(w0.mul(wsj0)))
+    def vee(self, z: State) -> State:
+        """The state of x^vee = x w_0 w_{sigma(J),0} in the dual quotient, for the x that z names:
+        x^vee lambda* = -x lambda for lambda* = -w_0 lambda, and its xi is w_{sigma(J),0} w_0 xi, whose
+        coordinate sigma(i) is -xi_i off sigma(J)."""
+        nu, xi, p = z
+        return vec_neg(nu), vec_neg(self.datum.sigma_dual(xi)), -p
 
     # -- semi-infinite covers and order ----------------------------------------
 
@@ -236,86 +232,111 @@ class ParabolicQuotient:
         pairs = (sum(map(operator.mul, c, lam)) for c in datum.root_table.coroots)
         return tuple((u, p) for u, p in zip(datum.pos_roots, pairs) if p > 0)
 
-    def _lift(self, x: AffineWeylElt, a: Fraction | None, step: int):
-        """The edges of QB(W^J) at w = cl(x) (`qb_row`) whose p = |<beta^vee, x lambda>|
-        level a's denominator divides, lifted to (beta, r_beta x) out of (step 1) or
-        into (step -1) x: beta = step w(u) + chi delta, chi = 1 iff the edge is quantum."""
-        d, w, nu = 1 if a is None else a.denominator, self.decompose(x).w, self.coset_state(x)[0]
-        return tuple(
-            (beta, affine_reflection(self.datum, beta).mul(x))
-            for _nu, _p, u, quantum in self.qb_row(nu, d, step)
-            for beta in [AffineRealRoot(w.act_root(u if step == 1 else vec_neg(u)), int(quantum))]
-        )
+    def named(self, nu: Vec) -> FiniteWeylElt:
+        """The w in W^J with w lambda = nu, kept per point asked for: e at lambda, else r_i times
+        the w at r_i nu = nu - nu_i alpha_i for an i with nu_i < 0 (then r_i w < w lies in W^J),
+        down to a point kept before.  A point off the orbit W lambda descends to another dominant
+        weight: ValueError.  The points passed on the way are not kept: on the E7 rho ball of
+        radius 3 they outnumber the ones asked for six to one."""
+        named, alphas, start, word = self._named, self.datum.simple_fws, nu, []
+        while (w := named.get(nu)) is None and (n := min(nu)) < 0:
+            word.append(i := nu.index(n))
+            nu = tuple(m - n * a for m, a in zip(nu, alphas[i]))
+        if w is None:  # nu is dominant
+            if nu != self.lam:
+                raise ValueError(f"{nu} is not in the orbit of {self.lam}")
+            w = named[nu] = finite_identity(self.datum)
+        for i in reversed(word):
+            w = simple_reflection(self.datum, i + 1).mul(w)
+        named[start] = w
+        return w
 
-    def si_covers(
-        self, x: AffineWeylElt, a: Fraction | None = None
-    ) -> tuple[tuple[AffineRealRoot, AffineWeylElt], ...]:
-        """All edges x -> r_beta x of the graph (restricted to level a if given).
+    def state_at(self, nu: Vec, xi: Vec) -> State:
+        """The state of the coset of w t_xi, w lambda = nu: (nu, xi off J, <xi, lambda>)."""
+        lam = self.lam
+        return nu, tuple(c if m else 0 for c, m in zip(xi, lam)), sum(map(operator.mul, xi, lam))
 
-        Only a's reduced denominator d matters: kept per (x, d), with a = None as d = 1."""
-        key = (x, 1 if a is None else a.denominator)
-        cached = self._cover_cache.get(key)
-        if cached is None:
-            cached = self._cover_cache[key] = self._lift(x, a, 1)
-        return cached
+    def coset_state(self, x: AffineWeylElt) -> State:
+        """The state of x (W_J)_af, read off x itself: right multiplication by (W_J)_af fixes
+        x lambda, xi off J and <xi, lambda>, so x need not be a representative."""
+        return self.state_at(x.w.act_fw(self.lam), x.xi)
 
-    def coset_state(self, x: AffineWeylElt) -> tuple[Vec, Vec, int]:
-        """(w lambda, xi off J, <xi, lambda>) for x = w z_xi t_xi: its state on cosets, kept per x."""
-        state = self._states.get(x)
-        if state is None:
-            w, lam = self.decompose(x).w, self.lam
-            nu = w.act_fw(lam)
-            self._named[nu] = w  # w lambda fixes w in W^J
-            xi, p = tuple(c if m else 0 for c, m in zip(x.xi, lam)), sum(map(operator.mul, x.xi, lam))
-            state = self._states[x] = nu, xi, p
-        return state
+    def state_rep(self, z: State) -> AffineWeylElt:
+        """The representative x that the state z names."""
+        return self.rep(self.named(z[0]), z[1])
 
-    def state_rep(self, state: tuple[Vec, Vec, int]) -> AffineWeylElt:
-        """The representative x that a state of `coset_state` or `coset_covers` names."""
-        return self.rep(self._named[state[0]], state[1])
+    def is_state(self, z: State) -> bool:
+        """z names a representative: its xi vanishes on J, p = <xi, lambda> and nu lies in W lambda."""
+        try:
+            self.named(z[0])
+        except ValueError:
+            return False
+        return self.state_at(z[0], z[1]) == tuple(z)
 
-    def coset_covers(self, nu: Vec, d: int) -> tuple[tuple[FiniteWeylElt, Vec, Vec, int], ...]:
-        """`si_covers` at level denominator d on the states of `coset_state`: at nu = w lambda,
-        each (v, v lambda, c, p') is a cover over v = floor(w r_u) at xi + c and p + p' from an
-        edge of `qb_row(nu, d, 1)`: c = u^vee off J, p' = p if it is quantum, else 0 and 0.  Kept
-        per (nu, d) in `si_covers` order; w is read off the points these rows and `coset_state` name."""
-        row = self._coset_cache.get((nu, d))
+    def reflect(self, j: int, z: State) -> State:
+        """The state of r_j x, j in I_af, for the x that z names: r_j nu at the same xi and p for j in I;
+        r_0 = r_theta t_{-theta^vee} sends it to r_theta nu at xi - (w^{-1} theta^vee off J) and
+        p - <theta^vee, nu>, w = `named(nu)`."""
+        (nu, xi, p), datum = z, self.datum
+        if j:
+            n = nu[j - 1]
+            return (tuple(m - n * a for m, a in zip(nu, datum.simple_fws[j - 1])), xi, p) if n else z
+        theta_vee = datum.theta_coroot
+        n, c = sum(map(operator.mul, theta_vee, nu)), self.named(nu).inv_act_coweight(theta_vee)
+        nu2 = tuple(m - n * t for m, t in zip(nu, datum.root_to_fw(datum.theta)))
+        return nu2, tuple(a - b if m else 0 for a, b, m in zip(xi, c, self.lam)), p - n
+
+    def coset_covers(self, nu: Vec, d: int, step: int = 1) -> tuple[tuple[Vec, Vec, int, Vec], ...]:
+        """The covers out of (step 1) or into (step -1) the states over nu at level denominator d,
+        one (nu', c, dp, u) per edge (nu', p, u, quantum) of `qb_row(nu, d, step)`: it moves a state
+        (nu, xi, p0) to (nu', xi + c, p0 + dp), c = step u^vee off J and dp = step p if the edge is
+        quantum, else 0 and 0.  Kept per (nu, d, step)."""
+        row = self._coset_cache.get((nu, d, step))
         if row is None:
-            datum, lam, named, w = self.datum, self.lam, self._named, self._named[nu]
-            row = self._coset_cache[nu, d] = tuple(
-                (v, nu2, c, p if quantum else 0)
-                for nu2, p, u, quantum in self.qb_row(nu, d, 1)
-                for v in [named.get(nu2) or self.min_rep(w.mul(finite_reflection(datum, u)))]
-                for c in [tuple(a if m and quantum else 0 for a, m in zip(datum.coroot(u), lam))]
+            lam, coroot, zero = self.lam, self.datum.coroot, (0,) * len(self.lam)
+            row = self._coset_cache[nu, d, step] = tuple(
+                (nu2, tuple(step * a if m else 0 for a, m in zip(coroot(u), lam)), step * p, u)
+                if quantum else (nu2, zero, 0, u)
+                for nu2, p, u, quantum in self.qb_row(nu, d, step)
             )
-            named.update((nu2, v) for v, nu2, _c, _p in row)
         return row
 
-    def si_lower_covers(
-        self, x: AffineWeylElt, a: Fraction | None = None
-    ) -> tuple[tuple[AffineRealRoot, AffineWeylElt], ...]:
-        """All edges z -> x, listed as (beta, z)."""
-        return self._lift(x, a, -1)
+    def _edges(self, z: State, a: Fraction | None, step: int) -> tuple[tuple[AffineRealRoot, State], ...]:
+        """(beta, y) per entry of `coset_covers` at level a: y is the cover's other end and
+        beta = step w(u) + chi delta, chi = 1 iff the edge is quantum, w = `named(nu)`."""
+        (nu, xi, p), w = z, self.named(z[0])
+        return tuple(
+            (AffineRealRoot(w.act_root(u if step == 1 else vec_neg(u)), int(dp != 0)),
+             (nu2, vec_add(xi, c) if dp else xi, p + dp))
+            for nu2, c, dp, u in self.coset_covers(nu, 1 if a is None else a.denominator, step)
+        )
 
-    def si_leq(self, x: AffineWeylElt, y: AffineWeylElt, a: Fraction | None = None) -> bool:
+    def si_covers(self, z: State, a: Fraction | None = None) -> tuple[tuple[AffineRealRoot, State], ...]:
+        """All edges z -> y of the graph (restricted to level a if given), as (beta, y)."""
+        return self._edges(z, a, 1)
+
+    def si_lower_covers(self, z: State, a: Fraction | None = None) -> tuple[tuple[AffineRealRoot, State], ...]:
+        """All edges y -> z, listed as (beta, y)."""
+        return self._edges(z, a, -1)
+
+    def si_leq(self, x: State, y: State, a: Fraction | None = None) -> bool:
         """True iff a path from x to y exists in the (sub)graph: y is in `si_above` of x capped at p(y)."""
         if x == y:
             return True
-        top = self.coset_state(y)
-        key = (self.coset_state(x), 1 if a is None else a.denominator, top[2])
+        key = (x, 1 if a is None else a.denominator, y[2])
         above = self._si_leq_cache.get(key)
         if above is None:
             above = self._si_leq_cache[key] = set(self.si_above(*key))
-        return top in above
+        return y in above
 
-    def si_above(self, z: tuple, d: int, cap: int, budget: float = float("inf")) -> tuple[tuple, ...]:
+    def si_above(self, z: State, d: int, cap: int, budget: float = float("inf")) -> tuple[State, ...]:
         """Every state y = (w lambda, xi, p) > z at level 1/d with p <= cap, in search order.
         p never decreases along a cover (a quantum edge adds p_beta > 0), so a cover path
         to such a y stays under cap; a cover raises si_length, so z is never found."""
         covers, seen, queue = self.coset_covers, {}, [z]
         while queue:
             nu0, xi, p0 = queue.pop()
-            for _v, nu, c, dp in covers(nu0, d):
+            for nu, c, dp, _u in covers(nu0, d):
                 p = p0 + dp
                 if p <= cap and (y := (nu, tuple(map(operator.add, xi, c)) if dp else xi, p)) not in seen:
                     if len(seen) + 1 >= budget:  # the pool holds z too
@@ -325,20 +346,19 @@ class ParabolicQuotient:
         return tuple(seen)
 
     def si_ball(self, radius: int) -> tuple[AffineWeylElt, ...]:
-        """Everything within `radius` cover steps (up or down) of e; stops past TABLE_BUDGET points.
-        Covers are read off `_lift`, so the ball fills no per-x `si_covers` memo."""
-        seen = {affine_identity(self.datum)}
-        frontier = set(seen)
+        """Everything within `radius` cover steps (up or down) of e, walked on states and
+        rebuilt by `state_rep` at the end; stops past TABLE_BUDGET points."""
+        e = (self.lam, (0,) * len(self.lam), 0)
+        seen, frontier = {e}, {e}
         for _ in range(radius):
             nxt = set()
-            for x in frontier:
-                edges = self._lift(x, None, 1) + self._lift(x, None, -1)
-                nxt.update(y for _beta, y in edges if y not in seen)
+            for z in frontier:
+                nxt.update(y for _beta, y in self.si_covers(z) + self.si_lower_covers(z) if y not in seen)
                 if len(seen) + len(nxt) > TABLE_BUDGET:
                     raise BudgetExceeded("semi-infinite ball exceeded the QLS table budget")
             seen |= nxt
             frontier = nxt
-        return tuple(sorted(seen, key=lambda v: (v.si_length, v.xi, v.w.sort_key)))
+        return tuple(sorted(map(self.state_rep, seen), key=lambda v: (v.si_length, v.xi, v.w.sort_key)))
 
     def pairing_values(self) -> tuple[int, ...]:
         """The positive pairings <gamma^vee, lambda> over gamma outside Delta_J."""
@@ -356,7 +376,7 @@ class ParabolicQuotient:
     def orbit(self) -> dict[Vec, FiniteWeylElt]:
         """w lambda -> w over W^J, by a search of W lambda that steps from w to r_i w if (w lambda)_i > 0
         (one longer, still in W^J; all of W^J is reached, W is never built), recording lengths; stops
-        past TABLE_BUDGET points.  It completes the map that `coset_state` and the coset rows name into."""
+        past TABLE_BUDGET points.  It completes the map of `named`."""
         datum, lam, lengths, alphas = self.datum, self.lam, self._lengths, self.datum.simple_fws
         reps, frontier = {lam: finite_identity(datum)}, [lam]
         lengths[lam] = 0
@@ -413,13 +433,13 @@ class ParabolicQuotient:
         `_qb_levels`) that passes the length test: v = floor(w r_u) has v lambda = nu' = nu - p w(u)
         and length l(v) = #{alpha in Delta^+ : <alpha^vee, nu'> < 0}, kept per nu' as l(w) is per nu (the
         orbit search records them too); w -> v is an edge if l(v) - l(w) is 1 (Bruhat) or 1 - c_u (quantum,
-        of coweight u^vee), v -> w one if it is -1 or c_u - 1.  No orbit is built: w is read off the points
-        that the orbit search, `coset_state` or `coset_covers` named.  Kept per (nu, step, d)."""
+        of coweight u^vee), v -> w one if it is -1 or c_u - 1.  No orbit is built: w is `named(nu)`.
+        Kept per (nu, step, d)."""
         row = self._row_cache.get((nu, step, d))
         if row is None:
-            w, lengths, out = self._named[nu], self._lengths, []
+            w, lengths, out = self.named(nu), self._lengths, []
             coroots = self.datum.root_table.coroots[: len(self.datum.pos_roots)]
-            if (base := lengths.get(nu)) is None:  # a point that only `coset_state` named
+            if (base := lengths.get(nu)) is None:  # a point that no orbit search recorded
                 base = lengths[nu] = sum(sum(map(operator.mul, c, nu)) < 0 for c in coroots)
             roots = self._qb_levels.get(d)
             if roots is None:

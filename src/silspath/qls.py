@@ -24,13 +24,14 @@ x^weight q^deg_kappa by final direction w, keyed by w lambda, one transfer matri
 up the cuts.  A segment of w added at a cut a = k/d spans 1 - a and adds -a times its
 edge's wt_lambda to the degree, both exact as d divides p on every edge of a's level.
 
-The distinguished lifts are rebuilt from the chain on demand.  With xi_s = 0
-and xi_u = xi_{u+1} + wt(w_{u+1} => w_u), `eta_kappa` has the directions
-Pi^J(w_u t_{xi_u}) = w_u z_{xi_u} t_{xi_u + phi_J(xi_u)} and delta coefficient
-deg_kappa; `eta_iota` is its right translate by t_{-xi_1}, with delta
-coefficient deg_iota.  Right translations commute with the root operators,
-which act on the left, so both lifts lie in the unit component, and a path's
-offsets from `eta_kappa` of its projection name its component (`component_base`).
+The distinguished lifts are rebuilt from the chain on demand, as coset states.  With
+xi_s = 0 and xi_u = xi_{u+1} + wt(w_{u+1} => w_u), `eta_kappa` has the directions
+Pi^J(w_u t_{xi_u}), whose states are (w_u lambda, xi_u off J, <xi_u, lambda>), and delta
+coefficient deg_kappa; `eta_iota` is its right translate by t_{-xi_1}, with delta
+coefficient deg_iota.  Right translations commute with the root operators, which act
+on the left, so both lifts lie in the unit component, and a path's offsets from
+`eta_kappa` of its projection name its component (`component_base`).  `cl` reads w off
+a state's orbit point (`ParabolicQuotient.named`).
 """
 
 from __future__ import annotations
@@ -41,14 +42,7 @@ import operator
 from typing import NamedTuple
 
 from .cartan import CartanDatum, Vec, vec_add, vec_sub
-from .weyl import (
-    BudgetExceeded,
-    FiniteWeylElt,
-    finite_reflection,
-    from_finite,
-    simple_reflection,
-    translation,
-)
+from .weyl import BudgetExceeded, FiniteWeylElt, finite_reflection, simple_reflection
 from .peterson import TABLE_BUDGET
 from .sils import CutPath, SiLSCrystal, SiLSPath, merge_segments, root_splice
 
@@ -76,9 +70,9 @@ class QLSCrystal:
         self.interval_sums: dict = {}  # w lambda -> `final_sums` added over v >= w (the quotient characters)
 
     def cl(self, eta: SiLSPath) -> QLSPath:
-        """Project directions to W^J and merge equal neighbours."""
-        cl_direction = self.sils.quotient.cl_direction
-        dirs = tuple(map(cl_direction, eta.directions))
+        """Project directions to W^J, each the w named by its orbit point, and merge equal neighbours."""
+        named = self.sils.quotient.named
+        dirs = tuple(named(z[0]) for z in eta.directions)
         return QLSPath.from_ticks(*merge_segments(dirs, eta.ticks, eta.den), eta.den)
 
     def weight(self, psi: QLSPath) -> Vec:
@@ -102,7 +96,7 @@ class QLSCrystal:
             if len(table) > TABLE_BUDGET:
                 raise BudgetExceeded("QLS table exceeded budget")
             for a, d in self.sils.levels:
-                if a < right:
+                if a < right and quotient.qb_row(mu, d, 1):  # else mu reaches only itself
                     step = tuple(s + (right - a) * m for s, m in zip(settled, mu))
                     for y, (wt, _xi) in quotient.qb_reach(mu, d).items():
                         if y != mu:
@@ -152,10 +146,8 @@ class QLSCrystal:
             d = psi.den // math.gcd(psi.den, ticks[u + 1])
             xis.append(vec_add(xis[-1], quotient.qb_reach(points[u + 1], d)[points[u]][1]))
         shift = xis[-1] if end == "iota" else xis[0]  # xi_1 or xi_s = 0
-        lifted = tuple(quotient.rep(w, vec_sub(xi, shift)) for w, xi in zip(dirs, reversed(xis)))
-        lift = SiLSPath.from_ticks(lifted, ticks, psi.den)
-        assert self.cl(lift) == psi  # decompose checks each direction is a representative
-        return lift
+        lifted = tuple(quotient.state_at(nu, vec_sub(xi, shift)) for nu, xi in zip(points, reversed(xis)))
+        return SiLSPath.from_ticks(lifted, ticks, psi.den)
 
     def eta_kappa(self, psi: QLSPath) -> SiLSPath:
         """The unique lift in the unit component with final direction in W^J."""
@@ -168,15 +160,16 @@ class QLSCrystal:
     def component_base(self, eta: SiLSPath) -> SiLSPath:
         """The translation-type path with final direction e in eta's component:
         with o = x.xi - y.xi for each direction x and the direction y of
-        eta_kappa(cl eta) over the same w, its directions are Pi^J(t_{o - o_s})."""
-        quotient, psi = self.sils.quotient, self.cl(eta)
-        over = iter(zip(psi.directions, self.eta_kappa(psi).directions))
-        (w, y), offsets = next(over), []
-        for x in eta.directions:
-            if quotient.cl_direction(x) != w:
-                w, y = next(over)
-            offsets.append(vec_sub(x.xi, y.xi))
-        dirs = tuple(quotient.project(translation(self.datum, vec_sub(o, offsets[-1]))) for o in offsets)
+        eta_kappa(cl eta) over the same w, its directions are Pi^J(t_{o - o_s}),
+        whose states are (lambda, o - o_s off J, <o - o_s, lambda>)."""
+        over = iter(self.eta_kappa(self.cl(eta)).directions)
+        (mu, y_xi, y_p), offsets = next(over), []
+        for nu, xi, p in eta.directions:
+            if nu != mu:
+                mu, y_xi, y_p = next(over)
+            offsets.append((vec_sub(xi, y_xi), p - y_p))
+        o_s, p_s = offsets[-1]
+        dirs = tuple((self.lam, vec_sub(o, o_s), p - p_s) for o, p in offsets)
         return SiLSPath.from_ticks(*merge_segments(dirs, eta.ticks, eta.den), eta.den)
 
     def deg_tail(self, psi: QLSPath) -> int:
@@ -211,9 +204,8 @@ class QLSCrystal:
         comparing it with cl of the semi-infinite operators checks those two
         inputs, while the crystal axioms on the QLS side check the splice.
         """
-        n, direction = self.sils.n, self.sils._direction
-        # w read as w t_0, whose weight is w(lambda)
-        slopes = [direction(from_finite(w))[1][j] for w in psi.directions]
+        n, slope = self.sils.n, self.sils.slope
+        slopes = [slope(w.act_fw(self.lam), j) for w in psi.directions]
         reflect = functools.partial(self._cl_reflect, j)
         out = root_splice(psi.directions, psi.ticks_over(n), n, slopes, tag, reflect)
         return None if out is None else QLSPath.from_ticks(*out, n)

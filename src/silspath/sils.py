@@ -1,50 +1,45 @@
 """Semi-infinite LS path crystals: validity, root operators, enumeration.
 
-A path is a strictly decreasing chain of Peterson representatives together
-with rational cut points; consecutive directions must be connected inside
-the level-`a` subgraph of the semi-infinite Bruhat graph, where `a` is the
-cut between them.  Every cut of a path of shape lambda lies on the
-quotient's `cut_grid()`, so N times it is an integer for N the lcm of the
-positive pairings <gamma^vee, lambda>.  A path stores its cuts as integer ticks over
-its least denominator, which divides N, and the kernels below do integer
-arithmetic on them; `Fraction` appears only at the boundary (`cuts`,
+A direction is a Peterson representative x = w z_xi t_xi, held as its integer coset state
+(w lambda, xi off J, p = <xi, lambda>) of `silspath.peterson`; `ParabolicQuotient.state_rep`
+rebuilds x only for output.  A path is a chain of states, strictly decreasing in the
+semi-infinite order, together with rational cut points; consecutive directions must be
+connected inside the level-`a` subgraph of the semi-infinite Bruhat graph, where `a` is the
+cut between them.  Every cut of a path of shape lambda lies on the quotient's `cut_grid()`,
+so N times it is an integer for N the lcm of the positive pairings <gamma^vee, lambda>.  A
+path stores its cuts as integer ticks over its least denominator, which divides N, and the
+kernels below do integer arithmetic on them; `Fraction` appears only at the boundary (`cuts`,
 printing, the level argument of the semi-infinite order).
 
-The root operators are Littelmann's path operators, written once as the
-kernel `root_splice`: it reads the height function of node j off the slopes
-of the segments, picks the interval [t0, t1] (the only step that depends on
-e versus f), reflects the directions inside it and merges equal neighbours
-with `merge_segments`.  The semi-infinite operators pass x -> r_j x as the
-reflection; the quantum LS operators in `silspath.qls` run the same kernel
-on projected paths with w -> min_rep(r_j w), and `QLSCrystal.cl` uses the
-same merge.
+Slopes and weights come off the states alone: x lambda = w lambda - p delta, so the slope of
+node j is (w lambda)_j for j in I and -<theta^vee, w lambda> at j = 0.  The root operators are
+Littelmann's path operators, written once as the kernel `root_splice`: it reads the height
+function of node j off the slopes of the segments, picks the interval [t0, t1] (the only step
+that depends on e versus f), reflects the directions inside it and merges equal neighbours with
+`merge_segments`.  The semi-infinite operators pass the state form of x -> r_j x
+(`ParabolicQuotient.reflect`) as the reflection; the quantum LS operators in `silspath.qls` run
+the same kernel on projected paths with w -> min_rep(r_j w), and `QLSCrystal.cl` uses the same
+merge.
 
-The Demazure enumeration walks cosets, not directions.  The representative
-x = w z_xi t_xi is the integer state (w lambda, xi off J, p): the orbit point
-of w in W^J, which fixes w, xi off J, which names xi mod Q_J^vee, and
-p = <xi, lambda>.  Its weight is w lambda - p delta, its covers come off the row
-of w (`ParabolicQuotient.coset_covers`), and `ParabolicQuotient.state_rep`
-rebuilds x, once per state of a listed path; the output is sorted, not the walk.
-The states above one within the remaining degree are `ParabolicQuotient.si_above`,
-kept per walk: the one reach search, which the semi-infinite order reads too.  A node
-takes children only at the levels where its top has a cover (`ParabolicQuotient.qb_row`
-of its orbit point is not empty, listed per point and walk); most rows at d >= 2 are empty.
+The Demazure enumeration walks states: their covers come off the row of their orbit point
+(`ParabolicQuotient.coset_covers`), and the output is sorted, not the walk, by the
+representatives `state_rep` rebuilds once per state.  The states above one within the remaining
+degree are `ParabolicQuotient.si_above`, kept per walk: the one reach search, which the
+semi-infinite order reads too.  A node takes children only at the levels where its top has a
+cover (`ParabolicQuotient.qb_row` of its orbit point is not empty, listed per point and walk);
+most rows at d >= 2 are empty.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from .cartan import CartanDatum, LevelZeroWeight, Vec
-from .weyl import (
-    AffineWeylElt,
-    BudgetExceeded,
-    affine_identity,
-    affine_simple,
-)
-from .peterson import ParabolicQuotient
+from .weyl import BudgetExceeded
+from .peterson import ParabolicQuotient, State
 
 
 class CutPath:
@@ -99,17 +94,12 @@ class SiLSPath(CutPath):
     _label = "Path"
 
     @property
-    def iota(self) -> AffineWeylElt:
+    def iota(self) -> State:
         return self.directions[0]
 
     @property
-    def kappa(self) -> AffineWeylElt:
+    def kappa(self) -> State:
         return self.directions[-1]
-
-    def sort_key(self, n: int):
-        """The output order; n is a common multiple of the sorted paths' denominators."""
-        dirs = tuple((x.xi, x.w.sort_key) for x in self.directions)
-        return (len(self.directions), self.ticks_over(n), dirs)
 
 
 def heights(slopes: list[int], ticks: tuple[int, ...]) -> list[int]:
@@ -186,7 +176,6 @@ class SiLSCrystal:
         self.datum = datum
         self.lam = tuple(lam)
         self.quotient = ParabolicQuotient.for_weight(datum, self.lam)
-        self.lam_weight = LevelZeroWeight(self.lam, 0)
         # N: every cut of a path of this shape is an integer over it
         self.n = math.lcm(*self.quotient.pairing_values())
         # the grid cuts in grid order as (ticks over N, denominator), the only
@@ -194,12 +183,12 @@ class SiLSCrystal:
         self.levels = tuple(
             (a.numerator * (self.n // a.denominator), a.denominator) for a in self.quotient.cut_grid()
         )
-        self._directions: dict = {}
+        self.unit = (self.lam, (0,) * datum.rank, 0)  # the state of e
 
     # -- basic paths ----------------------------------------------------------
 
     def unit_path(self) -> SiLSPath:
-        return SiLSPath.from_ticks((affine_identity(self.datum),), (0, 1), 1)
+        return SiLSPath.from_ticks((self.unit,), (0, 1), 1)
 
     def invalid_reason(self, eta: SiLSPath) -> str | None:
         if not eta.directions or len(eta.ticks) != len(eta.directions) + 1:
@@ -208,9 +197,9 @@ class SiLSCrystal:
             return "cuts must start at 0 and end at 1"
         if any(b <= a for a, b in zip(eta.ticks, eta.ticks[1:])):
             return "cuts must strictly increase"
-        for x in eta.directions:
-            if not self.quotient.is_rep(x):
-                return f"direction {x!r} is not a Peterson representative"
+        for z in eta.directions:
+            if not self.quotient.is_state(z):
+                return f"direction {z!r} is not a coset state"
         for u, cut in enumerate(eta.cuts[1:-1]):
             lower, upper = eta.directions[u + 1], eta.directions[u]
             if lower == upper:
@@ -225,28 +214,22 @@ class SiLSCrystal:
     def validate(self, eta: SiLSPath) -> bool:
         return self.invalid_reason(eta) is None
 
-    def _direction(self, x: AffineWeylElt) -> tuple[LevelZeroWeight, tuple[int, ...]]:
-        """x(lambda) and its slopes <alpha_j^vee, x(lambda)>, j in I_af, computed once."""
-        data = self._directions.get(x)
-        if data is None:
-            wt = x.act_weight(self.lam_weight)
-            pairs = tuple(self.datum.acoroot_pairing(j, wt) for j in range(self.datum.rank + 1))
-            data = self._directions[x] = (wt, pairs)
-        return data
-
     def weight(self, eta: SiLSPath) -> LevelZeroWeight:
         total = [0] * (self.datum.rank + 1)  # fw coordinates, then delta
-        for x, left, right in zip(eta.directions, eta.ticks, eta.ticks[1:]):
-            wt = self._direction(x)[0]
-            total = [c + (right - left) * v for c, v in zip(total, wt.fw + (wt.delta,))]
+        for (nu, _xi, p), left, right in zip(eta.directions, eta.ticks, eta.ticks[1:]):
+            total = [c + (right - left) * v for c, v in zip(total, nu + (-p,))]
         den = eta.den  # a divisor of N
         assert all(c % den == 0 for c in total)
         return LevelZeroWeight(tuple(c // den for c in total[:-1]), total[-1] // den)
 
     # -- height functions and root operators -----------------------------------
 
+    def slope(self, nu: Vec, j: int) -> int:
+        """<alpha_j^vee, nu> for j in I_af: the slope of node j along a direction over nu."""
+        return nu[j - 1] if j else -sum(map(operator.mul, self.datum.theta_coroot, nu))
+
     def _slopes(self, eta: SiLSPath, j: int) -> list[int]:
-        return [self._direction(x)[1][j] for x in eta.directions]
+        return [self.slope(z[0], j) for z in eta.directions]
 
     def string_eps(self, eta: SiLSPath, j: int) -> int:
         m = min(heights(self._slopes(eta, j), eta.ticks))
@@ -260,7 +243,7 @@ class SiLSCrystal:
         return rise
 
     def _root_op(self, eta: SiLSPath, j: int, tag: str) -> SiLSPath | None:
-        n, reflect = self.n, affine_simple(self.datum, j).mul
+        n, reflect = self.n, functools.partial(self.quotient.reflect, j)
         out = root_splice(eta.directions, eta.ticks_over(n), n, self._slopes(eta, j), tag, reflect)
         return None if out is None else SiLSPath.from_ticks(*out, n)
 
@@ -294,13 +277,13 @@ class SiLSCrystal:
 
     # -- Weyl group action ------------------------------------------------------
 
-    def weyl_action(self, x: AffineWeylElt, eta: SiLSPath) -> SiLSPath:
-        """S_x eta = S_{j_1} ... S_{j_k} eta for a reduced word j_1 ... j_k of x.
+    def weyl_action(self, word: tuple[int, ...], eta: SiLSPath) -> SiLSPath:
+        """S_x eta = S_{j_1} ... S_{j_k} eta for a reduced word j_1 ... j_k of x in W_af.
 
         On a translation-type path every node has one slope along the path, so
         each S_j reflects every direction, and S_x eta replaces each direction y
         by Pi^J(x y)."""
-        for j in reversed(x.reduced_word()):
+        for j in reversed(word):
             eta = self._s_simple(j, eta)
         return eta
 
@@ -315,38 +298,44 @@ class SiLSCrystal:
     # -- duality ---------------------------------------------------------------
 
     def dual_path(self, eta: SiLSPath) -> SiLSPath:
-        dirs = tuple(self.quotient.vee(x) for x in reversed(eta.directions))
+        dirs = tuple(map(self.quotient.vee, reversed(eta.directions)))
         ticks = tuple(eta.den - a for a in reversed(eta.ticks))
         return SiLSPath.from_ticks(dirs, ticks, eta.den)
 
     # -- Demazure subsets --------------------------------------------------------
 
-    def in_demazure_final(self, eta: SiLSPath, x: AffineWeylElt) -> bool:
+    def in_demazure_final(self, eta: SiLSPath, x: State) -> bool:
         """kappa(eta) >= x in the semi-infinite order."""
         return self.quotient.si_leq(x, eta.kappa)
 
-    def in_demazure_initial(self, eta: SiLSPath, x: AffineWeylElt) -> bool:
+    def in_demazure_initial(self, eta: SiLSPath, x: State) -> bool:
         """x >= iota(eta) in the semi-infinite order."""
         return self.quotient.si_leq(eta.iota, x)
 
     # -- truncated enumeration -----------------------------------------------------
 
-    def enumerate_demazure(
-        self, x: AffineWeylElt, depth: int, budget: int = 500_000
-    ) -> tuple[SiLSPath, ...]:
+    def sort_key(self):
+        """The output order, a key on paths: by length, cuts, then (xi, w) of each direction's
+        representative, which `state_rep` rebuilds once per state for the key's lifetime."""
+        n, rep = self.n, functools.cache(self.quotient.state_rep)
+        return lambda eta: (
+            len(eta.directions), eta.ticks_over(n), tuple((x.xi, x.w.sort_key) for x in map(rep, eta.directions))
+        )
+
+    def enumerate_demazure(self, x: State, depth: int, budget: int = 500_000) -> tuple[SiLSPath, ...]:
         """All paths with kappa >= x whose weight delta is >= -depth."""
-        n, rep = self.n, functools.cache(self.quotient.state_rep)  # rep runs once per state
+        n = self.n
         paths = (
-            SiLSPath.from_ticks(tuple(map(rep, reversed(chain))), (0,) + tuple(reversed(cuts_desc)) + (n,), n)
+            SiLSPath.from_ticks(tuple(reversed(chain)), (0,) + tuple(reversed(cuts_desc)) + (n,), n)
             for chain, cuts_desc, _fw, _delta in self._demazure_walk(x, depth, budget)
         )
-        return tuple(sorted(paths, key=lambda eta: eta.sort_key(n)))
+        return tuple(sorted(paths, key=self.sort_key()))
 
-    def _demazure_walk(self, x: AffineWeylElt, depth: int, budget: int):
+    def _demazure_walk(self, x: State, depth: int, budget: int):
         """Yield (chain, cuts_desc, fw, delta) for every path of `enumerate_demazure`: its
-        directions from kappa up as coset states (see the module docstring), its inner cuts
-        from the right in ticks over N, and its weight, carried along the walk.  Children come
-        only from the levels below the node's cut where the top has a cover."""
+        directions from kappa up, its inner cuts from the right in ticks over N, and its weight,
+        carried along the walk.  Children come only from the levels below the node's cut where
+        the top has a cover."""
         assert depth >= 0
         n, levels, limit = self.n, self.levels, depth * self.n  # sums, cuts: ticks over N
         upward = functools.cache(functools.partial(self.quotient.si_above, budget=budget))
@@ -359,10 +348,10 @@ class SiLSCrystal:
             return below
 
         # every direction pairs at least as high as kappa, so p(kappa) <= depth
-        start, count, zero = self.quotient.coset_state(x), 0, (0,) * self.datum.rank
+        count, zero = 0, (0,) * self.datum.rank
         # depth-first over (chain, cuts_desc, k, settled, settled_fw), k the index of the right
         # cut in levels (len(levels) for 1); a stack, so no recursive closure keeps `self` alive
-        stack = [((z,), (), len(levels), 0, zero) for z in reversed((start,) + upward(start, 1, depth))]
+        stack = [((z,), (), len(levels), 0, zero) for z in reversed((x,) + upward(x, 1, depth))]
         while stack:
             chain, cuts_desc, k, settled, settled_fw = stack.pop()
             fw_top, _xi, p_top = top = chain[-1]

@@ -14,14 +14,16 @@ from silspath.cartan import (
     vec_neg,
 )
 from silspath.characters import GradedCharacter, weyl_character
-from silspath.peterson import ParabolicQuotient
-from silspath.sils import SiLSCrystal, SiLSPath
+from silspath.peterson import TABLE_BUDGET, ParabolicQuotient
+from silspath.sils import SiLSCrystal, SiLSPath, root_splice
 from silspath.weyl import (
     BudgetExceeded,
     affine_identity,
     affine_reflection,
+    affine_simple,
     bruhat_leq,
     finite_reflection,
+    from_finite,
     longest_element,
     simple_reflection,
     translation,
@@ -56,6 +58,23 @@ GRCH1_CASES = [
 ]
 
 
+TEST_WEIGHTS = [
+    (("A", 1), (1,)),
+    (("A", 1), (2,)),
+    (("A", 1), (3,)),
+    (("A", 2), (1, 0)),
+    (("A", 2), (1, 1)),
+    (("C", 2), (1, 0)),
+]
+
+
+# minuscule E-type weights: 27 and 56 representatives, all pairs compared
+NESTING_WEIGHTS = TEST_WEIGHTS + [
+    (("E", 6), (1, 0, 0, 0, 0, 0)),
+    (("E", 7), (0, 0, 0, 0, 0, 0, 1)),
+]
+
+
 ORDER_CASES = [
     (("A", 1), (1,)),
     (("A", 1), (2,)),
@@ -63,6 +82,13 @@ ORDER_CASES = [
     (("A", 2), (1, 0)),
     (("C", 2), (1, 0)),
 ]
+
+
+def si_path(c, dirs, cuts):
+    """The path of the crystal c whose directions are the elements dirs, each read as its
+    coset state, at the Fraction cuts: the one conversion for tests that build paths from
+    elements (their assertions read the states back through `state_rep`)."""
+    return SiLSPath(tuple(map(c.quotient.coset_state, dirs)), tuple(cuts))
 
 
 def generate_by_operators(q):
@@ -101,8 +127,8 @@ def replay_words(q):
 def oracle_row(q, lift):
     """(weight, deg_kappa, deg_iota) read off a lift in the unit component: the
     right translation by t_{-xi} adds <xi, lambda> to the weight's delta."""
-    wt = q.sils.weight(lift)
-    deg = lambda x: wt.delta + q.datum.pair_coweight_weight(x.xi, q.sils.lam_weight)
+    wt, rep = q.sils.weight(lift), q.sils.quotient.state_rep
+    deg = lambda z: wt.delta + q.datum.pair_coweight_weight(rep(z).xi, q.sils.quotient.lam_weight)
     return wt.fw, deg(lift.kappa), deg(lift.iota)
 
 
@@ -111,9 +137,9 @@ def translated_lift(q, lift, end):
     "iota") lies in W^J: every direction x goes to Pi^J(x t_{-xi}), xi read off
     that end."""
     quotient = q.sils.quotient
-    shift = translation(q.datum, vec_neg(getattr(lift, end).xi))
-    dirs = tuple(quotient.project(x.mul(shift)) for x in lift.directions)
-    return SiLSPath.from_ticks(dirs, lift.ticks, lift.den)
+    shift = translation(q.datum, vec_neg(quotient.state_rep(getattr(lift, end)).xi))
+    dirs = (quotient.project(quotient.state_rep(z).mul(shift)) for z in lift.directions)
+    return SiLSPath.from_ticks(tuple(map(quotient.coset_state, dirs)), lift.ticks, lift.den)
 
 
 def dual_route_iota(q, psi):
@@ -167,7 +193,7 @@ def _orbit_raising_walk(datum, lam) -> tuple[int, ...]:
 
 def is_translation_type(c, eta):
     """Every direction of eta lies over the identity of W^J: x = z_xi t_xi."""
-    return all(c.quotient.cl_direction(x).is_identity for x in eta.directions)
+    return all(c.quotient.cl_direction(c.quotient.state_rep(z)).is_identity for z in eta.directions)
 
 
 def canonicalize(c, eta):
@@ -208,8 +234,8 @@ def component_base_by_operators(c, eta):
     from eta, by `canonicalize` and the Weyl group action: the oracle for
     `QLSCrystal.component_base`."""
     _, terminal = canonicalize(c, eta)
-    base = c.weyl_action(terminal.kappa.inverse(), terminal)
-    assert base.kappa == affine_identity(c.datum)
+    base = c.weyl_action(c.quotient.state_rep(terminal.kappa).inverse().reduced_word(), terminal)
+    assert c.quotient.state_rep(base.kappa) == affine_identity(c.datum)
     return base
 
 
@@ -505,13 +531,62 @@ def covers_by_scan(quotient, x, a=None, step=1):
     return tuple(out)
 
 
+def lift_covers(quotient, x, a, step):
+    """The edges of QB(W^J) at w = cl(x) (`qb_row`) whose p = |<beta^vee, x lambda>|
+    level a's denominator divides, lifted to (beta, r_beta x) out of (step 1) or
+    into (step -1) the element x: beta = step w(u) + chi delta, chi = 1 iff the edge
+    is quantum.  The element-form oracle for `si_covers`, `si_lower_covers` and `si_ball`."""
+    d, w = 1 if a is None else a.denominator, quotient.decompose(x).w
+    return tuple(
+        (beta, affine_reflection(quotient.datum, beta).mul(x))
+        for _nu, _p, u, quantum in quotient.qb_row(w.act_fw(quotient.lam), d, step)
+        for beta in [AffineRealRoot(w.act_root(u if step == 1 else vec_neg(u)), int(quantum))]
+    )
+
+
+def si_ball_by_lift(quotient, radius):
+    """`ParabolicQuotient.si_ball` walked on elements along `lift_covers`."""
+    seen = {affine_identity(quotient.datum)}
+    frontier = set(seen)
+    for _ in range(radius):
+        nxt = set()
+        for x in frontier:
+            edges = lift_covers(quotient, x, None, 1) + lift_covers(quotient, x, None, -1)
+            nxt.update(y for _beta, y in edges if y not in seen)
+            if len(seen) + len(nxt) > TABLE_BUDGET:
+                raise BudgetExceeded("semi-infinite ball exceeded the QLS table budget")
+        seen |= nxt
+        frontier = nxt
+    return tuple(sorted(seen, key=lambda v: (v.si_length, v.xi, v.w.sort_key)))
+
+
+def vee_by_element(quotient, x):
+    """x^vee = x w_0 w_{sigma(J),0}, a representative for sigma(J): the oracle for the state map `vee`."""
+    w0 = longest_element(quotient.datum)
+    wsj0 = longest_element(quotient.datum, quotient.sigma_nodes)
+    return x.mul(from_finite(w0.mul(wsj0)))
+
+
+def root_op_by_elements(c, eta, j, tag):
+    """The root operator run on eta's representatives: `root_splice` with the slopes
+    <alpha_j^vee, x lambda> and the reflection x -> r_j x of W_af, the result read back as
+    states.  The element-form oracle for `root_e` and `root_f`."""
+    quotient, n = c.quotient, c.n
+    dirs = tuple(map(quotient.state_rep, eta.directions))
+    slopes = [c.datum.acoroot_pairing(j, x.act_weight(c.quotient.lam_weight)) for x in dirs]
+    out = root_splice(dirs, eta.ticks_over(n), n, slopes, tag, affine_simple(c.datum, j).mul)
+    return None if out is None else SiLSPath.from_ticks(tuple(map(quotient.coset_state, out[0])), out[1], n)
+
+
 def enumerate_demazure_by_pool(c, x, depth, budget=500_000):
     """`SiLSCrystal.enumerate_demazure` with every search bounded by one pool
     bound, max_den * (depth + max(0, -p_x)) + max(0, p_x), instead of the
-    remaining degree: the oracle for the capped search."""
+    remaining degree, run on elements along `lift_covers`: the oracle for the
+    capped search.  x and the paths are states, as the enumeration's."""
     assert depth >= 0
     quotient = c.quotient
-    p_of = lambda z: -c._direction(z)[0].delta  # <xi, lambda>, read off z(lambda)
+    x = quotient.state_rep(x)
+    p_of = lambda z: -z.act_weight(c.quotient.lam_weight).delta  # <xi, lambda>, read off z(lambda)
     grid = quotient.cut_grid()
     # the grid's largest denominator, so 1/max_den is its smallest cut;
     # the pool bound rests on it, not on N
@@ -519,7 +594,7 @@ def enumerate_demazure_by_pool(c, x, depth, budget=500_000):
     p_x = p_of(x)
     bound = max_den * (depth + max(0, -p_x)) + max(0, p_x)
     # cuts and sums below are ticks over N; `levels` maps a grid cut's
-    # ticks to the cut itself, the level argument of si_covers (level 1,
+    # ticks to the cut itself, the level argument of lift_covers (level 1,
     # n ticks, is absent and so admits every cover)
     n, limit = c.n, depth * c.n
     levels = {a.numerator * (n // a.denominator): a for a in grid}
@@ -531,7 +606,7 @@ def enumerate_demazure_by_pool(c, x, depth, budget=500_000):
         queue = [z]
         while queue:
             cur = queue.pop()
-            for _beta, y in quotient.si_covers(cur, levels.get(a)):
+            for _beta, y in lift_covers(quotient, cur, levels.get(a), 1):
                 if y not in seen and (p := p_of(y)) <= bound:
                     if len(seen) >= budget:
                         raise BudgetExceeded("direction pool exceeded budget")
@@ -553,7 +628,7 @@ def enumerate_demazure_by_pool(c, x, depth, budget=500_000):
         right = cuts_desc[-1] if cuts_desc else n
         # closing now puts the top direction on [0, right]
         if settled + right * p_top <= limit:
-            dirs = tuple(reversed(chain))
+            dirs = tuple(map(quotient.coset_state, reversed(chain)))
             ticks = (0,) + tuple(reversed(cuts_desc)) + (n,)
             results.append(SiLSPath.from_ticks(dirs, ticks, n))
         if len(results) > budget:
@@ -571,30 +646,30 @@ def enumerate_demazure_by_pool(c, x, depth, budget=500_000):
                     children.append((chain + (y,), cuts_desc + (a,), new_settled, p))
         stack.extend(reversed(children))
 
-    results.sort(key=lambda eta: eta.sort_key(n))
+    results.sort(key=c.sort_key())
     return tuple(results)
 
 
 def coset_state(quotient, x):
-    """(w lambda, xi off J, <xi, lambda>) for x = w z_xi t_xi, read off x itself:
-    the state the enumeration walk names x by (lambda is zero exactly on J, and
-    z_xi in W_J fixes lambda, so w lambda is the finite part of x applied to lambda)."""
+    """(w lambda, xi off J, <xi, lambda>) for a representative x = w z_xi t_xi, with w
+    read off its decomposition: the oracle for `ParabolicQuotient.coset_state`, which
+    reads the finite part of any element of the coset applied to lambda."""
     lam = quotient.lam
     xi = tuple(v if m else 0 for v, m in zip(x.xi, lam))
-    return x.w.act_fw(lam), xi, sum(a * m for a, m in zip(x.xi, lam))
+    return quotient.decompose(x).w.act_fw(lam), xi, sum(a * m for a, m in zip(x.xi, lam))
 
 
 def walk_pool(c, x, depth, budget=500_000):
     """representative -> coset state (w lambda, xi off J, p) for every state on a chain
-    the Demazure walk from x yields, rebuilt by `ParabolicQuotient.rep` over the w that
-    a fresh quotient's orbit search finds at w lambda."""
+    the Demazure walk from the state x yields, rebuilt by `ParabolicQuotient.rep` over the
+    w that a fresh quotient's orbit search finds at w lambda."""
     q, orbit = c.quotient, ParabolicQuotient.for_weight(c.datum, c.lam).orbit
     states = {z for chain, *_ in c._demazure_walk(x, depth, budget) for z in chain}
     return {q.rep(orbit[nu], xi): (nu, xi, p) for nu, xi, p in states}
 
 
 def si_leq_by_covers(quotient, x, y, a=None):
-    """The semi-infinite order by a breadth-first search over `si_covers`: y is at most
+    """The semi-infinite order on elements by a breadth-first search over `lift_covers`: y is at most
     si_length(y) - si_length(x) steps above x, and the translation coordinates off J
     only grow along covers, so a box below y's bounds every step.  The oracle for
     `ParabolicQuotient.si_leq`, which searches coset states capped at <xi_y, lambda>."""
@@ -604,7 +679,7 @@ def si_leq_by_covers(quotient, x, y, a=None):
     below = lambda z: all(z.xi[i] <= y.xi[i] for i in off_j)
     frontier = {x} if below(x) else set()
     for _ in range(y.si_length - x.si_length):
-        frontier = {z2 for z in frontier for _beta, z2 in quotient.si_covers(z, a) if below(z2)}
+        frontier = {z2 for z in frontier for _beta, z2 in lift_covers(quotient, z, a, 1) if below(z2)}
         if y in frontier:
             return True
     return False
@@ -615,7 +690,7 @@ def brute_force_by_paths(datum, lam, depth, budget=500_000):
     crystal and summing `SiLSCrystal.weight` over them: the oracle for the
     weights the enumeration walk carries."""
     c = SiLSCrystal(datum, lam)
-    paths = c.enumerate_demazure(affine_identity(datum), depth, budget)
+    paths = c.enumerate_demazure(c.unit, depth, budget)
     return GradedCharacter(Counter((wt.fw, wt.delta) for wt in map(c.weight, paths)))
 
 

@@ -8,14 +8,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from conftest import replay_words
+from conftest import replay_words, si_path
 
 from silspath import characters as ch
 from silspath.cartan import build
 from silspath.characters import GradedCharacter
 from silspath.peterson import ParabolicQuotient
 from silspath.qls import QLSCrystal
-from silspath.sils import SiLSCrystal, SiLSPath
+from silspath.sils import SiLSCrystal
 from silspath.weyl import (
     AffineWeylElt,
     affine_identity,
@@ -128,7 +128,7 @@ def test_criterion_6_order_theory():
     for fam, lam in ORDER_CASES:
         datum = build(*fam)
         quotient = ParabolicQuotient.for_weight(datum, lam)
-        lamw = quotient.lam_weight
+        lamw, st = quotient.lam_weight, quotient.coset_state
         ball = quotient.si_ball(4)
 
         # fixed-translate slices carry the ordinary Bruhat order
@@ -141,7 +141,7 @@ def test_criterion_6_order_theory():
             for w1, w2 in itertools.product(reps, repeat=2):
                 x1 = AffineWeylElt(w1.mul(z_adj), adjusted)
                 x2 = AffineWeylElt(w2.mul(z_adj), adjusted)
-                assert quotient.si_leq(x2, x1) == bruhat_leq(w2, w1), (fam, lam, xi)
+                assert quotient.si_leq(st(x2), st(x1)) == bruhat_leq(w2, w1), (fam, lam, xi)
 
         # simple-reflection sign criteria
         for x in ball:
@@ -150,16 +150,16 @@ def test_criterion_6_order_theory():
                 rjx = affine_simple(datum, j).mul(x)
                 assert quotient.is_rep(rjx) == (pairing != 0)
                 if pairing > 0:
-                    assert quotient.si_leq(x, rjx) and not quotient.si_leq(rjx, x)
+                    assert quotient.si_leq(st(x), st(rjx)) and not quotient.si_leq(st(rjx), st(x))
                 if pairing < 0:
-                    assert quotient.si_leq(rjx, x) and not quotient.si_leq(x, rjx)
+                    assert quotient.si_leq(st(rjx), st(x)) and not quotient.si_leq(st(x), st(rjx))
 
         # one-step implications on comparable pairs
         pairs = [
             (x, y)
             for x in ball
             for y in ball
-            if x != y and quotient.si_leq(x, y)
+            if x != y and quotient.si_leq(st(x), st(y))
         ]
         for x, y in pairs:
             for j in range(datum.rank + 1):
@@ -168,11 +168,11 @@ def test_criterion_6_order_theory():
                 rjx = affine_simple(datum, j).mul(x)
                 rjy = affine_simple(datum, j).mul(y)
                 if px > 0 and py <= 0:
-                    assert quotient.si_leq(rjx, y)
+                    assert quotient.si_leq(st(rjx), st(y))
                 if px >= 0 and py < 0:
-                    assert quotient.si_leq(x, rjy)
+                    assert quotient.si_leq(st(x), st(rjy))
                 if (px > 0 and py > 0) or (px < 0 and py < 0):
-                    assert quotient.si_leq(rjx, rjy)
+                    assert quotient.si_leq(st(rjx), st(rjy))
 
         # edge duality and the dual length identity
         dual = quotient.dual_quotient()
@@ -180,10 +180,10 @@ def test_criterion_6_order_theory():
             datum, quotient.sigma_nodes
         ).length
         for x in ball:
-            xv = quotient.vee(x)
-            assert xv.si_length == const - x.si_length
+            xv = quotient.vee(st(x))
+            assert dual.state_rep(xv).si_length == const - x.si_length
             for a in (None, Fraction(1, 2)):
-                for beta, y in quotient.si_covers(x, a):
+                for beta, y in quotient.si_covers(st(x), a):
                     assert (beta, xv) in dual.si_covers(quotient.vee(y), a)
 
 
@@ -193,7 +193,7 @@ def test_criterion_7_crystal_properties():
         datum = build(*fam)
         crystal = SiLSCrystal(datum, lam)
         qcrystal = QLSCrystal(datum, lam)
-        e = affine_identity(datum)
+        e = crystal.quotient.coset_state(affine_identity(datum))
         sample = crystal.enumerate_demazure(e, depth)
         for eta in sample:
             wt = crystal.weight(eta)
@@ -229,12 +229,12 @@ def test_criterion_7_crystal_properties():
                         assert intrinsic == qcrystal.cl(img)
 
         # string generation between nested Demazure sets
-        lamw = crystal.lam_weight
-        for x in crystal.quotient.si_ball(1):
+        lamw, st = crystal.quotient.lam_weight, crystal.quotient.coset_state
+        for x_el in crystal.quotient.si_ball(1):
             for j in range(datum.rank + 1):
-                if datum.acoroot_pairing(j, x.act_weight(lamw)) <= 0:
+                if datum.acoroot_pairing(j, x_el.act_weight(lamw)) <= 0:
                     continue
-                rjx = affine_simple(datum, j).mul(x)
+                x, rjx = st(x_el), st(affine_simple(datum, j).mul(x_el))
                 for eta in sample:
                     if crystal.in_demazure_final(eta, x):
                         fmax, _ = crystal.f_max(eta, j)
@@ -287,14 +287,16 @@ def test_criterion_9_lift_uniqueness():
                 xi = [0] * datum.rank
                 for i, c in zip(free, box):
                     xi[i - 1] = c
-                start = SiLSPath(
+                start = si_path(
+                    q.sils,
                     (quotient.project(translation(datum, tuple(xi))),),
                     (Fraction(0), Fraction(1)),
                 )
                 lift = q.sils.apply(start, words[psi])
-                if not any(lift.kappa.xi) and quotient.is_min_rep(lift.kappa.w):
+                kappa, iota = quotient.state_rep(lift.kappa), quotient.state_rep(lift.iota)
+                if not any(kappa.xi) and quotient.is_min_rep(kappa.w):
                     kappa_hits.append(lift)
-                if not any(lift.iota.xi) and quotient.is_min_rep(lift.iota.w):
+                if not any(iota.xi) and quotient.is_min_rep(iota.w):
                     iota_hits.append(lift)
             assert kappa_hits == [q.eta_kappa(psi)], (fam, lam, psi)
             assert iota_hits == [q.eta_iota(psi)], (fam, lam, psi)

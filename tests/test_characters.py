@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (
+    NESTING_WEIGHTS,
+    TEST_WEIGHTS,
     bruhat_above_by_rows,
     brute_force_by_paths,
     deg_iota,
@@ -30,16 +32,6 @@ from silspath.characters import GradedCharacter
 from silspath.peterson import TABLE_BUDGET, ParabolicQuotient
 from silspath.qls import QLSCrystal
 from silspath.weyl import affine_identity, bruhat_leq, finite_from_word, simple_reflection
-
-TEST_WEIGHTS = [
-    (("A", 1), (1,)),
-    (("A", 1), (2,)),
-    (("A", 1), (3,)),
-    (("A", 2), (1, 0)),
-    (("A", 2), (1, 1)),
-    (("C", 2), (1, 0)),
-]
-
 
 def gc(pairs):
     return GradedCharacter({(tuple(fw), q): c for fw, q, c in pairs})
@@ -142,13 +134,12 @@ def test_column_series_counts_multipartitions():
 def test_strict_multipartitions_index_components(a1):
     # the component count at each delta degree matches the strict variant
     from silspath.qls import QLSCrystal
-    from silspath.weyl import affine_identity
 
     q = QLSCrystal(a1, (2,))
     c = q.sils
     depth = 3
     bases = {}
-    for eta in c.enumerate_demazure(affine_identity(a1), depth):
+    for eta in c.enumerate_demazure(c.unit, depth):
         base = q.component_base(eta)
         bases[base] = -c.weight(base).delta
     strict = multipartitions((2,), depth, strict=True)
@@ -220,13 +211,6 @@ def test_quotient_minus_rejects_non_reps(a2):
 def test_quotient_plus_rejects_non_reps(a2):
     with pytest.raises(ValueError, match="not a minimal coset representative for J"):
         ch.gch_quotient_plus(a2, (1, 0), simple_reflection(a2, 2))
-
-
-# minuscule E-type weights: 27 and 56 representatives, all pairs compared
-NESTING_WEIGHTS = TEST_WEIGHTS + [
-    (("E", 6), (1, 0, 0, 0, 0, 0)),
-    (("E", 7), (0, 0, 0, 0, 0, 0, 1)),
-]
 
 
 @pytest.mark.parametrize("fam,lam", NESTING_WEIGHTS)
@@ -602,8 +586,8 @@ def test_level_rows_are_full_rows_filtered(fam, lam):
 
 @pytest.mark.parametrize("fam,lam", DEGREE_SUM_WEIGHTS)
 def test_row_lengths_are_element_lengths(fam, lam):
-    # the lengths qb_row reads off its map: lambda's, counted when only coset_state
-    # named it, and every point's that the coset rows reach before the orbit search
+    # the lengths qb_row reads off its map: lambda's, counted before any orbit search,
+    # and every point's that the coset rows reach before the orbit search
     # runs (QB(W^J) is strongly connected), each the length of its w in W^J
     datum = build(*fam)
     quotient = ParabolicQuotient.for_weight(datum, lam)
@@ -612,7 +596,7 @@ def test_row_lengths_are_element_lengths(fam, lam):
     assert quotient._lengths[start] == 0
     seen, frontier = {start}, [start]
     while frontier:
-        for _v, nu, _c, _p in quotient.coset_covers(frontier.pop(), 1):
+        for nu, _c, _p, _u in quotient.coset_covers(frontier.pop(), 1):
             if nu not in seen:
                 seen.add(nu)
                 frontier.append(nu)

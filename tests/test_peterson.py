@@ -29,6 +29,7 @@ from conftest import (
     is_rep_critical,
     order_quotients,
     si_leq_by_covers,
+    vee_by_element,
     walk_pool,
 )
 
@@ -205,8 +206,10 @@ def test_simple_lift_criterion():
 def test_dual_examples(a1):
     quotient = ParabolicQuotient.for_weight(a1, (1,))
     e, s1 = affine_identity(a1), from_finite(simple_reflection(a1, 1))
-    assert quotient.vee(e) == s1
-    assert quotient.vee(s1) == e
+    st = quotient.coset_state  # A1 (1) is its own sigma-dual
+    assert quotient.vee(st(e)) == st(s1)
+    assert quotient.vee(st(s1)) == st(e)
+    assert vee_by_element(quotient, e) == s1
 
 
 def test_dual_involution_and_length():
@@ -217,22 +220,24 @@ def test_dual_involution_and_length():
         wsj0 = longest_element(datum, quotient.sigma_nodes)
         const = w0.length - wsj0.length
         for x in quotient.si_ball(3):
-            xv = quotient.vee(x)
+            xv = dual.state_rep(quotient.vee(quotient.coset_state(x)))
+            assert xv == vee_by_element(quotient, x)
             assert dual.is_rep(xv)
-            assert dual.vee(xv) == x
+            assert quotient.state_rep(dual.vee(dual.coset_state(xv))) == x
             assert xv.si_length == const - x.si_length
 
 
 def test_si_covers_examples(a1):
     quotient = ParabolicQuotient.for_weight(a1, (1,))
     e, s1 = affine_identity(a1), from_finite(simple_reflection(a1, 1))
-    assert quotient.si_covers(e) == ((AffineRealRoot((1,), 0), s1),)
-    assert quotient.si_covers(s1) == (
-        (AffineRealRoot((-1,), 1), translation(a1, (1,))),
+    st = quotient.coset_state
+    assert quotient.si_covers(st(e)) == ((AffineRealRoot((1,), 0), st(s1)),)
+    assert quotient.si_covers(st(s1)) == (
+        (AffineRealRoot((-1,), 1), st(translation(a1, (1,)))),
     )
     two = ParabolicQuotient.for_weight(a1, (2,))
-    assert two.si_covers(e, Fraction(1, 2)) == ((AffineRealRoot((1,), 0), s1),)
-    one_half = quotient.si_covers(e, Fraction(1, 2))
+    assert two.si_covers(two.coset_state(e), Fraction(1, 2)) == ((AffineRealRoot((1,), 0), two.coset_state(s1)),)
+    one_half = quotient.si_covers(st(e), Fraction(1, 2))
     assert one_half == ()  # (1/2) * 1 is not an integer
 
 
@@ -249,10 +254,12 @@ SCAN_CASES = ORDER_CASES + [
 
 def assert_covers_match_scan(quotient, x, a):
     # up covers tuple for tuple (si-graph prints them in this order); down
-    # covers as multisets, since the scan lists them in another order
-    assert quotient.si_covers(x, a) == covers_by_scan(quotient, x, a, 1), (x, a)
-    lower = covers_by_scan(quotient, x, a, -1)
-    assert Counter(quotient.si_lower_covers(x, a)) == Counter(lower), (x, a)
+    # covers as multisets, since the scan lists them in another order; the
+    # scan's elements are read as states
+    st = quotient.coset_state
+    assert quotient.si_covers(st(x), a) == tuple((b, st(y)) for b, y in covers_by_scan(quotient, x, a, 1)), (x, a)
+    lower = [(b, st(z)) for b, z in covers_by_scan(quotient, x, a, -1)]
+    assert Counter(quotient.si_lower_covers(st(x), a)) == Counter(lower), (x, a)
 
 
 @pytest.mark.parametrize("fam,lam", SCAN_CASES)
@@ -278,17 +285,17 @@ def test_scanned_labels_depend_only_on_the_finite_direction(fam, lam):
 
 
 def assert_coset_covers_match_scan(quotient, fresh, x, state, a):
-    # the cosets coset_covers reads from x's state, each rebuilt by rep, are the
-    # covers of x that a fresh quotient's candidate scan finds, in order, with
-    # their states and orbit points
+    # the cosets coset_covers reads from x's state, each rebuilt by rep over the
+    # w named at its point, are the covers of x that a fresh quotient's candidate
+    # scan finds, in order, with their states and orbit points
     nu, xi, p = state
     scan = [y for _beta, y in covers_by_scan(fresh, x, a, 1)]
     row = quotient.coset_covers(nu, 1 if a is None else a.denominator)
-    states = [(nu2, vec_add(xi, c), p + dp) for _v, nu2, c, dp in row]
-    assert [quotient.rep(v, z[1]) for (v, *_), z in zip(row, states)] == scan, (x, a)
+    states = [(nu2, vec_add(xi, c), p + dp) for nu2, c, dp, _u in row]
+    assert [quotient.rep(quotient.named(z[0]), z[1]) for z in states] == scan, (x, a)
     assert [quotient.state_rep(z) for z in states] == scan, (x, a)
     assert states == [coset_state(fresh, y) for y in scan], (x, a)
-    assert [nu for _v, nu, _c, _dp in row] == [v.act_fw(quotient.lam) for v, *_ in row], (x, a)
+    assert [quotient.named(nu2).act_fw(quotient.lam) for nu2, *_ in row] == [nu2 for nu2, *_ in row], (x, a)
 
 
 @pytest.mark.parametrize("fam,lam,depth", GRCH1_CASES)
@@ -298,7 +305,7 @@ def test_enumeration_pool_covers_match_candidate_scan(fam, lam, depth):
     # coset covers and si_covers both match the candidate scan
     datum = build(*fam)
     crystal = SiLSCrystal(datum, lam)
-    pool = walk_pool(crystal, affine_identity(datum), depth)
+    pool = walk_pool(crystal, crystal.unit, depth)
     assert pool
     fresh = ParabolicQuotient.for_weight(datum, lam)
     for x, state in pool.items():
@@ -329,8 +336,8 @@ def test_coset_covers_lift_to_si_covers(fam, lam):
         assert quotient.rep(w, state[1]) == x == quotient.rep(w, x.xi) == quotient.state_rep(state)
         for a in (None,) + quotient.cut_grid():
             assert_coset_covers_match_scan(quotient, fresh, x, state, a)
-            assert [y for _beta, y in quotient.si_covers(x, a)] == [
-                y for _beta, y in covers_by_scan(quotient, x, a, 1)
+            assert [y for _beta, y in quotient.si_covers(state, a)] == [
+                quotient.coset_state(y) for _beta, y in covers_by_scan(quotient, x, a, 1)
             ], (x, a)
     assert "orbit" not in vars(quotient)
 
@@ -358,8 +365,8 @@ def test_si_covers_against_bruteforce():
                     beta = AffineRealRoot(u, n)
                     y = affine_reflection(datum, beta).mul(x)
                     if y.si_length == x.si_length + 1 and quotient.is_rep(y):
-                        brute.add((beta, y))
-            assert brute == set(quotient.si_covers(x))
+                        brute.add((beta, quotient.coset_state(y)))
+            assert brute == set(quotient.si_covers(quotient.coset_state(x)))
 
 
 def test_cover_translation_monotonicity():
@@ -367,8 +374,8 @@ def test_cover_translation_monotonicity():
     for quotient, lam in order_quotients():
         jset = set(quotient.j_nodes)
         for x in quotient.si_ball(4):
-            for _beta, y in quotient.si_covers(x):
-                diff = vec_sub(y.xi, x.xi)
+            for _beta, y in quotient.si_covers(quotient.coset_state(x)):
+                diff = vec_sub(quotient.state_rep(y).xi, x.xi)
                 assert all(
                     diff[i - 1] >= 0
                     for i in range(1, quotient.datum.rank + 1)
@@ -379,7 +386,7 @@ def test_cover_translation_monotonicity():
 def test_si_leq_examples(a1):
     quotient = ParabolicQuotient.for_weight(a1, (1,))
     e, s1 = affine_identity(a1), from_finite(simple_reflection(a1, 1))
-    t1 = translation(a1, (1,))
+    e, s1, t1 = map(quotient.coset_state, (e, s1, translation(a1, (1,))))
     assert quotient.si_leq(e, e)
     assert quotient.si_leq(e, t1)
     assert not quotient.si_leq(t1, e)
@@ -400,18 +407,18 @@ def test_fixed_translation_slice_is_bruhat():
             _, z_adj = quotient.j_adjust(adjusted)
             for w1 in reps:
                 for w2 in reps:
-                    x1 = AffineWeylElt(w1.mul(z_adj), adjusted)
-                    x2 = AffineWeylElt(w2.mul(z_adj), adjusted)
+                    x1 = quotient.coset_state(AffineWeylElt(w1.mul(z_adj), adjusted))
+                    x2 = quotient.coset_state(AffineWeylElt(w2.mul(z_adj), adjusted))
                     assert quotient.si_leq(x2, x1) == bruhat_leq(w2, w1)
 
 
 def _ball_pairs(quotient, radius=4):
-    ball = quotient.si_ball(radius)
+    ball, st = quotient.si_ball(radius), quotient.coset_state
     pairs = [
         (x, y)
         for x in ball
         for y in ball
-        if x != y and quotient.si_leq(x, y)
+        if x != y and quotient.si_leq(st(x), st(y))
     ]
     return ball, pairs
 
@@ -421,23 +428,23 @@ def test_simple_reflection_sign_criterion():
     # and the sign decides which of x, r_j x is higher
     for quotient, lam in order_quotients():
         datum = quotient.datum
-        lamw = quotient.lam_weight
+        lamw, st = quotient.lam_weight, quotient.coset_state
         for x in quotient.si_ball(4):
             for j in range(datum.rank + 1):
                 pairing = datum.acoroot_pairing(j, x.act_weight(lamw))
                 rjx = affine_simple(datum, j).mul(x)
                 assert quotient.is_rep(rjx) == (pairing != 0)
                 if pairing > 0:
-                    assert quotient.si_leq(x, rjx) and not quotient.si_leq(rjx, x)
+                    assert quotient.si_leq(st(x), st(rjx)) and not quotient.si_leq(st(rjx), st(x))
                 elif pairing < 0:
-                    assert quotient.si_leq(rjx, x) and not quotient.si_leq(x, rjx)
+                    assert quotient.si_leq(st(rjx), st(x)) and not quotient.si_leq(st(x), st(rjx))
 
 
 def test_order_reflection_implications():
     # the three one-step implications for comparable pairs
     for quotient, lam in order_quotients():
         datum = quotient.datum
-        lamw = quotient.lam_weight
+        lamw, st = quotient.lam_weight, quotient.coset_state
         ball, pairs = _ball_pairs(quotient)
         for x, y in pairs:
             px_all = [datum.acoroot_pairing(j, x.act_weight(lamw)) for j in range(datum.rank + 1)]
@@ -447,11 +454,11 @@ def test_order_reflection_implications():
                 rjx = affine_simple(datum, j).mul(x)
                 rjy = affine_simple(datum, j).mul(y)
                 if px > 0 and py <= 0:
-                    assert quotient.si_leq(rjx, y)
+                    assert quotient.si_leq(st(rjx), st(y))
                 if px >= 0 and py < 0:
-                    assert quotient.si_leq(x, rjy)
+                    assert quotient.si_leq(st(x), st(rjy))
                 if (px > 0 and py > 0) or (px < 0 and py < 0):
-                    assert quotient.si_leq(rjx, rjy)
+                    assert quotient.si_leq(st(rjx), st(rjy))
 
 
 def test_edge_duality():
@@ -459,13 +466,13 @@ def test_edge_duality():
     for quotient, lam in order_quotients():
         dual = quotient.dual_quotient()
         levels = [None, Fraction(1, 2)]
-        for x in quotient.si_ball(3):
+        for x in map(quotient.coset_state, quotient.si_ball(3)):
             for a in levels:
                 for beta, y in quotient.si_covers(x, a):
-                    dual_edges = dual.si_covers(dual_x := quotient.vee(y), a)
+                    dual_edges = dual.si_covers(quotient.vee(y), a)
                     assert (beta, quotient.vee(x)) in dual_edges
         # and back
-        for x in dual.si_ball(3):
+        for x in map(dual.coset_state, dual.si_ball(3)):
             for a in levels:
                 for beta, y in dual.si_covers(x, a):
                     assert (beta, dual.vee(x)) in quotient.si_covers(dual.vee(y), a)
@@ -473,7 +480,7 @@ def test_edge_duality():
 
 def test_lower_covers_mirror_covers():
     for quotient, lam in order_quotients():
-        ball = quotient.si_ball(3)
+        ball = [quotient.coset_state(x) for x in quotient.si_ball(3)]
         in_ball = set(ball)
         for x in ball:
             for a in (None, Fraction(1, 2)):
@@ -495,14 +502,15 @@ def test_level_covers_match_fraction_rule(fam, lam):
     levels = quotient.cut_grid() + (Fraction(1),)
     assert len({a.denominator for a in levels}) > 2
     for x in quotient.si_ball(2):
-        full = quotient.si_covers(x)
-        assert quotient.si_covers(x, Fraction(1)) is full
+        z = quotient.coset_state(x)
+        full = quotient.si_covers(z)
+        assert quotient.si_covers(z, Fraction(1)) == full
         for a in levels:
             kept = tuple(
                 (beta, y) for beta, y in full
                 if (a * edge_pairing(quotient, beta, x)).denominator == 1
             )
-            assert quotient.si_covers(x, a) == kept, (x, a)
+            assert quotient.si_covers(z, a) == kept, (x, a)
 
 
 @pytest.mark.parametrize("fam,lam", LEVEL_CASES)
@@ -512,7 +520,7 @@ def test_si_leq_depends_on_level_denominator(fam, lam):
     # asked at every level in turn must agree with the fresh searches
     datum = build(*fam)
     shared = ParabolicQuotient.for_weight(datum, lam)
-    ball = shared.si_ball(2)
+    ball = [shared.coset_state(x) for x in shared.si_ball(2)]
     by_den: dict[int, list] = {}
     for a in shared.cut_grid():
         fresh = ParabolicQuotient.for_weight(datum, lam)
@@ -533,14 +541,16 @@ def test_si_leq_matches_cover_search(fam, lam):
     # admits states that the box prunes
     datum = build(*fam)
     quotient, oracle = (ParabolicQuotient.for_weight(datum, lam) for _ in range(2))
-    points = set(quotient.si_ball(2)) | walk_pool(SiLSCrystal(datum, lam), affine_identity(datum), 2).keys()
+    crystal = SiLSCrystal(datum, lam)
+    points = set(quotient.si_ball(2)) | walk_pool(crystal, crystal.unit, 2).keys()
     pairs = [(x, y) for x in points for y in points]
+    st = quotient.coset_state
     expected = {}
     for a in (None,) + quotient.cut_grid():
         d = 1 if a is None else a.denominator
         if d not in expected:
             expected[d] = [si_leq_by_covers(oracle, x, y, a) for x, y in pairs]
-        answers = [quotient.si_leq(x, y, a) for x, y in pairs]
+        answers = [quotient.si_leq(st(x), st(y), a) for x, y in pairs]
         bad = [pair for pair, got, want in zip(pairs, answers, expected[d]) if got != want]
         assert not bad, (a, bad[:3])
         assert len(points) < sum(answers) < len(pairs)

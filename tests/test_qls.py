@@ -13,6 +13,8 @@ from conftest import (
     generate_by_operators,
     oracle_row,
     replay_words,
+    si_path,
+    table_degree_sum,
     translated_lift,
 )
 
@@ -20,7 +22,6 @@ from silspath import characters as ch
 from silspath.cartan import AffineRealRoot, LevelZeroWeight, build, vec_neg, vec_sub
 from silspath.peterson import ParabolicQuotient
 from silspath.qls import QLSCrystal, QLSPath
-from silspath.sils import SiLSPath
 from silspath.weyl import (
     AffineWeylElt,
     affine_identity,
@@ -46,13 +47,13 @@ def test_cl_examples(a1):
     assert q.cl(q.sils.unit_path()) == QLSPath(
         (finite_identity(a1),), (F(0), F(1))
     )
-    eta = SiLSPath((t1, s1), (F(0), F(1, 2), F(1)))
+    eta = si_path(q.sils, (t1, s1), (F(0), F(1, 2), F(1)))
     assert q.cl(eta) == QLSPath(
         (finite_identity(a1), simple_reflection(a1, 1)), (F(0), F(1, 2), F(1))
     )
     # translates of the unit path all project to the straight line
     for xi in [(1,), (2,), (-1,)]:
-        assert q.cl(q.sils.weyl_action(translation(a1, xi), q.sils.unit_path())) == q.cl(
+        assert q.cl(q.sils.weyl_action(translation(a1, xi).reduced_word(), q.sils.unit_path())) == q.cl(
             q.sils.unit_path()
         )
 
@@ -72,14 +73,14 @@ def test_lift_kappa_examples(a1):
     assert q.eta_kappa(unit) == q.sils.unit_path()
     psi_mid = QLSPath((s1, finite_identity(a1)), (F(0), F(1, 2), F(1)))
     lift = q.eta_kappa(psi_mid)
-    assert lift == SiLSPath(
-        (from_finite(s1), e), (F(0), F(1, 2), F(1))
+    assert lift == si_path(
+        q.sils, (from_finite(s1), e), (F(0), F(1, 2), F(1))
     )
     assert q.deg_tail(psi_mid) == 0
     psi_other = QLSPath((finite_identity(a1), s1), (F(0), F(1, 2), F(1)))
     lift2 = q.eta_kappa(psi_other)
-    assert lift2 == SiLSPath(
-        (translation(a1, (1,)), from_finite(s1)), (F(0), F(1, 2), F(1))
+    assert lift2 == si_path(
+        q.sils, (translation(a1, (1,)), from_finite(s1)), (F(0), F(1, 2), F(1))
     )
     assert q.deg_tail(psi_other) == -1
 
@@ -91,7 +92,7 @@ def test_lift_kappa_properties(fam, lam):
         lift = q.eta_kappa(psi)
         assert q.sils.validate(lift)
         assert q.cl(lift) == psi
-        kappa = lift.kappa
+        kappa = q.sils.quotient.state_rep(lift.kappa)
         assert not any(kappa.xi)
         assert q.sils.quotient.is_min_rep(kappa.w)
         assert q.deg_tail(psi) <= 0
@@ -113,12 +114,14 @@ def test_lift_kappa_unique_in_window(fam, lam):
             xi = [0] * datum.rank
             for i, c in zip(free, box):
                 xi[i - 1] = c
-            start = SiLSPath(
+            start = si_path(
+                q.sils,
                 (q.sils.quotient.project(translation(datum, tuple(xi))),),
                 (F(0), F(1)),
             )
             lift = q.sils.apply(start, words[psi])
-            if not any(lift.kappa.xi) and q.sils.quotient.is_min_rep(lift.kappa.w):
+            kappa = q.sils.quotient.state_rep(lift.kappa)
+            if not any(kappa.xi) and q.sils.quotient.is_min_rep(kappa.w):
                 hits.append(lift)
         assert hits == [q.eta_kappa(psi)]
 
@@ -128,7 +131,7 @@ def test_lift_weight_is_maximal_in_fiber(fam, lam):
     # other lifts of psi sit at the same finite weight, strictly lower delta
     q = qls(fam, lam)
     depth = 2
-    enum = q.sils.enumerate_demazure(affine_identity(q.datum), depth)
+    enum = q.sils.enumerate_demazure(q.sils.unit, depth)
     by_fiber = {}
     for eta in enum:
         by_fiber.setdefault(q.cl(eta), []).append(eta)
@@ -137,11 +140,12 @@ def test_lift_weight_is_maximal_in_fiber(fam, lam):
         target = q.eta_kappa(psi)
         wt_psi = q.weight(psi)
         # uniqueness of the finite-final-direction lift inside the unit component
+        rep = q.sils.quotient.state_rep
         finite_dirs = [
             eta
             for eta in lifts
-            if not any(eta.kappa.xi)
-            and q.sils.quotient.is_min_rep(eta.kappa.w)
+            if not any(rep(eta.kappa).xi)
+            and q.sils.quotient.is_min_rep(rep(eta.kappa).w)
             and q.component_base(eta) == unit
         ]
         for eta in lifts:
@@ -181,8 +185,9 @@ def test_table_rows_match_distinguished_lifts(fam, lam):
         assert rec.deg_kappa == wt_kappa.delta, psi
         assert wt_iota.delta == deg_iota_by_chain(q, psi), psi
         assert rec.weight == wt_kappa.fw == wt_iota.fw
-        assert psi.directions[-1] == kappa_lift.kappa.w
-        assert psi.directions[0] == iota_lift.iota.w
+        rep = q.sils.quotient.state_rep
+        assert psi.directions[-1] == rep(kappa_lift.kappa).w
+        assert psi.directions[0] == rep(iota_lift.iota).w
 
 
 ORACLE_CASES = QLS_CASES + [
@@ -227,10 +232,11 @@ def test_orbit_edges_match_edge_labels(fam, lam):
     quotient = ParabolicQuotient.for_weight(datum, lam)
     orbit = quotient.orbit
     points, row = orbit.values(), lambda w, step: quotient.qb_row(w.act_fw(lam), 1, step)
+    st = quotient.coset_state
     for w in points:
         x, edges = from_finite(w), row(w, 1)
         labels = [(AffineRealRoot(w.act_root(u), int(q)), p) for _nu, p, u, q in edges]
-        assert labels == [(beta, edge_pairing(quotient, beta, x)) for beta, _y in quotient.si_covers(x)], w
+        assert labels == [(beta, edge_pairing(quotient, beta, x)) for beta, _y in quotient.si_covers(st(x))], w
         for nu, _p, u, _q in edges:
             assert orbit[nu] == quotient.min_rep(w.mul(finite_reflection(datum, u)))
         # quantum by the length test iff step w(u) < 0, in both directions
@@ -246,9 +252,9 @@ def test_orbit_edges_match_edge_labels(fam, lam):
     # scan at w t_0: up tuple for tuple, down as multisets
     for w in points:
         x = from_finite(w)
-        assert quotient.si_covers(x) == covers_by_scan(quotient, x, None, 1), w
-        down = quotient.si_lower_covers(x)
-        assert Counter(down) == Counter(covers_by_scan(quotient, x, None, -1)), w
+        assert quotient.si_covers(st(x)) == tuple((b, st(y)) for b, y in covers_by_scan(quotient, x, None, 1)), w
+        down = quotient.si_lower_covers(st(x))
+        assert Counter(down) == Counter((b, st(z)) for b, z in covers_by_scan(quotient, x, None, -1)), w
 
 
 @pytest.mark.parametrize("fam,lam", ORACLE_CASES + [(("B", 3), (1, 1, 0)), (("D", 4), (1, 0, 1, 0))])
@@ -268,6 +274,29 @@ def test_rows_without_orbit_match_rows_after_it(fam, lam):
             assert counted.qb_row(nu, d, step) == searched.qb_row(nu, d, step), (w, step, d)
     assert "orbit" not in vars(counted)
     assert all(orbit[nu].length == n for nu, n in counted._lengths.items())
+
+
+# (table rows, reach sets): the table searches reach only where the level's row is not
+# empty, exactly the sets `final_sums` builds; 72, 48, 48 and 48 when it searched every level
+TABLE_REACH_CASES = [
+    (("B", 3), (1, 1, 0), 154, 28),
+    (("G", 2), (1, 1), 105, 15),
+    (("C", 3), (1, 0, 1), 84, 20),
+    (("A", 3), (1, 1, 1), 96, 24),
+]
+
+
+@pytest.mark.parametrize("fam,lam,rows,reaches", TABLE_REACH_CASES)
+def test_table_reads_only_nonempty_level_rows(fam, lam, rows, reaches):
+    # a level whose QB(W^J) row at the top is empty adds no chain, so the table skips
+    # it as the sweep does: the same rows, and the reach sets of the sweep
+    table_first, sweep_first = qls(fam, lam), qls(fam, lam)
+    assert len(table_first.table) == rows
+    assert sweep_first.final_sums
+    read = table_first.sils.quotient._reach_cache.keys()
+    assert len(read) == reaches
+    assert read == sweep_first.sils.quotient._reach_cache.keys()
+    assert table_degree_sum(table_first) == ch.qls_degree_sum(build(*fam), lam)
 
 
 def test_star_dual_examples(a1):
@@ -294,10 +323,10 @@ def test_lift_iota_examples(a1):
     assert q.eta_iota(unit) == q.sils.unit_path()
     psi_other = QLSPath((finite_identity(a1), s1), (F(0), F(1, 2), F(1)))
     lift = q.eta_iota(psi_other)
-    assert lift == SiLSPath(
-        (affine_identity(a1), AffineWeylElt(s1, (-1,))), (F(0), F(1, 2), F(1))
+    assert lift == si_path(
+        q.sils, (affine_identity(a1), AffineWeylElt(s1, (-1,))), (F(0), F(1, 2), F(1))
     )
-    assert lift.iota == affine_identity(a1)
+    assert q.sils.quotient.state_rep(lift.iota) == affine_identity(a1)
 
 
 @pytest.mark.parametrize("fam,lam", QLS_CASES)
@@ -307,7 +336,7 @@ def test_lift_iota_properties(fam, lam):
         lift = q.eta_iota(psi)
         assert q.sils.validate(lift)
         assert q.cl(lift) == psi
-        iota = lift.iota
+        iota = q.sils.quotient.state_rep(lift.iota)
         assert not any(iota.xi)
         assert q.sils.quotient.is_min_rep(iota.w)
         # the delta coefficient of the initial lift is nonnegative
@@ -397,7 +426,8 @@ def test_fiber_structure(fam, lam):
     datum = q.datum
     depth = 2
     jset = set(q.sils.quotient.j_nodes)
-    enum = q.sils.enumerate_demazure(affine_identity(datum), depth)
+    enum = q.sils.enumerate_demazure(q.sils.unit, depth)
+    rep = q.sils.quotient.state_rep
     def proj(xi):
         return tuple(
             c if (i + 1) not in jset else 0 for i, c in enumerate(xi)
@@ -409,12 +439,12 @@ def test_fiber_structure(fam, lam):
         word, lift = found[psi]
         base = q.component_base(eta)
         # membership in the Demazure set forces a dominant final translate
-        assert all(c >= 0 for c in proj(eta.kappa.xi))
+        assert all(c >= 0 for c in proj(rep(eta.kappa).xi))
         # the fiber translate, relative to the oracle lift's final direction
         zeta = tuple(
-            a - b for a, b in zip(proj(eta.kappa.xi), proj(lift.kappa.xi))
+            a - b for a, b in zip(proj(rep(eta.kappa).xi), proj(rep(lift.kappa).xi))
         )
-        start = q.sils.weyl_action(translation(datum, zeta), base)
+        start = q.sils.weyl_action(translation(datum, zeta).reduced_word(), base)
         assert q.sils.apply(start, word) == eta
 
 
@@ -438,7 +468,7 @@ def test_component_base_matches_operator_walk(fam, lam):
     # root-operator walk, on the Demazure set at e and one operator beyond it
     q = qls(fam, lam)
     sils = q.sils
-    sample = set(sils.enumerate_demazure(affine_identity(q.datum), 1))
+    sample = set(sils.enumerate_demazure(sils.unit, 1))
     for eta in tuple(sample):
         for j in range(q.datum.rank + 1):
             sample.update(p for p in (sils.root_e(eta, j), sils.root_f(eta, j)) if p is not None)
@@ -479,9 +509,9 @@ def test_translation_lift_matches_replay(fam, lam):
     unit = q.sils.unit_path()
     for psi, (word, lift) in generate_by_operators(q).items():
         assert q.sils.apply(unit, word) == lift
-        xi = quotient.decompose(lift.kappa).xi
-        start = SiLSPath(
-            (quotient.project(translation(q.datum, vec_neg(xi))),), (F(0), F(1))
+        xi = quotient.decompose(quotient.state_rep(lift.kappa)).xi
+        start = si_path(
+            q.sils, (quotient.project(translation(q.datum, vec_neg(xi))),), (F(0), F(1))
         )
         assert q.sils.apply(start, word) == q.eta_kappa(psi), psi
 
@@ -498,27 +528,31 @@ def test_lift_cuts_lie_on_grid(fam, lam):
 
 @pytest.mark.parametrize("fam,lam", QLS_CASES + [(("F", 4), (0, 1, 0, 0))])
 def test_decompose_memo_matches_fresh_quotient(fam, lam):
-    # cl reads every direction's decomposition from the memo, whose
-    # assertions ran once; a fresh quotient recomputes each one
+    # cl reads every direction's w = cl(x) off the map named per orbit point, which
+    # a fresh quotient's decompositions and orbit search reproduce
     q = qls(fam, lam)
-    memo = q.sils.quotient._decompose_cache
+    memo = q.sils.quotient._named
     found = generate_by_operators(q)
-    directions = {x for _word, lift in found.values() for x in lift.directions}
-    assert directions <= memo.keys()
+    directions = {z for _word, lift in found.values() for z in lift.directions}
+    assert {z[0] for z in directions} <= memo.keys()
     fresh = ParabolicQuotient.for_weight(q.datum, q.lam)
-    for x, dec in memo.items():
-        assert dec == fresh.decompose(x), x
+    for z in directions:
+        assert memo[z[0]] == fresh.decompose(q.sils.quotient.state_rep(z)).w, z
+    for nu, w in memo.items():
+        assert w == fresh.orbit[nu], nu
 
 
 def test_j_adjust_memo_matches_fresh_projection():
     q = qls(("A", 3), (1, 0, 1))
     quotient = q.sils.quotient
     assert quotient.j_nodes
-    directions = {x for _word, lift in generate_by_operators(q).values() for x in lift.directions}
+    directions = {z for _word, lift in generate_by_operators(q).values() for z in lift.directions}
     for psi in q.paths():
         directions.update(q.eta_kappa(psi).directions)
+    for z in directions:
+        quotient.state_rep(z)  # rep reads j_adjust at the state's xi
     cache = quotient._adjust_cache
-    assert {x.xi for x in directions} <= cache.keys()
+    assert {z[1] for z in directions} <= cache.keys()
     for xi, memo in cache.items():
         p = quotient.project(translation(q.datum, xi))
         assert memo == (vec_sub(p.xi, xi), p.w)
@@ -533,14 +567,14 @@ def test_quotient_memos_are_freed_with_crystal():
     try:
         q = qls(("G", 2), (0, 1))
         assert q.table
-        paths = q.sils.enumerate_demazure(affine_identity(q.datum), 2)
+        paths = q.sils.enumerate_demazure(q.sils.unit, 2)
         assert all(q.sils.validate(eta) for eta in paths)
         total = Counter()
         for part in q.final_sums.values():
             total.update(part)
         assert ch._interval_sum(q, q.lam) == total
         quotient = q.sils.quotient
-        assert quotient._decompose_cache and quotient._coset_cache and quotient._si_leq_cache
+        assert quotient._named and quotient._coset_cache and quotient._si_leq_cache
         assert quotient._row_cache and quotient._qb_levels and quotient._reach_cache
         ref = weakref.ref(quotient)
         del q, quotient

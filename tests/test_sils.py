@@ -14,6 +14,7 @@ from conftest import (
     enumerate_demazure_by_pool,
     is_translation_type,
     multipartitions,
+    si_path,
     walk_pool,
 )
 
@@ -65,8 +66,9 @@ def test_validate_examples(a1):
     one = SiLSCrystal(a1, (1,))
     e, s1, t1 = a1_paths(a1)
     assert two.validate(two.unit_path())
-    good = SiLSPath((s1, e), (F(0), F(1, 2), F(1)))
-    assert two.validate(good)
+    cuts = (F(0), F(1, 2), F(1))
+    assert two.validate(si_path(two, (s1, e), cuts))
+    good = si_path(one, (s1, e), cuts)
     assert not one.validate(good)
     assert "level" in one.invalid_reason(good)
 
@@ -75,8 +77,8 @@ def test_weight_examples(a1):
     two = SiLSCrystal(a1, (2,))
     e, s1, t1 = a1_paths(a1)
     assert two.weight(two.unit_path()) == LevelZeroWeight((2,), 0)
-    assert two.weight(SiLSPath((s1, e), (F(0), F(1, 2), F(1)))) == LevelZeroWeight((0,), 0)
-    assert two.weight(SiLSPath((t1, s1), (F(0), F(1, 2), F(1)))) == LevelZeroWeight((0,), -1)
+    assert two.weight(si_path(two, (s1, e), (F(0), F(1, 2), F(1)))) == LevelZeroWeight((0,), 0)
+    assert two.weight(si_path(two, (t1, s1), (F(0), F(1, 2), F(1)))) == LevelZeroWeight((0,), -1)
 
 
 # -- root operators -----------------------------------------------------------
@@ -87,12 +89,12 @@ def test_root_operator_examples(a1):
     e, s1, t1 = a1_paths(a1)
     eta = two.unit_path()
     f1 = two.root_f(eta, 1)
-    assert f1 == SiLSPath((s1, e), (F(0), F(1, 2), F(1)))
+    assert f1 == si_path(two, (s1, e), (F(0), F(1, 2), F(1)))
     f11 = two.root_f(f1, 1)
-    assert f11 == SiLSPath((s1,), (F(0), F(1)))
+    assert f11 == si_path(two, (s1,), (F(0), F(1)))
     assert two.root_f(f11, 1) is None
     e0 = two.root_e(eta, 0)
-    assert e0 == SiLSPath((e, AffineWeylElt(s1.w, (-1,))), (F(0), F(1, 2), F(1)))
+    assert e0 == si_path(two, (e, AffineWeylElt(s1.w, (-1,))), (F(0), F(1, 2), F(1)))
     for j in (1,):
         assert two.root_e(eta, j) is None
 
@@ -108,14 +110,14 @@ def test_string_examples(a1):
 def test_iota_kappa(a1):
     two = SiLSCrystal(a1, (2,))
     e, s1, t1 = a1_paths(a1)
-    eta = two.unit_path()
-    assert eta.iota == eta.kappa == e
-    assert SiLSPath((t1, s1), (F(0), F(1, 2), F(1))).kappa == s1
+    eta, rep = two.unit_path(), two.quotient.state_rep
+    assert rep(eta.iota) == rep(eta.kappa) == e
+    assert rep(si_path(two, (t1, s1), (F(0), F(1, 2), F(1))).kappa) == s1
 
 
 def _component_sample(crystal, depth):
     """Enumerated truncated Demazure set at the identity, a reusable sample."""
-    return crystal.enumerate_demazure(affine_identity(crystal.datum), depth)
+    return crystal.enumerate_demazure(crystal.unit, depth)
 
 
 @pytest.mark.parametrize("fam,lam,depth", ENUM_CASES)
@@ -154,14 +156,15 @@ def test_kappa_flip_criterion(a1):
     two = SiLSCrystal(a1, (2,))
     sample = _component_sample(two, 2)
     for eta in sample:
+        kappa = two.quotient.state_rep(eta.kappa)
         for j in range(2):
             pairing = two.datum.acoroot_pairing(
-                j, eta.kappa.act_weight(two.lam_weight)
+                j, kappa.act_weight(two.quotient.lam_weight)
             )
             fmax, count = two.f_max(eta, j)
             if pairing > 0:
                 assert count >= 1
-                assert fmax.kappa == affine_simple(a1, j).mul(eta.kappa)
+                assert fmax.kappa == two.quotient.coset_state(affine_simple(a1, j).mul(kappa))
             else:
                 assert fmax.kappa == eta.kappa
 
@@ -173,11 +176,11 @@ def test_weyl_action_examples(a1):
     two = SiLSCrystal(a1, (2,))
     e, s1, t1 = a1_paths(a1)
     eta = two.unit_path()
-    assert two.weyl_action(affine_identity(a1), eta) == eta
-    assert two.weyl_action(t1, eta) == SiLSPath((t1,), (F(0), F(1)))
+    assert two.weyl_action(affine_identity(a1).reduced_word(), eta) == eta
+    assert two.weyl_action(t1.reduced_word(), eta) == si_path(two, (t1,), (F(0), F(1)))
     f1 = two.root_f(eta, 1)
     for j in range(2):
-        rj = affine_simple(a1, j)
+        rj = affine_simple(a1, j).reduced_word()
         assert two.weyl_action(rj, two.weyl_action(rj, f1)) == f1
 
 
@@ -190,12 +193,12 @@ def test_weyl_action_translation_form_consistent(a2):
     for lam, shapes in [((1, 1), {1}), ((2, 0), {1, 2})]:
         c = SiLSCrystal(a2, lam)
         base = c.quotient.project(translation(a2, (-1, -1)))
-        paths = [eta for eta in c.enumerate_demazure(base, 3) if is_translation_type(c, eta)]
+        paths = [eta for eta in c.enumerate_demazure(c.quotient.coset_state(base), 3) if is_translation_type(c, eta)]
         assert {len(eta.directions) for eta in paths} == shapes
         for eta, x in itertools.product(paths, xs):
-            dirs = tuple(c.quotient.project(x.mul(y)) for y in eta.directions)
-            closed = c.weyl_action(x, eta)
-            assert closed == SiLSPath.from_ticks(dirs, eta.ticks, eta.den), (eta, x)
+            dirs = tuple(c.quotient.project(x.mul(c.quotient.state_rep(y))) for y in eta.directions)
+            closed = c.weyl_action(x.reduced_word(), eta)
+            assert closed == si_path(c, dirs, eta.cuts), (eta, x)
             assert c.validate(closed)
 
 
@@ -205,8 +208,8 @@ def test_weyl_action_translation_form_consistent(a2):
 def test_dual_examples(a1):
     one = SiLSCrystal(a1, (1,))
     e, s1, t1 = a1_paths(a1)
-    assert one.dual_path(one.unit_path()) == SiLSPath((s1,), (F(0), F(1)))
     dual = SiLSCrystal(a1, a1.sigma_dual(one.lam))
+    assert one.dual_path(one.unit_path()) == si_path(dual, (s1,), (F(0), F(1)))
     assert dual.lam == (1,) and dual.validate(one.dual_path(one.unit_path()))
 
 
@@ -238,9 +241,9 @@ def test_dual_properties(fam, lam, depth):
 def test_demazure_membership_examples(a1):
     one = SiLSCrystal(a1, (1,))
     e, s1, t1 = a1_paths(a1)
-    eta = one.unit_path()
+    eta, e = one.unit_path(), one.quotient.coset_state(e)
     assert one.in_demazure_final(eta, e)
-    low = SiLSPath((AffineWeylElt(s1.w, (-1,)),), (F(0), F(1)))
+    low = si_path(one, (AffineWeylElt(s1.w, (-1,)),), (F(0), F(1)))
     assert not one.in_demazure_final(low, e)
     assert one.in_demazure_initial(eta, e)
 
@@ -248,7 +251,7 @@ def test_demazure_membership_examples(a1):
 def test_demazure_nesting(a1):
     one = SiLSCrystal(a1, (1,))
     quotient = one.quotient
-    ball = quotient.si_ball(3)
+    ball = [quotient.coset_state(x) for x in quotient.si_ball(3)]
     sample = _component_sample(one, 3)
     for x in ball:
         for y in ball:
@@ -263,7 +266,7 @@ def test_demazure_nesting(a1):
     for x in ball:
         for y in ball:
             if not quotient.si_leq(x, y):
-                wit = SiLSPath((y,), (F(0), F(1)))
+                wit = si_path(one, (quotient.state_rep(y),), (F(0), F(1)))
                 assert not one.in_demazure_final(wit, x)
 
 
@@ -275,25 +278,25 @@ def test_demazure_stability(fam, lam, depth):
     c = crystal(fam, lam)
     datum = c.datum
     quotient = c.quotient
-    lamw = c.lam_weight
+    lamw = c.quotient.lam_weight
     xs = [x for x in quotient.si_ball(2)]
-    sample = _component_sample(c, depth)
+    sample, st = _component_sample(c, depth), quotient.coset_state
     for x in xs:
-        members = [eta for eta in sample if c.in_demazure_final(eta, x)]
+        members = [eta for eta in sample if c.in_demazure_final(eta, st(x))]
         for eta in members:
             for j in range(datum.rank + 1):
                 f = c.root_f(eta, j)
                 if f is not None:
-                    assert c.in_demazure_final(f, x)
+                    assert c.in_demazure_final(f, st(x))
                 pairing = datum.acoroot_pairing(j, x.act_weight(lamw))
                 if pairing >= 0:
                     e_ = c.root_e(eta, j)
                     if e_ is not None:
-                        assert c.in_demazure_final(e_, x)
+                        assert c.in_demazure_final(e_, st(x))
                 if pairing != 0:
                     rjx = affine_simple(datum, j).mul(x)
                     fmax, _ = c.f_max(eta, j)
-                    assert c.in_demazure_final(fmax, rjx)
+                    assert c.in_demazure_final(fmax, st(rjx))
 
 
 @pytest.mark.parametrize("fam,lam,depth", [(("A", 1), (2,), 2), (("A", 2), (1, 1), 1)])
@@ -303,15 +306,15 @@ def test_demazure_string_generation(fam, lam, depth):
     c = crystal(fam, lam)
     datum = c.datum
     quotient = c.quotient
-    lamw = c.lam_weight
-    sample = _component_sample(c, depth)
+    lamw = c.quotient.lam_weight
+    sample, st = _component_sample(c, depth), quotient.coset_state
     for x in quotient.si_ball(2):
         for j in range(datum.rank + 1):
             if datum.acoroot_pairing(j, x.act_weight(lamw)) <= 0:
                 continue
-            rjx = affine_simple(datum, j).mul(x)
+            z, rjx = st(x), st(affine_simple(datum, j).mul(x))
             for eta in sample:
-                if c.in_demazure_final(eta, x):
+                if c.in_demazure_final(eta, z):
                     fmax, _ = c.f_max(eta, j)
                     assert c.in_demazure_final(fmax, rjx)
                     back, count = c.e_max(fmax, j)
@@ -325,7 +328,7 @@ def test_demazure_string_generation(fam, lam, depth):
                 if c.in_demazure_final(eta, rjx):
                     cur = eta
                     while cur is not None:
-                        assert c.in_demazure_final(cur, x)
+                        assert c.in_demazure_final(cur, z)
                         cur = c.root_e(cur, j)
 
 
@@ -341,8 +344,8 @@ def test_canonicalize_trivial(a1):
 def test_canonicalize_s1(a1):
     one = SiLSCrystal(a1, (1,))
     s1 = from_finite(simple_reflection(a1, 1))
-    ops, term = canonicalize(one, SiLSPath((s1,), (F(0), F(1))))
-    assert term == SiLSPath((translation(a1, (1,)),), (F(0), F(1)))
+    ops, term = canonicalize(one, si_path(one, (s1,), (F(0), F(1))))
+    assert term == si_path(one, (translation(a1, (1,)),), (F(0), F(1)))
     assert is_translation_type(one, term)
 
 
@@ -370,7 +373,7 @@ def test_component_base_unique_per_component(fam, lam, depth):
     # grouping the truncated set by its component base, each group holds at
     # most one element of the distinguished translation form ending at e
     c = crystal(fam, lam)
-    e = affine_identity(c.datum)
+    e = c.quotient.coset_state(affine_identity(c.datum))
     groups: dict[SiLSPath, list[SiLSPath]] = {}
     for eta in _component_sample(c, depth):
         groups.setdefault(component_base_by_operators(c, eta), []).append(eta)
@@ -396,20 +399,20 @@ def test_component_base_unique_per_component(fam, lam, depth):
 def test_enumerate_a1_fundamental(a1):
     one = SiLSCrystal(a1, (1,))
     e, s1, t1 = a1_paths(a1)
-    paths = one.enumerate_demazure(e, 3)
+    paths = one.enumerate_demazure(one.quotient.coset_state(e), 3)
     expected = {
-        SiLSPath((AffineWeylElt(w.w, (k,)),), (F(0), F(1)))
+        si_path(one, (AffineWeylElt(w.w, (k,)),), (F(0), F(1)))
         for w in (e, s1)
         for k in range(4)
     }
     assert set(paths) == expected
-    assert one.enumerate_demazure(s1, 0) == (SiLSPath((s1,), (F(0), F(1))),)
+    assert one.enumerate_demazure(one.quotient.coset_state(s1), 0) == (si_path(one, (s1,), (F(0), F(1))),)
 
 
 @pytest.mark.parametrize("fam,lam,depth", ENUM_CASES)
 def test_enumeration_is_demazure_and_bounded(fam, lam, depth):
     c = crystal(fam, lam)
-    e = affine_identity(c.datum)
+    e = c.unit
     paths = c.enumerate_demazure(e, depth)
     assert len(set(paths)) == len(paths)
     for eta in paths:
@@ -423,7 +426,7 @@ def test_enumeration_closed_under_operators_within_window(fam, lam, depth):
     # completeness: applying any operator to a member stays in the set
     # whenever the result still satisfies the defining conditions
     c = crystal(fam, lam)
-    e = affine_identity(c.datum)
+    e = c.unit
     paths = set(c.enumerate_demazure(e, depth))
     for eta in paths:
         for j in range(c.datum.rank + 1):
@@ -438,7 +441,7 @@ def test_enumerated_cuts_lie_on_grid():
     datum = build("G", 2)
     c = SiLSCrystal(datum, (0, 1))
     allowed = {F(0), F(1)} | set(c.quotient.cut_grid())
-    paths = c.enumerate_demazure(affine_identity(datum), 2)
+    paths = c.enumerate_demazure(c.unit, 2)
     assert any(len(eta.directions) > 1 for eta in paths)
     for eta in paths:
         assert set(eta.cuts) <= allowed, eta
@@ -449,7 +452,7 @@ def test_budget_exhaustion_names_its_stage(a1):
     # depth 2 pools fewer directions than it emits paths.  The brute force
     # counts the same walk's paths without holding them, at the same bounds.
     c = SiLSCrystal(a1, (2,))
-    e = affine_identity(a1)
+    e = c.unit
     paths = c.enumerate_demazure(e, 2)
     pool = walk_pool(c, e, 2)
     assert len(pool) < len(paths)
@@ -481,7 +484,8 @@ def test_budget_stages_are_pinned(fam, lam, depth, pool, paths):
     # the order the walk takes its kappas in decides which budget runs out first
     # when both do; it moves no stage of the enumeration or of the brute force
     datum = build(*fam)
-    c, e = SiLSCrystal(datum, lam), affine_identity(datum)
+    c = SiLSCrystal(datum, lam)
+    e = c.unit
     assert len(c.enumerate_demazure(e, depth)) == paths
     runs = (
         lambda budget: c.enumerate_demazure(e, depth, budget),
@@ -529,12 +533,11 @@ def test_brute_force_walk_hashes_no_weyl_element_per_state(monkeypatch):
 def test_walk_carries_each_path_weight(a2):
     # at a translated x, the weight carried to each closing path is its weight
     c = SiLSCrystal(a2, (1, 1))
-    x = c.quotient.project(translation(a2, (-1, 0)))
-    n, cut, q = c.n, 0, c.quotient
+    x = c.quotient.coset_state(c.quotient.project(translation(a2, (-1, 0))))
+    n, cut = c.n, 0
     for chain, cuts_desc, fw, delta in c._demazure_walk(x, 2, 500_000):
         ticks = (0,) + tuple(reversed(cuts_desc)) + (n,)
-        dirs = tuple(map(q.state_rep, reversed(chain)))
-        eta = SiLSPath.from_ticks(dirs, ticks, n)
+        eta = SiLSPath.from_ticks(tuple(reversed(chain)), ticks, n)
         assert c.validate(eta), eta
         assert c.weight(eta) == LevelZeroWeight(fw, delta), eta
         cut += len(chain) > 1
@@ -542,12 +545,12 @@ def test_walk_carries_each_path_weight(a2):
 
 
 def test_dropped_crystal_is_collected(a2):
-    # the per-direction data lives on the crystal and goes with it
+    # the per-point data lives on the crystal's quotient and goes with it
     c = SiLSCrystal(a2, (1, 1))
     unit = c.unit_path()
     assert c.root_e(c.root_f(unit, 1), 1) == unit
-    assert c.enumerate_demazure(affine_identity(a2), 1)
-    assert c._directions
+    assert c.enumerate_demazure(c.unit, 1)
+    assert c.quotient._named and c.quotient._coset_cache
     ref = weakref.ref(c)
     del c
     gc.collect()
@@ -574,7 +577,7 @@ def test_enumerating_crystal_is_freed_without_cyclic_gc(a2):
     gc.disable()
     try:
         c = SiLSCrystal(a2, (1, 1))
-        assert c.enumerate_demazure(affine_identity(a2), 2)
+        assert c.enumerate_demazure(c.unit, 2)
         ref = weakref.ref(c)
         del c
         assert ref() is None
@@ -588,28 +591,29 @@ def test_decompose_memo_matches_fresh_on_enumeration_pool(fam, lam):
     # the walk's states, rebuilt by rep, are exactly the paths' directions, and
     # decomposing each one gives back its state (cl x, xi off J, <xi, lambda>),
     # from e and from a base whose xi is nonzero on all of J (G2: J = {1}); the
-    # walks decompose their bases and nothing else
+    # decompositions' w are kept per orbit point (`named`), each the w that a
+    # fresh quotient's orbit search finds there
     c = crystal(fam, lam)
     q, bases, pools = c.quotient, [affine_identity(c.datum)], []
     bases.append(q.project(translation(c.datum, (-1,) * c.datum.rank)))
     assert all(v for v, m in zip(bases[1].xi, lam) if not m)
     for x in bases:
-        paths = c.enumerate_demazure(x, 2)
-        pools.append(walk_pool(c, x, 2))
-        assert {y for eta in paths for y in eta.directions} == pools[-1].keys()
-    memo = q._decompose_cache
-    assert memo.keys() == set(bases)
+        paths = c.enumerate_demazure(q.coset_state(x), 2)
+        pools.append(walk_pool(c, q.coset_state(x), 2))
+        assert {q.state_rep(y) for eta in paths for y in eta.directions} == pools[-1].keys()
+    memo = q._named
+    assert {state[0] for pool in pools for state in pool.values()} <= memo.keys()
     for pool in pools:
         for y, state in pool.items():
             assert coset_state(q, y) == state, y
     fresh = ParabolicQuotient.for_weight(c.datum, lam)
-    for x, dec in memo.items():
-        assert dec == fresh.decompose(x), x
+    for nu, w in memo.items():
+        assert w == fresh.orbit[nu], nu
 
 
 def p_of(c, z):
     """p(z) = <xi, lambda> = -delta(z lambda), the degree a direction costs."""
-    return -z.act_weight(c.lam_weight).delta
+    return -z.act_weight(c.quotient.lam_weight).delta
 
 
 @pytest.mark.parametrize(
@@ -633,6 +637,7 @@ def test_capped_search_matches_pool_oracle(fam, lam, depth):
     high = q.project(translation(datum, (depth + 1,) * datum.rank))
     assert p_of(c, low) < 0 < depth < p_of(c, high)
     for x in (affine_identity(datum), q.project(from_finite(longest_element(datum))), low, high):
+        x = q.coset_state(x)
         for d in range(1, depth + 1):
             assert c.enumerate_demazure(x, d) == enumerate_demazure_by_pool(c, x, d), (x, d)
 
@@ -642,22 +647,22 @@ def test_pairing_never_falls_along_a_cover(fam, lam):
     # the cap is exact only because p_of is monotone along every cover, at
     # level 1 and at each grid level
     c = crystal(fam, lam)
-    assert c.enumerate_demazure(affine_identity(c.datum), 2)
+    assert c.enumerate_demazure(c.unit, 2)
     q = c.quotient
-    pool = walk_pool(c, affine_identity(c.datum), 2)
+    pool = walk_pool(c, c.unit, 2)
     assert pool
-    for x in pool:
+    for x, z in pool.items():
         for a in (None,) + q.cut_grid():
-            for _beta, y in q.si_covers(x, a):
-                assert p_of(c, y) >= p_of(c, x), (x, y, a)
+            for _beta, y in q.si_covers(z, a):
+                assert p_of(c, q.state_rep(y)) >= p_of(c, x), (x, y, a)
 
 
 def test_capped_search_reach_is_pinned(monkeypatch):
     # the (state, level denominator) pairs whose coset covers the walk's searches
-    # read: 298 here, 380 (as many as the (x, d) pairs of the walk on directions)
-    # when the walk also searched at levels where the top's row is empty; the
-    # pool bound max_den * depth read covers at 998 directions, and a search
-    # capped at depth * N instead of the remaining degree reads 405 pairs
+    # read: exactly 298 here, 380 (as many as the (x, d) pairs of the walk on
+    # directions) when the walk also searched at levels where the top's row is
+    # empty; the pool bound max_den * depth read covers at 998 directions, and a
+    # search capped at depth * N instead of the remaining degree reads 405 pairs
     read, coset_covers = set(), ParabolicQuotient.coset_covers
 
     def reading(self, nu, d):
@@ -667,8 +672,8 @@ def test_capped_search_reach_is_pinned(monkeypatch):
 
     monkeypatch.setattr(ParabolicQuotient, "coset_covers", reading)
     c = SiLSCrystal(build("B", 2), (1, 1))
-    assert len(c.enumerate_demazure(affine_identity(c.datum), 4)) == 280
-    assert 0 < len(read) <= 400
+    assert len(c.enumerate_demazure(c.unit, 4)) == 280
+    assert len(read) == 298
 
 
 def test_walk_searches_are_pinned(monkeypatch):
@@ -684,7 +689,7 @@ def test_walk_searches_are_pinned(monkeypatch):
 
     monkeypatch.setattr(ParabolicQuotient, "si_above", counting)
     c = SiLSCrystal(build("B", 2), (1, 1))
-    assert sum(1 for _ in c._demazure_walk(affine_identity(c.datum), 4, 500_000)) == 280
+    assert sum(1 for _ in c._demazure_walk(c.unit, 4, 500_000)) == 280
     assert len(calls) == len(set(calls)) == 121
 
 
@@ -694,8 +699,8 @@ def test_walk_stays_in_depth_and_cuts_below_the_parent(fam, lam, depth):
     # more than the depth by itself, and each child cuts strictly below the right
     # cut of its parent, the path one direction shorter
     c = crystal(fam, lam)
-    high = c.quotient.project(translation(c.datum, (depth + 1,) * c.datum.rank))
-    walk = [path for x in (affine_identity(c.datum), high) for path in c._demazure_walk(x, depth, 500_000)]
+    high = c.quotient.coset_state(translation(c.datum, (depth + 1,) * c.datum.rank))
+    walk = [path for x in (c.unit, high) for path in c._demazure_walk(x, depth, 500_000)]
     assert any(cuts_desc for _chain, cuts_desc, _fw, _delta in walk)
     for chain, cuts_desc, _fw, delta in walk:
         assert -delta <= depth
@@ -710,9 +715,9 @@ def test_walk_skips_only_levels_with_no_search_result(fam, lam, depth):
     # finds nothing, and the enumeration still matches the pool oracle
     c = crystal(fam, lam)
     q, n, limit = c.quotient, c.n, depth * c.n
-    high = q.project(translation(c.datum, (depth + 1,) * c.datum.rank))
+    high = q.coset_state(translation(c.datum, (depth + 1,) * c.datum.rank))
     skipped = 0
-    for x in (affine_identity(c.datum), high):
+    for x in (c.unit, high):
         for chain, cuts_desc, _fw, _delta in c._demazure_walk(x, depth, 500_000):
             rights = (n,) + cuts_desc
             settled = sum((rights[j] - cuts_desc[j]) * chain[j][2] for j in range(len(cuts_desc)))
@@ -734,8 +739,9 @@ def test_enumeration_at_translated_base(a2):
         translation(a2, (1, 0)).mul(from_finite(simple_reflection(a2, 1)))
     )
     assert any(x.xi)
-    p_x = c.datum.pair_coweight_weight(x.xi, c.lam_weight)
+    p_x = c.datum.pair_coweight_weight(x.xi, c.quotient.lam_weight)
     assert p_x < 0  # weights above the base can carry positive delta
+    x = c.quotient.coset_state(x)
     paths = c.enumerate_demazure(x, 1)
     assert paths
     for eta in paths:
@@ -757,9 +763,9 @@ def test_enumeration_depth_zero_is_classical(a2):
     # the delta-degree-0 slice is the classical LS crystal: all translation
     # parts vanish and the weights sum to the Weyl character
     c = SiLSCrystal(a2, (1, 1))
-    paths = c.enumerate_demazure(affine_identity(a2), 0)
+    paths = c.enumerate_demazure(c.unit, 0)
     for eta in paths:
-        assert all(not any(x.xi) for x in eta.directions)
+        assert all(not any(x.xi) for x in map(c.quotient.state_rep, eta.directions))
     from silspath.characters import GradedCharacter, weyl_character
 
     total = {}
@@ -819,9 +825,9 @@ def classical_ls_paths(datum, lam):
 def test_depth_zero_matches_classical_enumerator(fam, lam):
     datum = build(*fam)
     c = SiLSCrystal(datum, lam)
-    paths = c.enumerate_demazure(affine_identity(datum), 0)
+    paths = c.enumerate_demazure(c.unit, 0)
     got = {
-        (tuple(x.w for x in eta.directions), eta.cuts[1:-1]) for eta in paths
+        (tuple(c.quotient.state_rep(z).w for z in eta.directions), eta.cuts[1:-1]) for eta in paths
     }
     expected = {
         (dirs, cuts) for dirs, cuts in classical_ls_paths(datum, lam)
