@@ -6,7 +6,8 @@ function.  Projecting away the translation parts gives the finite quantum
 path crystal; each projected path has a unique lift whose final direction
 is a finite coset representative, and the delta-coefficient of that lift's
 weight is the tail degree driving the graded characters.  A direction is
-printed as its integer state (w lambda, xi off J, <xi, lambda>).
+printed as its integer state (w lambda, xi off J, <xi, lambda>); a projected
+path's direction is the orbit point w lambda, which names w in W^J.
 """
 
 from silspath import QLSCrystal, SiLSCrystal, build
@@ -38,8 +39,10 @@ for path in crystal.enumerate_demazure(crystal.unit, 1):
 
 print()
 print("distinguished lifts and tail degrees of the projected crystal:")
+named = q.sils.quotient.named
 for psi in q.paths():
+    words = ", ".join(str(named(nu).reduced_word()) for nu in psi.directions)
     print(
-        f"  {psi!r}: weight {q.weight(psi)}, lift {q.eta_kappa(psi)!r}, "
-        f"tail degree {q.deg_tail(psi)}"
+        f"  {psi!r}, the reduced words {words}: weight {q.weight(psi)}, "
+        f"lift {q.eta_kappa(psi)!r}, tail degree {q.deg_tail(psi)}"
     )

@@ -172,15 +172,16 @@ def _cmd_qls(args) -> int:
     datum = build(args.type, args.rank)
     lam = _parse_lambda(datum, getattr(args, "lambda"))
     crystal = QLSCrystal(datum, lam)
-    for psi in crystal.paths():
+    for psi in crystal.paths():  # each direction is an orbit point, which names its w in W^J
+        words = [list(crystal.sils.quotient.named(nu).reduced_word()) for nu in psi.directions]
         _emit(
             {
-                "directions": [list(w.reduced_word()) for w in psi.directions],
+                "directions": words,
                 "cuts": [str(a) for a in psi.cuts],
                 "weight": list(crystal.weight(psi)),
                 "deg_tail": crystal.deg_tail(psi),
-                "kappa_of_lift": list(psi.directions[-1].reduced_word()),
-                "iota_of_tilde_lift": list(psi.directions[0].reduced_word()),
+                "kappa_of_lift": words[-1],
+                "iota_of_tilde_lift": words[0],
             }
         )
     return 0

@@ -11,16 +11,17 @@ the integer state (w lambda, xi off J, p = <xi, lambda>) of x = w z_xi t_xi: the
 point of w, which fixes w in W^J (`named`), xi mod Q_J^vee, and the pairing.  The state
 is read off any element of the coset x (W_J)_af (`coset_state`), and `state_rep` rebuilds
 x; elements appear only there, in `rep`, `project`, `j_adjust` and `decompose`.  On states
-r_j x is a closed form (`reflect`), as is the duality x -> x^vee (`vee`).
+r_j x is a closed form (`reflect`, whose point part `reflect_point` also serves the finite
+crystal), as is the duality x -> x^vee (`vee`).
 
 The parabolic quantum Bruhat graph QB(W^J) is read one row per orbit point nu = w lambda:
 nu has length #{alpha in Delta^+ : <alpha^vee, nu> < 0}, so a length test finds an edge up
 from w or down to w without building the orbit W lambda.  The graph lifts QB(W^J)
 (Ishii-Naito-Sagaki): edge labels beta depend only on w, and a quantum edge moves xi by
-u^vee, so the covers of a state are read off the row of its point (`coset_covers`, per
-(w lambda, d, step)).  A level a enters only through its reduced denominator d, which must
-divide p = |<beta^vee, x lambda>|: a row is kept per (w lambda, step, d), built from the
-roots whose p d divides.  Reach is searched once, on states: `si_above`, capped by
+u^vee, so the covers of a state are read off the row of its point (`qb_row`), each edge with
+the offset it adds to a state.  A level a enters only through its reduced denominator d,
+which must divide p = |<beta^vee, x lambda>|: a row is kept per (w lambda, step, d), built
+from the roots whose p d divides.  Reach is searched once, on states: `si_above`, capped by
 <xi, lambda>, which never falls along a cover, serves the Demazure walk (kept per walk) and
 the order (per (x, d, p(y))).  Bruhat up-sets in W^J (`bruhat_above`, per w lambda) read no
 row: simple reflections lift them.
@@ -98,7 +99,6 @@ class ParabolicQuotient:
     _lengths: dict = field(default_factory=dict, repr=False)
     _adjust_cache: dict = field(default_factory=dict, repr=False)
     _reach_cache: dict = field(default_factory=dict, repr=False)
-    _coset_cache: dict = field(default_factory=dict, repr=False)
     _named: dict = field(default_factory=dict, repr=False)
     _up_cache: dict = field(default_factory=dict, repr=False)
 
@@ -200,7 +200,7 @@ class ParabolicQuotient:
     def rep(self, w: FiniteWeylElt, xi: Vec) -> AffineWeylElt:
         """Pi^J(w t_xi) = w z_xi t_{xi + phi_J(xi)}: the representative over w in W^J at xi mod Q_J^vee."""
         phi, z = self.j_adjust(xi)
-        return AffineWeylElt(w.mul(z), vec_add(xi, phi))
+        return AffineWeylElt(w if z.is_identity else w.mul(z), vec_add(xi, phi))
 
     def cl_direction(self, x: AffineWeylElt) -> FiniteWeylElt:
         """cl(x) = w for x = w z_xi t_xi."""
@@ -273,42 +273,32 @@ class ParabolicQuotient:
             return False
         return self.state_at(z[0], z[1]) == tuple(z)
 
-    def reflect(self, j: int, z: State) -> State:
-        """The state of r_j x, j in I_af, for the x that z names: r_j nu at the same xi and p for j in I;
-        r_0 = r_theta t_{-theta^vee} sends it to r_theta nu at xi - (w^{-1} theta^vee off J) and
-        p - <theta^vee, nu>, w = `named(nu)`."""
-        (nu, xi, p), datum = z, self.datum
-        if j:
-            n = nu[j - 1]
-            return (tuple(m - n * a for m, a in zip(nu, datum.simple_fws[j - 1])), xi, p) if n else z
-        theta_vee = datum.theta_coroot
-        n, c = sum(map(operator.mul, theta_vee, nu)), self.named(nu).inv_act_coweight(theta_vee)
-        nu2 = tuple(m - n * t for m, t in zip(nu, datum.root_to_fw(datum.theta)))
-        return nu2, tuple(a - b if m else 0 for a, b, m in zip(xi, c, self.lam)), p - n
+    def reflect_point(self, j: int, nu: Vec) -> Vec:
+        """r_j nu, j in I_af: nu - nu_j alpha_j for j in I, r_theta nu = nu - <theta^vee, nu> theta at j = 0."""
+        datum = self.datum
+        n = nu[j - 1] if j else sum(map(operator.mul, datum.theta_coroot, nu))
+        alpha = datum.simple_fws[j - 1] if j else datum.root_to_fw(datum.theta)
+        return tuple(m - n * a for m, a in zip(nu, alpha)) if n else nu
 
-    def coset_covers(self, nu: Vec, d: int, step: int = 1) -> tuple[tuple[Vec, Vec, int, Vec], ...]:
-        """The covers out of (step 1) or into (step -1) the states over nu at level denominator d,
-        one (nu', c, dp, u) per edge (nu', p, u, quantum) of `qb_row(nu, d, step)`: it moves a state
-        (nu, xi, p0) to (nu', xi + c, p0 + dp), c = step u^vee off J and dp = step p if the edge is
-        quantum, else 0 and 0.  Kept per (nu, d, step)."""
-        row = self._coset_cache.get((nu, d, step))
-        if row is None:
-            lam, coroot, zero = self.lam, self.datum.coroot, (0,) * len(self.lam)
-            row = self._coset_cache[nu, d, step] = tuple(
-                (nu2, tuple(step * a if m else 0 for a, m in zip(coroot(u), lam)), step * p, u)
-                if quantum else (nu2, zero, 0, u)
-                for nu2, p, u, quantum in self.qb_row(nu, d, step)
-            )
-        return row
+    def reflect(self, j: int, z: State) -> State:
+        """The state of r_j x, j in I_af, for the x that z names: r_j nu (`reflect_point`) at the same
+        xi and p for j in I; r_0 = r_theta t_{-theta^vee} sends it to r_theta nu at xi - (w^{-1} theta^vee
+        off J) and p - <theta^vee, nu>, w = `named(nu)`."""
+        (nu, xi, p), theta_vee = z, self.datum.theta_coroot
+        if j:
+            return self.reflect_point(j, nu), xi, p
+        c = self.named(nu).inv_act_coweight(theta_vee)
+        xi2 = tuple(a - b if m else 0 for a, b, m in zip(xi, c, self.lam))
+        return self.reflect_point(0, nu), xi2, p - sum(map(operator.mul, theta_vee, nu))
 
     def _edges(self, z: State, a: Fraction | None, step: int) -> tuple[tuple[AffineRealRoot, State], ...]:
-        """(beta, y) per entry of `coset_covers` at level a: y is the cover's other end and
-        beta = step w(u) + chi delta, chi = 1 iff the edge is quantum, w = `named(nu)`."""
+        """(beta, y) per edge of `qb_row(nu, d, step)` at level a: the edge moves z to its other end
+        y, and beta = step w(u) + chi delta, chi = 1 iff the edge is quantum, w = `named(nu)`."""
         (nu, xi, p), w = z, self.named(z[0])
         return tuple(
             (AffineRealRoot(w.act_root(u if step == 1 else vec_neg(u)), int(dp != 0)),
              (nu2, vec_add(xi, c) if dp else xi, p + dp))
-            for nu2, c, dp, u in self.coset_covers(nu, 1 if a is None else a.denominator, step)
+            for nu2, c, dp, u in self.qb_row(nu, 1 if a is None else a.denominator, step)
         )
 
     def si_covers(self, z: State, a: Fraction | None = None) -> tuple[tuple[AffineRealRoot, State], ...]:
@@ -333,10 +323,10 @@ class ParabolicQuotient:
         """Every state y = (w lambda, xi, p) > z at level 1/d with p <= cap, in search order.
         p never decreases along a cover (a quantum edge adds p_beta > 0), so a cover path
         to such a y stays under cap; a cover raises si_length, so z is never found."""
-        covers, seen, queue = self.coset_covers, {}, [z]
+        row, seen, queue = self.qb_row, {}, [z]
         while queue:
             nu0, xi, p0 = queue.pop()
-            for nu, c, dp, _u in covers(nu0, d):
+            for nu, c, dp, _u in row(nu0, d, 1):
                 p = p0 + dp
                 if p <= cap and (y := (nu, tuple(map(operator.add, xi, c)) if dp else xi, p)) not in seen:
                     if len(seen) + 1 >= budget:  # the pool holds z too
@@ -411,65 +401,70 @@ class ParabolicQuotient:
         return up
 
     @functools.cached_property
-    def _qb_roots(self) -> tuple[tuple[int, Vec, int, int, tuple[Vec, ...]], ...]:
-        """(k, u, p, c_u, shift) for (u, p) in `_outside`: u is root k, c_u =
-        <u^vee, 2 rho - 2 rho_J> is W_J-invariant, and shift[m] is p times root m
-        in fundamental-weight coordinates.  fw(2 rho_J) is 2 rho less the roots off
-        Delta_J^+, so c_u = 2 sum(u^vee) - <u^vee, fw(2 rho_J)> is a dot product."""
-        table = self.datum.root_table
+    def _qb_roots(self) -> tuple[tuple[int, Vec, int, int, tuple[Vec, ...], Vec], ...]:
+        """(k, u, p, c_u, shift, c) for (u, p) in `_outside`: u is root k, c_u = <u^vee, 2 rho - 2 rho_J>
+        is W_J-invariant, shift[m] is p times root m in fundamental-weight coordinates, and c is
+        u^vee off J.  fw(2 rho_J) is 2 rho less the roots off Delta_J^+, so c_u = 2 sum(u^vee) -
+        <u^vee, fw(2 rho_J)> is a dot product."""
+        table, lam = self.datum.root_table, self.lam
         fws, ks = table.fws, [table.index[u] for u, _p in self._outside]
         two_rho_j = [2 - s for s in map(sum, zip((0,) * self.datum.rank, *(fws[k] for k in ks)))]
         shifts = {p: tuple(tuple(p * a for a in v) for v in fws) for p in self.pairing_values() if p > 1}
         shifts[1] = fws
         return tuple(
-            (k, u, p, 2 * sum(c) - sum(map(operator.mul, c, two_rho_j)), shifts[p])
+            (k, u, p, 2 * sum(c) - sum(map(operator.mul, c, two_rho_j)), shifts[p],
+             tuple(a if m else 0 for a, m in zip(c, lam)))
             for k, (u, p) in zip(ks, self._outside)
             for c in [table.coroots[k]]
         )
 
-    def qb_row(self, nu: Vec, d: int, step: int) -> tuple[tuple[Vec, int, Vec, bool], ...]:
-        """(nu', p, u, quantum) for the edges of QB(W^J) with d | p out of (step 1) or into (step -1)
-        w in W^J at nu = w lambda, one per u in `_outside` (its entries with d | p are kept per d in
-        `_qb_levels`) that passes the length test: v = floor(w r_u) has v lambda = nu' = nu - p w(u)
-        and length l(v) = #{alpha in Delta^+ : <alpha^vee, nu'> < 0}, kept per nu' as l(w) is per nu (the
-        orbit search records them too); w -> v is an edge if l(v) - l(w) is 1 (Bruhat) or 1 - c_u (quantum,
-        of coweight u^vee), v -> w one if it is -1 or c_u - 1.  No orbit is built: w is `named(nu)`.
+    def qb_row(self, nu: Vec, d: int, step: int) -> tuple[tuple[Vec, Vec, int, Vec], ...]:
+        """(nu', c, dp, u) for the edges of QB(W^J) with d | p out of (step 1) or into (step -1) w in W^J
+        at nu = w lambda, one per u in `_outside` (its entries with d | p are kept per d in `_qb_levels`)
+        that passes the length test: v = floor(w r_u) has v lambda = nu' = nu - p w(u) and length
+        l(v) = #{alpha in Delta^+ : <alpha^vee, nu'> < 0}, kept per nu' as l(w) is per nu (the orbit search
+        records them too); w -> v is an edge if l(v) - l(w) is 1 (Bruhat: c = 0, dp = 0) or 1 - c_u
+        (quantum: c = step u^vee off J, dp = step p), v -> w one if it is -1 or c_u - 1.  The edge moves
+        a state (nu, xi, p0) to (nu', xi + c, p0 + dp).  No orbit is built: w is `named(nu)`.
         Kept per (nu, step, d)."""
         row = self._row_cache.get((nu, step, d))
         if row is None:
-            w, lengths, out = self.named(nu), self._lengths, []
+            w, lengths, out, zero = self.named(nu), self._lengths, [], (0,) * len(nu)
             coroots = self.datum.root_table.coroots[: len(self.datum.pos_roots)]
             if (base := lengths.get(nu)) is None:  # a point that no orbit search recorded
                 base = lengths[nu] = sum(sum(map(operator.mul, c, nu)) < 0 for c in coroots)
             roots = self._qb_levels.get(d)
             if roots is None:
                 roots = self._qb_levels[d] = tuple(r for r in self._qb_roots if r[2] % d == 0)
-            for k, u, p, c_u, shift in roots:
+            for k, u, p, c_u, shift, u_vee in roots:
                 nu2 = tuple(map(operator.sub, nu, shift[w.perm[k]]))
                 if (length := lengths.get(nu2)) is None:
                     length = lengths[nu2] = sum(sum(map(operator.mul, c, nu2)) < 0 for c in coroots)
                 gap = length - base
-                if gap == step or gap == step * (1 - c_u):
-                    out.append((nu2, p, u, gap != step))
+                if gap == step:
+                    out.append((nu2, zero, 0, u))
+                elif gap == step * (1 - c_u):
+                    out.append((nu2, u_vee if step == 1 else vec_neg(u_vee), step * p, u))
             row = self._row_cache[nu, step, d] = tuple(out)
         return row
 
     def qb_reach(self, nu: Vec, d: int) -> dict[Vec, tuple[int, Vec]]:
-        """v lambda -> (wt_lambda, wt) for every v reachable from w at nu = w lambda in the
+        """v lambda -> (wt_lambda, xi) for every v reachable from w at nu = w lambda in the
         subgraph of QB(W^J) whose edges have p divisible by d (the level of a cut of
-        denominator d, the rows `qb_row(., d, 1)`): wt is the coweight of a shortest path
-        (a breadth-first search) and wt_lambda its pairing with lambda.  Kept per (nu, d)."""
+        denominator d, the rows `qb_row(., d, 1)`): xi is the coweight of a shortest path
+        (a breadth-first search) off J and wt_lambda its pairing with lambda, the offset
+        the path adds to a state.  Kept per (nu, d)."""
         reach = self._reach_cache.get((nu, d))
         if reach is None:
             self.orbit  # names every point that the rows reach
-            coroot, reach, frontier = self.datum.coroot, {nu: (0, (0,) * self.datum.rank)}, [nu]
+            reach, frontier = {nu: (0, (0,) * self.datum.rank)}, [nu]
             while frontier:
                 nxt = []
                 for v in frontier:
                     wt, xi = reach[v]
-                    for nu2, p, u, quantum in self.qb_row(v, d, 1):
+                    for nu2, c, dp, _u in self.qb_row(v, d, 1):
                         if nu2 not in reach:
-                            reach[nu2] = (wt + p, vec_add(xi, coroot(u))) if quantum else (wt, xi)
+                            reach[nu2] = (wt + dp, vec_add(xi, c)) if dp else (wt, xi)
                             nxt.append(nu2)
                 frontier = nxt
             self._reach_cache[nu, d] = reach

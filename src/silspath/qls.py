@@ -7,31 +7,34 @@ the edges of the parabolic quantum Bruhat graph whose p = <u^vee, lambda> the
 denominator of sigma_u divides.  These are the projections cl of the
 semi-infinite LS paths (Ishii-Naito-Sagaki), so no root operator runs here.
 
-The graph is read row by row (`ParabolicQuotient.qb_row`, kept per (mu, step, d): a level
-reads only the rows of its denominator d) on the orbit points mu = w lambda: for u in
-Delta^+ \\ Delta_J^+ the edge w -> floor(w r_u) ends at nu = mu - p w(u).  It is a
-Bruhat edge if l(nu) = l(w) + 1, and a quantum edge of coweight u^vee (lambda-weight p)
-if l(nu) = l(w) + 1 - <u^vee, 2 rho - 2 rho_J>.  With wt(v => w) the coweight of a
-shortest path in the level's subgraph and wt_lambda its pairing with lambda
-(`ParabolicQuotient.qb_reach`, keyed by orbit points), a row holds
+W_J is the stabilizer of lambda, so w in W^J is named by its orbit point w lambda, and a
+path holds its directions as those points (`ParabolicQuotient.named` gives w back).  `cl`
+keeps each state's point and merges equal neighbours.  The graph is read row by row
+(`ParabolicQuotient.qb_row`, kept per (mu, step, d): a level reads only the rows of its
+denominator d): for u in Delta^+ \\ Delta_J^+ the edge w -> floor(w r_u) ends at
+nu = mu - p w(u), a Bruhat edge if l(nu) = l(w) + 1 and a quantum edge of coweight u^vee
+(lambda-weight p) if l(nu) = l(w) + 1 - <u^vee, 2 rho - 2 rho_J>.  With wt(v => w) the
+coweight of a shortest path in the level's subgraph and wt_lambda its pairing with lambda
+(`ParabolicQuotient.qb_reach`), a row holds
 
     weight    = sum_u (sigma_u - sigma_{u-1}) w_u lambda,
     deg_kappa = -sum_u sigma_u wt_lambda(w_{u+1} => w_u)   (the LNSSS Deg),
     deg_iota  = sum_u (1 - sigma_u) wt_lambda(w_{u+1} => w_u).
 
 The characters read no row, and the table keeps only deg_kappa: `final_sums` adds
-x^weight q^deg_kappa by final direction w, keyed by w lambda, one transfer matrix swept
-up the cuts.  A segment of w added at a cut a = k/d spans 1 - a and adds -a times its
-edge's wt_lambda to the degree, both exact as d divides p on every edge of a's level.
+x^weight q^deg_kappa by final direction w lambda, one transfer matrix swept up the cuts.
+A segment of w added at a cut a = k/d spans 1 - a and adds -a times its edge's wt_lambda
+to the degree, both exact as d divides p on every edge of a's level.
 
 The distinguished lifts are rebuilt from the chain on demand, as coset states.  With
-xi_s = 0 and xi_u = xi_{u+1} + wt(w_{u+1} => w_u), `eta_kappa` has the directions
-Pi^J(w_u t_{xi_u}), whose states are (w_u lambda, xi_u off J, <xi_u, lambda>), and delta
+xi_s = 0 and xi_u = xi_{u+1} + wt(w_{u+1} => w_u) off J, `eta_kappa` has the directions
+Pi^J(w_u t_{xi_u}), whose states are (w_u lambda, xi_u, <xi_u, lambda>), and delta
 coefficient deg_kappa; `eta_iota` is its right translate by t_{-xi_1}, with delta
 coefficient deg_iota.  Right translations commute with the root operators, which act
 on the left, so both lifts lie in the unit component, and a path's offsets from
-`eta_kappa` of its projection name its component (`component_base`).  `cl` reads w off
-a state's orbit point (`ParabolicQuotient.named`).
+`eta_kappa` of its projection name its component (`component_base`).  The intrinsic
+root operators reflect points (`ParabolicQuotient.reflect_point`); no Weyl element
+enters this module.
 """
 
 from __future__ import annotations
@@ -42,17 +45,14 @@ import operator
 from typing import NamedTuple
 
 from .cartan import CartanDatum, Vec, vec_add, vec_sub
-from .weyl import BudgetExceeded, FiniteWeylElt, finite_reflection, simple_reflection
+from .weyl import BudgetExceeded
 from .peterson import TABLE_BUDGET
 from .sils import CutPath, SiLSCrystal, SiLSPath, merge_segments, root_splice
 
 
 class QLSPath(CutPath):
-    __slots__ = ()
+    __slots__ = ()  # its directions are the orbit points w lambda of w in W^J
     _label = "QLS"
-
-    def sort_key(self, n: int):
-        return (len(self.directions), self.ticks_over(n), tuple(w.sort_key for w in self.directions))
 
 
 class LiftRecord(NamedTuple):
@@ -70,9 +70,8 @@ class QLSCrystal:
         self.interval_sums: dict = {}  # w lambda -> `final_sums` added over v >= w (the quotient characters)
 
     def cl(self, eta: SiLSPath) -> QLSPath:
-        """Project directions to W^J, each the w named by its orbit point, and merge equal neighbours."""
-        named = self.sils.quotient.named
-        dirs = tuple(named(z[0]) for z in eta.directions)
+        """Project each direction to its orbit point, which names its w in W^J, and merge equal neighbours."""
+        dirs = tuple(z[0] for z in eta.directions)
         return QLSPath.from_ticks(*merge_segments(dirs, eta.ticks, eta.den), eta.den)
 
     def weight(self, psi: QLSPath) -> Vec:
@@ -82,14 +81,13 @@ class QLSCrystal:
     def table(self) -> dict[QLSPath, LiftRecord]:
         """Every QLS path with its row, by a depth-first search over chains
         grown from the final direction; cuts are ticks over N."""
-        quotient, n = self.sils.quotient, self.sils.n
-        orbit, table = quotient.orbit, {}
-        # (w_s, ..., w_u), (tick_{s-1}, ..., tick_u), the weight of the segments
-        # right of tick_u and the degree sum, all times N, and mu = w_u lambda
-        stack = [((w,), (), (0,) * self.datum.rank, 0, mu) for mu, w in orbit.items()]
+        quotient, n, table = self.sils.quotient, self.sils.n, {}
+        # (w_s lambda, ..., w_u lambda), (tick_{s-1}, ..., tick_u), and the weight of the
+        # segments right of tick_u and the degree sum, both times N
+        stack = [((mu,), (), (0,) * self.datum.rank, 0) for mu in quotient.orbit]
         while stack:
-            chain, cuts, settled, deg_kappa, mu = stack.pop()
-            right = cuts[-1] if cuts else n
+            chain, cuts, settled, deg_kappa = stack.pop()
+            mu, right = chain[-1], cuts[-1] if cuts else n
             psi = QLSPath.from_ticks(chain[::-1], (0,) + cuts[::-1] + (n,), n)
             weight = tuple((s + right * m) // n for s, m in zip(settled, mu))
             table[psi] = LiftRecord(weight, deg_kappa // n)
@@ -100,7 +98,7 @@ class QLSCrystal:
                     step = tuple(s + (right - a) * m for s, m in zip(settled, mu))
                     for y, (wt, _xi) in quotient.qb_reach(mu, d).items():
                         if y != mu:
-                            stack.append((chain + (orbit[y],), cuts + (a,), step, deg_kappa - a * wt, y))
+                            stack.append((chain + (y,), cuts + (a,), step, deg_kappa - a * wt))
         return table
 
     @functools.cached_property
@@ -132,17 +130,19 @@ class QLSCrystal:
         return sums
 
     def paths(self) -> tuple[QLSPath, ...]:
-        return tuple(sorted(self.table, key=lambda psi: psi.sort_key(self.sils.n)))
+        """The table's paths by length, cuts, then the w that each direction names."""
+        named, n = self.sils.quotient.named, self.sils.n
+        w_keys = lambda psi: tuple(named(nu).sort_key for nu in psi.directions)
+        return tuple(sorted(self.table, key=lambda psi: (len(psi.directions), psi.ticks_over(n), w_keys(psi))))
 
     # -- distinguished lifts ----------------------------------------------------
 
     def _lift(self, psi: QLSPath, end: str) -> SiLSPath:
         """The lift of psi whose `end` direction ("kappa" or "iota") lies in
         W^J, rebuilt from the chain; see the module docstring."""
-        quotient, dirs, ticks = self.sils.quotient, psi.directions, psi.ticks
-        points = [w.act_fw(self.lam) for w in dirs]
-        xis = [(0,) * self.datum.rank]  # xi_s, ..., xi_1
-        for u in range(len(dirs) - 2, -1, -1):
+        quotient, points, ticks = self.sils.quotient, psi.directions, psi.ticks
+        xis = [(0,) * self.datum.rank]  # xi_s, ..., xi_1, off J
+        for u in range(len(points) - 2, -1, -1):
             d = psi.den // math.gcd(psi.den, ticks[u + 1])
             xis.append(vec_add(xis[-1], quotient.qb_reach(points[u + 1], d)[points[u]][1]))
         shift = xis[-1] if end == "iota" else xis[0]  # xi_1 or xi_s = 0
@@ -191,21 +191,16 @@ class QLSCrystal:
 
     # -- intrinsic root operators -------------------------------------------------
 
-    def _cl_reflect(self, j: int, w: FiniteWeylElt) -> FiniteWeylElt:
-        datum = self.datum
-        refl = finite_reflection(datum, datum.theta) if j == 0 else simple_reflection(datum, j)
-        return self.sils.quotient.min_rep(refl.mul(w))
-
     def qls_op(self, psi: QLSPath, tag: str, j: int) -> QLSPath | None:
         """Root operator computed on the projected path itself.
 
-        It runs the semi-infinite kernel `root_splice` with the slopes
-        <alpha_j^vee, w(lambda)> and the reflect map w -> min_rep(r_j w), so
-        comparing it with cl of the semi-infinite operators checks those two
-        inputs, while the crystal axioms on the QLS side check the splice.
+        It runs the semi-infinite kernel `root_splice` with the slopes of the orbit points
+        (`SiLSCrystal.slope`) and their reflection `ParabolicQuotient.reflect_point`, so
+        comparing it with cl of the semi-infinite operators checks those two inputs,
+        while the crystal axioms on the QLS side check the splice.
         """
         n, slope = self.sils.n, self.sils.slope
-        slopes = [slope(w.act_fw(self.lam), j) for w in psi.directions]
-        reflect = functools.partial(self._cl_reflect, j)
+        slopes = [slope(nu, j) for nu in psi.directions]
+        reflect = functools.partial(self.sils.quotient.reflect_point, j)
         out = root_splice(psi.directions, psi.ticks_over(n), n, slopes, tag, reflect)
         return None if out is None else QLSPath.from_ticks(*out, n)

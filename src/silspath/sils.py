@@ -18,11 +18,11 @@ function of node j off the slopes of the segments, picks the interval [t0, t1] (
 that depends on e versus f), reflects the directions inside it and merges equal neighbours with
 `merge_segments`.  The semi-infinite operators pass the state form of x -> r_j x
 (`ParabolicQuotient.reflect`) as the reflection; the quantum LS operators in `silspath.qls` run
-the same kernel on projected paths with w -> min_rep(r_j w), and `QLSCrystal.cl` uses the same
-merge.
+the same kernel on projected paths, whose directions are orbit points, with its point part
+`ParabolicQuotient.reflect_point`, and `QLSCrystal.cl` uses the same merge.
 
 The Demazure enumeration walks states: their covers come off the row of their orbit point
-(`ParabolicQuotient.coset_covers`), and the output is sorted, not the walk, by the
+(`ParabolicQuotient.qb_row`), and the output is sorted, not the walk, by the
 representatives `state_rep` rebuilds once per state.  The states above one within the remaining
 degree are `ParabolicQuotient.si_above`, kept per walk: the one reach search, which the
 semi-infinite order reads too.  A node takes children only at the levels where its top has a

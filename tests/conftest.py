@@ -15,6 +15,7 @@ from silspath.cartan import (
 )
 from silspath.characters import GradedCharacter, weyl_character
 from silspath.peterson import TABLE_BUDGET, ParabolicQuotient
+from silspath.qls import QLSPath
 from silspath.sils import SiLSCrystal, SiLSPath, root_splice
 from silspath.weyl import (
     BudgetExceeded,
@@ -366,12 +367,12 @@ def initial_sums_by_sweep(q):
 
 def quotient_characters_by_rows(q, w):
     """(gch_quotient_minus, gch_quotient_plus) at w for the QLS crystal q, by the
-    row filter: one bruhat_leq per table row, on its final and initial direction."""
-    minus, plus = Counter(), Counter()
+    row filter: one bruhat_leq per table row, on the w its final and initial direction name."""
+    minus, plus, named = Counter(), Counter(), q.sils.quotient.named
     for psi, row in q.table.items():
-        if bruhat_leq(w, psi.directions[-1]):
+        if bruhat_leq(w, named(psi.directions[-1])):
             minus[row.weight, row.deg_kappa] += 1
-        if bruhat_leq(psi.directions[0], w):
+        if bruhat_leq(named(psi.directions[0]), w):
             plus[row.weight, deg_iota(q, psi)] += 1
     return GradedCharacter(minus), GradedCharacter(plus)
 
@@ -383,8 +384,8 @@ def bruhat_above_by_rows(quotient, nu):
     quotient.orbit  # names every point that the rows reach
     seen, frontier = {nu}, [nu]
     while frontier:
-        for nu2, _p, _u, quantum in quotient.qb_row(frontier.pop(), 1, 1):
-            if not quantum and nu2 not in seen:
+        for nu2, _c, dp, _u in quotient.qb_row(frontier.pop(), 1, 1):
+            if not dp and nu2 not in seen:
                 seen.add(nu2)
                 frontier.append(nu2)
     return seen
@@ -485,12 +486,14 @@ def outside_by_delta_j(quotient):
 
 def qb_roots_by_pairing(quotient):
     """`ParabolicQuotient._qb_roots` with c_u = <u^vee, 2 rho - 2 rho_J> paired in
-    root coordinates, 2 rho_J summed over `delta_j_plus`, and each shift list copied."""
+    root coordinates, 2 rho_J summed over `delta_j_plus`, each shift list copied, and
+    u^vee off J zeroed at the nodes of `j_nodes`."""
     datum, table = quotient.datum, quotient.datum.root_table
     two_rho_j = tuple(map(sum, zip((0,) * datum.rank, *quotient.delta_j_plus)))
     shifts = {p: tuple(tuple(p * a for a in v) for v in table.fws) for p in quotient.pairing_values()}
     return tuple(
-        (table.index[u], u, p, 2 * sum(c) - datum.pair_coweight_root(c, two_rho_j), shifts[p])
+        (table.index[u], u, p, 2 * sum(c) - datum.pair_coweight_root(c, two_rho_j), shifts[p],
+         tuple(0 if i in quotient.j_nodes else a for i, a in enumerate(c, 1)))
         for u, p in outside_by_delta_j(quotient)
         for c in [datum.coroot(u)]
     )
@@ -539,8 +542,8 @@ def lift_covers(quotient, x, a, step):
     d, w = 1 if a is None else a.denominator, quotient.decompose(x).w
     return tuple(
         (beta, affine_reflection(quotient.datum, beta).mul(x))
-        for _nu, _p, u, quantum in quotient.qb_row(w.act_fw(quotient.lam), d, step)
-        for beta in [AffineRealRoot(w.act_root(u if step == 1 else vec_neg(u)), int(quantum))]
+        for _nu, _c, dp, u in quotient.qb_row(w.act_fw(quotient.lam), d, step)
+        for beta in [AffineRealRoot(w.act_root(u if step == 1 else vec_neg(u)), int(dp != 0))]
     )
 
 
@@ -576,6 +579,19 @@ def root_op_by_elements(c, eta, j, tag):
     slopes = [c.datum.acoroot_pairing(j, x.act_weight(c.quotient.lam_weight)) for x in dirs]
     out = root_splice(dirs, eta.ticks_over(n), n, slopes, tag, affine_simple(c.datum, j).mul)
     return None if out is None else SiLSPath.from_ticks(tuple(map(quotient.coset_state, out[0])), out[1], n)
+
+
+def qls_op_by_elements(q, psi, tag, j):
+    """The intrinsic root operator run on the w in W^J that psi's orbit points name:
+    `root_splice` with the slopes <alpha_j^vee, w lambda> and the reflect map
+    w -> min_rep(r_j w), r_0 acting as r_theta, the result read back as orbit points.
+    The element-form oracle for `QLSCrystal.qls_op`, which reflects the points."""
+    datum, quotient, n = q.datum, q.sils.quotient, q.sils.n
+    dirs = tuple(map(quotient.named, psi.directions))
+    slopes = [datum.acoroot_pairing(j, LevelZeroWeight(w.act_fw(q.lam), 0)) for w in dirs]
+    r_j = finite_reflection(datum, datum.theta) if j == 0 else simple_reflection(datum, j)
+    out = root_splice(dirs, psi.ticks_over(n), n, slopes, tag, lambda w: quotient.min_rep(r_j.mul(w)))
+    return None if out is None else QLSPath.from_ticks(tuple(w.act_fw(q.lam) for w in out[0]), out[1], n)
 
 
 def enumerate_demazure_by_pool(c, x, depth, budget=500_000):

@@ -125,7 +125,7 @@ def test_criterion_5_duality():
 
 @criterion(6, "order-theory suites on the radius-4 ball")
 def test_criterion_6_order_theory():
-    for fam, lam in ORDER_CASES:
+    for fam, lam in ORDER_CASES + [(("B", 3), (1, 0, 0)), (("C", 3), (0, 1, 0)), (("A", 3), (1, 0, 1))]:
         datum = build(*fam)
         quotient = ParabolicQuotient.for_weight(datum, lam)
         lamw, st = quotient.lam_weight, quotient.coset_state
@@ -133,7 +133,7 @@ def test_criterion_6_order_theory():
 
         # fixed-translate slices carry the ordinary Bruhat order
         reps = [w for w in weyl_group(datum) if quotient.is_min_rep(w)]
-        xis = [(0,) * datum.rank] + ([(1, 0), (1, 1)] if datum.rank == 2 else [(1,)])
+        xis = list(dict.fromkeys([(0,) * datum.rank, (1,) + (0,) * (datum.rank - 1), (1,) * datum.rank]))
         for xi in xis:
             phi, _ = quotient.j_adjust(xi)
             adjusted = tuple(a + b for a, b in zip(xi, phi))

@@ -511,10 +511,10 @@ def assert_degree_sums_match_rows(datum, lam):
     # direction's share of the sum by the degree of eta_iota
     q = QLSCrystal(datum, lam)
     assert ch.qls_degree_sum(datum, lam) == table_degree_sum(q)
-    by_final, by_initial = {}, {}
+    by_final, by_initial, named = {}, {}, q.sils.quotient.named
     for psi, row in q.table.items():
-        by_final.setdefault(psi.directions[-1].act_fw(lam), Counter())[row.weight, row.deg_kappa] += 1
-        by_initial.setdefault(psi.directions[0], Counter())[row.weight, deg_iota(q, psi)] += 1
+        by_final.setdefault(psi.directions[-1], Counter())[row.weight, row.deg_kappa] += 1
+        by_initial.setdefault(named(psi.directions[0]), Counter())[row.weight, deg_iota(q, psi)] += 1
     assert q.final_sums == by_final
     assert initial_sums_by_sweep(q) == by_initial
 
@@ -567,7 +567,7 @@ def test_qb_roots_match_pairing_oracles(fam, lam):
     assert quotient._outside == outside_by_delta_j(quotient)
     assert quotient._qb_roots == qb_roots_by_pairing(quotient)
     fws = quotient.datum.root_table.fws
-    assert all(shift is fws for _k, _u, p, _c, shift in quotient._qb_roots if p == 1)
+    assert all(shift is fws for _k, _u, p, _c, shift, _v in quotient._qb_roots if p == 1)
 
 
 @pytest.mark.parametrize("fam,lam", DEGREE_SUM_WEIGHTS)
@@ -577,10 +577,10 @@ def test_level_rows_are_full_rows_filtered(fam, lam):
     # in the same order, out of and into every orbit point
     datum = build(*fam)
     quotient, full = (ParabolicQuotient.for_weight(datum, lam) for _ in range(2))
-    dens = {a.denominator for a in quotient.cut_grid()}
+    dens, pairing = {a.denominator for a in quotient.cut_grid()}, dict(full._outside)
     assert full.orbit.keys() == quotient.orbit.keys()
     for nu, step, d in itertools.product(quotient.orbit, (1, -1), dens):
-        assert quotient.qb_row(nu, d, step) == tuple(e for e in full.qb_row(nu, 1, step) if e[1] % d == 0)
+        assert quotient.qb_row(nu, d, step) == tuple(e for e in full.qb_row(nu, 1, step) if pairing[e[3]] % d == 0)
     assert all(d in dens for _nu, _step, d in quotient._row_cache)
 
 
@@ -596,7 +596,7 @@ def test_row_lengths_are_element_lengths(fam, lam):
     assert quotient._lengths[start] == 0
     seen, frontier = {start}, [start]
     while frontier:
-        for nu, _c, _p, _u in quotient.coset_covers(frontier.pop(), 1):
+        for nu, _c, _dp, _u in quotient.qb_row(frontier.pop(), 1, 1):
             if nu not in seen:
                 seen.add(nu)
                 frontier.append(nu)

@@ -186,6 +186,22 @@ def test_decompose_roundtrip():
             assert AffineWeylElt(w.mul(z), xi) == x
 
 
+def test_rep_reuses_w_where_z_is_the_identity(a2):
+    # with J empty every z_xi is e, and rep keeps w itself for the representative's
+    # finite part; with J = {2} a z_xi != e still multiplies in
+    quotient = ParabolicQuotient.for_weight(a2, (1, 1))
+    w = simple_reflection(a2, 1).mul(simple_reflection(a2, 2))
+    for xi in [(0, 0), (1, 0), (-1, 2)]:
+        x = quotient.rep(w, xi)
+        assert x.w is w and x.xi == xi
+    subset = ParabolicQuotient.for_weight(a2, (1, 0))
+    phi, z = subset.j_adjust((1, 0))
+    assert not z.is_identity
+    assert subset.rep(simple_reflection(a2, 1), (1, 0)) == AffineWeylElt(
+        simple_reflection(a2, 1).mul(z), vec_add((1, 0), phi)
+    )
+
+
 def test_simple_lift_criterion():
     # r_j x is a representative iff x^{-1} alpha_j avoids the parabolic roots
     for quotient, lam in order_quotients():
@@ -284,13 +300,13 @@ def test_scanned_labels_depend_only_on_the_finite_direction(fam, lam):
             assert labels == [beta for beta, _ in covers_by_scan(quotient, lift, None, step)]
 
 
-def assert_coset_covers_match_scan(quotient, fresh, x, state, a):
-    # the cosets coset_covers reads from x's state, each rebuilt by rep over the
-    # w named at its point, are the covers of x that a fresh quotient's candidate
+def assert_row_covers_match_scan(quotient, fresh, x, state, a):
+    # the cosets that the row of x's point moves x's state to, each rebuilt by rep over
+    # the w named at its point, are the covers of x that a fresh quotient's candidate
     # scan finds, in order, with their states and orbit points
     nu, xi, p = state
     scan = [y for _beta, y in covers_by_scan(fresh, x, a, 1)]
-    row = quotient.coset_covers(nu, 1 if a is None else a.denominator)
+    row = quotient.qb_row(nu, 1 if a is None else a.denominator, 1)
     states = [(nu2, vec_add(xi, c), p + dp) for nu2, c, dp, _u in row]
     assert [quotient.rep(quotient.named(z[0]), z[1]) for z in states] == scan, (x, a)
     assert [quotient.state_rep(z) for z in states] == scan, (x, a)
@@ -311,7 +327,7 @@ def test_enumeration_pool_covers_match_candidate_scan(fam, lam, depth):
     for x, state in pool.items():
         for d in {1} | {d for _a, d in crystal.levels}:
             a = None if d == 1 else Fraction(1, d)
-            assert_coset_covers_match_scan(crystal.quotient, fresh, x, state, a)
+            assert_row_covers_match_scan(crystal.quotient, fresh, x, state, a)
             assert_covers_match_scan(fresh, x, a)
 
 
@@ -323,8 +339,8 @@ COSET_CASES = [(fam, lam) for fam, lam, _depth in GRCH1_CASES] + [
 
 @pytest.mark.parametrize("fam,lam", COSET_CASES)
 def test_coset_covers_lift_to_si_covers(fam, lam):
-    # the walk's covers on cosets: from x's state (cl x, xi off J, p), each entry
-    # of coset_covers gives the state of the matching entry of si_covers and of
+    # the walk's covers on cosets: from x's state (cl x, xi off J, p), each edge
+    # of the row qb_row gives the state of the matching entry of si_covers and of
     # the candidate scan, in order, and rep rebuilds that cover from it, at level
     # None and at every grid level; no orbit W lambda is built
     quotient = ParabolicQuotient.for_weight(build(*fam), lam)
@@ -335,7 +351,7 @@ def test_coset_covers_lift_to_si_covers(fam, lam):
         w = quotient.decompose(x).w
         assert quotient.rep(w, state[1]) == x == quotient.rep(w, x.xi) == quotient.state_rep(state)
         for a in (None,) + quotient.cut_grid():
-            assert_coset_covers_match_scan(quotient, fresh, x, state, a)
+            assert_row_covers_match_scan(quotient, fresh, x, state, a)
             assert [y for _beta, y in quotient.si_covers(state, a)] == [
                 quotient.coset_state(y) for _beta, y in covers_by_scan(quotient, x, a, 1)
             ], (x, a)

@@ -6,12 +6,14 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import (
+    NESTING_WEIGHTS,
     component_base_by_operators,
     covers_by_scan,
     dual_route_iota,
     edge_pairing,
     generate_by_operators,
     oracle_row,
+    qls_op_by_elements,
     replay_words,
     si_path,
     table_degree_sum,
@@ -44,12 +46,13 @@ def test_cl_examples(a1):
     e = affine_identity(a1)
     s1 = from_finite(simple_reflection(a1, 1))
     t1 = translation(a1, (1,))
+    pt = lambda w: w.act_fw(q.lam)  # a direction of a QLS path is the orbit point w lambda
     assert q.cl(q.sils.unit_path()) == QLSPath(
-        (finite_identity(a1),), (F(0), F(1))
+        (pt(finite_identity(a1)),), (F(0), F(1))
     )
     eta = si_path(q.sils, (t1, s1), (F(0), F(1, 2), F(1)))
     assert q.cl(eta) == QLSPath(
-        (finite_identity(a1), simple_reflection(a1, 1)), (F(0), F(1, 2), F(1))
+        (pt(finite_identity(a1)), pt(simple_reflection(a1, 1))), (F(0), F(1, 2), F(1))
     )
     # translates of the unit path all project to the straight line
     for xi in [(1,), (2,), (-1,)]:
@@ -69,15 +72,16 @@ def test_lift_kappa_examples(a1):
     q = qls(("A", 1), (2,))
     e = affine_identity(a1)
     s1 = simple_reflection(a1, 1)
+    pt = lambda w: w.act_fw(q.lam)
     unit = q.cl(q.sils.unit_path())
     assert q.eta_kappa(unit) == q.sils.unit_path()
-    psi_mid = QLSPath((s1, finite_identity(a1)), (F(0), F(1, 2), F(1)))
+    psi_mid = QLSPath((pt(s1), pt(finite_identity(a1))), (F(0), F(1, 2), F(1)))
     lift = q.eta_kappa(psi_mid)
     assert lift == si_path(
         q.sils, (from_finite(s1), e), (F(0), F(1, 2), F(1))
     )
     assert q.deg_tail(psi_mid) == 0
-    psi_other = QLSPath((finite_identity(a1), s1), (F(0), F(1, 2), F(1)))
+    psi_other = QLSPath((pt(finite_identity(a1)), pt(s1)), (F(0), F(1, 2), F(1)))
     lift2 = q.eta_kappa(psi_other)
     assert lift2 == si_path(
         q.sils, (translation(a1, (1,)), from_finite(s1)), (F(0), F(1, 2), F(1))
@@ -167,7 +171,7 @@ ROW_CASES = QLS_CASES + [
 
 def deg_iota_by_chain(q, psi):
     """sum_u (1 - sigma_u) wt_lambda(w_{u+1} => w_u) over the cuts sigma_u of psi."""
-    points, total = [w.act_fw(q.lam) for w in psi.directions], 0
+    points, total = psi.directions, 0
     for u, cut in enumerate(psi.cuts[1:-1]):
         total += (1 - cut) * q.sils.quotient.qb_reach(points[u + 1], cut.denominator)[points[u]][0]
     assert total.denominator == 1
@@ -185,9 +189,9 @@ def test_table_rows_match_distinguished_lifts(fam, lam):
         assert rec.deg_kappa == wt_kappa.delta, psi
         assert wt_iota.delta == deg_iota_by_chain(q, psi), psi
         assert rec.weight == wt_kappa.fw == wt_iota.fw
-        rep = q.sils.quotient.state_rep
-        assert psi.directions[-1] == rep(kappa_lift.kappa).w
-        assert psi.directions[0] == rep(iota_lift.iota).w
+        rep, named = q.sils.quotient.state_rep, q.sils.quotient.named
+        assert named(psi.directions[-1]) == rep(kappa_lift.kappa).w
+        assert named(psi.directions[0]) == rep(iota_lift.iota).w
 
 
 ORACLE_CASES = QLS_CASES + [
@@ -232,20 +236,20 @@ def test_orbit_edges_match_edge_labels(fam, lam):
     quotient = ParabolicQuotient.for_weight(datum, lam)
     orbit = quotient.orbit
     points, row = orbit.values(), lambda w, step: quotient.qb_row(w.act_fw(lam), 1, step)
-    st = quotient.coset_state
+    st, pairing = quotient.coset_state, dict(quotient._outside)  # u -> p = <u^vee, lambda>
     for w in points:
         x, edges = from_finite(w), row(w, 1)
-        labels = [(AffineRealRoot(w.act_root(u), int(q)), p) for _nu, p, u, q in edges]
+        labels = [(AffineRealRoot(w.act_root(u), int(dp != 0)), pairing[u]) for _nu, _c, dp, u in edges]
         assert labels == [(beta, edge_pairing(quotient, beta, x)) for beta, _y in quotient.si_covers(st(x))], w
-        for nu, _p, u, _q in edges:
+        for nu, _c, _dp, u in edges:
             assert orbit[nu] == quotient.min_rep(w.mul(finite_reflection(datum, u)))
         # quantum by the length test iff step w(u) < 0, in both directions
         for step in (1, -1):
-            for _nu, _p, u, q in row(w, step):
-                assert q == (datum.is_positive_root(w.act_root(u)) == (step == -1)), (w, u)
+            for _nu, _c, dp, u in row(w, step):
+                assert (dp != 0) == (datum.is_positive_root(w.act_root(u)) == (step == -1)), (w, u)
     # every edge v -> w is found from both ends, up at v and down at w
-    ups = Counter((w, orbit[nu], p, q) for w in points for nu, p, _u, q in row(w, 1))
-    assert ups == Counter((orbit[nu], w, p, q) for w in points for nu, p, _u, q in row(w, -1))
+    ups = Counter((w, orbit[nu], pairing[u], dp != 0) for w in points for nu, _c, dp, u in row(w, 1))
+    assert ups == Counter((orbit[nu], w, pairing[u], dp != 0) for w in points for nu, _c, dp, u in row(w, -1))
     if fam == ("E", 8):
         return  # the candidate scan below takes seconds on E8
     # the covers, read off the same rows, against the independent candidate
@@ -321,7 +325,7 @@ def test_lift_iota_examples(a1):
     s1 = simple_reflection(a1, 1)
     unit = q.cl(q.sils.unit_path())
     assert q.eta_iota(unit) == q.sils.unit_path()
-    psi_other = QLSPath((finite_identity(a1), s1), (F(0), F(1, 2), F(1)))
+    psi_other = QLSPath((finite_identity(a1).act_fw(q.lam), s1.act_fw(q.lam)), (F(0), F(1, 2), F(1)))
     lift = q.eta_iota(psi_other)
     assert lift == si_path(
         q.sils, (affine_identity(a1), AffineWeylElt(s1, (-1,))), (F(0), F(1, 2), F(1))
@@ -377,6 +381,17 @@ def test_cl_commutes_with_operators(fam, lam):
                     assert intrinsic is None
                 else:
                     assert intrinsic == q.cl(img)
+
+
+@pytest.mark.parametrize("fam,lam", QLS_CASES + [case for case in NESTING_WEIGHTS if case not in QLS_CASES])
+def test_qls_op_matches_the_element_map(fam, lam):
+    # the operators on orbit points give the paths that `root_splice` gives on the w
+    # they name with w -> min_rep(r_j w), read back as points, for every path, j and tag
+    q = qls(fam, lam)
+    for psi in q.table:
+        for j in range(q.datum.rank + 1):
+            for tag in ("e", "f"):
+                assert q.qls_op(psi, tag, j) == qls_op_by_elements(q, psi, tag, j), (psi, tag, j)
 
 
 def _string_length(q, psi, tag, j):
@@ -528,12 +543,15 @@ def test_lift_cuts_lie_on_grid(fam, lam):
 
 @pytest.mark.parametrize("fam,lam", QLS_CASES + [(("F", 4), (0, 1, 0, 0))])
 def test_decompose_memo_matches_fresh_quotient(fam, lam):
-    # cl reads every direction's w = cl(x) off the map named per orbit point, which
-    # a fresh quotient's decompositions and orbit search reproduce
+    # the map named per orbit point gives every direction's w = cl(x), as a fresh
+    # quotient's decompositions and orbit search do; cl keeps the points and names
+    # none, so the directions' points are named here
     q = qls(fam, lam)
     memo = q.sils.quotient._named
     found = generate_by_operators(q)
     directions = {z for _word, lift in found.values() for z in lift.directions}
+    for z in directions:
+        q.sils.quotient.named(z[0])
     assert {z[0] for z in directions} <= memo.keys()
     fresh = ParabolicQuotient.for_weight(q.datum, q.lam)
     for z in directions:
@@ -574,7 +592,7 @@ def test_quotient_memos_are_freed_with_crystal():
             total.update(part)
         assert ch._interval_sum(q, q.lam) == total
         quotient = q.sils.quotient
-        assert quotient._named and quotient._coset_cache and quotient._si_leq_cache
+        assert quotient._named and quotient._si_leq_cache
         assert quotient._row_cache and quotient._qb_levels and quotient._reach_cache
         ref = weakref.ref(quotient)
         del q, quotient

@@ -502,14 +502,15 @@ def test_budget_stages_are_pinned(fam, lam, depth, pool, paths):
 
 
 def test_brute_force_walk_hashes_no_weyl_element_per_state(monkeypatch):
-    # after the closed form has read every row of QB(W^J), the brute force walks
+    # after the closed form has read its rows of QB(W^J), the brute force walks
     # integer states: it rebuilds no representative, and it hashes no Weyl element,
-    # as the QB(W^J) rows under its coset rows are kept per orbit point
+    # as the rows its covers read are kept per orbit point; it shares the closed
+    # form's rows and adds only the 8 full rows (d = 1) up from the points of W^J
     datum, lam = build("B", 2), (1, 1)
     ch._qls.cache_clear()
     closed = ch.gch_demazure_minus_e(datum, lam, 4)
     quotient = ch._qls(datum, lam).sils.quotient
-    assert not quotient._coset_cache
+    before = set(quotient._row_cache)
     calls = {"rep": 0, "hash": 0}
     rep, finite_hash = ParabolicQuotient.rep, FiniteWeylElt.__hash__
 
@@ -525,7 +526,9 @@ def test_brute_force_walk_hashes_no_weyl_element_per_state(monkeypatch):
     monkeypatch.setattr(FiniteWeylElt, "__hash__", counting_hash)
     brute = ch.brute_force_gch_minus_e(datum, lam, 4)
     monkeypatch.undo()
-    assert quotient._coset_cache
+    added = quotient._row_cache.keys() - before
+    assert len(added) == 8 and {(step, d) for _nu, step, d in added} == {(1, 1)}
+    assert len(quotient._row_cache) == 24
     assert calls == {"rep": 0, "hash": 0}, calls
     assert brute == closed == brute_force_by_paths(datum, lam, 4)
 
@@ -550,7 +553,7 @@ def test_dropped_crystal_is_collected(a2):
     unit = c.unit_path()
     assert c.root_e(c.root_f(unit, 1), 1) == unit
     assert c.enumerate_demazure(c.unit, 1)
-    assert c.quotient._named and c.quotient._coset_cache
+    assert c.quotient._named and c.quotient._row_cache
     ref = weakref.ref(c)
     del c
     gc.collect()
@@ -658,19 +661,22 @@ def test_pairing_never_falls_along_a_cover(fam, lam):
 
 
 def test_capped_search_reach_is_pinned(monkeypatch):
-    # the (state, level denominator) pairs whose coset covers the walk's searches
+    # the (state, level denominator) pairs whose QB(W^J) rows the walk's searches
     # read: exactly 298 here, 380 (as many as the (x, d) pairs of the walk on
     # directions) when the walk also searched at levels where the top's row is
     # empty; the pool bound max_den * depth read covers at 998 directions, and a
-    # search capped at depth * N instead of the remaining degree reads 405 pairs
-    read, coset_covers = set(), ParabolicQuotient.coset_covers
+    # search capped at depth * N instead of the remaining degree reads 405 pairs.
+    # Only the reads of `si_above` count: the walk's level lists read rows too
+    read, qb_row = set(), ParabolicQuotient.qb_row
 
-    def reading(self, nu, d):
-        search = inspect.currentframe().f_back.f_locals  # the state it expands
-        read.add((nu, search["xi"], search["p0"], d))
-        return coset_covers(self, nu, d)
+    def reading(self, nu, d, step):
+        caller = inspect.currentframe().f_back
+        if caller.f_code.co_name == "si_above":
+            search = caller.f_locals  # the state it expands
+            read.add((nu, search["xi"], search["p0"], d))
+        return qb_row(self, nu, d, step)
 
-    monkeypatch.setattr(ParabolicQuotient, "coset_covers", reading)
+    monkeypatch.setattr(ParabolicQuotient, "qb_row", reading)
     c = SiLSCrystal(build("B", 2), (1, 1))
     assert len(c.enumerate_demazure(c.unit, 4)) == 280
     assert len(read) == 298

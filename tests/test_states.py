@@ -26,12 +26,17 @@ from silspath.weyl import affine_simple
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "silspath"
 ELEMENT_NAMES = {"AffineWeylElt", "affine_identity", "translation", "from_finite"}
+# the finite crystal holds orbit points w lambda, so it needs no finite element either
+FINITE_NAMES = {"FiniteWeylElt", "finite_reflection", "simple_reflection", "min_rep", "act_fw"}
+FORBIDDEN = {"sils.py": ELEMENT_NAMES, "qls.py": ELEMENT_NAMES | FINITE_NAMES}
 
 
 @pytest.mark.parametrize("module", ["sils.py", "qls.py"])
 def test_path_modules_never_name_the_element_form(module):
     # the element form cannot creep back: no import of an affine element or of
-    # the constructors that build one, and no use of those names at all
+    # the constructors that build one, and no use of those names at all; in qls.py
+    # the same for finite elements, their reflections, min_rep and act_fw
+    forbidden = FORBIDDEN[module]
     tree = ast.parse((SRC / module).read_text())
     imported = {
         alias.asname or alias.name
@@ -41,8 +46,8 @@ def test_path_modules_never_name_the_element_form(module):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert not imported & ELEMENT_NAMES, imported & ELEMENT_NAMES
-    assert not used & ELEMENT_NAMES, used & ELEMENT_NAMES
+    assert not imported & forbidden, imported & forbidden
+    assert not used & forbidden, used & forbidden
 
 
 def test_validate_rejects_malformed_states(a2):
