@@ -168,10 +168,13 @@ def brute_force_gch_minus_e(
     datum: CartanDatum, lam: Vec, depth: int, budget: int = 500_000
 ) -> GradedCharacter:
     """Independent route: count x^wt q^delta over the paths of the truncated
-    enumeration, whose weights its walk carries; no path is built or sorted."""
+    enumeration, whose weights its walk carries as (key, delta), and decode each
+    distinct key once by `SiLSCrystal.unpack`; no path is built or sorted."""
     sils = _qls(datum, tuple(lam)).sils
     walk = sils._demazure_walk(sils.unit, depth, budget)
-    return GradedCharacter(Counter((fw, delta) for _chain, _cuts, fw, delta in walk))
+    counts = Counter((key, delta) for _chain, _cuts, key, delta in walk)
+    fws = {key: sils.unpack(key) for key in {key for key, _delta in counts}}
+    return GradedCharacter({(fws[key], delta): c for (key, delta), c in counts.items()})
 
 
 # -- quotient characters -----------------------------------------------------------

@@ -418,6 +418,11 @@ class ParabolicQuotient:
             for c in [table.coroots[k]]
         )
 
+    def _count_length(self, nu: Vec) -> int:
+        """l(w) for w in W^J at nu = w lambda: #{alpha in Delta^+ : <alpha^vee, nu> < 0}."""
+        coroots = self.datum.root_table.coroots[: len(self.datum.pos_roots)]
+        return sum(sum(map(operator.mul, c, nu)) < 0 for c in coroots)
+
     def qb_row(self, nu: Vec, d: int, step: int) -> tuple[tuple[Vec, Vec, int, Vec], ...]:
         """(nu', c, dp, u) for the edges of QB(W^J) with d | p out of (step 1) or into (step -1) w in W^J
         at nu = w lambda, one per u in `_outside` (its entries with d | p are kept per d in `_qb_levels`)
@@ -430,16 +435,15 @@ class ParabolicQuotient:
         row = self._row_cache.get((nu, step, d))
         if row is None:
             w, lengths, out, zero = self.named(nu), self._lengths, [], (0,) * len(nu)
-            coroots = self.datum.root_table.coroots[: len(self.datum.pos_roots)]
             if (base := lengths.get(nu)) is None:  # a point that no orbit search recorded
-                base = lengths[nu] = sum(sum(map(operator.mul, c, nu)) < 0 for c in coroots)
+                base = lengths[nu] = self._count_length(nu)
             roots = self._qb_levels.get(d)
             if roots is None:
                 roots = self._qb_levels[d] = tuple(r for r in self._qb_roots if r[2] % d == 0)
             for k, u, p, c_u, shift, u_vee in roots:
                 nu2 = tuple(map(operator.sub, nu, shift[w.perm[k]]))
                 if (length := lengths.get(nu2)) is None:
-                    length = lengths[nu2] = sum(sum(map(operator.mul, c, nu2)) < 0 for c in coroots)
+                    length = lengths[nu2] = self._count_length(nu2)
                 gap = length - base
                 if gap == step:
                     out.append((nu2, zero, 0, u))

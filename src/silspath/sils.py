@@ -27,7 +27,9 @@ representatives `state_rep` rebuilds once per state.  The states above one withi
 degree are `ParabolicQuotient.si_above`, kept per walk: the one reach search, which the
 semi-infinite order reads too.  A node takes children only at the levels where its top has a
 cover (`ParabolicQuotient.qb_row` of its orbit point is not empty, listed per point and walk);
-most rows at d >= 2 are empty.
+most rows at d >= 2 are empty.  The walk carries weights as integer keys, `SiLSCrystal.pack`
+of a point nu being sum nu_i 2^(b i) in balanced b-bit fields: |nu_i| = |<w^-1 alpha_i^vee, lambda>|
+is at most P = max(`pairing_values()`), which sizes b = `SiLSCrystal.width`, and so is a weight's.
 """
 
 from __future__ import annotations
@@ -184,6 +186,7 @@ class SiLSCrystal:
             (a.numerator * (self.n // a.denominator), a.denominator) for a in self.quotient.cut_grid()
         )
         self.unit = (self.lam, (0,) * datum.rank, 0)  # the state of e
+        self.width = max(self.quotient.pairing_values(), default=0).bit_length() + 1
 
     # -- basic paths ----------------------------------------------------------
 
@@ -221,6 +224,16 @@ class SiLSCrystal:
         den = eta.den  # a divisor of N
         assert all(c % den == 0 for c in total)
         return LevelZeroWeight(tuple(c // den for c in total[:-1]), total[-1] // den)
+
+    def pack(self, nu: Vec) -> int:
+        """The key sum nu_i 2^(b i) of fundamental-weight coordinates, b = `width`."""
+        return sum(v << self.width * i for i, v in enumerate(nu))
+
+    def unpack(self, key: int) -> Vec:
+        """The coordinates of a key, fields in [-h, h) for h = 2^(b-1): each field plus h is a b-bit digit."""
+        b, h, rank = self.width, 1 << (self.width - 1), self.datum.rank
+        key += self.pack((h,) * rank)
+        return tuple(((key >> b * i) & ((1 << b) - 1)) - h for i in range(rank))
 
     # -- height functions and root operators -----------------------------------
 
@@ -327,18 +340,19 @@ class SiLSCrystal:
         n = self.n
         paths = (
             SiLSPath.from_ticks(tuple(reversed(chain)), (0,) + tuple(reversed(cuts_desc)) + (n,), n)
-            for chain, cuts_desc, _fw, _delta in self._demazure_walk(x, depth, budget)
+            for chain, cuts_desc, _key, _delta in self._demazure_walk(x, depth, budget)
         )
         return tuple(sorted(paths, key=self.sort_key()))
 
     def _demazure_walk(self, x: State, depth: int, budget: int):
-        """Yield (chain, cuts_desc, fw, delta) for every path of `enumerate_demazure`: its
+        """Yield (chain, cuts_desc, key, delta) for every path of `enumerate_demazure`: its
         directions from kappa up, its inner cuts from the right in ticks over N, and its weight,
-        carried along the walk.  Children come only from the levels below the node's cut where
-        the top has a cover."""
+        carried along the walk: delta, and the key sum of ticks times each direction's `pack`, / N.
+        Children come only from the levels below the node's cut where the top has a cover."""
         assert depth >= 0
         n, levels, limit = self.n, self.levels, depth * self.n  # sums, cuts: ticks over N
         upward = functools.cache(functools.partial(self.quotient.si_above, budget=budget))
+        pack = functools.cache(self.pack)  # once per orbit point
         @functools.cache
         def live(nu):
             """live(nu)[k]: the level indices below k, highest first, where nu's row is not empty."""
@@ -348,12 +362,12 @@ class SiLSCrystal:
             return below
 
         # every direction pairs at least as high as kappa, so p(kappa) <= depth
-        count, zero = 0, (0,) * self.datum.rank
-        # depth-first over (chain, cuts_desc, k, settled, settled_fw), k the index of the right
+        count = 0
+        # depth-first over (chain, cuts_desc, k, settled, settled_key), k the index of the right
         # cut in levels (len(levels) for 1); a stack, so no recursive closure keeps `self` alive
-        stack = [((z,), (), len(levels), 0, zero) for z in reversed((x,) + upward(x, 1, depth))]
+        stack = [((z,), (), len(levels), 0, 0) for z in reversed((x,) + upward(x, 1, depth))]
         while stack:
-            chain, cuts_desc, k, settled, settled_fw = stack.pop()
+            chain, cuts_desc, k, settled, settled_key = stack.pop()
             fw_top, _xi, p_top = top = chain[-1]
             right = cuts_desc[-1] if cuts_desc else n
             # closing now puts the top direction on [0, right]; a cut at a caps the directions above
@@ -362,14 +376,13 @@ class SiLSCrystal:
                 continue
             if (count := count + 1) > budget:
                 raise BudgetExceeded("path enumeration exceeded budget")
-            fw = tuple([(s + right * f) // n for s, f in zip(settled_fw, fw_top)])
-            yield chain, cuts_desc, fw, -total // n
+            key_top = pack(fw_top)
+            yield chain, cuts_desc, (settled_key + right * key_top) // n, -total // n
             # the children cut at the live levels below levels[k], pushed from the highest cut and
             # each search's last state so they pop from the lowest cut, in search order
             for i in live(fw_top)[k] if k else ():
                 a, d = levels[i]
                 new_settled = settled + (right - a) * p_top
                 if ys := upward(top, d, (limit - new_settled) // a):
-                    new_fw = tuple([s + (right - a) * f for s, f in zip(settled_fw, fw_top)])
-                    cuts = cuts_desc + (a,)
-                    stack.extend([(chain + (y,), cuts, i, new_settled, new_fw) for y in reversed(ys)])
+                    new_key, cuts = settled_key + (right - a) * key_top, cuts_desc + (a,)
+                    stack.extend([(chain + (y,), cuts, i, new_settled, new_key) for y in reversed(ys)])

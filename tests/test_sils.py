@@ -533,18 +533,53 @@ def test_brute_force_walk_hashes_no_weyl_element_per_state(monkeypatch):
     assert brute == closed == brute_force_by_paths(datum, lam, 4)
 
 
-def test_walk_carries_each_path_weight(a2):
-    # at a translated x, the weight carried to each closing path is its weight
-    c = SiLSCrystal(a2, (1, 1))
-    x = c.quotient.coset_state(c.quotient.project(translation(a2, (-1, 0))))
-    n, cut = c.n, 0
-    for chain, cuts_desc, fw, delta in c._demazure_walk(x, 2, 500_000):
-        ticks = (0,) + tuple(reversed(cuts_desc)) + (n,)
-        eta = SiLSPath.from_ticks(tuple(reversed(chain)), ticks, n)
-        assert c.validate(eta), eta
-        assert c.weight(eta) == LevelZeroWeight(fw, delta), eta
-        cut += len(chain) > 1
-    assert cut  # some path settles a segment before it closes
+def test_brute_force_decodes_each_key_once(monkeypatch):
+    # the brute force counts the walk's (key, delta) pairs and decodes each distinct
+    # key once: at most one `unpack` per term of its result, not one per path
+    datum, lam = build("B", 2), (1, 1)
+    calls, unpack = [], SiLSCrystal.unpack
+
+    def counting(self, key):
+        calls.append(key)
+        return unpack(self, key)
+
+    monkeypatch.setattr(SiLSCrystal, "unpack", counting)
+    brute = ch.brute_force_gch_minus_e(datum, lam, 4)
+    monkeypatch.undo()
+    c = SiLSCrystal(datum, lam)
+    assert sum(1 for _ in c._demazure_walk(c.unit, 4, 500_000)) == 280
+    assert len(calls) == len(set(calls)) <= len(brute.terms) < 280
+    assert brute == ch.gch_demazure_minus_e(datum, lam, 4) == brute_force_by_paths(datum, lam, 4)
+
+
+WALK_WEIGHT_CASES = [
+    # (family, lambda, translated base or None for e, depth, paths with delta > 0)
+    (("A", 2), (1, 1), (-1, 0), 2, 8),
+    (("G", 2), (4, 3), None, 0, 0),  # 7,293 paths from e (N = 92,820, P = 17)
+    (("G", 2), (1, 1), (-1, 0), 1, 64),  # of 493 paths
+]
+
+
+def test_walk_carries_each_path_weight():
+    # from e or a translated x, the weight carried to each closing path, its key
+    # decoded by `unpack`, is its weight; some weight has a coordinate +-P, so fields
+    # at the width bound decode, and some have delta > 0, so positive degrees do
+    for fam, lam, base, depth, raised in WALK_WEIGHT_CASES:
+        c = crystal(fam, lam)
+        q = c.quotient
+        x = c.unit if base is None else q.coset_state(q.project(translation(c.datum, base)))
+        n, cut, widest, positive = c.n, 0, 0, 0
+        for chain, cuts_desc, key, delta in c._demazure_walk(x, depth, 500_000):
+            ticks = (0,) + tuple(reversed(cuts_desc)) + (n,)
+            eta = SiLSPath.from_ticks(tuple(reversed(chain)), ticks, n)
+            assert c.validate(eta), eta
+            fw = c.unpack(key)
+            assert c.weight(eta) == LevelZeroWeight(fw, delta), eta
+            cut += len(chain) > 1
+            widest = max(widest, *map(abs, fw))
+            positive += delta > 0
+        assert cut  # some path settles a segment before it closes
+        assert widest == max(q.pairing_values()) and positive == raised, fam
 
 
 def test_dropped_crystal_is_collected(a2):
@@ -707,8 +742,8 @@ def test_walk_stays_in_depth_and_cuts_below_the_parent(fam, lam, depth):
     c = crystal(fam, lam)
     high = c.quotient.coset_state(translation(c.datum, (depth + 1,) * c.datum.rank))
     walk = [path for x in (c.unit, high) for path in c._demazure_walk(x, depth, 500_000)]
-    assert any(cuts_desc for _chain, cuts_desc, _fw, _delta in walk)
-    for chain, cuts_desc, _fw, delta in walk:
+    assert any(cuts_desc for _chain, cuts_desc, _key, _delta in walk)
+    for chain, cuts_desc, _key, delta in walk:
         assert -delta <= depth
         assert len(cuts_desc) == len(chain) - 1
         assert all(0 < a < right for a, right in zip(cuts_desc, (c.n,) + cuts_desc)), cuts_desc
@@ -724,7 +759,7 @@ def test_walk_skips_only_levels_with_no_search_result(fam, lam, depth):
     high = q.coset_state(translation(c.datum, (depth + 1,) * c.datum.rank))
     skipped = 0
     for x in (c.unit, high):
-        for chain, cuts_desc, _fw, _delta in c._demazure_walk(x, depth, 500_000):
+        for chain, cuts_desc, _key, _delta in c._demazure_walk(x, depth, 500_000):
             rights = (n,) + cuts_desc
             settled = sum((rights[j] - cuts_desc[j]) * chain[j][2] for j in range(len(cuts_desc)))
             top, right = chain[-1], rights[-1]
