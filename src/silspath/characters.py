@@ -2,10 +2,12 @@
 
 A graded character is a finite integer combination of terms x^mu q^k with
 mu recorded in fundamental-weight coordinates.  No QLS route lists a path: the
-degree-weighted QLS sum adds up `QLSCrystal.final_sums`, the quotient characters
-add it over a Bruhat up-set of W^J, one sum kept per orbit point on the crystal
-(the plus ones read the `dual` shape's), and the closed-form Demazure characters
-multiply the sum by the expanded inverse product over the columns of lambda.  The
+degree-weighted QLS sum expands its classical highest-weight terms,
+`QLSCrystal.highest_weight_sums`, by Freudenthal multiplicities and Weyl orbits,
+the closed-form Demazure characters multiply it by the expanded inverse product
+over the columns of lambda, and the quotient characters add `QLSCrystal.final_sums`
+over a Bruhat up-set of W^J, one sum kept per orbit point on the crystal (the plus
+ones read the `dual` shape's).  The
 brute-force route walks the semi-infinite LS paths with kappa >= e down to the
 depth instead and counts the weights that the walk carries, again without listing
 a path.  Demazure's character formula supplies an independent q=0 oracle without
@@ -21,6 +23,7 @@ from collections import Counter
 
 from .cartan import CartanDatum, Vec, vec_add, vec_neg
 from .weyl import BudgetExceeded, FiniteWeylElt, longest_element
+from .peterson import TABLE_BUDGET
 from .qls import QLSCrystal
 
 Term = tuple[Vec, int]
@@ -107,17 +110,80 @@ class GradedCharacter:
 # -- QLS degree route ----------------------------------------------------------
 
 
-def qls_degree_sum(datum: CartanDatum, lam: Vec) -> GradedCharacter:
-    """Sum of q^(tail degree) x^(weight) over the finite path crystal."""
-    total = Counter()
-    for part in _qls(datum, tuple(lam)).final_sums.values():
-        total.update(part)
-    return GradedCharacter(total)
+def qls_degree_sum(datum: CartanDatum, lam: Vec, basis: str = "x") -> GradedCharacter:
+    """Sum of q^(tail degree) x^(weight) over the finite path crystal, as the sum of q^deg chi_mu
+    over its classical highest-weight paths (`QLSCrystal.highest_weight_sums`): expanded by
+    `weyl_expansion`, or with basis "weyl" one term per (dominant mu, q), its multiplicity."""
+    return _degree_sum(datum, lam, basis, 1)
 
 
-def macdonald_t0(datum: CartanDatum, lam: Vec) -> GradedCharacter:
-    """The symmetric Macdonald polynomial at t = 0, via the degree sum."""
-    return qls_degree_sum(datum, lam).invert_q()
+def macdonald_t0(datum: CartanDatum, lam: Vec, basis: str = "x") -> GradedCharacter:
+    """The symmetric Macdonald polynomial at t = 0: the degree sum with q inverted."""
+    return _degree_sum(datum, lam, basis, -1)
+
+
+def _degree_sum(datum: CartanDatum, lam: Vec, basis: str, sign: int) -> GradedCharacter:
+    crystal = _qls(datum, tuple(lam))  # its orbit search has listed W lambda
+    hw = GradedCharacter({(mu, sign * q): c for (mu, q), c in crystal.highest_weight_sums.items()})
+    return hw if basis == "weyl" else weyl_expansion(datum, hw, {crystal.lam: crystal.sils.quotient.orbit})
+
+
+def weyl_expansion(datum: CartanDatum, hw: GradedCharacter, orbits: dict | None = None) -> GradedCharacter:
+    """The sum of c q^k chi_mu over the terms c x^mu q^k of hw, mu dominant, in the x-basis.
+
+    The dominant kappa <= mu are reached from mu by subtracting positive roots (Stembridge), and
+    highest first, ((mu + rho, mu + rho) - (kappa + rho, kappa + rho)) m(kappa) = 2 sum_{alpha > 0,
+    j >= 1} (kappa + j alpha, alpha) m(kappa + j alpha) (Freudenthal), (X, alpha) = sum_i u_i d_i X_i
+    for alpha = sum_i u_i alpha_i, each m read off the orbits listed so far up to the string's end.
+    Each W kappa is listed once as points, by the stepping rule of `ParabolicQuotient.orbit`, unless
+    orbits holds it (kappa -> its points).  Dominant weights, points and terms stop past TABLE_BUDGET."""
+    sym, alphas = datum.sym, datum.simple_fws
+    add, sub, mul, ge = operator.add, operator.sub, operator.mul, operator.ge
+    roots = tuple(zip(datum.pos_roots, datum.root_table.fws))
+    orbits = dict(orbits or {})
+    dominant_of = {nu: kappa for kappa, points in orbits.items() for nu in points}  # W kappa -> kappa
+    mults, coeffs = {}, {}
+    for mu in dict.fromkeys(mu for mu, _q in hw.terms):
+        below, stack = {mu: (0,) * datum.rank}, [mu]  # kappa -> mu - kappa in root coordinates
+        while stack:
+            kappa = stack.pop()
+            for u, fw in roots:
+                if all(map(ge, kappa, fw)) and (nu := tuple(map(sub, kappa, fw))) not in below:
+                    below[nu] = tuple(map(add, below[kappa], u))
+                    stack.append(nu)
+            if len(below) > TABLE_BUDGET:
+                raise BudgetExceeded("dominant weights exceeded the QLS table budget")
+        mult = mults[mu] = {}
+        for kappa, n in sorted(below.items(), key=lambda p: sum(p[1])):
+            total = 0
+            for u, fw in roots if kappa != mu else ():
+                if all(map(ge, n, u)) and (m := mult.get(dominant_of.get(point := tuple(map(add, kappa, fw))))):
+                    ud = tuple(map(mul, u, sym))
+                    pair, norm = sum(map(mul, ud, point)), sum(map(mul, ud, fw))
+                    total += pair * m
+                    while m := mult.get(dominant_of.get(point := tuple(map(add, point, fw)))):
+                        pair += norm
+                        total += pair * m
+            gap = sum(map(mul, n, [d * (a + b + 2) for d, a, b in zip(sym, mu, kappa)]))  # 0 only at mu
+            mult[kappa] = 2 * total // gap if gap else 1
+            if kappa not in orbits:
+                points, frontier = {kappa: kappa}, [kappa]
+                while frontier:
+                    nu = frontier.pop()
+                    for i, m in enumerate(nu):
+                        if m > 0 and (nu2 := tuple([x - m * a for x, a in zip(nu, alphas[i])])) not in points:
+                            points[nu2] = kappa  # r_i nu = nu - m alpha_i
+                            frontier.append(nu2)
+                orbits[kappa] = points
+                dominant_of.update(points)
+                if len(dominant_of) > TABLE_BUDGET:
+                    raise BudgetExceeded("Weyl orbits exceeded the QLS table budget")
+    for (mu, q), c in hw.terms.items():
+        for kappa, m in mults[mu].items():
+            coeffs[kappa, q] = coeffs.get((kappa, q), 0) + c * m
+    if sum(len(orbits[kappa]) for kappa, _q in coeffs) > TABLE_BUDGET:
+        raise BudgetExceeded("x-basis expansion exceeded the QLS table budget")
+    return GradedCharacter({(nu, q): c for (kappa, q), c in coeffs.items() for nu in orbits[kappa]})
 
 
 _qls = functools.lru_cache(maxsize=1)(QLSCrystal)  # (datum, lam) -> the current shape

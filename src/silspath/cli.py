@@ -201,8 +201,12 @@ def _cmd_char(args) -> int:
     _check_nonnegative(args, "depth", "budget")
     meta = {"type": datum.type_label, "rank": datum.rank, "lambda": list(lam), "depth": args.depth}
     mode = args.mode
+    if args.basis != "x" and mode != "macdonald":
+        raise ValueError(f"--basis {args.basis} applies to char macdonald only")
     if mode == "macdonald":
-        _emit(_character_json(meta, ch.macdonald_t0(datum, lam)))
+        if args.basis == "weyl":  # one term per (dominant mu, q): the multiplicity of chi_mu
+            meta["basis"] = "weyl"
+        _emit(_character_json(meta, ch.macdonald_t0(datum, lam, args.basis)))
     elif mode == "demazure-minus":
         _emit(_character_json(meta, ch.gch_demazure_minus_e(datum, lam, args.depth, args.budget)))
     elif mode == "demazure-plus":
@@ -289,6 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--w", default=None, help="reduced word, e.g. 1,2")
     p.add_argument("--budget", type=int, default=500_000)
+    p.add_argument("--basis", choices=["x", "weyl"], default="x", help="macdonald: monomials or Weyl characters")
     p.set_defaults(fn=_cmd_char)
     return parser
 

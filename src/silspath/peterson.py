@@ -452,13 +452,14 @@ class ParabolicQuotient:
             row = self._row_cache[nu, step, d] = tuple(out)
         return row
 
-    def qb_reach(self, nu: Vec, d: int) -> dict[Vec, tuple[int, Vec]]:
+    def qb_reach(self, nu: Vec, d: int, step: int = 1) -> dict[Vec, tuple[int, Vec]]:
         """v lambda -> (wt_lambda, xi) for every v reachable from w at nu = w lambda in the
         subgraph of QB(W^J) whose edges have p divisible by d (the level of a cut of
         denominator d, the rows `qb_row(., d, 1)`): xi is the coweight of a shortest path
         (a breadth-first search) off J and wt_lambda its pairing with lambda, the offset
-        the path adds to a state.  Kept per (nu, d)."""
-        reach = self._reach_cache.get((nu, d))
+        the path adds to a state.  Step -1 searches the rows into each point: the v that reach w,
+        with -wt_lambda(v => w), as all shortest paths carry one wt_lambda (LNSSS).  Kept per (nu, d, step)."""
+        reach = self._reach_cache.get((nu, d, step))
         if reach is None:
             self.orbit  # names every point that the rows reach
             reach, frontier = {nu: (0, (0,) * self.datum.rank)}, [nu]
@@ -466,10 +467,10 @@ class ParabolicQuotient:
                 nxt = []
                 for v in frontier:
                     wt, xi = reach[v]
-                    for nu2, c, dp, _u in self.qb_row(v, d, 1):
+                    for nu2, c, dp, _u in self.qb_row(v, d, step):
                         if nu2 not in reach:
                             reach[nu2] = (wt + dp, vec_add(xi, c)) if dp else (wt, xi)
                             nxt.append(nu2)
                 frontier = nxt
-            self._reach_cache[nu, d] = reach
+            self._reach_cache[nu, d, step] = reach
         return reach

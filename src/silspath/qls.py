@@ -22,9 +22,11 @@ coweight of a shortest path in the level's subgraph and wt_lambda its pairing wi
     deg_iota  = sum_u (1 - sigma_u) wt_lambda(w_{u+1} => w_u).
 
 The characters read no row, and the table keeps only deg_kappa: `final_sums` adds
-x^weight q^deg_kappa by final direction w lambda, one transfer matrix swept up the cuts.
+x^weight q^deg_kappa by final direction w lambda, one transfer matrix swept up the cuts,
+for the quotient characters; the degree sum reads only its classical highest-weight
+terms, `highest_weight_sums`, the same sweep kept to paths that stay dominant.
 A segment of w added at a cut a = k/d spans 1 - a and adds -a times its edge's wt_lambda
-to the degree, both exact as d divides p on every edge of a's level.
+to the degree, both exact as d divides p on every edge of a's level (`_segment_step`).
 
 The distinguished lifts are rebuilt from the chain on demand, as coset states.  With
 xi_s = 0 and xi_u = xi_{u+1} + wt(w_{u+1} => w_u) off J, `eta_kappa` has the directions
@@ -42,12 +44,19 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections import Counter
 from typing import NamedTuple
 
 from .cartan import CartanDatum, Vec, vec_add, vec_sub
 from .weyl import BudgetExceeded
 from .peterson import TABLE_BUDGET
 from .sils import CutPath, SiLSCrystal, SiLSPath, merge_segments, root_splice
+
+
+def _segment_step(n: int, a: int, mu: Vec, nu: Vec, wt: int) -> tuple[Vec, int]:
+    """A row with final direction nu, given a last segment of mu at the cut a (ticks over n), nu reached
+    from mu with weight wt: its weight moves by (1 - a)(mu - nu), its degree by -a wt."""
+    return tuple([(n - a) * (m - v) // n for m, v in zip(mu, nu)]), -a * wt // n
 
 
 class QLSPath(CutPath):
@@ -119,8 +128,7 @@ class QLSCrystal:
             before = {nu: tuple(sums[nu].items()) for _mu, _acc, targets in moves[d] for nu, _wt in targets}
             for mu, acc, targets in moves[d]:
                 for nu, wt in targets:
-                    held, dq = len(acc), -a * wt // n  # see the module docstring
-                    step = tuple((n - a) * (m - v) // n for m, v in zip(mu, nu))
+                    held, (step, dq) = len(acc), _segment_step(n, a, mu, nu, wt)
                     for (fw, q), c in before[nu]:
                         key = (tuple(map(operator.add, fw, step)), q + dq)
                         acc[key] = acc.get(key, 0) + c
@@ -128,6 +136,38 @@ class QLSCrystal:
                     if size > TABLE_BUDGET:
                         raise BudgetExceeded("transfer matrix exceeded the QLS table budget")
         return sums
+
+    @functools.cached_property
+    def highest_weight_sums(self) -> dict[tuple[Vec, int], int]:
+        """x^weight q^deg_kappa summed over the classical highest-weight rows, whose pi(t) is dominant
+        at every cut and at 1 (Littelmann); as Deg is constant on classical components (LNSSS), a
+        term stands for q^deg_kappa chi_weight.  Swept up the cuts as `final_sums` is, from the row
+        of lambda, but a term (fw, q) at nu extends at a only if N pi(a) = N fw - (N - a) nu is
+        dominant (no later cut moves pi(a)), reaching back along `qb_reach(nu, d, -1)`."""
+        quotient, n = self.sils.quotient, self.sils.n
+        quotient.orbit  # the orbit search names every point and records every length, which the walk reads
+        sums, size = {self.lam: {(self.lam, 0): 1}}, 1
+        for a, d in self.sils.levels:
+            gains = []
+            for nu, acc in sums.items():
+                floor = [(n - a) * v for v in nu]  # N pi(a) >= 0 iff N fw >= floor
+                live = [(fw, q, c) for (fw, q), c in acc.items() if all(map(operator.ge, [n * f for f in fw], floor))]
+                if live:
+                    reach = quotient.qb_reach(nu, d, -1).items()
+                    gains += [(mu, nu, -back, live) for mu, (back, _xi) in reach if mu != nu]
+            for mu, nu, wt, live in gains:
+                acc, (step, dq) = sums.setdefault(mu, {}), _segment_step(n, a, mu, nu, wt)
+                held = len(acc)
+                for fw, q, c in live:
+                    key = (tuple(map(operator.add, fw, step)), q + dq)
+                    acc[key] = acc.get(key, 0) + c
+                size += len(acc) - held
+                if size > TABLE_BUDGET:
+                    raise BudgetExceeded("highest-weight sweep exceeded the QLS table budget")
+        out = Counter()
+        for acc in sums.values():
+            out.update({key: c for key, c in acc.items() if min(key[0]) >= 0})
+        return out
 
     def paths(self) -> tuple[QLSPath, ...]:
         """The table's paths by length, cuts, then the w that each direction names."""

@@ -316,9 +316,30 @@ def bruhat_leq_bfs(u, v):
 
 def table_degree_sum(q):
     """Sum of q^(tail degree) x^(weight) over the rows of `QLSCrystal.table`: the
-    oracle for the transfer matrix behind `characters.qls_degree_sum`."""
+    oracle for the highest-weight route behind `characters.qls_degree_sum`."""
     rows = q.table.values()
     return GradedCharacter(Counter((rec.weight, rec.deg_kappa) for rec in rows))
+
+
+def final_sums_degree_sum(q):
+    """The degree sum as the transfer matrix adds it over every final direction,
+    `QLSCrystal.final_sums`: the oracle for the highest-weight route past the table."""
+    total = Counter()
+    for part in q.final_sums.values():
+        total.update(part)
+    return GradedCharacter(total)
+
+
+def weyl_dimension(datum, mu):
+    """dim V(mu) = prod over alpha > 0 of (mu + rho, alpha) / (rho, alpha) (Weyl), with
+    (X, alpha) = sum_i u_i d_i X_i for alpha = sum_i u_i alpha_i."""
+    num = den = 1
+    for u in datum.pos_roots:
+        ud = [a * d for a, d in zip(u, datum.sym)]
+        num *= sum(c * (m + 1) for c, m in zip(ud, mu))
+        den *= sum(ud)
+    assert num % den == 0
+    return num // den
 
 
 def final_sums_dense(q):

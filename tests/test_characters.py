@@ -13,6 +13,7 @@ from conftest import (
     bruhat_above_by_rows,
     brute_force_by_paths,
     deg_iota,
+    final_sums_degree_sum,
     final_sums_dense,
     initial_sums_by_sweep,
     kostka_foulkes,
@@ -23,6 +24,7 @@ from conftest import (
     quotient_reps_by_filter,
     table_degree_sum,
     type_a_macdonald_t0,
+    weyl_dimension,
     weyl_identity_holds,
 )
 
@@ -658,9 +660,10 @@ def test_quotient_characters_build_only_the_rows_of_their_levels():
 
 
 def test_macdonald_builds_only_the_rows_of_its_levels():
-    # macdonald_t0 reads rows only through the reach sets of its grid levels: none
-    # on E6 varpi_1, whose pairings are all 1, and one out of each of the 24 orbit
-    # points per level on B3 (1,1,0), whose cuts have denominators 2, 3 and 4
+    # macdonald_t0 reads rows only through the backward reach sets of its grid levels:
+    # none on E6 varpi_1, whose pairings are all 1, and on B3 (1,1,0), whose cuts have
+    # denominators 2, 3 and 4, only the rows into the points that a term dominant at
+    # a cut reaches back from, not one row out of each of the 24 orbit points per level
     counts = {}
     for fam, lam in ((("E", 6), (1, 0, 0, 0, 0, 0)), (("B", 3), (1, 1, 0))):
         datum = build(*fam)
@@ -668,7 +671,7 @@ def test_macdonald_builds_only_the_rows_of_its_levels():
         ch.macdonald_t0(datum, lam)
         counts[fam] = Counter((d, step) for _nu, step, d in ch._qls(datum, lam).sils.quotient._row_cache)
     ch._qls.cache_clear()
-    assert counts == {("E", 6): Counter(), ("B", 3): Counter({(2, 1): 24, (3, 1): 24, (4, 1): 24})}
+    assert counts == {("E", 6): Counter(), ("B", 3): Counter({(2, -1): 7, (3, -1): 5, (4, -1): 4})}
 
 
 def test_degree_sum_past_the_table_budget():
@@ -706,6 +709,76 @@ def test_quotient_characters_list_no_path(a2):
     for w in ch.minus_quotient_reps(a2, lam):
         assert ch.gch_quotient_minus(a2, lam, w) and ch.gch_quotient_plus(a2, lam, w)
     assert "table" not in ch._qls(a2, lam).__dict__
+
+
+# -- the highest-weight route against the transfer matrix and the root operators -------
+
+REGULAR = {rank: (1,) * rank for rank in range(2, 9)}
+
+
+@pytest.mark.parametrize(
+    "fam,lam",
+    sorted(set(DEGREE_SUM_WEIGHTS + MACDONALD_BENCH_WEIGHTS) | {(("G", 2), (4, 3)), (("C", 4), REGULAR[4])}),
+)
+def test_degree_sum_matches_the_final_sums(fam, lam):
+    # the highest-weight terms, expanded by Freudenthal multiplicities and orbits,
+    # equal the sum of the transfer matrix over every final direction
+    datum = build(*fam)
+    assert ch.qls_degree_sum(datum, lam) == final_sums_degree_sum(QLSCrystal(datum, lam))
+
+
+HIGHEST_WEIGHT_CASES = [
+    (("A", 2), (1, 1)), (("C", 3), (1, 0, 1)), (("G", 2), (2, 1)), (("D", 4), (1, 0, 1, 0)),
+    (("B", 3), (1, 1, 0)), (("F", 4), (1, 0, 0, 1)), (("E", 6), (1, 0, 0, 0, 0, 1)), (("A", 3), (2, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("fam,lam", HIGHEST_WEIGHT_CASES)
+def test_highest_weight_terms_are_the_rows_killed_by_every_e(fam, lam):
+    # the sweep's terms are the (weight, deg_kappa) of the table rows that every
+    # raising operator e_i, i in I, kills, counted with multiplicity
+    q = QLSCrystal(build(*fam), lam)
+    rank = q.datum.rank
+    killed = Counter(
+        (row.weight, row.deg_kappa)
+        for psi, row in q.table.items()
+        if all(q.qls_op(psi, "e", i) is None for i in range(1, rank + 1))
+    )
+    assert q.highest_weight_sums == killed
+
+
+EXPANSION_FAMILIES = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6), ("B", 2), ("B", 3), ("B", 4), ("B", 5), ("B", 6),
+    ("C", 2), ("C", 3), ("C", 4), ("C", 5), ("C", 6), ("D", 4), ("D", 5), ("D", 6), ("E", 6), ("F", 4), ("G", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "fam,lam",
+    _fundamental_weights(EXPANSION_FAMILIES)
+    + [(("E", 7), (1, 0, 0, 0, 0, 0, 0)), (("E", 8), (0, 0, 0, 0, 0, 0, 0, 1))],
+)
+def test_weyl_expansion_is_weyl_character(fam, lam):
+    # Freudenthal's multiplicities spread over the orbits give Demazure's character formula
+    datum = build(*fam)
+    assert ch.weyl_expansion(datum, GradedCharacter.monomial(lam)) == ch.weyl_character(datum, lam)
+
+
+@pytest.mark.parametrize(
+    "fam,lam",
+    [(("D", 5), REGULAR[5]), (("F", 4), REGULAR[4]), (("C", 5), REGULAR[5]), (("B", 5), REGULAR[5]),
+     (("C", 4), REGULAR[4]), (("G", 2), (4, 3))],
+)
+def test_highest_weight_dimensions_count_the_paths(fam, lam):
+    # QLS(lambda) is the tensor product of the column crystals QLS(varpi_i), m_i times
+    # each (LNSSS), so sum c dim V(mu) over the highest-weight terms is the product of
+    # their sizes; past TABLE_BUDGET except on C4 rho (8,809 x-basis terms)
+    datum = build(*fam)
+    columns = 1
+    for i, m in enumerate(lam):
+        columns *= len(QLSCrystal(datum, tuple(int(k == i) for k in range(datum.rank))).table) ** m
+    hw = QLSCrystal(datum, lam).highest_weight_sums
+    assert sum(c * weyl_dimension(datum, mu) for (mu, _q), c in hw.items()) == columns
 
 
 # -- Demazure's formula and the orbit search against oracles over all of W ------------

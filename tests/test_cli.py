@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from silspath import characters as ch
 from silspath import peterson
 from silspath.cartan import build
-from silspath.cli import main
+from silspath.cli import _character_json, main
 from silspath.peterson import ParabolicQuotient
 from silspath.weyl import longest_element
 
@@ -233,11 +234,12 @@ def test_macdonald_large_orbit_exhausts_the_budget():
 
 
 def test_macdonald_transfer_matrix_exhausts_the_budget():
-    # D5 at a regular weight: 1,920 directions, well inside the orbit budget, but
-    # their partial sums pass TABLE_BUDGET terms within about a second
-    proc = run_cli_capped("char macdonald --type D --rank 5 --lambda 1,1,1,1,1", timeout=20)
+    # E6 at a regular weight: 51,840 directions, well inside the orbit budget, but
+    # the partial sums of its highest-weight sweep pass TABLE_BUDGET terms within
+    # about 5 s
+    proc = run_cli_capped("char macdonald --type E --rank 6 --lambda 1,1,1,1,1,1", timeout=60)
     assert proc.returncode == 3, proc.stderr[-2000:]
-    assert "budget exhausted: transfer matrix exceeded" in proc.stderr
+    assert "budget exhausted: highest-weight sweep exceeded" in proc.stderr
 
 
 def test_quotient_transfer_matrix_exhausts_the_budget():
@@ -246,6 +248,43 @@ def test_quotient_transfer_matrix_exhausts_the_budget():
     proc = run_cli_capped("char quotient-plus --type D --rank 5 --lambda 1,1,1,1,1 --w 1", timeout=20)
     assert proc.returncode == 3, proc.stderr[-2000:]
     assert "budget exhausted: transfer matrix exceeded" in proc.stderr
+
+
+def test_macdonald_past_the_old_transfer_matrix_budget():
+    # D5 rho: the transfer matrix over every final direction passed TABLE_BUDGET
+    # terms; the highest-weight sweep keeps 225 terms and their expansion 68,028
+    proc = run_cli_capped("char macdonald --type D --rank 5 --lambda 1,1,1,1,1", timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert len(json.loads(proc.stdout)["terms"]) == 68028
+
+
+def test_macdonald_weyl_basis(capsys):
+    # one term per (dominant mu, q), the multiplicity of chi_mu, with q inverted as in
+    # the x-basis, which the Weyl characters expand to; the meta line says which basis
+    argv = "char macdonald --type G --rank 2 --lambda 2,1".split()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "basis" not in json.loads(out)["meta"]
+    code, weyl_out, _ = run(capsys, *argv, "--basis", "weyl")
+    assert code == 0
+    weyl = json.loads(weyl_out)
+    assert weyl["meta"] == dict(json.loads(out)["meta"], basis="weyl")
+    terms = {(tuple(t["fw"]), t["q"]): t["coeff"] for t in weyl["terms"]}
+    assert all(min(fw) >= 0 for fw, _q in terms) and len(terms) == 17
+    expanded = ch.weyl_expansion(build("G", 2), ch.GradedCharacter(terms))
+    assert _character_json(json.loads(out)["meta"], expanded) == json.loads(out)
+    code, _, err = run(capsys, "char", "demazure-minus", "--type", "A", "--rank", "1", "--lambda", "1", "--basis", "weyl")
+    assert code == 2 and "--basis weyl applies to char macdonald only" in err
+
+
+def test_macdonald_weyl_basis_past_the_expansion_budget():
+    # C5 rho has 443 highest-weight terms, but 326,054 terms in the x-basis
+    argv = "char macdonald --type C --rank 5 --lambda 1,1,1,1,1"
+    proc = run_cli_capped(argv + " --basis weyl", timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert len(json.loads(proc.stdout)["terms"]) == 443
+    proc = run_cli_capped(argv, timeout=60)
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert "budget exhausted: x-basis expansion exceeded" in proc.stderr
 
 
 def test_macdonald_past_the_table_budget(capsys):

@@ -2,6 +2,7 @@ import gc
 import inspect
 import itertools
 import weakref
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -504,8 +505,9 @@ def test_budget_stages_are_pinned(fam, lam, depth, pool, paths):
 def test_brute_force_walk_hashes_no_weyl_element_per_state(monkeypatch):
     # after the closed form has read its rows of QB(W^J), the brute force walks
     # integer states: it rebuilds no representative, and it hashes no Weyl element,
-    # as the rows its covers read are kept per orbit point; it shares the closed
-    # form's rows and adds only the 8 full rows (d = 1) up from the points of W^J
+    # as the rows its covers read are kept per orbit point; the closed form reads
+    # only 5 rows into points (step -1), so the walk builds its own 24 rows up from
+    # the 8 points of W^J at d = 1, 2 and 3
     datum, lam = build("B", 2), (1, 1)
     ch._qls.cache_clear()
     closed = ch.gch_demazure_minus_e(datum, lam, 4)
@@ -527,8 +529,9 @@ def test_brute_force_walk_hashes_no_weyl_element_per_state(monkeypatch):
     brute = ch.brute_force_gch_minus_e(datum, lam, 4)
     monkeypatch.undo()
     added = quotient._row_cache.keys() - before
-    assert len(added) == 8 and {(step, d) for _nu, step, d in added} == {(1, 1)}
-    assert len(quotient._row_cache) == 24
+    assert len(before) == 5 and {step for _nu, step, _d in before} == {-1}
+    assert len(added) == 24 and Counter((step, d) for _nu, step, d in added) == {(1, 1): 8, (1, 2): 8, (1, 3): 8}
+    assert len(quotient._row_cache) == 29
     assert calls == {"rep": 0, "hash": 0}, calls
     assert brute == closed == brute_force_by_paths(datum, lam, 4)
 
