@@ -110,15 +110,15 @@ class GradedCharacter:
 # -- QLS degree route ----------------------------------------------------------
 
 
-def qls_degree_sum(datum: CartanDatum, lam: Vec, basis: str = "x") -> GradedCharacter:
-    """Sum of q^(tail degree) x^(weight) over the finite path crystal, as the sum of q^deg chi_mu
-    over its classical highest-weight paths (`QLSCrystal.highest_weight_sums`): expanded by
-    `weyl_expansion`, or with basis "weyl" one term per (dominant mu, q), its multiplicity."""
-    return _degree_sum(datum, lam, basis, 1)
+def qls_degree_sum(datum: CartanDatum, lam: Vec) -> GradedCharacter:
+    """Sum of q^(tail degree) x^(weight) over the finite path crystal: the `weyl_expansion` of
+    q^deg chi_mu over its classical highest-weight paths (`QLSCrystal.highest_weight_sums`)."""
+    return _degree_sum(datum, lam, "x", 1)
 
 
 def macdonald_t0(datum: CartanDatum, lam: Vec, basis: str = "x") -> GradedCharacter:
-    """The symmetric Macdonald polynomial at t = 0: the degree sum with q inverted."""
+    """The symmetric Macdonald polynomial at t = 0: the degree sum with q inverted; with basis
+    "weyl", one term per (dominant mu, q), the multiplicity of chi_mu."""
     return _degree_sum(datum, lam, basis, -1)
 
 
@@ -134,12 +134,14 @@ def weyl_expansion(datum: CartanDatum, hw: GradedCharacter, orbits: dict | None 
     The dominant kappa <= mu are reached from mu by subtracting positive roots (Stembridge), and
     highest first, ((mu + rho, mu + rho) - (kappa + rho, kappa + rho)) m(kappa) = 2 sum_{alpha > 0,
     j >= 1} (kappa + j alpha, alpha) m(kappa + j alpha) (Freudenthal), (X, alpha) = sum_i u_i d_i X_i
-    for alpha = sum_i u_i alpha_i, each m read off the orbits listed so far up to the string's end.
+    for alpha = sum_i u_i alpha_i, each m read off the orbits listed so far up to the string's end
+    (kappa + j alpha lies above kappa, so its dominant conjugate came first, or it is no weight of V(mu)).
     Each W kappa is listed once as points, by the stepping rule of `ParabolicQuotient.orbit`, unless
     orbits holds it (kappa -> its points).  Dominant weights, points and terms stop past TABLE_BUDGET."""
     sym, alphas = datum.sym, datum.simple_fws
     add, sub, mul, ge = operator.add, operator.sub, operator.mul, operator.ge
-    roots = tuple(zip(datum.pos_roots, datum.root_table.fws))
+    roots = [(u, fw, ud := tuple(map(mul, u, sym)), sum(map(mul, ud, fw)))  # alpha, its fw, d u, (alpha, alpha)
+             for u, fw in zip(datum.pos_roots, datum.root_table.fws)]
     orbits = dict(orbits or {})
     dominant_of = {nu: kappa for kappa, points in orbits.items() for nu in points}  # W kappa -> kappa
     mults, coeffs = {}, {}
@@ -147,7 +149,7 @@ def weyl_expansion(datum: CartanDatum, hw: GradedCharacter, orbits: dict | None 
         below, stack = {mu: (0,) * datum.rank}, [mu]  # kappa -> mu - kappa in root coordinates
         while stack:
             kappa = stack.pop()
-            for u, fw in roots:
+            for u, fw, _ud, _norm in roots:
                 if all(map(ge, kappa, fw)) and (nu := tuple(map(sub, kappa, fw))) not in below:
                     below[nu] = tuple(map(add, below[kappa], u))
                     stack.append(nu)
@@ -156,10 +158,9 @@ def weyl_expansion(datum: CartanDatum, hw: GradedCharacter, orbits: dict | None 
         mult = mults[mu] = {}
         for kappa, n in sorted(below.items(), key=lambda p: sum(p[1])):
             total = 0
-            for u, fw in roots if kappa != mu else ():
-                if all(map(ge, n, u)) and (m := mult.get(dominant_of.get(point := tuple(map(add, kappa, fw))))):
-                    ud = tuple(map(mul, u, sym))
-                    pair, norm = sum(map(mul, ud, point)), sum(map(mul, ud, fw))
+            for _u, fw, ud, norm in roots if kappa != mu else ():
+                if m := mult.get(dominant_of.get(point := tuple(map(add, kappa, fw)))):
+                    pair = sum(map(mul, ud, point))
                     total += pair * m
                     while m := mult.get(dominant_of.get(point := tuple(map(add, point, fw)))):
                         pair += norm

@@ -143,22 +143,24 @@ class QLSCrystal:
         at every cut and at 1 (Littelmann); as Deg is constant on classical components (LNSSS), a
         term stands for q^deg_kappa chi_weight.  Swept up the cuts as `final_sums` is, from the row
         of lambda, but a term (fw, q) at nu extends at a only if N pi(a) = N fw - (N - a) nu is
-        dominant (no later cut moves pi(a)), reaching back along `qb_reach(nu, d, -1)`."""
+        dominant (no later cut moves pi(a)), reaching back along `qb_reach(nu, d, -1)`, and is dropped
+        otherwise: pi was dominant at the term's last cut and is linear after it, so pi_i(a) < 0 forces
+        nu_i < 0, and pi_i stays negative up to fw_i at 1."""
         quotient, n = self.sils.quotient, self.sils.n
-        quotient.orbit  # the orbit search names every point and records every length, which the walk reads
         sums, size = {self.lam: {(self.lam, 0): 1}}, 1
         for a, d in self.sils.levels:
             gains = []
             for nu, acc in sums.items():
                 floor = [(n - a) * v for v in nu]  # N pi(a) >= 0 iff N fw >= floor
-                live = [(fw, q, c) for (fw, q), c in acc.items() if all(map(operator.ge, [n * f for f in fw], floor))]
+                live = sums[nu] = {k: c for k, c in acc.items() if all(map(operator.ge, [n * f for f in k[0]], floor))}
+                size -= len(acc) - len(live)
                 if live:
-                    reach = quotient.qb_reach(nu, d, -1).items()
-                    gains += [(mu, nu, -back, live) for mu, (back, _xi) in reach if mu != nu]
-            for mu, nu, wt, live in gains:
+                    reach, terms = quotient.qb_reach(nu, d, -1).items(), tuple(live.items())
+                    gains += [(mu, nu, -back, terms) for mu, (back, _xi) in reach if mu != nu]
+            for mu, nu, wt, terms in gains:
                 acc, (step, dq) = sums.setdefault(mu, {}), _segment_step(n, a, mu, nu, wt)
                 held = len(acc)
-                for fw, q, c in live:
+                for (fw, q), c in terms:
                     key = (tuple(map(operator.add, fw, step)), q + dq)
                     acc[key] = acc.get(key, 0) + c
                 size += len(acc) - held

@@ -235,8 +235,8 @@ def test_macdonald_large_orbit_exhausts_the_budget():
 
 def test_macdonald_transfer_matrix_exhausts_the_budget():
     # E6 at a regular weight: 51,840 directions, well inside the orbit budget, but
-    # the partial sums of its highest-weight sweep pass TABLE_BUDGET terms within
-    # about 5 s
+    # the live terms of its highest-weight sweep pass TABLE_BUDGET at the cut 2/3
+    # (the whole sweep would peak at 318,147), within about 4 s
     proc = run_cli_capped("char macdonald --type E --rank 6 --lambda 1,1,1,1,1,1", timeout=60)
     assert proc.returncode == 3, proc.stderr[-2000:]
     assert "budget exhausted: highest-weight sweep exceeded" in proc.stderr
