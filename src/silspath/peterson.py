@@ -21,10 +21,11 @@ from w or down to w without building the orbit W lambda.  The graph lifts QB(W^J
 u^vee, so the covers of a state are read off the row of its point (`qb_row`), each edge with
 the offset it adds to a state.  A level a enters only through its reduced denominator d,
 which must divide p = |<beta^vee, x lambda>|: a row is kept per (w lambda, step, d), built
-from the roots whose p d divides.  Reach is searched once, on states: `si_above`, capped by
-<xi, lambda>, which never falls along a cover, serves the Demazure walk (kept per walk) and
-the order (per (x, d, p(y))).  Bruhat up-sets in W^J (`bruhat_above`, per w lambda) read no
-row: simple reflections lift them.
+from the roots whose p d divides.  Reach is searched once per point: an edge adds the same offset
+to every state over its point, so `si_above` lists the steps (nu', dxi, dp) from (nu, 0, 0) with dp
+under a slack (p never falls along a cover), which `add_step` adds to a state.  It serves the Demazure
+walk (kept per walk and (nu, d, slack)) and the order (per (nu_x, d, p_y - p_x)).  Bruhat up-sets
+in W^J (`bruhat_above`, per w lambda) read no row: simple reflections lift them.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ from .weyl import (
 
 TABLE_BUDGET = 200_000  # QLS table rows; each orbit point is one, so it bounds W lambda too
 State = tuple[Vec, Vec, int]  # (w lambda, xi off J, <xi, lambda>): see the module docstring
+
+
+def add_step(z: State, step: State) -> State:
+    """The state a step (nu', dxi, dp) of `ParabolicQuotient.si_above` reaches from z over its point."""
+    (_nu, xi, p), (nu, dxi, dp) = z, step
+    return nu, vec_add(xi, dxi) if dp else xi, p + dp
 
 
 class Decomposition(NamedTuple):
@@ -310,26 +317,29 @@ class ParabolicQuotient:
         return self._edges(z, a, -1)
 
     def si_leq(self, x: State, y: State, a: Fraction | None = None) -> bool:
-        """True iff a path from x to y exists in the (sub)graph: y is in `si_above` of x capped at p(y)."""
+        """True iff a path from x to y exists in the (sub)graph: y - x is a step of `si_above` from x's
+        point with slack p(y) - p(x), kept per (nu_x, d, p(y) - p(x))."""
         if x == y:
             return True
-        key = (x, 1 if a is None else a.denominator, y[2])
+        (nu, xi, p), (nu2, xi2, p2) = x, y
+        key = (nu, 1 if a is None else a.denominator, p2 - p)
         above = self._si_leq_cache.get(key)
         if above is None:
             above = self._si_leq_cache[key] = set(self.si_above(*key))
-        return y in above
+        return (nu2, vec_sub(xi2, xi), p2 - p) in above
 
-    def si_above(self, z: State, d: int, cap: int, budget: float = float("inf")) -> tuple[State, ...]:
-        """Every state y = (w lambda, xi, p) > z at level 1/d with p <= cap, in search order.
-        p never decreases along a cover (a quantum edge adds p_beta > 0), so a cover path
-        to such a y stays under cap; a cover raises si_length, so z is never found."""
-        row, seen, queue = self.qb_row, {}, [z]
+    def si_above(self, nu: Vec, d: int, slack: int, budget: float = float("inf")) -> tuple[State, ...]:
+        """Every step (nu', dxi, dp) from (nu, 0, 0) up to a state at level 1/d with dp <= slack, in
+        search order: added to z over nu (`add_step`), the states above z with p <= p(z) + slack.  p never
+        decreases along a cover (a quantum edge adds p_beta > 0), so a cover path to such a step stays
+        under slack; a cover raises si_length, so (nu, 0, 0) is never found."""
+        row, seen, queue = self.qb_row, {}, [(nu, (0,) * len(nu), 0)]
         while queue:
             nu0, xi, p0 = queue.pop()
-            for nu, c, dp, _u in row(nu0, d, 1):
+            for nu2, c, dp, _u in row(nu0, d, 1):
                 p = p0 + dp
-                if p <= cap and (y := (nu, tuple(map(operator.add, xi, c)) if dp else xi, p)) not in seen:
-                    if len(seen) + 1 >= budget:  # the pool holds z too
+                if p <= slack and (y := (nu2, tuple(map(operator.add, xi, c)) if dp else xi, p)) not in seen:
+                    if len(seen) + 1 >= budget:  # the pool holds the start too
                         raise BudgetExceeded("direction pool exceeded budget")
                     seen[y] = None
                     queue.append(y)

@@ -21,15 +21,17 @@ that depends on e versus f), reflects the directions inside it and merges equal 
 the same kernel on projected paths, whose directions are orbit points, with its point part
 `ParabolicQuotient.reflect_point`, and `QLSCrystal.cl` uses the same merge.
 
-The Demazure enumeration walks states: their covers come off the row of their orbit point
-(`ParabolicQuotient.qb_row`), and the output is sorted, not the walk, by the
-representatives `state_rep` rebuilds once per state.  The states above one within the remaining
-degree are `ParabolicQuotient.si_above`, kept per walk: the one reach search, which the
-semi-infinite order reads too.  A node takes children only at the levels where its top has a
-cover (`ParabolicQuotient.qb_row` of its orbit point is not empty, listed per point and walk);
-most rows at d >= 2 are empty.  The walk carries weights as integer keys, `SiLSCrystal.pack`
-of a point nu being sum nu_i 2^(b i) in balanced b-bit fields: |nu_i| = |<w^-1 alpha_i^vee, lambda>|
-is at most P = max(`pairing_values()`), which sizes b = `SiLSCrystal.width`, and so is a weight's.
+The Demazure enumeration walks steps: the states above one within the remaining degree are the
+steps `ParabolicQuotient.si_above` finds from its orbit point with that slack, kept per walk and
+(point, d, slack) and so shared by every translate: the one reach search, which the semi-infinite
+order reads too.  A chain holds its root state, then those steps, and the walk adds up only p;
+`enumerate_demazure` adds one step per path to the states of its parent, and sorts the output,
+not the walk, by the representatives `state_rep` rebuilds once per state.  A node takes children
+only at the levels where its top has a cover (`ParabolicQuotient.qb_row` of its orbit point is
+not empty, listed per point and walk); most rows at d >= 2 are empty.  The walk carries weights
+as integer keys, `SiLSCrystal.pack` of a point nu being sum nu_i 2^(b i) in balanced b-bit
+fields: |nu_i| = |<w^-1 alpha_i^vee, lambda>| is at most P = max(`pairing_values()`), which
+sizes b = `SiLSCrystal.width`, and so is a weight's.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from fractions import Fraction
 
 from .cartan import CartanDatum, LevelZeroWeight, Vec
 from .weyl import BudgetExceeded
-from .peterson import ParabolicQuotient, State
+from .peterson import ParabolicQuotient, State, add_step
 
 
 class CutPath:
@@ -336,39 +338,45 @@ class SiLSCrystal:
         )
 
     def enumerate_demazure(self, x: State, depth: int, budget: int = 500_000) -> tuple[SiLSPath, ...]:
-        """All paths with kappa >= x whose weight delta is >= -depth."""
-        n = self.n
-        paths = (
-            SiLSPath.from_ticks(tuple(reversed(chain)), (0,) + tuple(reversed(cuts_desc)) + (n,), n)
-            for chain, cuts_desc, _key, _delta in self._demazure_walk(x, depth, budget)
-        )
+        """All paths with kappa >= x whose weight delta is >= -depth.  The walk is depth first, so a
+        chain less its top step is a prefix of the chain before it, whose states are kept: each path
+        adds one state, interned so that the paths share one tuple per state."""
+        n, states, interned, paths = self.n, [], {}, []
+        for chain, cuts_desc, _key, _delta in self._demazure_walk(x, depth, budget):
+            del states[len(chain) - 1 :]
+            z = add_step(states[-1], chain[-1]) if states else chain[0]
+            states.append(interned.setdefault(z, z))
+            paths.append(SiLSPath.from_ticks(tuple(reversed(states)), (0,) + tuple(reversed(cuts_desc)) + (n,), n))
         return tuple(sorted(paths, key=self.sort_key()))
 
     def _demazure_walk(self, x: State, depth: int, budget: int):
         """Yield (chain, cuts_desc, key, delta) for every path of `enumerate_demazure`: its
-        directions from kappa up, its inner cuts from the right in ticks over N, and its weight,
-        carried along the walk: delta, and the key sum of ticks times each direction's `pack`, / N.
-        Children come only from the levels below the node's cut where the top has a cover."""
+        directions from kappa up (kappa's state, then each one's step from the one below), its inner
+        cuts from the right in ticks over N, and its weight, carried along the walk: delta, and the
+        key sum of ticks times each direction's `pack`, / N.  Children come only from the levels
+        below the node's cut where the top has a cover, and only after the node is yielded."""
         assert depth >= 0
         n, levels, limit = self.n, self.levels, depth * self.n  # sums, cuts: ticks over N
         upward = functools.cache(functools.partial(self.quotient.si_above, budget=budget))
-        pack = functools.cache(self.pack)  # once per orbit point
         @functools.cache
-        def live(nu):
-            """live(nu)[k]: the level indices below k, highest first, where nu's row is not empty."""
+        def point(nu):
+            """(`pack(nu)`, live), live[k] the level indices below k, highest first, where nu's row is not empty."""
             below = [()]
             for i, (_a, d) in enumerate(levels):
                 below.append((i,) + below[-1] if self.quotient.qb_row(nu, d, 1) else below[-1])
-            return below
+            return self.pack(nu), below
 
         # every direction pairs at least as high as kappa, so p(kappa) <= depth
-        count = 0
-        # depth-first over (chain, cuts_desc, k, settled, settled_key), k the index of the right
+        count, (nu_x, xi_x, p_x) = 0, x
+        roots = upward(nu_x, 1, depth - p_x)  # from (nu, 0, 0) a step is the state it reaches
+        if any(xi_x):
+            roots = tuple(add_step(x, y) for y in roots)
+        # depth-first over (chain, cuts_desc, k, settled, settled_key, p_top), k the index of the right
         # cut in levels (len(levels) for 1); a stack, so no recursive closure keeps `self` alive
-        stack = [((z,), (), len(levels), 0, 0) for z in reversed((x,) + upward(x, 1, depth))]
+        stack = [((z,), (), len(levels), 0, 0, z[2]) for z in reversed((x,) + roots)]
         while stack:
-            chain, cuts_desc, k, settled, settled_key = stack.pop()
-            fw_top, _xi, p_top = top = chain[-1]
+            chain, cuts_desc, k, settled, settled_key, p_top = stack.pop()
+            fw_top = chain[-1][0]
             right = cuts_desc[-1] if cuts_desc else n
             # closing now puts the top direction on [0, right]; a cut at a caps the directions above
             # at p_top + (limit - total) / a, and they pair as high as the top, so no child closes either
@@ -376,13 +384,13 @@ class SiLSCrystal:
                 continue
             if (count := count + 1) > budget:
                 raise BudgetExceeded("path enumeration exceeded budget")
-            key_top = pack(fw_top)
+            key_top, live = point(fw_top)
             yield chain, cuts_desc, (settled_key + right * key_top) // n, -total // n
             # the children cut at the live levels below levels[k], pushed from the highest cut and
-            # each search's last state so they pop from the lowest cut, in search order
-            for i in live(fw_top)[k] if k else ():
+            # each search's last step so they pop from the lowest cut, in search order
+            for i in live[k]:  # live[0] is empty
                 a, d = levels[i]
                 new_settled = settled + (right - a) * p_top
-                if ys := upward(top, d, (limit - new_settled) // a):
+                if ys := upward(fw_top, d, (limit - new_settled) // a - p_top):
                     new_key, cuts = settled_key + (right - a) * key_top, cuts_desc + (a,)
-                    stack.extend([(chain + (y,), cuts, i, new_settled, new_key) for y in reversed(ys)])
+                    stack.extend([(chain + (y,), cuts, i, new_settled, new_key, p_top + y[2]) for y in reversed(ys)])

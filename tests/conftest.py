@@ -1,5 +1,6 @@
 import functools
 import itertools
+import operator
 from collections import Counter
 
 import pytest
@@ -701,8 +702,32 @@ def walk_pool(c, x, depth, budget=500_000):
     the Demazure walk from the state x yields, rebuilt by `ParabolicQuotient.rep` over the
     w that a fresh quotient's orbit search finds at w lambda."""
     q, orbit = c.quotient, ParabolicQuotient.for_weight(c.datum, c.lam).orbit
-    states = {z for chain, *_ in c._demazure_walk(x, depth, budget) for z in chain}
+    states = {z for chain, *_ in c._demazure_walk(x, depth, budget) for z in chain_states(chain)}
     return {q.rep(orbit[nu], xi): (nu, xi, p) for nu, xi, p in states}
+
+
+def chain_states(chain):
+    """The states of a chain of `SiLSCrystal._demazure_walk`: its root, then each step
+    (nu', dxi, dp) of `ParabolicQuotient.si_above` added to the state below."""
+    return tuple(itertools.accumulate(chain, lambda z, step: (step[0], vec_add(z[1], step[1]), z[2] + step[2])))
+
+
+def si_above_by_states(quotient, z, d, cap, budget=float("inf")):
+    """Every state y > z at level 1/d with p(y) <= cap, in search order, by a depth-first
+    search on states that adds each edge's offset to the state it expands: the oracle for
+    `ParabolicQuotient.si_above`, which searches steps from the state's point once for
+    every translate of it."""
+    seen, queue = {}, [z]
+    while queue:
+        nu0, xi, p0 = queue.pop()
+        for nu, c, dp, _u in quotient.qb_row(nu0, d, 1):
+            p = p0 + dp
+            if p <= cap and (y := (nu, tuple(map(operator.add, xi, c)) if dp else xi, p)) not in seen:
+                if len(seen) + 1 >= budget:  # the pool holds z too
+                    raise BudgetExceeded("direction pool exceeded budget")
+                seen[y] = None
+                queue.append(y)
+    return tuple(seen)
 
 
 def si_leq_by_covers(quotient, x, y, a=None):

@@ -718,11 +718,17 @@ REGULAR = {rank: (1,) * rank for rank in range(2, 9)}
 
 @pytest.mark.parametrize(
     "fam,lam",
-    sorted(set(DEGREE_SUM_WEIGHTS + MACDONALD_BENCH_WEIGHTS) | {(("G", 2), (4, 3)), (("C", 4), REGULAR[4])}),
+    sorted(
+        set(DEGREE_SUM_WEIGHTS + MACDONALD_BENCH_WEIGHTS)
+        | {(("G", 2), (4, 3)), (("C", 4), REGULAR[4])}
+        | {(("A", 1), (4,)), (("A", 2), (3, 0)), (("A", 2), (2, 2)), (("B", 2), (0, 3))}
+    ),
 )
 def test_degree_sum_matches_the_final_sums(fam, lam):
     # the highest-weight terms, expanded by Freudenthal multiplicities and orbits,
-    # equal the sum of the transfer matrix over every final direction
+    # equal the sum of the transfer matrix over every final direction; A1 (4), A2 (3,0),
+    # A2 (2,2) and B2 (0,3) tell the dominance check at a cut from the same check one
+    # tick earlier, floor (N - a + 1) nu
     datum = build(*fam)
     assert ch.qls_degree_sum(datum, lam) == final_sums_degree_sum(QLSCrystal(datum, lam))
 

@@ -1,6 +1,7 @@
 import gc
 import inspect
 import itertools
+import operator
 import weakref
 from collections import Counter
 from fractions import Fraction as F
@@ -10,11 +11,13 @@ from conftest import (
     GRCH1_CASES,
     brute_force_by_paths,
     canonicalize,
+    chain_states,
     component_base_by_operators,
     coset_state,
     enumerate_demazure_by_pool,
     is_translation_type,
     multipartitions,
+    si_above_by_states,
     si_path,
     walk_pool,
 )
@@ -572,7 +575,8 @@ def test_walk_carries_each_path_weight():
         q = c.quotient
         x = c.unit if base is None else q.coset_state(q.project(translation(c.datum, base)))
         n, cut, widest, positive = c.n, 0, 0, 0
-        for chain, cuts_desc, key, delta in c._demazure_walk(x, depth, 500_000):
+        for steps, cuts_desc, key, delta in c._demazure_walk(x, depth, 500_000):
+            chain = chain_states(steps)
             ticks = (0,) + tuple(reversed(cuts_desc)) + (n,)
             eta = SiLSPath.from_ticks(tuple(reversed(chain)), ticks, n)
             assert c.validate(eta), eta
@@ -699,32 +703,35 @@ def test_pairing_never_falls_along_a_cover(fam, lam):
 
 
 def test_capped_search_reach_is_pinned(monkeypatch):
-    # the (state, level denominator) pairs whose QB(W^J) rows the walk's searches
-    # read: exactly 298 here, 380 (as many as the (x, d) pairs of the walk on
-    # directions) when the walk also searched at levels where the top's row is
-    # empty; the pool bound max_den * depth read covers at 998 directions, and a
-    # search capped at depth * N instead of the remaining degree reads 405 pairs.
+    # the (step, level denominator) pairs whose QB(W^J) rows the walk's searches
+    # read, each search running from its top's point with the top's slack: exactly
+    # 132 here, 298 when each search ran from the top's state (one search per
+    # translate), 380 (as many as the (x, d) pairs of the walk on directions) when
+    # the walk also searched at levels where the top's row is empty; the pool bound
+    # max_den * depth read covers at 998 directions, and a search capped at
+    # depth * N instead of the remaining degree reads 405 pairs.
     # Only the reads of `si_above` count: the walk's level lists read rows too
     read, qb_row = set(), ParabolicQuotient.qb_row
 
     def reading(self, nu, d, step):
         caller = inspect.currentframe().f_back
         if caller.f_code.co_name == "si_above":
-            search = caller.f_locals  # the state it expands
+            search = caller.f_locals  # the step it expands
             read.add((nu, search["xi"], search["p0"], d))
         return qb_row(self, nu, d, step)
 
     monkeypatch.setattr(ParabolicQuotient, "qb_row", reading)
     c = SiLSCrystal(build("B", 2), (1, 1))
     assert len(c.enumerate_demazure(c.unit, 4)) == 280
-    assert len(read) == 298
+    assert len(read) == 132
 
 
 def test_walk_searches_are_pinned(monkeypatch):
-    # the walk runs each capped search once, only for a node that closes within
-    # the depth, and only at a level where the top's QB(W^J) row is not empty
-    # (341 searches without that skip, 220 of them on an empty row): a rewrite
-    # that adds searches moves the count
+    # the walk runs each capped search once per (orbit point, level denominator,
+    # slack), shared by every translate of a state (121 searches when each ran from
+    # a state), only for a node that closes within the depth, and only at a level
+    # where the top's QB(W^J) row is not empty (341 searches on states without that
+    # skip, 220 of them on an empty row): a rewrite that adds searches moves the count
     calls, si_above = [], ParabolicQuotient.si_above
 
     def counting(self, *args, **kwargs):
@@ -734,7 +741,26 @@ def test_walk_searches_are_pinned(monkeypatch):
     monkeypatch.setattr(ParabolicQuotient, "si_above", counting)
     c = SiLSCrystal(build("B", 2), (1, 1))
     assert sum(1 for _ in c._demazure_walk(c.unit, 4, 500_000)) == 280
-    assert len(calls) == len(set(calls)) == 121
+    assert len(calls) == len(set(calls)) == 35
+
+
+@pytest.mark.parametrize("fam,lam,depth", GRCH1_CASES)
+def test_step_search_matches_the_search_on_states(fam, lam, depth):
+    # an edge adds the same offset to every state over its point, so the steps found
+    # from (nu, 0, 0) with slack cap - p, added to a state (nu, xi, p), are the states a
+    # search from that state finds capped at cap, in the same order: at every state
+    # the walk reaches at depth 2, at level 1 and every grid level, caps 0..depth
+    c = crystal(fam, lam)
+    q, quantum = c.quotient, 0
+    dens = sorted({1} | {d for _a, d in c.levels})
+    for nu, xi, p in walk_pool(c, c.unit, 2).values():
+        for d in dens:
+            for cap in range(depth + 1):
+                steps = q.si_above(nu, d, cap - p)
+                shifted = tuple((nu2, tuple(map(operator.add, xi, dxi)), p + dp) for nu2, dxi, dp in steps)
+                assert shifted == si_above_by_states(q, (nu, xi, p), d, cap), (nu, xi, p, d, cap)
+                quantum += any(dp for _nu, _dxi, dp in steps)
+    assert quantum  # some search takes a quantum step, whose dxi is not zero
 
 
 @pytest.mark.parametrize("fam,lam,depth", GRCH1_CASES)
@@ -744,12 +770,27 @@ def test_walk_stays_in_depth_and_cuts_below_the_parent(fam, lam, depth):
     # cut of its parent, the path one direction shorter
     c = crystal(fam, lam)
     high = c.quotient.coset_state(translation(c.datum, (depth + 1,) * c.datum.rank))
-    walk = [path for x in (c.unit, high) for path in c._demazure_walk(x, depth, 500_000)]
+    walk = [
+        (chain_states(steps), *rest) for x in (c.unit, high) for steps, *rest in c._demazure_walk(x, depth, 500_000)
+    ]
     assert any(cuts_desc for _chain, cuts_desc, _key, _delta in walk)
     for chain, cuts_desc, _key, delta in walk:
         assert -delta <= depth
         assert len(cuts_desc) == len(chain) - 1
         assert all(0 < a < right for a, right in zip(cuts_desc, (c.n,) + cuts_desc)), cuts_desc
+
+
+@pytest.mark.parametrize("fam,lam,depth", GRCH1_CASES)
+def test_walk_yields_each_chain_after_its_parent(fam, lam, depth):
+    # `enumerate_demazure` keeps the states of the last chain and adds one per path:
+    # a chain less its top step is a prefix of the chain yielded just before it
+    c = crystal(fam, lam)
+    high = c.quotient.coset_state(translation(c.datum, (depth + 1,) * c.datum.rank))
+    for x in (c.unit, high):
+        last = ()
+        for chain, _cuts_desc, _key, _delta in c._demazure_walk(x, depth, 500_000):
+            assert last[: len(chain) - 1] == chain[:-1], (last, chain)
+            last = chain
 
 
 @pytest.mark.parametrize("fam,lam,depth", GRCH1_CASES)
@@ -762,14 +803,15 @@ def test_walk_skips_only_levels_with_no_search_result(fam, lam, depth):
     high = q.coset_state(translation(c.datum, (depth + 1,) * c.datum.rank))
     skipped = 0
     for x in (c.unit, high):
-        for chain, cuts_desc, _key, _delta in c._demazure_walk(x, depth, 500_000):
+        for steps, cuts_desc, _key, _delta in c._demazure_walk(x, depth, 500_000):
+            chain = chain_states(steps)
             rights = (n,) + cuts_desc
             settled = sum((rights[j] - cuts_desc[j]) * chain[j][2] for j in range(len(cuts_desc)))
             top, right = chain[-1], rights[-1]
             for a, d in c.levels:
                 if a < right and not q.qb_row(top[0], d, 1):
                     cap = (limit - settled - (right - a) * top[2]) // a
-                    assert q.si_above(top, d, cap) == (), (chain, cuts_desc, a)
+                    assert q.si_above(top[0], d, cap - top[2]) == (), (chain, cuts_desc, a)
                     skipped += 1
         assert c.enumerate_demazure(x, depth) == enumerate_demazure_by_pool(c, x, depth), x
     # with one pairing value every level reads the full rows, and QB(W^J) is strongly connected
