@@ -301,11 +301,10 @@ class ParabolicQuotient:
     def _edges(self, z: State, a: Fraction | None, step: int) -> tuple[tuple[AffineRealRoot, State], ...]:
         """(beta, y) per edge of `qb_row(nu, d, step)` at level a: the edge moves z to its other end
         y, and beta = step w(u) + chi delta, chi = 1 iff the edge is quantum, w = `named(nu)`."""
-        (nu, xi, p), w = z, self.named(z[0])
+        w = self.named(z[0])
         return tuple(
-            (AffineRealRoot(w.act_root(u if step == 1 else vec_neg(u)), int(dp != 0)),
-             (nu2, vec_add(xi, c) if dp else xi, p + dp))
-            for nu2, c, dp, u in self.qb_row(nu, 1 if a is None else a.denominator, step)
+            (AffineRealRoot(w.act_root(u if step == 1 else vec_neg(u)), int(dp != 0)), add_step(z, (nu2, c, dp)))
+            for nu2, c, dp, u in self.qb_row(z[0], 1 if a is None else a.denominator, step)
         )
 
     def si_covers(self, z: State, a: Fraction | None = None) -> tuple[tuple[AffineRealRoot, State], ...]:
@@ -332,7 +331,8 @@ class ParabolicQuotient:
         """Every step (nu', dxi, dp) from (nu, 0, 0) up to a state at level 1/d with dp <= slack, in
         search order: added to z over nu (`add_step`), the states above z with p <= p(z) + slack.  p never
         decreases along a cover (a quantum edge adds p_beta > 0), so a cover path to such a step stays
-        under slack; a cover raises si_length, so (nu, 0, 0) is never found."""
+        under slack; a cover raises si_length, so (nu, 0, 0) is never found.  The loop adds each
+        offset inline, as `add_step` does, since it is the search's innermost step."""
         row, seen, queue = self.qb_row, {}, [(nu, (0,) * len(nu), 0)]
         while queue:
             nu0, xi, p0 = queue.pop()

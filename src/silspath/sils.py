@@ -367,10 +367,8 @@ class SiLSCrystal:
             return self.pack(nu), below
 
         # every direction pairs at least as high as kappa, so p(kappa) <= depth
-        count, (nu_x, xi_x, p_x) = 0, x
-        roots = upward(nu_x, 1, depth - p_x)  # from (nu, 0, 0) a step is the state it reaches
-        if any(xi_x):
-            roots = tuple(add_step(x, y) for y in roots)
+        count, (nu_x, _xi, p_x) = 0, x
+        roots = tuple(add_step(x, y) for y in upward(nu_x, 1, depth - p_x))
         # depth-first over (chain, cuts_desc, k, settled, settled_key, p_top), k the index of the right
         # cut in levels (len(levels) for 1); a stack, so no recursive closure keeps `self` alive
         stack = [((z,), (), len(levels), 0, 0, z[2]) for z in reversed((x,) + roots)]
