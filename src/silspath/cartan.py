@@ -274,10 +274,6 @@ class CartanDatum:
         """<xi, mu>; the delta part of mu pairs to zero with Q^vee."""
         return sum(a * b for a, b in zip(c, mu.fw))
 
-    def root_norm_half(self, u: Vec) -> Fraction:
-        """(alpha, alpha)/2 in the normalization (alpha_i, alpha_j) = d_i a_ij."""
-        return Fraction(_root_norm(self.cartan, self.sym, u), 2)
-
     def coroot(self, u: Vec) -> Vec:
         """Coweight coordinates of the dual root alpha^vee (a root-table lookup)."""
         table = self.root_table
@@ -307,11 +303,6 @@ class CartanDatum:
     def sigma_dual(self, lam: Vec) -> Vec:
         """-w_0(lambda) in fundamental-weight coordinates: lambda permuted by sigma."""
         return tuple(lam[s - 1] for s in self.sigma)
-
-
-def _root_norm(cartan: Mat, sym: Vec, u: Vec) -> int:
-    """(alpha, alpha) = sum_ij u_i u_j d_i a_ij."""
-    return sum(ui * uj * d * a for ui, d, row in zip(u, sym, cartan) for uj, a in zip(u, row))
 
 
 def _coroot(sym: Vec, u: Vec, fw: Vec) -> Vec:

@@ -24,8 +24,10 @@ which must divide p = |<beta^vee, x lambda>|: a row is kept per (w lambda, step,
 from the roots whose p d divides.  Reach is searched once per point: an edge adds the same offset
 to every state over its point, so `si_above` lists the steps (nu', dxi, dp) from (nu, 0, 0) with dp
 under a slack (p never falls along a cover), which `add_step` adds to a state.  It serves the Demazure
-walk (kept per walk and (nu, d, slack)) and the order (per (nu_x, d, p_y - p_x)).  Bruhat up-sets
-in W^J (`bruhat_above`, per w lambda) read no row: simple reflections lift them.
+walk (kept per walk and (nu, d, slack)) and the order (per (nu_x, d, p_y - p_x)).  The finite
+crystal reads QB(W^J) backward only: `qb_reach` lists the points that reach a point at a level,
+each with the offset of a shortest path.  Bruhat up-sets in W^J (`bruhat_above`, per w lambda)
+read no row: simple reflections lift them.
 """
 
 from __future__ import annotations
@@ -177,9 +179,6 @@ class ParabolicQuotient:
             p = self.project(translation(self.datum, xi))
             cached = self._adjust_cache[xi] = (vec_sub(p.xi, xi), p.w)
         return cached
-
-    def is_adjusted(self, xi: Vec) -> bool:
-        return all(self.datum.pair_coweight_root(xi, u) in (-1, 0) for u in self.delta_j_plus)
 
     def is_min_rep(self, w: FiniteWeylElt) -> bool:
         return all(
@@ -462,25 +461,28 @@ class ParabolicQuotient:
             row = self._row_cache[nu, step, d] = tuple(out)
         return row
 
-    def qb_reach(self, nu: Vec, d: int, step: int = 1) -> dict[Vec, tuple[int, Vec]]:
-        """v lambda -> (wt_lambda, xi) for every v reachable from w at nu = w lambda in the
-        subgraph of QB(W^J) whose edges have p divisible by d (the level of a cut of
-        denominator d, the rows `qb_row(., d, 1)`): xi is the coweight of a shortest path
-        (a breadth-first search) off J and wt_lambda its pairing with lambda, the offset
-        the path adds to a state.  Step -1 searches the rows into each point: the v that reach w,
-        with -wt_lambda(v => w), as all shortest paths carry one wt_lambda (LNSSS).  Kept per (nu, d, step)."""
-        reach = self._reach_cache.get((nu, d, step))
+    def qb_reach(self, nu: Vec, d: int) -> dict[Vec, tuple[int, Vec]]:
+        """v lambda -> (wt_lambda, xi) for every v != w that reaches w at nu = w lambda in the subgraph of
+        QB(W^J) whose edges have p divisible by d (the level of a cut of denominator d): a breadth-first
+        search back along the rows `qb_row(., d, -1)` into each point finds a shortest path v => w, xi is
+        its coweight off J and wt_lambda its pairing with lambda, the offset the path adds to a state.
+        All shortest paths carry one wt_lambda and one coweight mod Q_J^vee (LNSSS), so this one reach
+        serves every caller.  Kept per (nu, d) where a row enters nu; elsewhere it is empty, not kept."""
+        reach = self._reach_cache.get((nu, d))
         if reach is None:
-            self.orbit  # names every point that the rows reach
+            self.orbit  # names every point that the rows reach, and records its length
+            if not self.qb_row(nu, d, -1):
+                return {}
             reach, frontier = {nu: (0, (0,) * self.datum.rank)}, [nu]
             while frontier:
                 nxt = []
                 for v in frontier:
                     wt, xi = reach[v]
-                    for nu2, c, dp, _u in self.qb_row(v, d, step):
+                    for nu2, c, dp, _u in self.qb_row(v, d, -1):
                         if nu2 not in reach:
-                            reach[nu2] = (wt + dp, vec_add(xi, c)) if dp else (wt, xi)
+                            reach[nu2] = (wt - dp, vec_sub(xi, c)) if dp else (wt, xi)
                             nxt.append(nu2)
                 frontier = nxt
-            self._reach_cache[nu, d, step] = reach
+            del reach[nu]
+            self._reach_cache[nu, d] = reach
         return reach

@@ -15,18 +15,20 @@ denominator d): for u in Delta^+ \\ Delta_J^+ the edge w -> floor(w r_u) ends at
 nu = mu - p w(u), a Bruhat edge if l(nu) = l(w) + 1 and a quantum edge of coweight u^vee
 (lambda-weight p) if l(nu) = l(w) + 1 - <u^vee, 2 rho - 2 rho_J>.  With wt(v => w) the
 coweight of a shortest path in the level's subgraph and wt_lambda its pairing with lambda
-(`ParabolicQuotient.qb_reach`), a row holds
+(`ParabolicQuotient.qb_reach(w lambda, d)` lists both over the v that reach w), a row holds
 
     weight    = sum_u (sigma_u - sigma_{u-1}) w_u lambda,
     deg_kappa = -sum_u sigma_u wt_lambda(w_{u+1} => w_u)   (the LNSSS Deg),
     deg_iota  = sum_u (1 - sigma_u) wt_lambda(w_{u+1} => w_u).
 
-The characters read no row, and the table keeps only deg_kappa: `final_sums` adds
-x^weight q^deg_kappa by final direction w lambda, one transfer matrix swept up the cuts,
-for the quotient characters; the degree sum reads only its classical highest-weight
-terms, `highest_weight_sums`, the same sweep kept to paths that stay dominant.
-A segment of w added at a cut a = k/d spans 1 - a and adds -a times its edge's wt_lambda
-to the degree, both exact as d divides p on every edge of a's level (`_segment_step`).
+Every row is grown one way, left to right: a last segment of mu on [a, 1] behind a row with
+final direction nu, where mu reaches nu at a's level (one backward reach per point and level),
+moves the weight by (1 - a)(mu - nu) and the degree by -a wt_lambda(mu => nu), both exact as
+d divides p on every edge of a's level (`_segment_step`).  The table grows each chain so from
+its initial direction and keeps only deg_kappa.  The characters read no row: one sweep up the
+cuts (`_sweep`) adds x^weight q^deg_kappa by final direction w lambda, from every orbit point
+for the quotient characters (`final_sums`, a transfer matrix) and from lambda, kept to the
+paths that stay dominant, for the degree sum (`highest_weight_sums`).
 
 The distinguished lifts are rebuilt from the chain on demand, as coset states.  With
 xi_s = 0 and xi_u = xi_{u+1} + wt(w_{u+1} => w_u) off J, `eta_kappa` has the directions
@@ -88,75 +90,44 @@ class QLSCrystal:
 
     @functools.cached_property
     def table(self) -> dict[QLSPath, LiftRecord]:
-        """Every QLS path with its row, by a depth-first search over chains
-        grown from the final direction; cuts are ticks over N."""
+        """Every QLS path with its row, by a depth-first search over chains grown from the
+        initial direction, a last segment at a time (`_segment_step`); cuts are ticks over N."""
         quotient, n, table = self.sils.quotient, self.sils.n, {}
-        # (w_s lambda, ..., w_u lambda), (tick_{s-1}, ..., tick_u), and the weight of the
-        # segments right of tick_u and the degree sum, both times N
-        stack = [((mu,), (), (0,) * self.datum.rank, 0) for mu in quotient.orbit]
+        # (w_1 lambda, ..., w_u lambda), (tick_1, ..., tick_{u-1}), the row's weight and degree
+        stack = [((nu,), (), nu, 0) for nu in quotient.orbit]
         while stack:
-            chain, cuts, settled, deg_kappa = stack.pop()
-            mu, right = chain[-1], cuts[-1] if cuts else n
-            psi = QLSPath.from_ticks(chain[::-1], (0,) + cuts[::-1] + (n,), n)
-            weight = tuple((s + right * m) // n for s, m in zip(settled, mu))
-            table[psi] = LiftRecord(weight, deg_kappa // n)
+            chain, cuts, weight, deg_kappa = stack.pop()
+            table[QLSPath.from_ticks(chain, (0,) + cuts + (n,), n)] = LiftRecord(weight, deg_kappa)
             if len(table) > TABLE_BUDGET:
                 raise BudgetExceeded("QLS table exceeded budget")
+            nu, left = chain[-1], cuts[-1] if cuts else 0
             for a, d in self.sils.levels:
-                if a < right and quotient.qb_row(mu, d, 1):  # else mu reaches only itself
-                    step = tuple(s + (right - a) * m for s, m in zip(settled, mu))
-                    for y, (wt, _xi) in quotient.qb_reach(mu, d).items():
-                        if y != mu:
-                            stack.append((chain + (y,), cuts + (a,), step, deg_kappa - a * wt))
+                if a > left:
+                    for mu, (wt, _xi) in quotient.qb_reach(nu, d).items():
+                        step, dq = _segment_step(n, a, mu, nu, wt)
+                        stack.append((chain + (mu,), cuts + (a,), vec_add(weight, step), deg_kappa + dq))
         return table
 
-    @functools.cached_property
-    def final_sums(self) -> dict[Vec, dict[tuple[Vec, int], int]]:
-        """w lambda -> the sum of x^weight q^deg_kappa over the rows with final direction w.
-        Swept up the cuts a, sums[w lambda] holds the rows with every cut below a; at a it gains,
-        with last cut a, the rows of each y != w that w reaches at a's level.  Only the points
-        with an edge there move (listed per level denominator d with their targets), and only
-        the sums they read are copied.  A term stands for one row at least."""
-        quotient, n = self.sils.quotient, self.sils.n
-        sums = {mu: {(mu, 0): 1} for mu in quotient.orbit}
-        size, moves = len(sums), {}  # d -> (mu, its sum, its targets (nu, wt_lambda) != mu) if mu has an edge
-        for a, d in self.sils.levels:
-            if d not in moves:
-                reach = quotient.qb_reach
-                moves[d] = [(mu, acc, [(nu, wt) for nu, (wt, _xi) in reach(mu, d).items() if nu != mu])
-                            for mu, acc in sums.items() if quotient.qb_row(mu, d, 1)]
-            before = {nu: tuple(sums[nu].items()) for _mu, _acc, targets in moves[d] for nu, _wt in targets}
-            for mu, acc, targets in moves[d]:
-                for nu, wt in targets:
-                    held, (step, dq) = len(acc), _segment_step(n, a, mu, nu, wt)
-                    for (fw, q), c in before[nu]:
-                        key = (tuple(map(operator.add, fw, step)), q + dq)
-                        acc[key] = acc.get(key, 0) + c
-                    size += len(acc) - held
-                    if size > TABLE_BUDGET:
-                        raise BudgetExceeded("transfer matrix exceeded the QLS table budget")
-        return sums
-
-    @functools.cached_property
-    def highest_weight_sums(self) -> dict[tuple[Vec, int], int]:
-        """x^weight q^deg_kappa summed over the classical highest-weight rows, whose pi(t) is dominant
-        at every cut and at 1 (Littelmann); as Deg is constant on classical components (LNSSS), a
-        term stands for q^deg_kappa chi_weight.  Swept up the cuts as `final_sums` is, from the row
-        of lambda, but a term (fw, q) at nu extends at a only if N pi(a) = N fw - (N - a) nu is
-        dominant (no later cut moves pi(a)), reaching back along `qb_reach(nu, d, -1)`, and is dropped
+    def _sweep(self, sums: dict, dominant: bool, stage: str) -> dict[Vec, dict[tuple[Vec, int], int]]:
+        """Grow the rows in sums (final direction nu -> x^weight q^deg_kappa) up the cuts a: at a, each
+        mu that reaches nu at a's level (`qb_reach`) gains nu's terms with a last segment of mu on [a, 1],
+        so sums[nu] holds the rows whose cuts all lie below a.  If dominant, a term (fw, q) at nu extends
+        at a only if N pi(a) = N fw - (N - a) nu is dominant (no later cut moves pi(a)), and is dropped
         otherwise: pi was dominant at the term's last cut and is linear after it, so pi_i(a) < 0 forces
-        nu_i < 0, and pi_i stays negative up to fw_i at 1."""
+        nu_i < 0, and pi_i stays negative up to fw_i at 1.  A term stands for one row at least."""
         quotient, n = self.sils.quotient, self.sils.n
-        sums, size = {self.lam: {(self.lam, 0): 1}}, 1
+        size = sum(map(len, sums.values()))
         for a, d in self.sils.levels:
             gains = []
             for nu, acc in sums.items():
-                floor = [(n - a) * v for v in nu]  # N pi(a) >= 0 iff N fw >= floor
-                live = sums[nu] = {k: c for k, c in acc.items() if all(map(operator.ge, [n * f for f in k[0]], floor))}
-                size -= len(acc) - len(live)
-                if live:
-                    reach, terms = quotient.qb_reach(nu, d, -1).items(), tuple(live.items())
-                    gains += [(mu, nu, -back, terms) for mu, (back, _xi) in reach if mu != nu]
+                if dominant:
+                    floor = [(n - a) * v for v in nu]  # N pi(a) >= 0 iff N fw >= floor
+                    live = sums[nu] = {k: c for k, c in acc.items() if all(map(operator.ge, [n * f for f in k[0]], floor))}
+                    size -= len(acc) - len(live)
+                    acc = live
+                if acc and (reach := quotient.qb_reach(nu, d)):
+                    terms = tuple(acc.items())
+                    gains += [(mu, nu, wt, terms) for mu, (wt, _xi) in reach.items()]
             for mu, nu, wt, terms in gains:
                 acc, (step, dq) = sums.setdefault(mu, {}), _segment_step(n, a, mu, nu, wt)
                 held = len(acc)
@@ -165,9 +136,23 @@ class QLSCrystal:
                     acc[key] = acc.get(key, 0) + c
                 size += len(acc) - held
                 if size > TABLE_BUDGET:
-                    raise BudgetExceeded("highest-weight sweep exceeded the QLS table budget")
+                    raise BudgetExceeded(f"{stage} exceeded the QLS table budget")
+        return sums
+
+    @functools.cached_property
+    def final_sums(self) -> dict[Vec, dict[tuple[Vec, int], int]]:
+        """w lambda -> the sum of x^weight q^deg_kappa over the rows with final direction w: the sweep
+        from one row per orbit point, a transfer matrix up the cuts (the quotient characters)."""
+        return self._sweep({mu: {(mu, 0): 1} for mu in self.sils.quotient.orbit}, False, "transfer matrix")
+
+    @functools.cached_property
+    def highest_weight_sums(self) -> dict[tuple[Vec, int], int]:
+        """x^weight q^deg_kappa summed over the classical highest-weight rows, whose pi(t) is dominant
+        at every cut and at 1 (Littelmann); as Deg is constant on classical components (LNSSS), a
+        term stands for q^deg_kappa chi_weight.  The sweep from the row of lambda, kept to the terms
+        dominant at each cut, then to those dominant at 1."""
         out = Counter()
-        for acc in sums.values():
+        for acc in self._sweep({self.lam: {(self.lam, 0): 1}}, True, "highest-weight sweep").values():
             out.update({key: c for key, c in acc.items() if min(key[0]) >= 0})
         return out
 
@@ -186,7 +171,7 @@ class QLSCrystal:
         xis = [(0,) * self.datum.rank]  # xi_s, ..., xi_1, off J
         for u in range(len(points) - 2, -1, -1):
             d = psi.den // math.gcd(psi.den, ticks[u + 1])
-            xis.append(vec_add(xis[-1], quotient.qb_reach(points[u + 1], d)[points[u]][1]))
+            xis.append(vec_add(xis[-1], quotient.qb_reach(points[u], d)[points[u + 1]][1]))
         shift = xis[-1] if end == "iota" else xis[0]  # xi_1 or xi_s = 0
         lifted = tuple(quotient.state_at(nu, vec_sub(xi, shift)) for nu, xi in zip(points, reversed(xis)))
         return SiLSPath.from_ticks(lifted, ticks, psi.den)

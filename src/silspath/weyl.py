@@ -88,21 +88,10 @@ class FiniteWeylElt:
             return table.roots[self.perm[k]]
         return _combine(u, [table.roots[p] for p in self._simple_images()])
 
-    def inv_act_root(self, u: Vec) -> Vec:
-        table = self.datum.root_table
-        k = table.index.get(u)
-        if k is not None:
-            return table.roots[self.perm.index(k)]
-        return _combine(u, [table.roots[p] for p in self._simple_preimages()])
-
     def act_fw(self, m: Vec) -> Vec:
         # <alpha_j^vee, w m> = <(w^{-1} alpha_j)^vee, m>
         coroots = self.datum.root_table.coroots
         return tuple(sum(map(operator.mul, coroots[p], m)) for p in self._simple_preimages())
-
-    def inv_act_fw(self, m: Vec) -> Vec:
-        coroots = self.datum.root_table.coroots
-        return tuple(sum(map(operator.mul, coroots[p], m)) for p in self._simple_images())
 
     def act_coweight(self, c: Vec) -> Vec:
         # w(sum_i c_i alpha_i^vee) = sum_i c_i (w alpha_i)^vee

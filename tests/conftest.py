@@ -2,6 +2,7 @@ import functools
 import itertools
 import operator
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,6 @@ from silspath.cartan import (
     AffineRealRoot,
     LevelZeroWeight,
     RootTable,
-    _root_norm,
     build,
     vec_add,
     vec_neg,
@@ -20,6 +20,7 @@ from silspath.qls import QLSPath
 from silspath.sils import SiLSCrystal, SiLSPath, root_splice
 from silspath.weyl import (
     BudgetExceeded,
+    _combine,
     affine_identity,
     affine_reflection,
     affine_simple,
@@ -343,16 +344,37 @@ def weyl_dimension(datum, mu):
     return num // den
 
 
+def forward_reach(quotient, nu, d):
+    """v lambda -> (wt_lambda(w => v), its coweight off J) for every v that w reaches at level d,
+    nu = w lambda itself included, by a breadth-first search along the rows `qb_row(., d, 1)` out
+    of each point: the forward oracle for `ParabolicQuotient.qb_reach`, which searches back."""
+    quotient.orbit  # names every point that the rows reach
+    reach, frontier = {nu: (0, (0,) * len(nu))}, [nu]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            wt, xi = reach[v]
+            for nu2, c, dp, _u in quotient.qb_row(v, d, 1):
+                if nu2 not in reach:
+                    reach[nu2] = (wt + dp, vec_add(xi, c))
+                    nxt.append(nu2)
+        frontier = nxt
+    return reach
+
+
 def final_sums_dense(q):
-    """`QLSCrystal.final_sums` by the dense sweep: at each cut every orbit point snapshots
-    its sum and searches its reach, whether or not its row at the cut's level is empty.
-    The oracle, key order included, for the sweep that moves only the points with an edge."""
-    quotient, n = q.sils.quotient, q.sils.n
+    """`QLSCrystal.final_sums` by the dense forward sweep: at each cut every orbit point snapshots
+    its sum, and every point adds the snapshots of the points it reaches (`forward_reach`, one search
+    per point and level denominator), whether or not its row at the cut's level is empty.  The oracle
+    for `QLSCrystal._sweep`, which reads the backward reach only at the points a row of the level enters."""
+    quotient, n, reach = q.sils.quotient, q.sils.n, {}
     sums = {mu: {(mu, 0): 1} for mu in quotient.orbit}
     for a, d in q.sils.levels:
+        if d not in reach:
+            reach[d] = {mu: forward_reach(quotient, mu, d) for mu in sums}
         before = {mu: tuple(s.items()) for mu, s in sums.items()}
         for mu, acc in sums.items():
-            for nu, (wt, _xi) in quotient.qb_reach(mu, d).items():
+            for nu, (wt, _xi) in reach[d][mu].items():
                 if nu != mu:
                     step = tuple((n - a) * (m - v) // n for m, v in zip(mu, nu))
                     for (fw, deg), c in before[nu]:
@@ -379,7 +401,7 @@ def initial_sums_by_sweep(q):
     for a, d in reversed(q.sils.levels):
         before = {mu: tuple(s.items()) for mu, s in sums.items()}
         for nu in sums:
-            for mu, (wt, _xi) in quotient.qb_reach(nu, d).items():
+            for mu, (wt, _xi) in forward_reach(quotient, nu, d).items():
                 if mu != nu:
                     step = tuple(a * (m - v) // n for m, v in zip(mu, nu))
                     for (fw, deg), c in before[nu]:
@@ -466,6 +488,36 @@ def affine_length(x):
 # -- root data by the O(rank^2) pairings, the oracles for the fundamental-weight column --
 
 
+def root_norm(cartan, sym, u):
+    """(alpha, alpha) = sum_ij u_i u_j d_i a_ij."""
+    return sum(ui * uj * d * a for ui, d, row in zip(u, sym, cartan) for uj, a in zip(u, row))
+
+
+def root_norm_half(datum, u):
+    """(alpha, alpha)/2 in the normalization (alpha_i, alpha_j) = d_i a_ij."""
+    return Fraction(root_norm(datum.cartan, datum.sym, u), 2)
+
+
+def inv_act_root(w, u):
+    """w^{-1}(u) for u in Q: a root-table lookup, else u over the preimages of the simple roots."""
+    table = w.datum.root_table
+    k = table.index.get(u)
+    if k is not None:
+        return table.roots[w.perm.index(k)]
+    return _combine(u, [table.roots[p] for p in w._simple_preimages()])
+
+
+def inv_act_fw(w, m):
+    """w^{-1} m in fundamental-weight coordinates: <alpha_j^vee, w^{-1} m> = <(w alpha_j)^vee, m>."""
+    coroots = w.datum.root_table.coroots
+    return tuple(sum(map(operator.mul, coroots[p], m)) for p in w._simple_images())
+
+
+def is_adjusted(quotient, xi):
+    """xi is J-adjusted: <xi, alpha> is -1 or 0 for every alpha in Delta_J^+."""
+    return all(quotient.datum.pair_coweight_root(xi, u) in (-1, 0) for u in quotient.delta_j_plus)
+
+
 def positive_roots_by_closure(cartan):
     """The positive roots by reflection closure of the simple roots, each pairing
     <alpha_i^vee, u> summed over the Cartan row: the oracle for `_positive_roots`."""
@@ -486,12 +538,12 @@ def positive_roots_by_closure(cartan):
 def root_table_by_pairing(datum):
     """The root table with every pairing summed in full: fundamental-weight
     coordinates by `root_to_fw` on all 2N roots and each coroot 2 u_j d_j / (u, u)
-    from the double-sum norm `_root_norm`."""
+    from the double-sum norm `root_norm`."""
     roots = datum.pos_roots + tuple(vec_neg(u) for u in datum.pos_roots)
     index = {u: k for k, u in enumerate(roots)}
     coroots = []
     for u in roots:
-        norm = _root_norm(datum.cartan, datum.sym, u)
+        norm = root_norm(datum.cartan, datum.sym, u)
         assert all(2 * uj * d % norm == 0 for uj, d in zip(u, datum.sym))
         coroots.append(tuple(2 * uj * d // norm for uj, d in zip(u, datum.sym)))
     simple = tuple(index[datum.simple_root(i)] for i in range(1, datum.rank + 1))

@@ -1,5 +1,5 @@
 import pytest
-from conftest import positive_roots_by_closure, root_table_by_pairing
+from conftest import positive_roots_by_closure, root_norm_half, root_table_by_pairing
 
 from silspath.cartan import (
     _RANK_RANGE,
@@ -57,8 +57,8 @@ def test_build_c2(c2):
     assert len(c2.pos_roots) == 4
     assert c2.theta == (2, 1)
     # theta is long: its norm is maximal
-    assert c2.root_norm_half(c2.theta) == max(
-        c2.root_norm_half(u) for u in c2.pos_roots
+    assert root_norm_half(c2, c2.theta) == max(
+        root_norm_half(c2, u) for u in c2.pos_roots
     )
     assert c2.pair_coweight_weight(c2.theta_coroot, LevelZeroWeight((1, 0), 0)) == 1
 

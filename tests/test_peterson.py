@@ -26,6 +26,7 @@ from conftest import (
     cover_candidates,
     covers_by_scan,
     edge_pairing,
+    is_adjusted,
     is_rep_critical,
     order_quotients,
     si_leq_by_covers,
@@ -160,7 +161,7 @@ def test_j_adjust_produces_adjusted(a2, c2):
         for xi in [(0, 0), (1, 0), (0, -2), (2, 1), (-1, 3)]:
             phi, z = quotient.j_adjust(xi)
             adjusted = tuple(a + b for a, b in zip(xi, phi))
-            assert quotient.is_adjusted(adjusted)
+            assert is_adjusted(quotient, adjusted)
             assert all(phi[i - 1] == 0 for i in range(1, datum.rank + 1) if i not in set(nodes))
 
 
@@ -182,7 +183,7 @@ def test_decompose_roundtrip():
         for x in quotient.si_ball(3):
             w, z, xi = quotient.decompose(x)
             assert quotient.is_min_rep(w)
-            assert quotient.is_adjusted(xi)
+            assert is_adjusted(quotient, xi)
             assert AffineWeylElt(w.mul(z), xi) == x
 
 
@@ -550,11 +551,11 @@ def test_si_leq_depends_on_level_denominator(fam, lam):
 
 @pytest.mark.parametrize("fam,lam", LEVEL_CASES + [(("B", 2), (1, 1)), (("A", 3), (1, 0, 1))])
 def test_si_leq_matches_cover_search(fam, lam):
-    # the membership test in the states si_above finds capped at p(y) agrees with
-    # a search over si_covers pruned by the xi box, on every ordered pair of a
-    # ball and a walk pool, at level 1 and at every grid level (the oracle runs
-    # once per denominator); each weight is nonzero at two nodes, so the cap
-    # admits states that the box prunes
+    # the step test (is y - x among the steps si_above finds from nu_x with
+    # slack p(y) - p(x)?) agrees with a search over si_covers pruned by the xi
+    # box, on every ordered pair of a ball and a walk pool, at level 1 and at
+    # every grid level (the oracle runs once per denominator); each weight is
+    # nonzero at two nodes, so the slack admits states that the box prunes
     datum = build(*fam)
     quotient, oracle = (ParabolicQuotient.for_weight(datum, lam) for _ in range(2))
     crystal = SiLSCrystal(datum, lam)

@@ -11,6 +11,7 @@ from conftest import (
     covers_by_scan,
     dual_route_iota,
     edge_pairing,
+    forward_reach,
     generate_by_operators,
     oracle_row,
     qls_op_by_elements,
@@ -173,7 +174,7 @@ def deg_iota_by_chain(q, psi):
     """sum_u (1 - sigma_u) wt_lambda(w_{u+1} => w_u) over the cuts sigma_u of psi."""
     points, total = psi.directions, 0
     for u, cut in enumerate(psi.cuts[1:-1]):
-        total += (1 - cut) * q.sils.quotient.qb_reach(points[u + 1], cut.denominator)[points[u]][0]
+        total += (1 - cut) * forward_reach(q.sils.quotient, points[u + 1], cut.denominator)[points[u]][0]
     assert total.denominator == 1
     return int(total)
 
@@ -280,8 +281,8 @@ def test_rows_without_orbit_match_rows_after_it(fam, lam):
     assert all(orbit[nu].length == n for nu, n in counted._lengths.items())
 
 
-# (table rows, reach sets): the table searches reach only where the level's row is not
-# empty, exactly the sets `final_sums` builds; 72, 48, 48 and 48 when it searched every level
+# (table rows, reach sets): the table keeps a reach only where a row of the level enters
+# the point, exactly the sets `final_sums` builds; 72, 48, 48 and 48 at every point and level
 TABLE_REACH_CASES = [
     (("B", 3), (1, 1, 0), 154, 28),
     (("G", 2), (1, 1), 105, 15),
@@ -292,8 +293,8 @@ TABLE_REACH_CASES = [
 
 @pytest.mark.parametrize("fam,lam,rows,reaches", TABLE_REACH_CASES)
 def test_table_reads_only_nonempty_level_rows(fam, lam, rows, reaches):
-    # a level whose QB(W^J) row at the top is empty adds no chain, so the table skips
-    # it as the sweep does: the same rows, and the reach sets of the sweep
+    # a level with no QB(W^J) row into the final direction adds no segment, so the table
+    # keeps no reach there, as the sweep does: the same rows, and the reach sets of the sweep
     table_first, sweep_first = qls(fam, lam), qls(fam, lam)
     assert len(table_first.table) == rows
     assert sweep_first.final_sums
@@ -301,6 +302,32 @@ def test_table_reads_only_nonempty_level_rows(fam, lam, rows, reaches):
     assert len(read) == reaches
     assert read == sweep_first.sils.quotient._reach_cache.keys()
     assert table_degree_sum(table_first) == ch.qls_degree_sum(build(*fam), lam)
+
+
+@pytest.mark.parametrize("fam,lam", ROW_CASES + [(("B", 3), (1, 1, 0)), (("G", 2), (1, 1))])
+def test_backward_reach_matches_the_forward_search(fam, lam):
+    # the points that reach nu back along the rows into each point, with wt_lambda and the
+    # coweight off J of a shortest path, are those whose forward search finds nu, with the
+    # same offsets: all shortest paths carry one weight and one coweight mod Q_J^vee
+    quotient = qls(fam, lam).sils.quotient
+    for d in {1} | {a.denominator for a in quotient.cut_grid()}:
+        forward = {v: forward_reach(quotient, v, d) for v in quotient.orbit}
+        for nu in quotient.orbit:
+            expected = {v: found[nu] for v, found in forward.items() if v != nu and nu in found}
+            assert quotient.qb_reach(nu, d) == expected, (nu, d)
+
+
+@pytest.mark.parametrize("fam,lam", [(("B", 3), (1, 1, 0)), (("G", 2), (1, 1))])
+def test_qls_rows_are_read_one_way(fam, lam):
+    # the table, both sweeps and both lifts of every row grow their rows by one backward
+    # reach: no row out of a point is read, and no empty reach is kept
+    q = qls(fam, lam)
+    assert q.final_sums and q.highest_weight_sums
+    for psi in q.table:
+        assert q.eta_kappa(psi) and q.eta_iota(psi)
+    quotient = q.sils.quotient
+    assert quotient._row_cache and all(step == -1 for _nu, step, _d in quotient._row_cache)
+    assert quotient._reach_cache and all(quotient._reach_cache.values())
 
 
 def test_star_dual_examples(a1):
