@@ -41,7 +41,7 @@ print(f"t_(2a^vee) <= e: {quotient.si_leq(t2, e)}")
 
 print()
 print("duality x -> x * w0 * w_(sigma(J),0) reverses the graph:")
-dual = quotient.dual_quotient()
+dual = ParabolicQuotient.for_weight(datum, datum.sigma_dual(quotient.lam))
 for x in quotient.si_ball(2):
     xv = dual.state_rep(quotient.vee(state(x)))
     print(f"  {x!r} (si-len {x.si_length})  ->  {xv!r} (si-len {xv.si_length})")

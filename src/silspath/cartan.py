@@ -251,8 +251,9 @@ class CartanDatum:
 
     @functools.cached_property
     def simple_fws(self) -> tuple[Vec, ...]:
-        """fw(alpha_i) at index i - 1, the Cartan matrix's column i: r_i mu = mu - mu_i fw(alpha_i)."""
-        return tuple(zip(*self.cartan))
+        """fw(alpha_j) at index j in I_af: the Cartan matrix's column j for j in I, and -fw(theta) at
+        j = 0, as alpha_0 = delta - theta and delta has none; `reflect` moves points along them."""
+        return (vec_neg(self.root_to_fw(self.theta)),) + tuple(zip(*self.cartan))
 
     def simple_root(self, i: int) -> Vec:
         """Root coordinates of alpha_i for a finite node label i in 1..n."""
@@ -294,11 +295,33 @@ class CartanDatum:
             return AffineRealRoot(vec_neg(self.theta), 1)
         return AffineRealRoot(self.simple_root(j), 0)
 
-    def acoroot_pairing(self, j: int, mu: LevelZeroWeight) -> int:
-        """<alpha_j^vee, mu> for j in I_af and a level-zero weight mu."""
-        if j == 0:
-            return -sum(a * b for a, b in zip(self.theta_coroot, mu.fw))
-        return mu.fw[j - 1]
+    def acoroot_pairing(self, j: int, nu: Vec) -> int:
+        """<alpha_j^vee, nu> for j in I_af and a level-zero weight nu in fundamental-weight
+        coordinates, its delta part dropped, since delta pairs to 0: nu_j for j in I, and
+        -<theta^vee, nu> at j = 0."""
+        return nu[j - 1] if j else -sum(map(operator.mul, self.theta_coroot, nu))
+
+    def reflect(self, j: int, nu: Vec) -> Vec:
+        """r_j nu = nu - <alpha_j^vee, nu> fw(alpha_j) for j in I_af on fundamental-weight coordinates
+        (`simple_fws`); at j = 0 it is r_theta nu = nu - <theta^vee, nu> theta.  A finite node reads
+        nu_j inline, as the orbit walks and root operators call this per step; only j = 0 pairs
+        through `acoroot_pairing`."""
+        n = nu[j - 1] if j else self.acoroot_pairing(0, nu)
+        return tuple(m - n * a for m, a in zip(nu, self.simple_fws[j])) if n else nu
+
+    def orbit_steps(self, kappa: Vec):
+        """Yield (mu, i, r_i mu) once per point r_i mu != kappa of the orbit W kappa of a dominant
+        kappa, depth first: from each point mu taken off the stack, a step to r_i mu for each i in I,
+        in order, with mu_i > 0 whose image is new.  For w in W^J at mu = w kappa, r_i w is then one
+        longer and in W^J, so every point is reached and W is never built."""
+        seen, frontier = {kappa}, [kappa]
+        while frontier:
+            mu = frontier.pop()
+            for i, n in enumerate(mu, 1):
+                if n > 0 and (nu := self.reflect(i, mu)) not in seen:
+                    seen.add(nu)
+                    frontier.append(nu)
+                    yield mu, i, nu
 
     def sigma_dual(self, lam: Vec) -> Vec:
         """-w_0(lambda) in fundamental-weight coordinates: lambda permuted by sigma."""

@@ -23,7 +23,7 @@ from collections import Counter
 
 from .cartan import CartanDatum, Vec, vec_add, vec_neg
 from .weyl import BudgetExceeded, FiniteWeylElt, longest_element
-from .peterson import TABLE_BUDGET
+from .peterson import DEFAULT_BUDGET, TABLE_BUDGET
 from .qls import QLSCrystal
 
 Term = tuple[Vec, int]
@@ -91,9 +91,6 @@ class GradedCharacter:
     def q_slice(self, q: int) -> dict[Vec, int]:
         return {fw: c for (fw, qq), c in self.terms.items() if qq == q}
 
-    def value_at_ones(self) -> int:
-        return sum(self.terms.values())
-
     def sorted_terms(self) -> tuple[tuple[Vec, int, int], ...]:
         """(fw, q, c) by q descending, then fw: a stable sort by q over the rows sorted by fw."""
         rows = sorted([(fw, q, c) for (fw, q), c in self.terms.items()])
@@ -136,9 +133,9 @@ def weyl_expansion(datum: CartanDatum, hw: GradedCharacter, orbits: dict | None 
     j >= 1} (kappa + j alpha, alpha) m(kappa + j alpha) (Freudenthal), (X, alpha) = sum_i u_i d_i X_i
     for alpha = sum_i u_i alpha_i, each m read off the orbits listed so far up to the string's end
     (kappa + j alpha lies above kappa, so its dominant conjugate came first, or it is no weight of V(mu)).
-    Each W kappa is listed once as points, by the stepping rule of `ParabolicQuotient.orbit`, unless
-    orbits holds it (kappa -> its points).  Dominant weights, points and terms stop past TABLE_BUDGET."""
-    sym, alphas = datum.sym, datum.simple_fws
+    Each W kappa is listed once as points, along `CartanDatum.orbit_steps(kappa)`, unless orbits
+    holds it (kappa -> its points).  Dominant weights, points and terms stop past TABLE_BUDGET."""
+    sym = datum.sym
     add, sub, mul, ge = operator.add, operator.sub, operator.mul, operator.ge
     roots = [(u, fw, ud := tuple(map(mul, u, sym)), sum(map(mul, ud, fw)))  # alpha, its fw, d u, (alpha, alpha)
              for u, fw in zip(datum.pos_roots, datum.root_table.fws)]
@@ -168,13 +165,8 @@ def weyl_expansion(datum: CartanDatum, hw: GradedCharacter, orbits: dict | None 
             gap = sum(map(mul, n, [d * (a + b + 2) for d, a, b in zip(sym, mu, kappa)]))  # 0 only at mu
             mult[kappa] = 2 * total // gap if gap else 1
             if kappa not in orbits:
-                points, frontier = {kappa: kappa}, [kappa]
-                while frontier:
-                    nu = frontier.pop()
-                    for i, m in enumerate(nu):
-                        if m > 0 and (nu2 := tuple([x - m * a for x, a in zip(nu, alphas[i])])) not in points:
-                            points[nu2] = kappa  # r_i nu = nu - m alpha_i
-                            frontier.append(nu2)
+                points = {kappa: kappa}
+                points.update((nu, kappa) for _mu, _i, nu in datum.orbit_steps(kappa))
                 orbits[kappa] = points
                 dominant_of.update(points)
                 if len(dominant_of) > TABLE_BUDGET:
@@ -218,21 +210,21 @@ def _times_column_series(
 
 
 def gch_demazure_minus_e(
-    datum: CartanDatum, lam: Vec, depth: int, budget: int = 500_000
+    datum: CartanDatum, lam: Vec, depth: int, budget: int = DEFAULT_BUDGET
 ) -> GradedCharacter:
     """Closed form for the minus Demazure character, truncated to q >= -depth."""
     return _times_column_series(qls_degree_sum(datum, lam), lam, depth, -1, budget)
 
 
 def gch_demazure_plus_w0(
-    datum: CartanDatum, lam: Vec, depth: int, budget: int = 500_000
+    datum: CartanDatum, lam: Vec, depth: int, budget: int = DEFAULT_BUDGET
 ) -> GradedCharacter:
     """Closed form for the plus Demazure character, truncated to q <= depth."""
     return _times_column_series(macdonald_t0(datum, lam), lam, depth, +1, budget)
 
 
 def brute_force_gch_minus_e(
-    datum: CartanDatum, lam: Vec, depth: int, budget: int = 500_000
+    datum: CartanDatum, lam: Vec, depth: int, budget: int = DEFAULT_BUDGET
 ) -> GradedCharacter:
     """Independent route: count x^wt q^delta over the paths of the truncated
     enumeration, whose weights its walk carries as (key, delta), and decode each
@@ -291,7 +283,7 @@ def weyl_character(datum: CartanDatum, lam: Vec) -> GradedCharacter:
     """
     poly = {tuple(lam): 1}
     for i in longest_element(datum).reduced_word():
-        alpha = datum.simple_fws[i - 1]
+        alpha = datum.simple_fws[i]
         out: dict[Vec, int] = {}
         for mu, c in poly.items():
             if (n := mu[i - 1]) == -1:

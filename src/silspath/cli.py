@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import characters as ch
 from .cartan import CartanDatum, build
-from .peterson import ParabolicQuotient
+from .peterson import DEFAULT_BUDGET, ParabolicQuotient
 from .qls import QLSCrystal
 from .sils import SiLSCrystal, SiLSPath
 from .weyl import AffineWeylElt, BudgetExceeded, FiniteWeylElt, finite_from_word
@@ -266,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default=None, help='final-direction bound, "word|coweight"')
     p.add_argument("--depth", type=int, default=0)
     p.add_argument("--out", choices=["json", "dot"], default="json")
-    p.add_argument("--budget", type=int, default=500_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(fn=_cmd_sils)
 
     p = sub.add_parser("qls", help="finite quantum path crystal")
@@ -292,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", required=True)
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--w", default=None, help="reduced word, e.g. 1,2")
-    p.add_argument("--budget", type=int, default=500_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--basis", choices=["x", "weyl"], default="x", help="macdonald: monomials or Weyl characters")
     p.set_defaults(fn=_cmd_char)
     return parser

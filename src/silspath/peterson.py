@@ -11,8 +11,8 @@ the integer state (w lambda, xi off J, p = <xi, lambda>) of x = w z_xi t_xi: the
 point of w, which fixes w in W^J (`named`), xi mod Q_J^vee, and the pairing.  The state
 is read off any element of the coset x (W_J)_af (`coset_state`), and `state_rep` rebuilds
 x; elements appear only there, in `rep`, `project`, `j_adjust` and `decompose`.  On states
-r_j x is a closed form (`reflect`, whose point part `reflect_point` also serves the finite
-crystal), as is the duality x -> x^vee (`vee`).
+r_j x is a closed form (`reflect`, whose point part `CartanDatum.reflect` also serves the
+finite crystal), as is the duality x -> x^vee (`vee`).
 
 The parabolic quantum Bruhat graph QB(W^J) is read one row per orbit point nu = w lambda:
 nu has length #{alpha in Delta^+ : <alpha^vee, nu> < 0}, so a length test finds an edge up
@@ -33,6 +33,7 @@ read no row: simple reflections lift them.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,7 +42,6 @@ from typing import NamedTuple
 from .cartan import (
     AffineRealRoot,
     CartanDatum,
-    LevelZeroWeight,
     Vec,
     vec_add,
     vec_neg,
@@ -59,6 +59,7 @@ from .weyl import (
 )
 
 TABLE_BUDGET = 200_000  # QLS table rows; each orbit point is one, so it bounds W lambda too
+DEFAULT_BUDGET = 500_000  # the default budget of the path enumeration and the closed forms
 State = tuple[Vec, Vec, int]  # (w lambda, xi off J, <xi, lambda>): see the module docstring
 
 
@@ -117,15 +118,6 @@ class ParabolicQuotient:
             raise ValueError(f"weight {lam} is not dominant for rank {datum.rank}")
         j = tuple(i for i in range(1, datum.rank + 1) if lam[i - 1] == 0)
         return cls(datum, j, tuple(lam))
-
-    @classmethod
-    def for_subset(cls, datum: CartanDatum, nodes) -> "ParabolicQuotient":
-        """The quotient for J = nodes, bound to the weight sum of varpi_i over i not in J."""
-        return cls.for_weight(datum, tuple(int(i not in nodes) for i in range(1, datum.rank + 1)))
-
-    @property
-    def lam_weight(self) -> LevelZeroWeight:
-        return LevelZeroWeight(self.lam, 0)
 
     @functools.cached_property
     def delta_j_plus(self) -> tuple[Vec, ...]:
@@ -214,13 +206,6 @@ class ParabolicQuotient:
 
     # -- duality --------------------------------------------------------------
 
-    @property
-    def sigma_nodes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.datum.sigma[i - 1] for i in self.j_nodes))
-
-    def dual_quotient(self) -> "ParabolicQuotient":
-        return ParabolicQuotient.for_weight(self.datum, self.datum.sigma_dual(self.lam))
-
     def vee(self, z: State) -> State:
         """The state of x^vee = x w_0 w_{sigma(J),0} in the dual quotient, for the x that z names:
         x^vee lambda* = -x lambda for lambda* = -w_0 lambda, and its xi is w_{sigma(J),0} w_0 xi, whose
@@ -244,16 +229,16 @@ class ParabolicQuotient:
         down to a point kept before.  A point off the orbit W lambda descends to another dominant
         weight: ValueError.  The points passed on the way are not kept: on the E7 rho ball of
         radius 3 they outnumber the ones asked for six to one."""
-        named, alphas, start, word = self._named, self.datum.simple_fws, nu, []
+        named, reflect, start, word = self._named, self.datum.reflect, nu, []
         while (w := named.get(nu)) is None and (n := min(nu)) < 0:
-            word.append(i := nu.index(n))
-            nu = tuple(m - n * a for m, a in zip(nu, alphas[i]))
+            word.append(i := nu.index(n) + 1)
+            nu = reflect(i, nu)
         if w is None:  # nu is dominant
             if nu != self.lam:
                 raise ValueError(f"{nu} is not in the orbit of {self.lam}")
             w = named[nu] = finite_identity(self.datum)
         for i in reversed(word):
-            w = simple_reflection(self.datum, i + 1).mul(w)
+            w = simple_reflection(self.datum, i).mul(w)
         named[start] = w
         return w
 
@@ -279,23 +264,16 @@ class ParabolicQuotient:
             return False
         return self.state_at(z[0], z[1]) == tuple(z)
 
-    def reflect_point(self, j: int, nu: Vec) -> Vec:
-        """r_j nu, j in I_af: nu - nu_j alpha_j for j in I, r_theta nu = nu - <theta^vee, nu> theta at j = 0."""
-        datum = self.datum
-        n = nu[j - 1] if j else sum(map(operator.mul, datum.theta_coroot, nu))
-        alpha = datum.simple_fws[j - 1] if j else datum.root_to_fw(datum.theta)
-        return tuple(m - n * a for m, a in zip(nu, alpha)) if n else nu
-
     def reflect(self, j: int, z: State) -> State:
-        """The state of r_j x, j in I_af, for the x that z names: r_j nu (`reflect_point`) at the same
-        xi and p for j in I; r_0 = r_theta t_{-theta^vee} sends it to r_theta nu at xi - (w^{-1} theta^vee
-        off J) and p - <theta^vee, nu>, w = `named(nu)`."""
-        (nu, xi, p), theta_vee = z, self.datum.theta_coroot
+        """The state of r_j x, j in I_af, for the x that z names: r_j nu (`CartanDatum.reflect`) at the
+        same xi and p for j in I; r_0 = r_theta t_{-theta^vee} sends it to r_theta nu at xi - (w^{-1}
+        theta^vee off J) and p - <theta^vee, nu> = p + <alpha_0^vee, nu>, w = `named(nu)`."""
+        (nu, xi, p), datum = z, self.datum
         if j:
-            return self.reflect_point(j, nu), xi, p
-        c = self.named(nu).inv_act_coweight(theta_vee)
+            return datum.reflect(j, nu), xi, p
+        c = self.named(nu).inv_act_coweight(datum.theta_coroot)
         xi2 = tuple(a - b if m else 0 for a, b, m in zip(xi, c, self.lam))
-        return self.reflect_point(0, nu), xi2, p - sum(map(operator.mul, theta_vee, nu))
+        return datum.reflect(0, nu), xi2, p + datum.acoroot_pairing(0, nu)
 
     def _edges(self, z: State, a: Fraction | None, step: int) -> tuple[tuple[AffineRealRoot, State], ...]:
         """(beta, y) per edge of `qb_row(nu, d, step)` at level a: the edge moves z to its other end
@@ -363,31 +341,39 @@ class ParabolicQuotient:
         """The positive pairings <gamma^vee, lambda> over gamma outside Delta_J."""
         return tuple(sorted({p for _u, p in self._outside}))
 
+    @functools.cached_property
+    def grid(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(N, levels): N = lcm(`pairing_values()`), over which every cut of a path is an integer,
+        and the cuts in (0, 1) a path can have, in order, as (tick, d): the ticks k N / v, 0 < k < v,
+        for each pairing value v, d = N / gcd(N, tick) the cut's reduced denominator.  Stops as soon
+        as it holds more than TABLE_BUDGET ticks, before listing a pairing's ticks past that."""
+        values, ticks = self.pairing_values(), set()
+        n = math.lcm(*values)
+        for v in values:
+            ticks.update(range(n // v, n, n // v)[: TABLE_BUDGET + 1])
+            if len(ticks) > TABLE_BUDGET:
+                raise BudgetExceeded("cut grid exceeded the QLS table budget")
+        return n, tuple((t, n // math.gcd(n, t)) for t in sorted(ticks))
+
     def cut_grid(self) -> tuple[Fraction, ...]:
         """All rationals in (0,1) that can occur as cut points of a valid path:
         those whose denominator divides one of the pairing values."""
-        dens = {q for v in self.pairing_values() for q in range(2, v + 1) if v % q == 0}
-        return tuple(sorted({Fraction(p, q) for q in dens for p in range(1, q)}))
+        n, levels = self.grid
+        return tuple(Fraction(t, n) for t, _d in levels)
 
     # -- the orbit W lambda and the parabolic quantum Bruhat graph QB(W^J) -------
 
     @functools.cached_property
     def orbit(self) -> dict[Vec, FiniteWeylElt]:
-        """w lambda -> w over W^J, by a search of W lambda that steps from w to r_i w if (w lambda)_i > 0
-        (one longer, still in W^J; all of W^J is reached, W is never built), recording lengths; stops
-        past TABLE_BUDGET points.  It completes the map of `named`."""
-        datum, lam, lengths, alphas = self.datum, self.lam, self._lengths, self.datum.simple_fws
-        reps, frontier = {lam: finite_identity(datum)}, [lam]
+        """w lambda -> w over W^J, along the steps mu -> r_i mu of `CartanDatum.orbit_steps(lambda)`,
+        each from w to r_i w, one longer, recording lengths; stops past TABLE_BUDGET points.  It
+        completes the map of `named`."""
+        datum, lam, lengths = self.datum, self.lam, self._lengths
+        reps = {lam: finite_identity(datum)}
         lengths[lam] = 0
-        while frontier:
-            mu = frontier.pop()
-            for i, n in enumerate(mu, 1):
-                if n > 0:
-                    nu = tuple(m - n * a for m, a in zip(mu, alphas[i - 1]))
-                    if nu not in reps:
-                        reps[nu] = simple_reflection(datum, i).mul(reps[mu])
-                        lengths[nu] = lengths[mu] + 1
-                        frontier.append(nu)
+        for mu, i, nu in datum.orbit_steps(lam):
+            reps[nu] = simple_reflection(datum, i).mul(reps[mu])
+            lengths[nu] = lengths[mu] + 1
             if len(reps) > TABLE_BUDGET:
                 raise BudgetExceeded("orbit W lambda exceeded the QLS table budget")
         self._named.update(reps)  # a point named before is in reps, over the same w
@@ -396,16 +382,16 @@ class ParabolicQuotient:
     def bruhat_above(self, nu: Vec) -> frozenset[Vec]:
         """The points v lambda of {v in W^J : v >= w} for w lambda = nu, by the lifting property
         (Deodhar; Bjorner-Brenti 2.2, 2.5): if nu_i > 0, r_i w > w is in W^J and up(nu) =
-        up(r_i nu) | r_i up(r_i nu), r_i mu = mu - mu_i alpha_i on points, down from {nu} at the
+        up(r_i nu) | r_i up(r_i nu) (`CartanDatum.reflect` on points), down from {nu} at the
         antidominant point, the top of W^J.  No element, row or length; kept per point of the chain."""
-        alphas, cache, chain = self.datum.simple_fws, self._up_cache, []
+        reflect, cache, chain = self.datum.reflect, self._up_cache, []
         while (up := cache.get(nu)) is None and (n := max(nu)) > 0:
-            chain.append((nu, i := nu.index(n)))
-            nu = tuple(m - n * a for m, a in zip(nu, alphas[i]))
+            chain.append((nu, i := nu.index(n) + 1))
+            nu = reflect(i, nu)
         if up is None:  # nu is antidominant: w is the top of W^J
             up = cache[nu] = frozenset((nu,))
         for nu, i in reversed(chain):  # r_i u > u >= r_i w is already in up where (u lambda)_i > 0
-            images = [tuple(m - mu[i] * a for m, a in zip(mu, alphas[i])) for mu in up if mu[i] < 0]
+            images = [reflect(i, mu) for mu in up if mu[i - 1] < 0]
             up = cache[nu] = up.union(images)
         return up
 

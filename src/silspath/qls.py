@@ -37,8 +37,8 @@ coefficient deg_kappa; `eta_iota` is its right translate by t_{-xi_1}, with delt
 coefficient deg_iota.  Right translations commute with the root operators, which act
 on the left, so both lifts lie in the unit component, and a path's offsets from
 `eta_kappa` of its projection name its component (`component_base`).  The intrinsic
-root operators reflect points (`ParabolicQuotient.reflect_point`); no Weyl element
-enters this module.
+root operators reflect points (`CartanDatum.reflect`); no Weyl element enters this
+module.
 """
 
 from __future__ import annotations
@@ -222,12 +222,12 @@ class QLSCrystal:
         """Root operator computed on the projected path itself.
 
         It runs the semi-infinite kernel `root_splice` with the slopes of the orbit points
-        (`SiLSCrystal.slope`) and their reflection `ParabolicQuotient.reflect_point`, so
+        (`CartanDatum.acoroot_pairing`) and their reflection `CartanDatum.reflect`, so
         comparing it with cl of the semi-infinite operators checks those two inputs,
         while the crystal axioms on the QLS side check the splice.
         """
-        n, slope = self.sils.n, self.sils.slope
-        slopes = [slope(nu, j) for nu in psi.directions]
-        reflect = functools.partial(self.sils.quotient.reflect_point, j)
+        n, datum = self.sils.n, self.datum
+        slopes = [datum.acoroot_pairing(j, nu) for nu in psi.directions]
+        reflect = functools.partial(datum.reflect, j)
         out = root_splice(psi.directions, psi.ticks_over(n), n, slopes, tag, reflect)
         return None if out is None else QLSPath.from_ticks(*out, n)

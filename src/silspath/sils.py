@@ -5,21 +5,21 @@ A direction is a Peterson representative x = w z_xi t_xi, held as its integer co
 rebuilds x only for output.  A path is a chain of states, strictly decreasing in the
 semi-infinite order, together with rational cut points; consecutive directions must be
 connected inside the level-`a` subgraph of the semi-infinite Bruhat graph, where `a` is the
-cut between them.  Every cut of a path of shape lambda lies on the quotient's `cut_grid()`,
-so N times it is an integer for N the lcm of the positive pairings <gamma^vee, lambda>.  A
+cut between them.  Every cut of a path of shape lambda lies on the quotient's `grid`, whose
+cuts are integer ticks over N, the lcm of the positive pairings <gamma^vee, lambda>.  A
 path stores its cuts as integer ticks over its least denominator, which divides N, and the
 kernels below do integer arithmetic on them; `Fraction` appears only at the boundary (`cuts`,
 printing, the level argument of the semi-infinite order).
 
 Slopes and weights come off the states alone: x lambda = w lambda - p delta, so the slope of
-node j is (w lambda)_j for j in I and -<theta^vee, w lambda> at j = 0.  The root operators are
+node j is `CartanDatum.acoroot_pairing(j, w lambda)`.  The root operators are
 Littelmann's path operators, written once as the kernel `root_splice`: it reads the height
 function of node j off the slopes of the segments, picks the interval [t0, t1] (the only step
 that depends on e versus f), reflects the directions inside it and merges equal neighbours with
 `merge_segments`.  The semi-infinite operators pass the state form of x -> r_j x
 (`ParabolicQuotient.reflect`) as the reflection; the quantum LS operators in `silspath.qls` run
 the same kernel on projected paths, whose directions are orbit points, with its point part
-`ParabolicQuotient.reflect_point`, and `QLSCrystal.cl` uses the same merge.
+`CartanDatum.reflect`, and `QLSCrystal.cl` uses the same merge.
 
 The Demazure enumeration walks steps: the states above one within the remaining degree are the
 steps `ParabolicQuotient.si_above` finds from its orbit point with that slack, kept per walk and
@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from fractions import Fraction
 
 from .cartan import CartanDatum, LevelZeroWeight, Vec
 from .weyl import BudgetExceeded
-from .peterson import ParabolicQuotient, State, add_step
+from .peterson import DEFAULT_BUDGET, ParabolicQuotient, State, add_step
 
 
 class CutPath:
@@ -180,13 +179,9 @@ class SiLSCrystal:
         self.datum = datum
         self.lam = tuple(lam)
         self.quotient = ParabolicQuotient.for_weight(datum, self.lam)
-        # N: every cut of a path of this shape is an integer over it
-        self.n = math.lcm(*self.quotient.pairing_values())
-        # the grid cuts in grid order as (ticks over N, denominator), the only
-        # part of a cut's level that the semi-infinite order reads
-        self.levels = tuple(
-            (a.numerator * (self.n // a.denominator), a.denominator) for a in self.quotient.cut_grid()
-        )
+        # N, over which every cut of a path of this shape is an integer, and the grid cuts in grid
+        # order as (ticks over N, denominator), the only part of a cut's level the order reads
+        self.n, self.levels = self.quotient.grid
         self.unit = (self.lam, (0,) * datum.rank, 0)  # the state of e
         self.width = max(self.quotient.pairing_values(), default=0).bit_length() + 1
 
@@ -239,12 +234,10 @@ class SiLSCrystal:
 
     # -- height functions and root operators -----------------------------------
 
-    def slope(self, nu: Vec, j: int) -> int:
-        """<alpha_j^vee, nu> for j in I_af: the slope of node j along a direction over nu."""
-        return nu[j - 1] if j else -sum(map(operator.mul, self.datum.theta_coroot, nu))
-
     def _slopes(self, eta: SiLSPath, j: int) -> list[int]:
-        return [self.slope(z[0], j) for z in eta.directions]
+        """<alpha_j^vee, nu> per direction over nu: the slopes of node j along eta."""
+        pair = self.datum.acoroot_pairing
+        return [pair(j, z[0]) for z in eta.directions]
 
     def string_eps(self, eta: SiLSPath, j: int) -> int:
         m = min(heights(self._slopes(eta, j), eta.ticks))
@@ -303,7 +296,7 @@ class SiLSCrystal:
         return eta
 
     def _s_simple(self, j: int, eta: SiLSPath) -> SiLSPath:
-        n = self.datum.acoroot_pairing(j, self.weight(eta))
+        n = self.datum.acoroot_pairing(j, self.weight(eta).fw)
         op = self.root_f if n >= 0 else self.root_e
         for _ in range(abs(n)):
             eta = op(eta, j)
@@ -337,7 +330,7 @@ class SiLSCrystal:
             len(eta.directions), eta.ticks_over(n), tuple((x.xi, x.w.sort_key) for x in map(rep, eta.directions))
         )
 
-    def enumerate_demazure(self, x: State, depth: int, budget: int = 500_000) -> tuple[SiLSPath, ...]:
+    def enumerate_demazure(self, x: State, depth: int, budget: int = DEFAULT_BUDGET) -> tuple[SiLSPath, ...]:
         """All paths with kappa >= x whose weight delta is >= -depth.  The walk is depth first, so a
         chain less its top step is a prefix of the chain before it, whose states are kept: each path
         adds one state, interned so that the paths share one tuple per state."""

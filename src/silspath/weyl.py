@@ -165,15 +165,13 @@ def finite_reflection(datum: CartanDatum, u: Vec) -> FiniteWeylElt:
 
 
 @functools.lru_cache(maxsize=None)
-def longest_element(datum: CartanDatum, nodes: tuple[int, ...] | None = None) -> FiniteWeylElt:
-    """Longest element of W (or of the parabolic W_K for the given nodes)."""
-    if nodes is None:
-        nodes = tuple(range(1, datum.rank + 1))
+def longest_element(datum: CartanDatum) -> FiniteWeylElt:
+    """Longest element of W."""
     n_pos = len(datum.pos_roots)
     w = finite_identity(datum)
     while True:
         imgs = w._simple_images()
-        i = next((i for i in nodes if imgs[i - 1] < n_pos), None)
+        i = next((i for i in range(1, datum.rank + 1) if imgs[i - 1] < n_pos), None)
         if i is None:
             return w
         w = w.mul(simple_reflection(datum, i))

@@ -25,6 +25,7 @@ from silspath.weyl import (
     affine_reflection,
     affine_simple,
     bruhat_leq,
+    finite_identity,
     finite_reflection,
     from_finite,
     longest_element,
@@ -47,6 +48,43 @@ def a2():
 @pytest.fixture(scope="session")
 def c2():
     return build("C", 2)
+
+
+# -- members of the library that only tests read ----------------------------------------
+
+
+def for_subset(datum, nodes):
+    """The quotient for J = nodes, bound to the weight sum of varpi_i over i not in J."""
+    return ParabolicQuotient.for_weight(datum, tuple(int(i not in nodes) for i in range(1, datum.rank + 1)))
+
+
+def lam_weight(quotient):
+    """The quotient's lambda as a level-zero weight."""
+    return LevelZeroWeight(quotient.lam, 0)
+
+
+def sigma_nodes(quotient):
+    """sigma(J) for the quotient's J, sorted."""
+    return tuple(sorted(quotient.datum.sigma[i - 1] for i in quotient.j_nodes))
+
+
+def dual_quotient(quotient):
+    """The quotient of the sigma-dual weight -w_0 lambda."""
+    return ParabolicQuotient.for_weight(quotient.datum, quotient.datum.sigma_dual(quotient.lam))
+
+
+def value_at_ones(gc):
+    """A graded character at x = q = 1: the sum of its coefficients."""
+    return sum(gc.terms.values())
+
+
+def longest_parabolic(datum, nodes):
+    """The longest element of the parabolic subgroup W_K, K = nodes: right multiplication by
+    each r_i, i in K, that lengthens w, until none does."""
+    n_pos, w = len(datum.pos_roots), finite_identity(datum)
+    while (i := next((i for i in nodes if w._simple_images()[i - 1] < n_pos), None)) is not None:
+        w = w.mul(simple_reflection(datum, i))
+    return w
 
 
 # the grch1 cases of the benchmark's verify workload, with their depths
@@ -131,7 +169,7 @@ def oracle_row(q, lift):
     """(weight, deg_kappa, deg_iota) read off a lift in the unit component: the
     right translation by t_{-xi} adds <xi, lambda> to the weight's delta."""
     wt, rep = q.sils.weight(lift), q.sils.quotient.state_rep
-    deg = lambda z: wt.delta + q.datum.pair_coweight_weight(rep(z).xi, q.sils.quotient.lam_weight)
+    deg = lambda z: wt.delta + q.datum.pair_coweight_weight(rep(z).xi, lam_weight(q.sils.quotient))
     return wt.fw, deg(lift.kappa), deg(lift.iota)
 
 
@@ -169,10 +207,10 @@ def _orbit_raising_walk(datum, lam) -> tuple[int, ...]:
         for nu in frontier:
             mu = LevelZeroWeight(nu, 0)
             for j in range(datum.rank + 1):
-                if datum.acoroot_pairing(j, mu) <= 0:
+                if datum.acoroot_pairing(j, mu.fw) <= 0:
                     continue
                 if j == 0:
-                    pair = -datum.acoroot_pairing(0, mu)
+                    pair = -datum.acoroot_pairing(0, mu.fw)
                     theta_fw = datum.root_to_fw(datum.theta)
                     nu2 = tuple(
                         c - pair * t for c, t in zip(nu, theta_fw)
@@ -456,7 +494,7 @@ def edge_pairing(quotient, beta, x):
     """<beta^vee, x lambda>, the pairing a level's subgraph condition reads."""
     datum = quotient.datum
     c = datum.coroot(beta.finite)
-    return datum.pair_coweight_weight(c, x.act_weight(quotient.lam_weight))
+    return datum.pair_coweight_weight(c, x.act_weight(lam_weight(quotient)))
 
 
 def cover_candidates(quotient, w):
@@ -555,7 +593,7 @@ def outside_by_delta_j(quotient):
     `delta_j_plus`: the oracle for `ParabolicQuotient._outside`."""
     datum, dj = quotient.datum, set(quotient.delta_j_plus)
     pair = datum.pair_coweight_weight
-    return tuple((u, pair(datum.coroot(u), quotient.lam_weight)) for u in datum.pos_roots if u not in dj)
+    return tuple((u, pair(datum.coroot(u), lam_weight(quotient))) for u in datum.pos_roots if u not in dj)
 
 
 def qb_roots_by_pairing(quotient):
@@ -640,7 +678,7 @@ def si_ball_by_lift(quotient, radius):
 def vee_by_element(quotient, x):
     """x^vee = x w_0 w_{sigma(J),0}, a representative for sigma(J): the oracle for the state map `vee`."""
     w0 = longest_element(quotient.datum)
-    wsj0 = longest_element(quotient.datum, quotient.sigma_nodes)
+    wsj0 = longest_parabolic(quotient.datum, sigma_nodes(quotient))
     return x.mul(from_finite(w0.mul(wsj0)))
 
 
@@ -650,7 +688,7 @@ def root_op_by_elements(c, eta, j, tag):
     states.  The element-form oracle for `root_e` and `root_f`."""
     quotient, n = c.quotient, c.n
     dirs = tuple(map(quotient.state_rep, eta.directions))
-    slopes = [c.datum.acoroot_pairing(j, x.act_weight(c.quotient.lam_weight)) for x in dirs]
+    slopes = [c.datum.acoroot_pairing(j, x.act_weight(lam_weight(c.quotient)).fw) for x in dirs]
     out = root_splice(dirs, eta.ticks_over(n), n, slopes, tag, affine_simple(c.datum, j).mul)
     return None if out is None else SiLSPath.from_ticks(tuple(map(quotient.coset_state, out[0])), out[1], n)
 
@@ -662,7 +700,7 @@ def qls_op_by_elements(q, psi, tag, j):
     The element-form oracle for `QLSCrystal.qls_op`, which reflects the points."""
     datum, quotient, n = q.datum, q.sils.quotient, q.sils.n
     dirs = tuple(map(quotient.named, psi.directions))
-    slopes = [datum.acoroot_pairing(j, LevelZeroWeight(w.act_fw(q.lam), 0)) for w in dirs]
+    slopes = [datum.acoroot_pairing(j, w.act_fw(q.lam)) for w in dirs]
     r_j = finite_reflection(datum, datum.theta) if j == 0 else simple_reflection(datum, j)
     out = root_splice(dirs, psi.ticks_over(n), n, slopes, tag, lambda w: quotient.min_rep(r_j.mul(w)))
     return None if out is None else QLSPath.from_ticks(tuple(w.act_fw(q.lam) for w in out[0]), out[1], n)
@@ -676,7 +714,7 @@ def enumerate_demazure_by_pool(c, x, depth, budget=500_000):
     assert depth >= 0
     quotient = c.quotient
     x = quotient.state_rep(x)
-    p_of = lambda z: -z.act_weight(c.quotient.lam_weight).delta  # <xi, lambda>, read off z(lambda)
+    p_of = lambda z: -z.act_weight(lam_weight(c.quotient)).delta  # <xi, lambda>, read off z(lambda)
     grid = quotient.cut_grid()
     # the grid's largest denominator, so 1/max_den is its smallest cut;
     # the pool bound rests on it, not on N

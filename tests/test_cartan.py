@@ -9,8 +9,10 @@ from silspath.cartan import (
     _positive_roots,
     build,
     vec_neg,
+    vec_sub,
 )
-from silspath.weyl import longest_element
+from silspath.peterson import ParabolicQuotient
+from silspath.weyl import finite_reflection, longest_element, simple_reflection
 
 # closed-form positive root counts, used as an oracle for the closure
 EXPECTED_POS_COUNTS = {
@@ -211,3 +213,45 @@ def test_root_table_is_built_on_first_use():
     )
     for u, c in zip(table.roots, table.coroots):
         assert datum.pair_coweight_root(c, u) == 2
+
+
+# one weight per family, E6-E8 included: varpi_1, varpi_7 and varpi_8 have small orbits there
+ORBIT_WEIGHTS = [
+    (("A", 3), (1, 0, 1)),
+    (("B", 3), (0, 1, 0)),
+    (("C", 3), (1, 0, 1)),
+    (("D", 4), (0, 1, 0, 0)),
+    (("E", 6), (1, 0, 0, 0, 0, 0)),
+    (("E", 7), (0, 0, 0, 0, 0, 0, 1)),
+    (("E", 8), (0, 0, 0, 0, 0, 0, 0, 1)),
+    (("F", 4), (1, 0, 0, 0)),
+    (("G", 2), (1, 1)),
+]
+
+
+@pytest.mark.parametrize("fam, lam", ORBIT_WEIGHTS)
+def test_point_rules_match_the_element_layer(fam, lam):
+    """`reflect`, `acoroot_pairing` and `orbit_steps` against the Weyl elements: at every point nu
+    of W lambda and every j in I_af, r_j nu is the simple reflection's action (r_theta at j = 0),
+    and nu - r_j nu is <alpha_j^vee, nu> fw(alpha_j); the walk yields each point once, one longer
+    than the point it steps from, in the order of the quotient's orbit."""
+    datum = build(*fam)
+    quotient = ParabolicQuotient.for_weight(datum, lam)
+    length = quotient._count_length
+    points = [lam]
+    for mu, i, nu in datum.orbit_steps(lam):
+        assert nu == simple_reflection(datum, i).act_fw(mu)
+        assert length(nu) == length(mu) + 1
+        points.append(nu)
+    assert len(set(points)) == len(points) == len(quotient.orbit)
+    assert points == list(quotient.orbit)
+    reflections = [finite_reflection(datum, datum.theta)] + [
+        simple_reflection(datum, j) for j in range(1, datum.rank + 1)
+    ]
+    fw_alphas = [datum.root_to_fw(datum.affine_simple_root(j).finite) for j in range(datum.rank + 1)]
+    for nu in points:
+        for j, (r_j, fw_alpha) in enumerate(zip(reflections, fw_alphas)):
+            image = datum.reflect(j, nu)
+            assert image == r_j.act_fw(nu), (j, nu)
+            pairing = datum.acoroot_pairing(j, nu)
+            assert vec_sub(nu, image) == tuple(pairing * a for a in fw_alpha), (j, nu)

@@ -242,6 +242,15 @@ def test_macdonald_transfer_matrix_exhausts_the_budget():
     assert "budget exhausted: highest-weight sweep exceeded" in proc.stderr
 
 
+@pytest.mark.parametrize("top", ["1000000", "100000000000000000000"])
+def test_huge_cut_grid_exhausts_the_budget(top):
+    # A2 (top, 0) has one pairing value, top, so top - 1 grid cuts: the grid stops
+    # at TABLE_BUDGET ticks before anything else is built, within about 5 s
+    proc = run_cli_capped(f"char macdonald --type A --rank 2 --lambda {top},0", timeout=5)
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr[-2000:]
+    assert "budget exhausted: cut grid exceeded" in proc.stderr
+
+
 def test_quotient_transfer_matrix_exhausts_the_budget():
     # quotient-plus reads the sweep of the sigma-dual shape, here lambda itself,
     # so it stops at the same budget

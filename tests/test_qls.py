@@ -22,7 +22,7 @@ from conftest import (
 )
 
 from silspath import characters as ch
-from silspath.cartan import AffineRealRoot, LevelZeroWeight, build, vec_neg, vec_sub
+from silspath.cartan import AffineRealRoot, build, vec_neg, vec_sub
 from silspath.peterson import ParabolicQuotient
 from silspath.qls import QLSCrystal, QLSPath
 from silspath.weyl import (
@@ -457,7 +457,7 @@ def test_qls_operators_satisfy_crystal_axioms(fam, lam):
                 assert q.qls_op(e, "f", j) == psi
             phi = _string_length(q, psi, "f", j)
             eps = _string_length(q, psi, "e", j)
-            assert phi - eps == datum.acoroot_pairing(j, LevelZeroWeight(wt, 0))
+            assert phi - eps == datum.acoroot_pairing(j, wt)
 
 
 @pytest.mark.parametrize("fam,lam", [(("A", 1), (2,)), (("A", 2), (1, 1)), (("C", 2), (1, 0))])

@@ -16,6 +16,7 @@ from conftest import (
     coset_state,
     enumerate_demazure_by_pool,
     is_translation_type,
+    lam_weight,
     multipartitions,
     si_above_by_states,
     si_path,
@@ -151,7 +152,7 @@ def test_crystal_axioms_on_enumerated_sets(fam, lam, depth):
             assert eps_count == c.string_eps(eta, j)
             assert phi_count == c.string_phi(eta, j)
             # regularity of the j-string
-            pairing = datum.acoroot_pairing(j, wt)
+            pairing = datum.acoroot_pairing(j, wt.fw)
             assert c.string_phi(eta, j) - c.string_eps(eta, j) == pairing
 
 
@@ -163,7 +164,7 @@ def test_kappa_flip_criterion(a1):
         kappa = two.quotient.state_rep(eta.kappa)
         for j in range(2):
             pairing = two.datum.acoroot_pairing(
-                j, kappa.act_weight(two.quotient.lam_weight)
+                j, kappa.act_weight(lam_weight(two.quotient)).fw
             )
             fmax, count = two.f_max(eta, j)
             if pairing > 0:
@@ -282,7 +283,7 @@ def test_demazure_stability(fam, lam, depth):
     c = crystal(fam, lam)
     datum = c.datum
     quotient = c.quotient
-    lamw = c.quotient.lam_weight
+    lamw = lam_weight(c.quotient)
     xs = [x for x in quotient.si_ball(2)]
     sample, st = _component_sample(c, depth), quotient.coset_state
     for x in xs:
@@ -292,7 +293,7 @@ def test_demazure_stability(fam, lam, depth):
                 f = c.root_f(eta, j)
                 if f is not None:
                     assert c.in_demazure_final(f, st(x))
-                pairing = datum.acoroot_pairing(j, x.act_weight(lamw))
+                pairing = datum.acoroot_pairing(j, x.act_weight(lamw).fw)
                 if pairing >= 0:
                     e_ = c.root_e(eta, j)
                     if e_ is not None:
@@ -310,11 +311,11 @@ def test_demazure_string_generation(fam, lam, depth):
     c = crystal(fam, lam)
     datum = c.datum
     quotient = c.quotient
-    lamw = c.quotient.lam_weight
+    lamw = lam_weight(c.quotient)
     sample, st = _component_sample(c, depth), quotient.coset_state
     for x in quotient.si_ball(2):
         for j in range(datum.rank + 1):
-            if datum.acoroot_pairing(j, x.act_weight(lamw)) <= 0:
+            if datum.acoroot_pairing(j, x.act_weight(lamw).fw) <= 0:
                 continue
             z, rjx = st(x), st(affine_simple(datum, j).mul(x))
             for eta in sample:
@@ -658,7 +659,7 @@ def test_decompose_memo_matches_fresh_on_enumeration_pool(fam, lam):
 
 def p_of(c, z):
     """p(z) = <xi, lambda> = -delta(z lambda), the degree a direction costs."""
-    return -z.act_weight(c.quotient.lam_weight).delta
+    return -z.act_weight(lam_weight(c.quotient)).delta
 
 
 @pytest.mark.parametrize(
@@ -825,7 +826,7 @@ def test_enumeration_at_translated_base(a2):
         translation(a2, (1, 0)).mul(from_finite(simple_reflection(a2, 1)))
     )
     assert any(x.xi)
-    p_x = c.datum.pair_coweight_weight(x.xi, c.quotient.lam_weight)
+    p_x = c.datum.pair_coweight_weight(x.xi, lam_weight(c.quotient))
     assert p_x < 0  # weights above the base can carry positive delta
     x = c.quotient.coset_state(x)
     paths = c.enumerate_demazure(x, 1)
