@@ -5,9 +5,11 @@ A :class:`CartanDatum` holds the finite Cartan matrix in the convention
 the rest of the library reads: positive roots (generated by reflection
 closure, not hard-coded), the highest root and its coroot (the marks and
 comarks of the affinization at the distinguished node 0), the symmetrizer,
-the diagram involution induced by the longest Weyl element, and (built on
-first use) an indexed table of all roots and their coroots on which Weyl
-elements act as permutations.
+the diagram involution sigma = -w_0 on the nodes (read off the reflection
+rule `CartanDatum.reflect`, which lifts each -varpi_i to its dominant point
+varpi_sigma(i)), and (built on first use) an indexed table of all roots and
+their coroots on which Weyl elements act as permutations and which decides
+root membership.
 
 Coordinate conventions used throughout the package:
 
@@ -163,30 +165,6 @@ def _positive_roots(cartan: Mat) -> tuple[Vec, ...]:
     return tuple(pos)
 
 
-def _sigma(cartan: Mat) -> Vec:
-    """The diagram involution i -> sigma(i) with w_0(alpha_i) = -alpha_sigma(i).
-
-    Walks w from the identity to w_0 by w -> w r_k while some simple image
-    w(alpha_k) is positive, updating the simple images as vectors:
-    (w r_k)(alpha_j) = w(alpha_j) - a_kj w(alpha_k).
-    """
-    n = len(cartan)
-    imgs = [tuple(1 if r == i else 0 for r in range(n)) for i in range(n)]
-    while True:
-        k = next((k for k in range(n) if all(c >= 0 for c in imgs[k])), None)
-        if k is None:
-            break
-        wk = imgs[k]
-        imgs = [
-            tuple(a - cartan[k][j] * b for a, b in zip(imgs[j], wk)) for j in range(n)
-        ]
-    sigma = []
-    for img in imgs:
-        assert sorted(img) == [-1] + [0] * (n - 1)
-        sigma.append(img.index(-1) + 1)
-    return tuple(sigma)
-
-
 class RootTable(NamedTuple):
     """All 2N roots, indexed: the positive roots in ``pos_roots`` order, then
     their negatives in the same order, so root ``k + N`` is ``-root k``."""
@@ -214,24 +192,26 @@ class CartanDatum:
     pos_roots: tuple[Vec, ...]
     theta: Vec
     theta_coroot: Vec
-    sigma: Vec  # sigma[i-1] is the node label paired with node i by -w_0
 
     def __repr__(self) -> str:
         return f"CartanDatum({self.type_label}{self.rank})"
 
     @functools.cached_property
-    def root_set(self) -> frozenset[Vec]:
-        return frozenset(self.pos_roots) | frozenset(
-            vec_neg(u) for u in self.pos_roots
-        )
-
-    @functools.cached_property
-    def pos_root_set(self) -> frozenset[Vec]:
-        return frozenset(self.pos_roots)
+    def sigma(self) -> Vec:
+        """sigma[i-1] is the node label paired with node i by -w_0.  From -varpi_i, `reflect` at the
+        first minimal coordinate while one is negative ends at the dominant point of its orbit,
+        -w_0 varpi_i = varpi_sigma(i)."""
+        out = []
+        for i in range(self.rank):
+            nu = tuple(-int(k == i) for k in range(self.rank))
+            while (m := min(nu)) < 0:
+                nu = self.reflect(nu.index(m) + 1, nu)
+            out.append(nu.index(1) + 1)
+        return tuple(out)
 
     @functools.cached_property
     def root_table(self) -> RootTable:
-        """Built on first use by the Weyl group arithmetic, not by ``build``.
+        """Built on first use by the Weyl group arithmetic and the root predicates, not by ``build``.
 
         Pairings are read off the fundamental-weight column: fw(u)_i =
         <alpha_i^vee, u> is computed on the N positive roots and negated on
@@ -260,10 +240,12 @@ class CartanDatum:
         return tuple(1 if k == i - 1 else 0 for k in range(self.rank))
 
     def is_root(self, u: Vec) -> bool:
-        return u in self.root_set
+        return u in self.root_table.index
 
     def is_positive_root(self, u: Vec) -> bool:
-        return u in self.pos_root_set
+        """A root-table lookup: the positive roots come first, at indices below N."""
+        n_pos = len(self.pos_roots)
+        return self.root_table.index.get(u, n_pos) < n_pos
 
     def pair_coweight_root(self, c: Vec, u: Vec) -> int:
         """<xi, alpha> for a coweight xi and an element alpha of Q."""
@@ -360,14 +342,16 @@ def build(type_label: str, rank: int, /) -> CartanDatum:
         pos_roots=pos,
         theta=theta,
         theta_coroot=_coroot(sym, theta, tuple(sum(map(operator.mul, row, theta)) for row in cartan)),
-        sigma=_sigma(cartan),
     )
     _check_affinization(datum)
     return datum
 
 
 def _check_affinization(datum: CartanDatum) -> None:
-    """The (n+1) x (n+1) affine matrix must kill the mark vector."""
+    """The (n+1) x (n+1) affine matrix must kill the mark vector, and sigma must be an involution
+    (which computes it here, once per datum)."""
+    sigma = datum.sigma
+    assert all(sigma[s - 1] == i for i, s in enumerate(sigma, 1))
     n = datum.rank
     marks_aff = (1,) + datum.theta
     # row 0: <alpha_0^vee, alpha_j> = 2*delta_{j0} - <theta^vee, alpha_j>

@@ -6,8 +6,8 @@ degree-weighted QLS sum expands its classical highest-weight terms,
 `QLSCrystal.highest_weight_sums`, by Freudenthal multiplicities and Weyl orbits,
 the closed-form Demazure characters multiply it by the expanded inverse product
 over the columns of lambda, and the quotient characters add `QLSCrystal.final_sums`
-over a Bruhat up-set of W^J, one sum kept per orbit point on the crystal (the plus
-ones read the `dual` shape's).  The
+over a Bruhat up-set of W^J, one sum kept per orbit point by the crystal's
+`interval_sum` (the plus ones read the `dual` shape's).  The
 brute-force route walks the semi-infinite LS paths with kappa >= e down to the
 depth instead and counts the weights that the walk carries, again without listing
 a path.  Demazure's character formula supplies an independent q=0 oracle without
@@ -246,27 +246,15 @@ def _checked_crystal(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> QLSCryst
     return crystal
 
 
-def _interval_sum(crystal: QLSCrystal, mu: Vec) -> Counter:
-    """Sum `final_sums` over v >= w, for the w in W^J with w lambda = mu: over the up-set
-    `ParabolicQuotient.bruhat_above`, kept per mu in the crystal's `interval_sums`."""
-    total = crystal.interval_sums.get(mu)
-    if total is None:
-        sums, total = crystal.final_sums, Counter()
-        for nu in crystal.sils.quotient.bruhat_above(mu):
-            total.update(sums[nu])
-        crystal.interval_sums[mu] = total
-    return total
-
-
 def gch_quotient_minus(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> GradedCharacter:
     """Sum over paths whose distinguished final direction dominates w."""
-    return GradedCharacter(_interval_sum(_checked_crystal(datum, lam, w), w.act_fw(lam)))
+    return GradedCharacter(_checked_crystal(datum, lam, w).interval_sum(w.act_fw(lam)))
 
 
 def gch_quotient_plus(datum: CartanDatum, lam: Vec, w: FiniteWeylElt) -> GradedCharacter:
     """Sum over paths whose distinguished initial direction is below w: the sigma-dual shape's
     minus character at floor(w w0), the representative at -w lambda, with x and q inverted."""
-    total = _interval_sum(_checked_crystal(datum, lam, w).dual, vec_neg(w.act_fw(lam)))
+    total = _checked_crystal(datum, lam, w).dual.interval_sum(vec_neg(w.act_fw(lam)))
     return GradedCharacter({(vec_neg(fw), -q): c for (fw, q), c in total.items()})
 
 

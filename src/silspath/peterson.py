@@ -77,24 +77,6 @@ class Decomposition(NamedTuple):
     xi: Vec
 
 
-def _component_split(datum: CartanDatum, nodes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    remaining = set(nodes)
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            i = frontier.pop()
-            for j in remaining - comp:
-                if datum.cartan[i - 1][j - 1] != 0:
-                    comp.add(j)
-                    frontier.append(j)
-        comps.append(tuple(sorted(comp)))
-        remaining -= comp
-    return tuple(comps)
-
-
 @dataclass(frozen=True, eq=False)
 class ParabolicQuotient:
     """Tables for one subset J, bound to a dominant weight lambda with zero set J;
@@ -130,20 +112,18 @@ class ParabolicQuotient:
 
     @functools.cached_property
     def reduction_gens(self) -> tuple[tuple[AffineRealRoot, AffineWeylElt], ...]:
-        datum, jset = self.datum, set(self.j_nodes)
-        gens: list[tuple[AffineRealRoot, AffineWeylElt]] = []
-        for i in self.j_nodes:
-            beta = AffineRealRoot(datum.simple_root(i), 0)
-            gens.append((beta, from_finite(simple_reflection(datum, i))))
-        for comp in _component_split(datum, self.j_nodes):
-            sub_roots = [
-                u
-                for u in self.delta_j_plus
-                if all(u[i - 1] == 0 for i in jset if i not in comp)
-            ]
-            theta_c = max(sub_roots, key=lambda u: (sum(u), u))
-            beta = AffineRealRoot(vec_neg(theta_c), 1)
-            gens.append((beta, affine_reflection(datum, beta)))
+        """The simple roots of (W_J)_af with their reflections: alpha_j for j in J, then -theta_c + delta
+        for the highest root theta_c of each component c of J, the roots of Delta_J^+ that no alpha_j
+        raises to a root (an irreducible root system has one maximal root)."""
+        datum = self.datum
+        simple = [datum.simple_root(i) for i in self.j_nodes]
+        gens = [
+            (AffineRealRoot(a, 0), from_finite(simple_reflection(datum, i))) for i, a in zip(self.j_nodes, simple)
+        ]
+        for theta in self.delta_j_plus:
+            if not any(datum.is_root(vec_add(theta, a)) for a in simple):
+                beta = AffineRealRoot(vec_neg(theta), 1)
+                gens.append((beta, affine_reflection(datum, beta)))
         return tuple(gens)
 
     # -- membership and projection ------------------------------------------

@@ -145,6 +145,17 @@ class QLSCrystal:
         from one row per orbit point, a transfer matrix up the cuts (the quotient characters)."""
         return self._sweep({mu: {(mu, 0): 1} for mu in self.sils.quotient.orbit}, False, "transfer matrix")
 
+    def interval_sum(self, mu: Vec) -> Counter:
+        """`final_sums` added over v >= w, for the w in W^J with w lambda = mu: over the up-set
+        `ParabolicQuotient.bruhat_above`, kept per mu in `interval_sums`."""
+        total = self.interval_sums.get(mu)
+        if total is None:
+            sums, total = self.final_sums, Counter()
+            for nu in self.sils.quotient.bruhat_above(mu):
+                total.update(sums[nu])
+            self.interval_sums[mu] = total
+        return total
+
     @functools.cached_property
     def highest_weight_sums(self) -> dict[tuple[Vec, int], int]:
         """x^weight q^deg_kappa summed over the classical highest-weight rows, whose pi(t) is dominant

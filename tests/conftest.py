@@ -596,6 +596,23 @@ def outside_by_delta_j(quotient):
     return tuple((u, pair(datum.coroot(u), lam_weight(quotient))) for u in datum.pos_roots if u not in dj)
 
 
+def component_tops(datum, nodes):
+    """The highest root of each Dynkin component of J = nodes, by a graph search over the
+    Cartan matrix and a max by height over the positive roots supported on the component:
+    the oracle for the affine generators -theta_c + delta of `ParabolicQuotient.reduction_gens`."""
+    remaining, tops = set(nodes), set()
+    while remaining:
+        comp, frontier = set(), [min(remaining)]
+        while frontier:
+            if (i := frontier.pop()) not in comp:
+                comp.add(i)
+                frontier += [j for j in remaining if datum.cartan[i - 1][j - 1]]
+        remaining -= comp
+        support = [u for u in datum.pos_roots if all(u[k - 1] == 0 for k in range(1, datum.rank + 1) if k not in comp)]
+        tops.add(max(support, key=sum))
+    return tops
+
+
 def qb_roots_by_pairing(quotient):
     """`ParabolicQuotient._qb_roots` with c_u = <u^vee, 2 rho - 2 rho_J> paired in
     root coordinates, 2 rho_J summed over `delta_j_plus`, each shift list copied, and

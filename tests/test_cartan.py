@@ -8,6 +8,7 @@ from silspath.cartan import (
     _cartan_matrix,
     _positive_roots,
     build,
+    vec_add,
     vec_neg,
     vec_sub,
 )
@@ -100,7 +101,7 @@ def test_coroots_are_integral(fam):
 @pytest.mark.parametrize("fam", [("A", 2), ("C", 2), ("B", 3), ("G", 2)])
 def test_affine_positivity_matches_enumeration(fam):
     datum = build(*fam)
-    for u in datum.root_set:
+    for u in datum.root_table.roots:
         for n in range(-5, 6):
             beta = AffineRealRoot(u, n)
             expected = n > 0 or (n == 0 and datum.is_positive_root(u))
@@ -108,6 +109,23 @@ def test_affine_positivity_matches_enumeration(fam):
             assert datum.is_positive_affine(
                 AffineRealRoot(vec_neg(u), -n)
             ) != expected
+
+
+@pytest.mark.parametrize("fam", sorted(EXPECTED_POS_COUNTS))
+def test_root_predicates_on_non_roots(fam):
+    # the oracle is the list pos_roots; candidates are the roots, each root plus or minus a
+    # simple root (roots and non-roots both), and 0, 2 theta and theta + alpha_1
+    datum = build(*fam)
+    pos = set(datum.pos_roots)
+    roots = pos | {vec_neg(u) for u in pos}
+    non_roots = [(0,) * datum.rank, tuple(2 * t for t in datum.theta), vec_add(datum.theta, datum.simple_root(1))]
+    steps = [datum.simple_root(i) for i in range(1, datum.rank + 1)]
+    candidates = roots | set(non_roots) | {f(u, a) for u in roots for a in steps for f in (vec_add, vec_sub)}
+    for u in candidates:
+        assert datum.is_root(u) == (u in roots), u
+        assert datum.is_positive_root(u) == (u in pos), u
+    for u in non_roots:
+        assert not datum.is_root(u) and not datum.is_positive_root(u)
 
 
 def test_sigma_examples(a1, a2, c2):
@@ -122,7 +140,7 @@ def test_sigma_is_involution(fam):
     assert all(sigma[sigma[i] - 1] == i + 1 for i in range(len(sigma)))
 
 
-@pytest.mark.parametrize("fam", [("A", 3), ("C", 3), ("D", 5), ("E", 6)])
+@pytest.mark.parametrize("fam", [(t, r) for t, ranks in _RANK_RANGE.items() for r in ranks])
 def test_sigma_dual_is_minus_w0(fam):
     datum = build(*fam)
     lam = tuple(range(1, datum.rank + 1))

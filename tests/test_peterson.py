@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from silspath.cartan import AffineRealRoot, build, vec_add, vec_sub
+from silspath.cartan import AffineRealRoot, build, vec_add, vec_neg, vec_sub
 from silspath.peterson import ParabolicQuotient
 from silspath.sils import SiLSCrystal
 from silspath.weyl import (
@@ -23,6 +23,7 @@ from conftest import (
     GRCH1_CASES,
     ORDER_CASES,
     coset_state,
+    component_tops,
     cover_candidates,
     covers_by_scan,
     dual_quotient,
@@ -67,7 +68,7 @@ def test_is_rep_against_bruteforce(a2, c2):
         jset = set(nodes)
         dj_all = [
             u
-            for u in datum.root_set
+            for u in datum.root_table.roots
             if all(u[i - 1] == 0 for i in range(1, datum.rank + 1) if i not in jset)
         ]
         for x in sample:
@@ -78,6 +79,23 @@ def test_is_rep_against_bruteforce(a2, c2):
                     if not datum.is_positive_affine(x.act_root(AffineRealRoot(u, n))):
                         brute = False
             assert quotient.is_rep(x) == brute
+
+
+@pytest.mark.parametrize("fam", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2), ("E", 6)])
+def test_reduction_gens_match_component_tops(fam):
+    # every J: alpha_j for j in J, then -theta_c + delta once per Dynkin component c of J
+    # (on E6 every nonempty J has one to three components; on D4, J = {1, 3, 4} has three)
+    datum = build(*fam)
+    n = datum.rank
+    for mask in range(1 << n):
+        nodes = tuple(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
+        gens = [beta for beta, _refl in for_subset(datum, nodes).reduction_gens]
+        assert [beta.finite for beta in gens if not beta.n] == [datum.simple_root(i) for i in nodes]
+        tops = [vec_neg(beta.finite) for beta in gens if beta.n]
+        assert all(beta.n == 1 for beta in gens if beta.n)
+        assert len(tops) == len(set(tops)) and set(tops) == component_tops(datum, nodes), nodes
+    if fam == ("D", 4):
+        assert len(component_tops(datum, (1, 3, 4))) == 3
 
 
 @pytest.mark.parametrize(
@@ -381,7 +399,7 @@ def test_si_covers_against_bruteforce():
         datum = quotient.datum
         for x in quotient.si_ball(3):
             brute = set()
-            for u in datum.root_set:
+            for u in datum.root_table.roots:
                 start = 0 if datum.is_positive_root(u) else 1
                 for n in range(start, 4):
                     beta = AffineRealRoot(u, n)

@@ -617,7 +617,7 @@ def test_quotient_memos_are_freed_with_crystal():
         total = Counter()
         for part in q.final_sums.values():
             total.update(part)
-        assert ch._interval_sum(q, q.lam) == total
+        assert q.interval_sum(q.lam) == total
         quotient = q.sils.quotient
         assert quotient._named and quotient._si_leq_cache
         assert quotient._row_cache and quotient._qb_levels and quotient._reach_cache

@@ -80,7 +80,7 @@ def test_act_on_root_preserves_realness(a2):
         x = affine_identity(a2)
         for j in word:
             x = x.mul(affine_simple(a2, j))
-        for u in a2.root_set:
+        for u in a2.root_table.roots:
             for n in (-2, 0, 3):
                 img = x.act_root(AffineRealRoot(u, n))
                 assert a2.is_root(img.finite)
@@ -94,7 +94,7 @@ def test_simple_reflection_inverts_one_positive_root(a2, c2):
             rj = affine_simple(datum, j)
             assert affine_length(rj) == 1
             flipped = []
-            for u in datum.root_set:
+            for u in datum.root_table.roots:
                 for n in range(-3, 4):
                     beta = AffineRealRoot(u, n)
                     if datum.is_positive_affine(beta) and not datum.is_positive_affine(
@@ -277,7 +277,7 @@ def test_actions_match_matrix_oracle(fam):
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     ramp = tuple(range(-1, n - 1))
     # all roots, then lattice vectors that are not roots
-    roots = sorted(datum.root_set) + [tuple(2 * x for x in datum.theta), ramp]
+    roots = sorted(datum.root_table.roots) + [tuple(2 * x for x in datum.theta), ramp]
     weights = units + [datum.rho, ramp]
     coweights = units + [datum.theta_coroot, ramp]
     for w in _oracle_elements(fam):
